@@ -38,6 +38,7 @@ from .model import (
     Node,
     brute_force_marginal,
     build_tree,
+    check_likelihood,
     load_network,
     normalize_tree,
     save_network,
@@ -77,7 +78,6 @@ from .jointree import (
     build_polytree,
     compile_join_tree,
     extract_cliques,
-    factored_coeff_update,
     load_polytree,
     polytree_query,
     polytree_update,
@@ -99,11 +99,10 @@ __all__ = [
     "Variable", "ZeroMarginalDivisor", "balanced_tree", "belief",
     "belief_query", "brute_force_marginal", "brute_polytree_marginal",
     "build_engine", "build_join_tree", "build_polytree", "build_tree",
-    "calc_pi_lambda", "chain_tree", "compile_join_tree", "contract",
-    "extract_cliques", "factored_coeff_update", "full_propagate",
-    "lambda_query", "lazy_query", "lazy_update", "load_network",
-    "load_polytree", "normalize_tree", "pi_query", "polytree_query",
-    "polytree_update", "prior_marginals", "random_polytree", "random_tree",
-    "rake", "save_network", "set_evidence", "tree_to_spec",
-    "update_evidence",
+    "calc_pi_lambda", "chain_tree", "check_likelihood", "compile_join_tree",
+    "contract", "extract_cliques", "full_propagate", "lambda_query",
+    "lazy_query", "lazy_update", "load_network", "load_polytree",
+    "normalize_tree", "pi_query", "polytree_query", "polytree_update",
+    "prior_marginals", "random_polytree", "random_tree", "rake",
+    "save_network", "set_evidence", "tree_to_spec", "update_evidence",
 ]

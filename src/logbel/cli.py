@@ -127,7 +127,7 @@ class ContractRunner:
     name = "contract"
 
     def __init__(self, tree: CausalTree):
-        normalized, _ = normalize_tree(tree.copy())
+        normalized, _ = normalize_tree(tree)
         self.index = contract(normalized)
         self.counters = self.index.counters
 
@@ -220,10 +220,6 @@ class _BruteTreeOracle:
         return brute_force_marginal(self.tree, node_id)
 
 
-class _FullTreeOracle(FullRunner):
-    pass
-
-
 class _BrutePolytreeOracle:
     def __init__(self, pt: Polytree):
         self.pt = pt
@@ -267,7 +263,7 @@ def cmd_verify(args, _corrupt=None) -> int:
         if kind == "tree":
             subject = ContractRunner(problem)
             oracle = _BruteTreeOracle(problem) if args.oracle == "brute" \
-                else _FullTreeOracle(problem)
+                else FullRunner(problem)
             if _corrupt is not None:
                 _corrupt(subject.index)
         else:

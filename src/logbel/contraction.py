@@ -20,22 +20,19 @@ can be substituted per edge through the coeffs argument of contract().
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .counters import OpCounters
 from .errors import (
-    AllZeroLikelihood,
     ConstructionError,
-    DimensionMismatch,
     LevelOutOfRange,
-    NotALeaf,
     NotRakeable,
     TreeTooSmall,
     UnknownNode,
 )
-from .model import Belief, CausalTree, Evidence, as_prob_vector, normalize_belief, set_evidence
+from .model import Belief, CausalTree, normalize_belief, set_evidence
 
 LEFT, RIGHT = 0, 1
 
@@ -148,11 +145,8 @@ class RakeEvent:
     """Everything one rake step removed, spliced and rewrote."""
 
     level: int
-    order: int
     leaf: str           # raked leaf e
     parent: str         # raked parent x
-    survivor: str       # z, spliced under the grandparent in x's place
-    sibling: str        # v, x's sibling at rake time
     grandparent: str    # u
     leaf_side: int      # side of e within x
     parent_side: int    # side of x within u
@@ -200,7 +194,6 @@ class ContractionIndex:
         self.removed_by: dict[str, RakeEvent] = {}
         self.levels: list[Level] = []
         self.leaf_counts: list[int] = []
-        self.highest_level: dict[str, int] = {}
         self.root = tree.root
         # The leftmost and rightmost leaves are never raked, so the extremes
         # of every frontier coincide with those of the base tree.
@@ -250,6 +243,11 @@ def contract(tree: CausalTree, coeffs: dict[str, object] | None = None,
              _max_rounds: int | None = None) -> ContractionIndex:
     """Build the full contraction hierarchy for a complete binary tree.
 
+    The index owns the tree it is given: it keeps it as index.tree, and
+    update_evidence writes each new likelihood through to it, so copy the
+    tree first to keep the original.  Leaf likelihoods are shared with the
+    tree, not copied.
+
     coeffs optionally maps each non-root node id to the coefficient object
     for the edge entering it (defaults to a copy of the node's conditional
     matrix).  Raises TreeTooSmall for trees under three nodes.  _max_rounds
@@ -278,8 +276,7 @@ def contract(tree: CausalTree, coeffs: dict[str, object] | None = None,
                 left_child=left, right_child=right)
             index.records[node_id] = [rec]
         else:
-            index.evidence[node_id] = node.evidence.copy() if node.evidence is not None \
-                else np.ones(node.domain)
+            index.evidence[node_id] = node.evidence
     index.base_matrix_count = index.stored_matrix_count
 
     frontier = index._frontier()
@@ -298,11 +295,6 @@ def contract(tree: CausalTree, coeffs: dict[str, object] | None = None,
         index.leaf_counts.append(len(frontier))
         index.levels.append(_snapshot(index, level))
 
-    for nid, recs in index.records.items():
-        index.highest_level[nid] = recs[-1].level
-    for nid in index.evidence:
-        event = index.removed_by.get(nid)
-        index.highest_level[nid] = event.level if event is not None else level
     index._building = False
     index._live_children = None
     index._live_parent = None
@@ -378,8 +370,7 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEvent:
     index.records[grand].append(post)
 
     event = RakeEvent(
-        level=level, order=len(index.rake_log), leaf=leaf, parent=parent,
-        survivor=survivor, sibling=sibling, grandparent=grand,
+        level=level, leaf=leaf, parent=parent, grandparent=grand,
         leaf_side=leaf_side, parent_side=parent_side,
         grandparent_pre=grand_pre, grandparent_post=post, equation=equation)
     post.created_by = event
@@ -424,23 +415,12 @@ def update_evidence(index: ContractionIndex, leaf_id: str, evidence) -> Contract
     Recomputes exactly the stored coefficients whose defining equations
     transitively consumed the leaf's likelihood: one chain, one matrix-matrix
     product per recomputed coefficient.  No lambda or pi values are
-    maintained; queries stay consistent automatically.
+    maintained; queries stay consistent automatically.  evidence is an
+    Evidence or an array; its checked copy is stored once, in index.tree,
+    and index.evidence points at it.
     """
-    if leaf_id not in index.tree.nodes:
-        raise UnknownNode(f"no node {leaf_id!r}")
-    if leaf_id not in index.evidence:
-        raise NotALeaf(f"{leaf_id!r} is not a leaf")
-    vec = evidence.likelihood if isinstance(evidence, Evidence) else evidence
-    vec = as_prob_vector(vec, what=f"evidence of {leaf_id!r}")
-    if vec.shape[0] != index.tree.nodes[leaf_id].domain:
-        raise DimensionMismatch(
-            f"evidence of {leaf_id!r} has length {vec.shape[0]}, "
-            f"domain is {index.tree.nodes[leaf_id].domain}")
-    if not np.any(vec > 0.0):
-        raise AllZeroLikelihood(f"evidence of {leaf_id!r} has no positive entry")
-
-    index.evidence[leaf_id] = vec.copy()
-    set_evidence(index.tree, leaf_id, vec)
+    set_evidence(index.tree, leaf_id, evidence)
+    index.evidence[leaf_id] = index.tree.nodes[leaf_id].evidence
     trace: list[Slot] = []
     equation = index.leaf_consumer.get(leaf_id)
     while equation is not None:

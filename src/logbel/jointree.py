@@ -22,7 +22,6 @@ import numpy as np
 from .contraction import ContractionIndex, belief_query, contract, update_evidence
 from .counters import OpCounters
 from .errors import (
-    AllZeroLikelihood,
     ConstructionError,
     DimensionMismatch,
     DimensionOverflow,
@@ -38,8 +37,7 @@ from .model import (
     STOCHASTIC_TOL,
     Belief,
     CausalTree,
-    Evidence,
-    as_prob_vector,
+    _float_array,
     build_tree,
     normalize_tree,
 )
@@ -106,9 +104,10 @@ class Polytree:
             raise NotAPolytree("underlying graph is disconnected")
 
     def _check_tables(self) -> None:
-        for var in self.variables.values():
+        for var in self.variables.values():  # every domain, before cpts use them
             if not isinstance(var.domain, int) or var.domain < 1:
                 raise FormatError(f"variable {var.id!r} has invalid domain {var.domain!r}")
+        for var in self.variables.values():
             if var.parents:
                 if var.cpt is None:
                     raise FormatError(f"variable {var.id!r} has parents but no cpt")
@@ -166,19 +165,27 @@ def build_polytree(spec: dict) -> Polytree:
     extra = set(spec) - {"variables"}
     if extra:
         raise FormatError(f"unknown top-level keys {sorted(extra)}")
+    if not isinstance(spec["variables"], list):
+        raise FormatError("'variables' must be a list")
     variables = []
     for raw in spec["variables"]:
+        if not isinstance(raw, dict):
+            raise FormatError("each variable must be an object")
         unknown = set(raw) - _VAR_KEYS
         if unknown:
             raise FormatError(f"unknown variable keys {sorted(unknown)}")
         if "id" not in raw or "domain" not in raw:
             raise FormatError("every variable needs 'id' and 'domain'")
+        var_id, parents = raw["id"], raw.get("parents", [])
+        if not isinstance(var_id, str) or not isinstance(parents, list) \
+                or not all(isinstance(p, str) for p in parents):
+            raise FormatError(f"variable {var_id!r}: id and parents must be id strings")
         variables.append(Variable(
-            id=raw["id"],
+            id=var_id,
             domain=raw["domain"],
-            parents=list(raw.get("parents", [])),
-            cpt=np.asarray(raw["cpt"], dtype=np.float64) if raw.get("cpt") is not None else None,
-            prior=np.asarray(raw["prior"], dtype=np.float64) if raw.get("prior") is not None else None,
+            parents=list(parents),
+            cpt=_float_array(raw, "cpt", var_id),
+            prior=_float_array(raw, "prior", var_id),
         ))
     return Polytree(variables)
 
@@ -449,14 +456,6 @@ class FactoredMatrix:
         return f"<FactoredMatrix {self.shape} width={self.width}>"
 
 
-def factored_coeff_update(parent_coeff: FactoredMatrix, diag: np.ndarray,
-                          raked_coeff: FactoredMatrix,
-                          counters: OpCounters) -> FactoredMatrix:
-    """One rake rewrite in factored form; the building block the engine runs
-    through contraction's coefficient protocol."""
-    return parent_coeff.rake_product(diag, raked_coeff, counters)
-
-
 # -- compilation to a causal tree --------------------------------------------------
 
 
@@ -591,12 +590,17 @@ class PolytreeEngine:
     join_tree: JoinTree
     compiled: CompiledTree
     index: ContractionIndex
-    marginals: dict[str, np.ndarray]
-    evidence: dict[str, np.ndarray]
 
     @property
     def counters(self) -> OpCounters:
         return self.index.counters
+
+    @property
+    def evidence(self) -> dict[str, np.ndarray]:
+        """Likelihood in force per variable, read from the index's
+        indicator leaves (all ones until updated)."""
+        leaves = self.compiled.evidence_leaf
+        return {vid: self.index.evidence[leaf] for vid, leaf in leaves.items()}
 
 
 def build_engine(pt: Polytree, root_var: str | None = None,
@@ -606,24 +610,15 @@ def build_engine(pt: Polytree, root_var: str | None = None,
     marginals = prior_marginals(pt)
     compiled = compile_join_tree(jt, pt, marginals, state_cap=state_cap)
     index = contract(compiled.tree, coeffs=dict(compiled.coeffs))
-    evidence = {vid: np.ones(v.domain) for vid, v in pt.variables.items()}
-    return PolytreeEngine(polytree=pt, join_tree=jt, compiled=compiled,
-                          index=index, marginals=marginals, evidence=evidence)
+    return PolytreeEngine(polytree=pt, join_tree=jt, compiled=compiled, index=index)
 
 
 def polytree_update(engine: PolytreeEngine, var_id: str, likelihood) -> PolytreeEngine:
+    """Install a likelihood (an Evidence or an array) on a variable through
+    its indicator leaf E:<var>; error messages name that leaf."""
     if var_id not in engine.polytree.variables:
         raise UnknownVariable(f"no variable {var_id!r}")
-    vec = likelihood.likelihood if isinstance(likelihood, Evidence) else \
-        as_prob_vector(likelihood, what=f"evidence of {var_id!r}")
-    if vec.shape[0] != engine.polytree.variables[var_id].domain:
-        raise DimensionMismatch(
-            f"evidence of {var_id!r} has length {vec.shape[0]}, "
-            f"domain is {engine.polytree.variables[var_id].domain}")
-    if not np.any(vec > 0.0):
-        raise AllZeroLikelihood(f"evidence of {var_id!r} has no positive entry")
-    update_evidence(engine.index, engine.compiled.evidence_leaf[var_id], vec)
-    engine.evidence[var_id] = vec.copy()
+    update_evidence(engine.index, engine.compiled.evidence_leaf[var_id], likelihood)
     return engine
 
 

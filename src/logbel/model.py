@@ -43,14 +43,34 @@ _NODE_KEYS = {"id", "domain", "parent", "cpt", "prior", "evidence"}
 
 
 def as_prob_vector(values, *, what: str = "vector") -> np.ndarray:
-    """Coerce to a 1-D float64 array with finite, nonnegative entries."""
-    vec = np.asarray(values, dtype=np.float64)
+    """Copy into a new 1-D float64 array with finite, nonnegative entries."""
+    vec = np.array(values, dtype=np.float64)
     if vec.ndim != 1:
         raise DimensionMismatch(f"{what} must be one-dimensional, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise InvalidProbability(f"{what} contains a non-finite entry")
     if np.any(vec < 0.0):
         raise InvalidProbability(f"{what} contains a negative entry")
+    return vec
+
+
+def check_likelihood(evidence, domain: int | None = None, *,
+                     what: str = "likelihood") -> np.ndarray:
+    """Validate an Evidence or array-like likelihood; return it as a new
+    float64 vector.
+
+    The vector must be one-dimensional, finite, nonnegative, of length
+    domain (unless domain is None) and have at least one positive entry.
+    Every likelihood the package stores passes through here, so the stored
+    vector never aliases the caller's array.
+    """
+    if isinstance(evidence, Evidence):
+        evidence = evidence.likelihood
+    vec = as_prob_vector(evidence, what=what)
+    if domain is not None and vec.shape[0] != domain:
+        raise DimensionMismatch(f"{what} has length {vec.shape[0]}, domain is {domain}")
+    if not np.any(vec > 0.0):
+        raise AllZeroLikelihood(f"{what} has no positive entry")
     return vec
 
 
@@ -80,10 +100,7 @@ class Evidence:
     likelihood: np.ndarray
 
     def __post_init__(self):
-        vec = as_prob_vector(self.likelihood, what="likelihood")
-        if not np.any(vec > 0.0):
-            raise AllZeroLikelihood("likelihood has no positive entry")
-        object.__setattr__(self, "likelihood", vec)
+        object.__setattr__(self, "likelihood", check_likelihood(self.likelihood))
 
     @classmethod
     def one_hot(cls, domain: int, index: int) -> "Evidence":
@@ -207,13 +224,8 @@ class CausalTree:
                     if is_root:
                         continue  # a bare single-node tree carries only its prior
                     raise LeafWithoutEvidence(f"leaf {node.id!r} has no evidence")
-                vec = as_prob_vector(node.evidence, what=f"evidence of {node.id!r}")
-                if vec.shape[0] != node.domain:
-                    raise DimensionMismatch(
-                        f"evidence of {node.id!r} has length {vec.shape[0]}, domain is {node.domain}")
-                if not np.any(vec > 0.0):
-                    raise AllZeroLikelihood(f"evidence of {node.id!r} has no positive entry")
-                node.evidence = vec
+                node.evidence = check_likelihood(
+                    node.evidence, node.domain, what=f"evidence of {node.id!r}")
             elif node.evidence is not None:
                 raise FormatError(f"internal node {node.id!r} must not carry evidence")
 
@@ -231,10 +243,6 @@ class CausalTree:
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    @property
-    def k_max(self) -> int:
-        return max(n.domain for n in self.nodes.values())
 
     @property
     def depth(self) -> int:
@@ -337,15 +345,29 @@ def build_tree(spec: dict) -> CausalTree:
         node_id = raw["id"]
         if not isinstance(node_id, str) or not node_id:
             raise FormatError("node id must be a non-empty string")
+        parent = raw.get("parent")
+        if parent is not None and not isinstance(parent, str):
+            raise FormatError(f"parent of {node_id!r} must be a node id string")
         nodes.append(Node(
             id=node_id,
             domain=raw["domain"],
-            parent=raw.get("parent"),
-            cpt=None if raw.get("cpt") is None else np.asarray(raw["cpt"], dtype=np.float64),
-            prior=None if raw.get("prior") is None else np.asarray(raw["prior"], dtype=np.float64),
-            evidence=None if raw.get("evidence") is None else np.asarray(raw["evidence"], dtype=np.float64),
+            parent=parent,
+            cpt=_float_array(raw, "cpt", node_id),
+            prior=_float_array(raw, "prior", node_id),
+            evidence=_float_array(raw, "evidence", node_id),
         ))
     return CausalTree(nodes)
+
+
+def _float_array(raw: dict, key: str, owner: str) -> np.ndarray | None:
+    """raw[key] as a float64 array, or None when absent; FormatError when
+    the entry is not numeric (strings, objects, ragged lists)."""
+    if raw.get(key) is None:
+        return None
+    try:
+        return np.asarray(raw[key], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise FormatError(f"{key} of {owner!r} is not a numeric array") from None
 
 
 def tree_to_spec(tree: CausalTree) -> dict:
@@ -391,18 +413,12 @@ def save_network(tree: CausalTree, path) -> None:
 # -- evidence -------------------------------------------------------------------
 
 def set_evidence(tree: CausalTree, leaf_id: str, evidence) -> CausalTree:
-    """Replace the likelihood vector of a leaf (in place)."""
+    """Replace the likelihood vector of a leaf (in place) with a checked copy
+    of evidence, an Evidence or an array."""
     node = tree.node(leaf_id)
     if node.children:
         raise NotALeaf(f"{leaf_id!r} is not a leaf")
-    vec = evidence.likelihood if isinstance(evidence, Evidence) else evidence
-    vec = as_prob_vector(vec, what=f"evidence of {leaf_id!r}")
-    if vec.shape[0] != node.domain:
-        raise DimensionMismatch(
-            f"evidence of {leaf_id!r} has length {vec.shape[0]}, domain is {node.domain}")
-    if not np.any(vec > 0.0):
-        raise AllZeroLikelihood(f"evidence of {leaf_id!r} has no positive entry")
-    node.evidence = vec.copy()
+    node.evidence = check_likelihood(evidence, node.domain, what=f"evidence of {leaf_id!r}")
     return tree
 
 

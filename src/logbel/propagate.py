@@ -18,7 +18,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import UnknownNode
-from .model import Belief, CausalTree, Evidence, normalize_belief, set_evidence
+from .model import Belief, CausalTree, normalize_belief, set_evidence
 
 
 @dataclass
@@ -114,8 +114,8 @@ class LazyState:
         self.lambdas: dict[str, np.ndarray] = {}
         for node_id in self.tree.post_order():
             node = self.tree.nodes[node_id]
-            if not node.children:
-                self.lambdas[node_id] = node.evidence.copy() if node.evidence is not None \
+            if not node.children:  # self.tree is a private copy: share its vectors
+                self.lambdas[node_id] = node.evidence if node.evidence is not None \
                     else np.ones(node.domain)
             else:
                 self.lambdas[node_id] = _lambda_at(self.tree, node_id, self.lambdas, self.counters)
@@ -125,12 +125,12 @@ def lazy_update(state: LazyState, leaf_id: str, evidence) -> LazyState:
     """Install new evidence and recompute the lambda of each ancestor.
 
     Exactly depth-many lambda equations are evaluated; no pi work happens
-    here.  All-zero likelihoods are rejected up front, but evidence that is
-    merely jointly impossible surfaces later, at query time.
+    here.  evidence is an Evidence or an array.  All-zero likelihoods are
+    rejected up front, but evidence that is merely jointly impossible
+    surfaces later, at query time.
     """
-    vec = evidence.likelihood if isinstance(evidence, Evidence) else evidence
-    set_evidence(state.tree, leaf_id, vec)
-    state.lambdas[leaf_id] = state.tree.nodes[leaf_id].evidence.copy()
+    set_evidence(state.tree, leaf_id, evidence)
+    state.lambdas[leaf_id] = state.tree.nodes[leaf_id].evidence
     for ancestor in state.tree.ancestors(leaf_id):
         state.lambdas[ancestor] = _lambda_at(state.tree, ancestor, state.lambdas, state.counters)
     return state

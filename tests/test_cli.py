@@ -1,7 +1,9 @@
+import copy
 import csv
 import json
 
 import numpy as np
+import pytest
 
 from logbel import brute_polytree_marginal, build_polytree, random_tree, tree_to_spec
 from logbel.cli import build_parser, cmd_verify, main
@@ -119,6 +121,35 @@ class TestRun:
                          "--strategy", strategy])
             capsys.readouterr()
             assert code == 2
+
+
+def _malformed(net, edit):
+    bad = copy.deepcopy(net)
+    edit(bad)
+    return bad
+
+
+MALFORMED_NETWORKS = {
+    "list-as-parent": _malformed(
+        IDENTITY_NET, lambda n: n["nodes"][1].update(parent=["u"])),
+    "list-inside-parents": _malformed(
+        VEE_NET, lambda n: n["variables"][2].update(parents=[["a"], "b"])),
+    "non-object-variable": _malformed(VEE_NET, lambda n: n["variables"].append(5)),
+    "string-prior": _malformed(IDENTITY_NET, lambda n: n["nodes"][0].update(prior="0.5 0.5")),
+    "string-table": _malformed(VEE_NET, lambda n: n["variables"][2].update(cpt="high")),
+    # parent "a" moved after its child, so the child's cpt check meets it first
+    "string-parent-domain": _malformed(
+        VEE_NET, lambda n: n["variables"].append(n["variables"].pop(0) | {"domain": "2"})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NETWORKS))
+def test_malformed_network_is_an_error_not_a_crash(case, tmp_path, capsys):
+    net = write_json(tmp_path, "net.json", MALFORMED_NETWORKS[case])
+    ops = write_stream(tmp_path, "ops.txt", "Q a\n")
+    for command in ("run", "verify"):
+        assert main([command, "--network", net, "--ops", ops]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestVerify:

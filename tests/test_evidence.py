@@ -1,0 +1,144 @@
+"""The one likelihood check, as every evidence entry point sees it."""
+
+import numpy as np
+import pytest
+
+import logbel.model
+from logbel import (
+    AllZeroLikelihood,
+    DimensionMismatch,
+    Evidence,
+    InvalidProbability,
+    LazyState,
+    belief_query,
+    build_engine,
+    build_polytree,
+    chain_tree,
+    contract,
+    full_propagate,
+    lazy_query,
+    lazy_update,
+    polytree_query,
+    polytree_update,
+    set_evidence,
+    update_evidence,
+)
+
+VEE = {"variables": [
+    {"id": "a", "domain": 2, "prior": [0.4, 0.6]},
+    {"id": "b", "domain": 2, "prior": [0.7, 0.3]},
+    {"id": "c", "domain": 2, "parents": ["a", "b"],
+     "cpt": [[0.9, 0.1], [0.6, 0.4], [0.3, 0.7], [0.05, 0.95]]},
+]}
+
+
+def small_tree():
+    return chain_tree(9, k=2, rng=np.random.default_rng(3))
+
+
+ENTRY_POINTS = ("Evidence", "set_evidence", "update_evidence", "lazy_update",
+                "polytree_update")
+
+
+def installer(entry):
+    """Callable installing a likelihood through the named entry point, on
+    leaf e2 of small_tree() (variable c of VEE for polytree_update)."""
+    if entry == "Evidence":
+        tree = small_tree()
+        return lambda vec: set_evidence(tree, "e2", Evidence(vec))
+    if entry == "set_evidence":
+        tree = small_tree()
+        return lambda vec: set_evidence(tree, "e2", vec)
+    if entry == "update_evidence":
+        index = contract(small_tree())
+        return lambda vec: update_evidence(index, "e2", vec)
+    if entry == "lazy_update":
+        state = LazyState(small_tree())
+        return lambda vec: lazy_update(state, "e2", vec)
+    engine = build_engine(build_polytree(VEE))
+    return lambda vec: polytree_update(engine, "c", vec)
+
+
+BAD_LIKELIHOODS = {
+    "nan": ([np.nan, 1.0], InvalidProbability),
+    "inf": ([np.inf, 1.0], InvalidProbability),
+    "negative": ([0.5, -0.1], InvalidProbability),
+    "two-dimensional": ([[0.5, 0.5]], DimensionMismatch),
+    "wrong-length": ([0.5, 0.5, 0.5], DimensionMismatch),
+    "all-zero": ([0.0, 0.0], AllZeroLikelihood),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_LIKELIHOODS))
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_rejects_alike(entry, bad):
+    install = installer(entry)
+    vec, error = BAD_LIKELIHOODS[bad]
+    with pytest.raises(error):
+        install(np.array(vec))
+
+
+def _tree_engines(tree):
+    """(update, beliefs) pairs for the full, lazy and contract engines."""
+    full = tree.copy()
+    lazy = LazyState(tree)
+    index = contract(tree.copy())
+    ids = list(tree.nodes)
+    return [
+        (lambda leaf, vec: set_evidence(full, leaf, vec),
+         lambda: [full_propagate(full).beliefs[nid].dist for nid in ids]),
+        (lambda leaf, vec: lazy_update(lazy, leaf, vec),
+         lambda: [lazy_query(lazy, nid).dist for nid in ids]),
+        (lambda leaf, vec: update_evidence(index, leaf, vec),
+         lambda: [belief_query(index, nid).dist for nid in ids]),
+    ]
+
+
+def test_caller_array_mutation_moves_no_belief():
+    for update, beliefs in _tree_engines(small_tree()):
+        vec = np.array([0.2, 0.9])
+        update("e2", vec)
+        before = beliefs()
+        vec[:] = [1.0, 0.0]
+        np.testing.assert_array_equal(beliefs(), before)
+
+    engine = build_engine(build_polytree(VEE))
+    ev = Evidence(np.array([0.2, 0.9]))
+    polytree_update(engine, "c", ev)
+    before = [polytree_query(engine, vid).dist for vid in "abc"]
+    ev.likelihood[:] = [1.0, 0.0]
+    np.testing.assert_array_equal([polytree_query(engine, vid).dist for vid in "abc"], before)
+
+    vec = np.array([0.2, 0.9])
+    ev = Evidence(vec)
+    vec[:] = [1.0, 0.0]
+    np.testing.assert_array_equal(ev.likelihood, [0.2, 0.9])
+
+
+def test_update_stores_one_vector():
+    index = contract(small_tree())
+    update_evidence(index, "e2", np.array([0.2, 0.9]))
+    assert index.evidence["e2"] is index.tree.nodes["e2"].evidence
+
+    engine = build_engine(build_polytree(VEE))
+    polytree_update(engine, "c", np.array([0.2, 0.9]))
+    leaf = engine.compiled.evidence_leaf["c"]
+    assert engine.evidence["c"] is engine.index.tree.nodes[leaf].evidence
+    np.testing.assert_array_equal(engine.evidence["a"], [1.0, 1.0])
+
+
+def test_each_update_checks_once(monkeypatch):
+    calls = []
+    real = logbel.model.check_likelihood
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(logbel.model, "check_likelihood", spy)
+    vec = np.array([0.2, 0.9])
+    for entry in ("update_evidence", "lazy_update", "polytree_update"):
+        install = installer(entry)
+        calls.clear()
+        install(vec)
+        assert len(calls) == 1, entry

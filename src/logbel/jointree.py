@@ -1,7 +1,7 @@
 """Polytrees compiled into join trees backed by the contraction engine.
 
-A polytree's moral graph is chordal and its maximal cliques are exactly the
-families {v} union parents(v), so the join tree has one clique per variable,
+A polytree's moral graph is chordal and each of its maximal cliques is a
+family {v} union parents(v), so the join tree has one clique per variable,
 one edge per polytree edge, and singleton separators.  The join tree is
 itself a causal tree over clique-valued variables; edge conditionals are
 stored factored as (projection J) . (separator-conditional R), which keeps
@@ -38,6 +38,7 @@ from .model import (
     Belief,
     CausalTree,
     _float_array,
+    as_prob_vector,
     build_tree,
     normalize_tree,
 )
@@ -111,6 +112,8 @@ class Polytree:
             if var.parents:
                 if var.cpt is None:
                     raise FormatError(f"variable {var.id!r} has parents but no cpt")
+                if var.prior is not None:
+                    raise FormatError(f"variable {var.id!r} has parents and must not carry a prior")
                 rows = int(np.prod([self.variables[p].domain for p in var.parents]))
                 if var.cpt.shape != (rows, var.domain):
                     raise DimensionMismatch(
@@ -126,10 +129,14 @@ class Polytree:
             else:
                 if var.prior is None:
                     raise FormatError(f"parentless variable {var.id!r} needs a prior")
-                if var.prior.shape != (var.domain,):
+                if var.cpt is not None:
+                    raise FormatError(f"parentless variable {var.id!r} must not carry a cpt")
+                prior = as_prob_vector(var.prior, what=f"prior of {var.id!r}")
+                if prior.shape != (var.domain,):
                     raise DimensionMismatch(f"prior of {var.id!r} has wrong length")
-                if abs(var.prior.sum() - 1.0) > STOCHASTIC_TOL or np.any(var.prior < 0.0):
+                if abs(prior.sum() - 1.0) > STOCHASTIC_TOL:
                     raise RowNotStochastic(var.id, "prior", f"prior of {var.id!r} is not a distribution")
+                var.prior = prior
 
     @property
     def n(self) -> int:
@@ -234,75 +241,23 @@ class Clique:
         return out
 
 
-def _moral_graph(pt: Polytree) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in pt.variables}
-    for var in pt.variables.values():
-        for p in var.parents:
-            adj[var.id].add(p)
-            adj[p].add(var.id)
-        for i, a in enumerate(var.parents):
-            for b in var.parents[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-    return adj
-
-
-def _is_chordal(adj: dict[str, set[str]]) -> bool:
-    """Maximum cardinality search; the graph is chordal iff the resulting
-    order is a perfect elimination order."""
-    weight = {v: 0 for v in adj}
-    order: list[str] = []
-    numbered: set[str] = set()
-    for _ in range(len(adj)):
-        pick = max((v for v in adj if v not in numbered), key=lambda v: (weight[v], v))
-        numbered.add(pick)
-        order.append(pick)
-        for u in adj[pick]:
-            if u not in numbered:
-                weight[u] += 1
-    position = {v: i for i, v in enumerate(reversed(order))}
-    for v in adj:
-        later = [u for u in adj[v] if position[u] > position[v]]
-        if not later:
-            continue
-        first = min(later, key=lambda u: position[u])
-        if any(u != first and u not in adj[first] for u in later):
-            return False
-    return True
-
-
-def _maximal_cliques(adj: dict[str, set[str]]) -> list[frozenset[str]]:
-    out: list[frozenset[str]] = []
-
-    def extend(r: set[str], p: set[str], x: set[str]) -> None:
-        if not p and not x:
-            out.append(frozenset(r))
-            return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for v in list(p - adj[pivot]):
-            extend(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
-
-    extend(set(), set(adj), set())
-    return out
-
-
 def extract_cliques(pt: Polytree) -> dict[str, Clique]:
-    """One family clique per variable, with the moral graph verified chordal
-    and every maximal clique verified to be a family."""
+    """One family clique {v} union parents(v) per variable, unchecked.
+
+    Polytree() has already checked n - 1 distinct skeleton edges, a
+    connected skeleton and no directed cycle, so the skeleton is a tree.
+    Theorem: the moral graph of such a network is chordal and each of its
+    maximal cliques is a family.  Moralizing only joins parents of a common
+    child; two families share at most one variable and are glued along the
+    skeleton tree, so every family is a block of the moral graph, and a
+    graph whose blocks are cliques is chordal.  tests/test_jointree.py
+    checks the theorem by enumeration on small random polytrees.
+    """
     cliques = {}
     for vid, var in pt.variables.items():
         members = [vid] + list(var.parents)
         cliques[vid] = Clique(variable=vid, members=members,
                               domains=[pt.variables[m].domain for m in members])
-    adj = _moral_graph(pt)
-    if not _is_chordal(adj):
-        raise ConstructionError("moral graph of a polytree must be chordal")
-    families = {frozenset(c.members) for c in cliques.values()}
-    for maximal in _maximal_cliques(adj):
-        if maximal not in families:
-            raise ConstructionError(f"maximal clique {sorted(maximal)} is not a family")
     return cliques
 
 
@@ -318,7 +273,15 @@ class JoinTree:
 
 def build_join_tree(cliques: dict[str, Clique], pt: Polytree,
                     root_var: str | None = None) -> JoinTree:
-    """Root the clique graph; verify running intersection and c = 1."""
+    """Root the clique graph: one edge per polytree edge p -> v, between the
+    cliques of p and v, with separator {p}.
+
+    The clique graph mirrors the polytree skeleton, so it is a tree, and a
+    variable's cliques (its own and its children's) form a star around its
+    own clique: running intersection holds by construction and is not
+    re-checked.  The linear checks stay: the tree is connected, and every
+    edge's cliques share exactly their separator (c = 1).
+    """
     if root_var is None:
         root_var = next(v for v in pt.variables if not pt.variables[v].parents)
     if root_var not in cliques:
@@ -349,27 +312,11 @@ def build_join_tree(cliques: dict[str, Clique], pt: Polytree,
     for order in children.values():
         order.sort()
 
-    # c = 1 and running intersection, checked rather than assumed
     for vid, (pc, sep) in ((v, pr) for v, pr in parent.items() if pr is not None):
         overlap = set(cliques[vid].members) & set(cliques[pc].members)
         if overlap != {sep}:
             raise ConstructionError(
                 f"cliques {vid!r} and {pc!r} share {sorted(overlap)}, expected [{sep!r}]")
-    for var in pt.variables:
-        holders = {cid for cid, c in cliques.items() if var in c.members}
-        reachable = set()
-        inside = [next(iter(holders))]
-        while inside:
-            cur = inside.pop()
-            if cur in reachable:
-                continue
-            reachable.add(cur)
-            nbrs = [c for c, _ in children[cur]]
-            if parent[cur] is not None:
-                nbrs.append(parent[cur][0])
-            inside.extend(n for n in nbrs if n in holders)
-        if reachable != holders:
-            raise ConstructionError(f"running intersection fails for {var!r}")
     return JoinTree(cliques=cliques, root=root_var, children=children, parent=parent)
 
 
@@ -547,20 +494,20 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
         entry: dict = {"id": node_id, "domain": clique.K}
         if jt.parent[cvar] is None:
             entry["parent"] = None
-            entry["prior"] = _clique_prior(pt, clique, marginals).tolist()
+            entry["prior"] = _clique_prior(pt, clique, marginals)
         else:
             parent_cvar, separator = jt.parent[cvar]
             entry["parent"] = f"C:{parent_cvar}"
             J = jt.cliques[parent_cvar].projection(separator)
             R = _separator_conditional(pt, clique, separator, marginals)
-            entry["cpt"] = (J @ R).tolist()
+            entry["cpt"] = J @ R
             factored[node_id] = FactoredMatrix(J, R)
         nodes.append(entry)
         leaf_id = f"E:{cvar}"
         evidence_leaf[cvar] = leaf_id
         J_own = clique.projection(cvar)
         nodes.append({"id": leaf_id, "domain": clique.domains[0],
-                      "parent": node_id, "cpt": J_own.tolist(),
+                      "parent": node_id, "cpt": J_own,
                       "evidence": [1.0] * clique.domains[0]})
         factored[leaf_id] = FactoredMatrix(J_own, np.eye(clique.domains[0]))
         # declaration order fixes sibling order: evidence leaf first

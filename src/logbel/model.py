@@ -427,18 +427,19 @@ def set_evidence(tree: CausalTree, leaf_id: str, evidence) -> CausalTree:
 def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
     """Return an equivalent complete binary tree and an id map.
 
-    Nodes with more than two children are split with dummy internal nodes
-    whose edge matrix is the identity over the parent's domain; nodes with
-    exactly one child gain a virtual unit-domain evidence leaf (likelihood
-    [1], all-ones column edge matrix).  Original ids are preserved, so the
-    id map is the identity on them; beliefs of original nodes are unchanged.
+    A node with m > 2 children keeps its first child and hands the rest to
+    a caterpillar of m - 2 dummy splitters, each keeping one child and
+    passing the rest down, with the identity over the parent's domain as
+    edge matrix; the chain is emitted in one pass.  Nodes with exactly one
+    child gain a virtual unit-domain evidence leaf (likelihood [1],
+    all-ones column edge matrix).  Original ids are preserved, so the id
+    map is the identity on them; beliefs of original nodes are unchanged.
     """
     if tree.is_complete_binary():
         return tree, {nid: nid for nid in tree.nodes}
 
     parent = {nid: n.parent for nid, n in tree.nodes.items()}
     children = {nid: list(n.children) for nid, n in tree.nodes.items()}
-    domain = {nid: n.domain for nid, n in tree.nodes.items()}
     aux: list[Node] = []
 
     counter = 0
@@ -448,32 +449,28 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
         while True:
             cand = f"{kind}{counter}"
             counter += 1
-            if cand not in domain:
+            if cand not in tree.nodes:
                 return cand
 
-    work = list(tree.nodes)
-    while work:
-        cur = work.pop()
+    for cur in reversed(tree.nodes):
         kids = children[cur]
+        k = tree.nodes[cur].domain
         if len(kids) == 1:
             virt = fresh("unit")
-            domain[virt] = 1
-            parent[virt] = cur
             children[virt] = []
             aux.append(Node(id=virt, domain=1, parent=cur,
-                            cpt=np.ones((domain[cur], 1)), evidence=np.ones(1)))
+                            cpt=np.ones((k, 1)), evidence=np.ones(1)))
             children[cur] = [kids[0], virt]
         elif len(kids) > 2:
-            split = fresh("split")
-            domain[split] = domain[cur]
-            parent[split] = cur
-            children[split] = kids[1:]
-            for moved in kids[1:]:
-                parent[moved] = split
-            aux.append(Node(id=split, domain=domain[cur], parent=cur,
-                            cpt=np.eye(domain[cur])))
-            children[cur] = [kids[0], split]
-            work.append(split)  # may still hold more than two children
+            holder = cur  # keeps kids[i - 1], passes kids[i:] to the next splitter
+            for i in range(1, len(kids) - 1):
+                split = fresh("split")
+                aux.append(Node(id=split, domain=k, parent=holder, cpt=np.eye(k)))
+                children[holder] = [kids[i - 1], split]
+                parent[kids[i]] = split
+                holder = split
+            children[holder] = kids[-2:]
+            parent[kids[-1]] = holder
 
     nodes = []
     for node in tree.nodes.values():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from logbel import (
     DimensionOverflow,
     DuplicateId,
     FormatError,
+    InvalidProbability,
     NotAPolytree,
     OpCounters,
     RowNotStochastic,
@@ -124,6 +127,30 @@ class TestPolytreeValidation:
                 {"id": "a", "domain": 2, "prior": [0.5, 0.5], "color": "red"},
             ]})
 
+    @pytest.mark.parametrize("prior, error", [
+        ([np.nan, 0.5], InvalidProbability),
+        ([np.inf, 0.0], InvalidProbability),
+        ([-0.5, 1.5], InvalidProbability),
+        ([[0.5, 0.5]], DimensionMismatch),
+    ])
+    def test_bad_prior_names_the_variable(self, prior, error):
+        with pytest.raises(error, match="prior of 'a'"):
+            build_polytree({"variables": [{"id": "a", "domain": 2, "prior": prior}]})
+
+    def test_tables_on_the_wrong_kind_of_variable(self):
+        rows = [[0.5, 0.5]] * 2
+        with pytest.raises(FormatError, match="'b'"):
+            build_polytree({"variables": [
+                {"id": "a", "domain": 2, "prior": [0.5, 0.5]},
+                {"id": "b", "domain": 2, "parents": ["a"], "cpt": rows,
+                 "prior": [0.5, 0.5]},
+            ]})
+        with pytest.raises(FormatError, match="'a'"):
+            build_polytree({"variables": [
+                {"id": "a", "domain": 2, "prior": [0.5, 0.5], "cpt": rows},
+                {"id": "b", "domain": 2, "parents": ["a"], "cpt": rows},
+            ]})
+
     def test_generator_output_is_valid(self):
         rng = np.random.default_rng(0)
         for pt in polytree_corpus(rng, count=20, max_vars=10):
@@ -149,10 +176,32 @@ class TestCliques:
                 assert proj[state, clique.digit(state, member)] == 1.0
 
     def test_every_maximal_clique_is_a_family(self):
+        """The theorem extract_cliques relies on, checked by enumeration."""
         rng = np.random.default_rng(1)
-        for pt in polytree_corpus(rng, count=15, max_vars=9):
-            cliques = extract_cliques(pt)  # raises if chordality or maximality fails
+        for pt in polytree_corpus(rng, count=15, max_vars=9, p=3):
+            cliques = extract_cliques(pt)
             assert set(cliques) == set(pt.variables)
+            families = {frozenset(c.members) for c in cliques.values()}
+            moral = set()  # skeleton edges plus edges among co-parents
+            for var in pt.variables.values():
+                moral.update(frozenset(edge) for edge in
+                             itertools.combinations([var.id, *var.parents], 2))
+
+            def complete(vertices):
+                return all(frozenset(e) in moral for e in itertools.combinations(vertices, 2))
+
+            ids = list(pt.variables)
+            cliques_found = [frozenset(sub) for r in range(1, len(ids) + 1)
+                             for sub in itertools.combinations(ids, r) if complete(sub)]
+            maximal = [c for c in cliques_found if not any(c < d for d in cliques_found)]
+            assert maximal and all(c in families for c in maximal)
+            # chordal iff the vertices can be removed one simplicial vertex at a time
+            left = set(ids)
+            while left:
+                simplicial = [v for v in left if complete(
+                    [u for u in left if frozenset((u, v)) in moral])]
+                assert simplicial, f"no simplicial vertex among {sorted(left)}"
+                left.remove(simplicial[0])
 
 
 class TestJoinTree:

@@ -212,6 +212,22 @@ class TestNormalizeTree:
         assert normalized.n <= 2 * tree.n
         assert set(id_map) == set(tree.nodes)
 
+    def test_splitter_chain_is_pinned(self):
+        normalized, _ = normalize_tree(self._wide_tree(5))
+        assert list(normalized.nodes) == ["r", "c0", "c1", "c2", "c3", "c4",
+                                          "split0", "split1", "split2"]
+        shape = {nid: (n.parent, n.children) for nid, n in normalized.nodes.items()}
+        assert shape == {
+            "r": (None, ["c0", "split0"]),
+            "split0": ("r", ["c1", "split1"]),
+            "split1": ("split0", ["c2", "split2"]),
+            "split2": ("split1", ["c3", "c4"]),
+            "c0": ("r", []), "c1": ("split0", []), "c2": ("split1", []),
+            "c3": ("split2", []), "c4": ("split2", []),
+        }
+        for split in ("split0", "split1", "split2"):
+            np.testing.assert_array_equal(normalized.nodes[split].cpt, np.eye(2))
+
     def test_single_child_gets_unit_leaf(self):
         tree = build_tree({"nodes": [
             {"id": "r", "domain": 2, "prior": [0.5, 0.5]},

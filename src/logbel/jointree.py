@@ -29,17 +29,16 @@ from .errors import (
     FormatError,
     ImpossibleEvidence,
     NotAPolytree,
-    RowNotStochastic,
     UnknownVariable,
     ZeroMarginalDivisor,
 )
 from .model import (
-    STOCHASTIC_TOL,
     Belief,
     CausalTree,
     _float_array,
-    as_prob_vector,
     build_tree,
+    check_cpt,
+    check_prior,
     normalize_tree,
 )
 
@@ -115,28 +114,13 @@ class Polytree:
                 if var.prior is not None:
                     raise FormatError(f"variable {var.id!r} has parents and must not carry a prior")
                 rows = int(np.prod([self.variables[p].domain for p in var.parents]))
-                if var.cpt.shape != (rows, var.domain):
-                    raise DimensionMismatch(
-                        f"cpt of {var.id!r} has shape {var.cpt.shape}, "
-                        f"expected {(rows, var.domain)}")
-                for r in range(rows):
-                    row = var.cpt[r]
-                    if np.any(row < 0.0) or not np.all(np.isfinite(row)):
-                        raise RowNotStochastic(var.id, r, f"cpt row {r} of {var.id!r} is invalid")
-                    if abs(row.sum() - 1.0) > STOCHASTIC_TOL:
-                        raise RowNotStochastic(
-                            var.id, r, f"cpt row {r} of {var.id!r} sums to {row.sum()!r}")
+                var.cpt = check_cpt(var.cpt, (rows, var.domain), var.id)
             else:
                 if var.prior is None:
                     raise FormatError(f"parentless variable {var.id!r} needs a prior")
                 if var.cpt is not None:
                     raise FormatError(f"parentless variable {var.id!r} must not carry a cpt")
-                prior = as_prob_vector(var.prior, what=f"prior of {var.id!r}")
-                if prior.shape != (var.domain,):
-                    raise DimensionMismatch(f"prior of {var.id!r} has wrong length")
-                if abs(prior.sum() - 1.0) > STOCHASTIC_TOL:
-                    raise RowNotStochastic(var.id, "prior", f"prior of {var.id!r} is not a distribution")
-                var.prior = prior
+                var.prior = check_prior(var.prior, var.domain, var.id)
 
     @property
     def n(self) -> int:
@@ -406,6 +390,19 @@ class FactoredMatrix:
 # -- compilation to a causal tree --------------------------------------------------
 
 
+def _family_weights(pt: Polytree, clique: Clique, marginals: dict[str, np.ndarray],
+                    given: str | None = None) -> np.ndarray:
+    """p(variable | parents) times the marginals of every parent except
+    given, one weight per clique state (own variable most significant, as
+    Clique.strides).  With given=None this is the clique's prior."""
+    var = pt.variables[clique.variable]
+    joint = np.ones(1)
+    for p in var.parents:
+        joint = np.kron(joint, np.ones(pt.variables[p].domain) if p == given else marginals[p])
+    table = var.cpt.T if var.parents else var.prior[:, None]
+    return (table * joint).ravel()
+
+
 def _separator_conditional(pt: Polytree, clique: Clique, separator: str,
                            marginals: dict[str, np.ndarray]) -> np.ndarray:
     """R[s_value, clique_state] = p(clique state | separator = s_value).
@@ -415,46 +412,14 @@ def _separator_conditional(pt: Polytree, clique: Clique, separator: str,
     variable the parent marginals enter in full and the variable's own
     marginal divides out (Bayes flip), which requires it to be positive.
     """
-    w = clique.variable
-    var = pt.variables[w]
-    k_s = pt.variables[separator].domain
-    R = np.zeros((k_s, clique.K))
-    divide_by_own = separator == w
-    if divide_by_own:
-        own = marginals[w]
+    R = clique.projection(separator).T * _family_weights(pt, clique, marginals, separator)
+    if separator == clique.variable:
+        own = marginals[separator]
         if np.any(own == 0.0):
             raise ZeroMarginalDivisor(
-                f"marginal of {w!r} has a zero entry; cannot root the join tree there")
-    for state in range(clique.K):
-        digits = {m: clique.digit(state, m) for m in clique.members}
-        row = 0
-        for p in var.parents:
-            row = row * pt.variables[p].domain + digits[p]
-        p_w = var.cpt[row, digits[w]] if var.parents else var.prior[digits[w]]
-        weight = p_w
-        for p in var.parents:
-            if p != separator or divide_by_own:
-                weight *= marginals[p][digits[p]]
-        if divide_by_own:
-            weight /= marginals[w][digits[w]]
-        R[digits[separator], state] = weight
+                f"marginal of {separator!r} has a zero entry; cannot root the join tree there")
+        R /= own[:, None]
     return R
-
-
-def _clique_prior(pt: Polytree, clique: Clique, marginals: dict[str, np.ndarray]) -> np.ndarray:
-    var = pt.variables[clique.variable]
-    prior = np.zeros(clique.K)
-    for state in range(clique.K):
-        digits = {m: clique.digit(state, m) for m in clique.members}
-        row = 0
-        for p in var.parents:
-            row = row * pt.variables[p].domain + digits[p]
-        weight = var.cpt[row, digits[clique.variable]] if var.parents \
-            else var.prior[digits[clique.variable]]
-        for p in var.parents:
-            weight *= marginals[p][digits[p]]
-        prior[state] = weight
-    return prior
 
 
 @dataclass
@@ -494,7 +459,7 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
         entry: dict = {"id": node_id, "domain": clique.K}
         if jt.parent[cvar] is None:
             entry["parent"] = None
-            entry["prior"] = _clique_prior(pt, clique, marginals)
+            entry["prior"] = _family_weights(pt, clique, marginals)
         else:
             parent_cvar, separator = jt.parent[cvar]
             entry["parent"] = f"C:{parent_cvar}"

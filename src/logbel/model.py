@@ -14,6 +14,7 @@ joint-enumeration oracle that every other engine is tested against.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 
@@ -72,6 +73,37 @@ def check_likelihood(evidence, domain: int | None = None, *,
     if not np.any(vec > 0.0):
         raise AllZeroLikelihood(f"{what} has no positive entry")
     return vec
+
+
+def check_prior(values, domain: int, owner: str) -> np.ndarray:
+    """Return a prior as a new float64 vector: finite, nonnegative, of
+    length domain and summing to 1 within STOCHASTIC_TOL."""
+    what = f"prior of {owner!r}"
+    prior = as_prob_vector(values, what=what)
+    if prior.shape[0] != domain:
+        raise DimensionMismatch(f"{what} has length {prior.shape[0]}, domain is {domain}")
+    if abs(prior.sum() - 1.0) > STOCHASTIC_TOL:
+        raise RowNotStochastic(owner, "prior", f"{what} does not sum to 1")
+    return prior
+
+
+def check_cpt(values, shape: tuple[int, int], owner: str) -> np.ndarray:
+    """Return a conditional table as a float64 array of the given shape
+    whose rows are finite, nonnegative and sum to 1 within STOCHASTIC_TOL.
+
+    NaN and +-inf make their row sum non-finite, so one max over the row
+    sums' deviations and one min over the table decide the valid case; the
+    first bad row is located only to report it.
+    """
+    cpt = np.asarray(values, dtype=np.float64)
+    if cpt.shape != shape:
+        raise DimensionMismatch(
+            f"conditional table of {owner!r} has shape {cpt.shape}, expected {shape}")
+    deviation = np.abs(cpt.sum(axis=1) - 1.0)
+    if not (deviation.max() <= STOCHASTIC_TOL and cpt.min() >= 0.0):
+        bad = ~(deviation <= STOCHASTIC_TOL) | np.any(cpt < 0.0, axis=1)
+        raise RowNotStochastic(owner, int(np.argmax(bad)))
+    return cpt
 
 
 @dataclass(frozen=True)
@@ -185,9 +217,10 @@ class CausalTree:
             raise Cycle(f"nodes unreachable from root (cycle or orphan): {missing}")
 
     def _check_tables(self) -> None:
-        for node in self.nodes.values():
+        for node in self.nodes.values():  # every domain, before tables use them
             if not isinstance(node.domain, int) or node.domain < 1:
                 raise FormatError(f"node {node.id!r}: domain must be a positive integer")
+        for node in self.nodes.values():
             is_root = node.parent is None
             is_leaf = not node.children
             if is_root:
@@ -195,30 +228,14 @@ class CausalTree:
                     raise FormatError(f"root {node.id!r} must not carry a conditional table")
                 if node.prior is None:
                     raise FormatError(f"root {node.id!r} must carry a prior")
-                prior = as_prob_vector(node.prior, what=f"prior of {node.id!r}")
-                if prior.shape[0] != node.domain:
-                    raise DimensionMismatch(
-                        f"prior of {node.id!r} has length {prior.shape[0]}, domain is {node.domain}")
-                if abs(prior.sum() - 1.0) > STOCHASTIC_TOL:
-                    raise RowNotStochastic(node.id, "prior", f"prior of {node.id!r} does not sum to 1")
-                node.prior = prior
+                node.prior = check_prior(node.prior, node.domain, node.id)
             else:
                 if node.prior is not None:
                     raise FormatError(f"non-root {node.id!r} must not carry a prior")
                 if node.cpt is None:
                     raise FormatError(f"non-root {node.id!r} must carry a conditional table")
-                cpt = np.asarray(node.cpt, dtype=np.float64)
-                parent_domain = self.nodes[node.parent].domain
-                if cpt.ndim != 2 or cpt.shape != (parent_domain, node.domain):
-                    raise DimensionMismatch(
-                        f"conditional table of {node.id!r} has shape {cpt.shape}, "
-                        f"expected {(parent_domain, node.domain)}")
-                if not np.all(np.isfinite(cpt)):
-                    raise RowNotStochastic(node.id, "*", f"table of {node.id!r} has non-finite entries")
-                for r in range(cpt.shape[0]):
-                    if np.any(cpt[r] < 0.0) or abs(cpt[r].sum() - 1.0) > STOCHASTIC_TOL:
-                        raise RowNotStochastic(node.id, r)
-                node.cpt = cpt
+                node.cpt = check_cpt(
+                    node.cpt, (self.nodes[node.parent].domain, node.domain), node.id)
             if is_leaf:
                 if node.evidence is None:
                     if is_root:
@@ -303,18 +320,8 @@ class CausalTree:
         return all(len(n.children) in (0, 2) for n in self.nodes.values())
 
     def copy(self) -> "CausalTree":
-        nodes = []
-        for node in self.nodes.values():
-            nodes.append(Node(
-                id=node.id,
-                domain=node.domain,
-                parent=node.parent,
-                children=list(node.children),
-                cpt=None if node.cpt is None else node.cpt.copy(),
-                prior=None if node.prior is None else node.prior.copy(),
-                evidence=None if node.evidence is None else node.evidence.copy(),
-            ))
-        return CausalTree(nodes)
+        """Independent clone; the source was validated when it was built."""
+        return copy.deepcopy(self)
 
 
 # -- construction from a network description -----------------------------------

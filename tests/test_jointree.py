@@ -339,14 +339,18 @@ class TestEngine:
                             random_likelihood(pt.variables[vid].domain, rng))
 
     def test_matches_brute_force_under_updates(self):
+        # every root: a root with parents sends separators through the
+        # clique's own variable (the Bayes flip), a parentless one does not
         rng = np.random.default_rng(6)
         for pt in polytree_corpus(rng, count=10, max_vars=8):
-            engine = build_engine(pt)
-            self._storm(engine, pt, rng)
-            for vid in pt.variables:
-                got = polytree_query(engine, vid)
-                expected = brute_polytree_marginal(pt, engine.evidence, vid)
-                np.testing.assert_allclose(got.dist, expected.dist, atol=1e-9)
+            seed = int(rng.integers(1 << 31))
+            for root in pt.variables:
+                engine = build_engine(pt, root_var=root)
+                self._storm(engine, pt, np.random.default_rng(seed))
+                for vid in pt.variables:
+                    got = polytree_query(engine, vid)
+                    expected = brute_polytree_marginal(pt, engine.evidence, vid)
+                    np.testing.assert_allclose(got.dist, expected.dist, atol=1e-9)
 
     def test_uniform_likelihood_is_a_no_op(self):
         rng = np.random.default_rng(7)

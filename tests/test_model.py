@@ -19,6 +19,7 @@ from logbel import (
     StateSpaceTooLarge,
     UnknownNode,
     brute_force_marginal,
+    build_polytree,
     build_tree,
     chain_tree,
     full_propagate,
@@ -140,6 +141,47 @@ class TestBuildTree:
                  "prior": [0.5, 0.5], "evidence": [1, 1]},
             ]})
 
+    def test_domain_checked_before_a_child_uses_it(self):
+        with pytest.raises(FormatError, match="'u'"):
+            build_tree({"nodes": [
+                {"id": "e", "domain": 2, "parent": "u",
+                 "cpt": [[1, 0], [0, 1]], "evidence": [1, 1]},
+                {"id": "u", "domain": "2", "prior": [0.5, 0.5]},
+            ]})
+
+
+def _tree_with_cpt(cpt):
+    return build_tree({"nodes": [
+        {"id": "u", "domain": 2, "prior": [0.5, 0.5]},
+        {"id": "e", "domain": 2, "parent": "u", "cpt": cpt, "evidence": [1, 1]},
+    ]})
+
+
+def _polytree_with_cpt(cpt):
+    return build_polytree({"variables": [
+        {"id": "u", "domain": 2, "prior": [0.5, 0.5]},
+        {"id": "e", "domain": 2, "parents": ["u"], "cpt": cpt},
+    ]})
+
+
+BAD_ROWS = {
+    "nan": [np.nan, 0.5],
+    "+inf": [np.inf, 0.0],
+    "-inf": [-np.inf, 1.0],
+    "negative-sums-to-1": [1.5, -0.5],
+    "sums-to-1+1e-6": [0.5, 0.5 + 1e-6],
+}
+
+
+@pytest.mark.parametrize("builder", [_tree_with_cpt, _polytree_with_cpt],
+                         ids=["build_tree", "build_polytree"])
+@pytest.mark.parametrize("row", list(BAD_ROWS.values()), ids=list(BAD_ROWS))
+def test_bad_cpt_row_is_named(builder, row):
+    with pytest.raises(RowNotStochastic) as info:
+        builder([[0.3, 0.7], row])
+    assert info.value.row == 1
+    assert info.value.node == "e"
+
 
 class TestEvidence:
     def test_one_hot(self):
@@ -186,6 +228,34 @@ class TestSetEvidence:
         set_evidence(tree, "e", np.array([0.2, 0.9]))
         np.testing.assert_array_equal(tree.nodes["f"].evidence, before_f)
         np.testing.assert_array_equal(tree.nodes["e"].cpt, before_cpt)
+
+
+class TestCopy:
+    def test_clone_is_equal_and_independent(self):
+        tree = random_tree(9, (2, 3), np.random.default_rng(5))
+        clone = tree.copy()
+        assert clone.root == tree.root
+        assert list(clone.nodes) == list(tree.nodes)
+        for nid, node in tree.nodes.items():
+            twin = clone.nodes[nid]
+            assert (twin.domain, twin.parent, twin.children) == \
+                (node.domain, node.parent, node.children)
+            assert twin.children is not node.children
+            for table in ("cpt", "prior", "evidence"):
+                ours, theirs = getattr(node, table), getattr(twin, table)
+                if ours is None:
+                    assert theirs is None
+                    continue
+                np.testing.assert_array_equal(theirs, ours)
+                assert not np.shares_memory(theirs, ours)
+
+        before = {nid: brute_force_marginal(tree, nid).dist for nid in tree.nodes}
+        leaf = tree.leaf_order()[0]
+        set_evidence(clone, leaf, Evidence.one_hot(tree.nodes[leaf].domain, 0))
+        assert not np.array_equal(brute_force_marginal(clone, tree.root).dist,
+                                  before[tree.root])
+        for nid in tree.nodes:
+            np.testing.assert_array_equal(brute_force_marginal(tree, nid).dist, before[nid])
 
 
 class TestNormalizeTree:

@@ -13,8 +13,9 @@ walks a single chain of equations; a belief query walks one root-ward path
 of equation versions.  Both touch O(log N) equations on balanced rake
 schedules.
 
-Coefficients are dense ndarrays by default; any object implementing
-matvec / rmatvec / rake_product / materialize (see jointree.FactoredMatrix)
+Coefficients are dense ndarrays by default; any object with the same
+products (coeff @ vec, vec @ coeff, coeff * diag, coeff @ other), plus
+count_matvec / count_rake / form / materialize (see jointree.FactoredMatrix),
 can be substituted per edge through the coeffs argument of contract().
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import OpCounters
+from .counters import NO_COST, OpCounters, sum_costs
 from .errors import (
     ConstructionError,
     LevelOutOfRange,
@@ -38,34 +39,74 @@ LEFT, RIGHT = 0, 1
 
 
 # -- coefficient algebra (dense ndarray or duck-typed factored form) ------------
+#
+# Ops evaluate coefficients with plain operators, which ndarrays and
+# jointree.FactoredMatrix both support: coeff @ vec, vec @ coeff (the
+# transposed product) and (coeff * diag) @ other.  Their operation counts
+# depend only on coefficient shapes, so they are fixed once per stored
+# equation when the index is built (see _equation_cost and _rake_cost).
 
-def _matvec(coeff, vec: np.ndarray, counters: OpCounters) -> np.ndarray:
+def _count_matvec(coeff, counters: OpCounters) -> None:
+    """Count one product of coeff, or of its transpose, with a vector."""
     if isinstance(coeff, np.ndarray):
         counters.count_matvec(*coeff.shape)
-        return coeff @ vec
-    return coeff.matvec(vec, counters)
+    else:
+        coeff.count_matvec(counters)
 
 
-def _rmatvec(coeff, vec: np.ndarray, counters: OpCounters) -> np.ndarray:
-    """Transpose product coeff^T @ vec (the pi-side view of a coefficient)."""
-    if isinstance(coeff, np.ndarray):
-        counters.count_matvec(coeff.shape[1], coeff.shape[0])
-        return coeff.T @ vec
-    return coeff.rmatvec(vec, counters)
+def _count_rake(parent_coeff, other_coeff, counters: OpCounters) -> None:
+    """Count parent_coeff . Diag(.) . other_coeff."""
+    if isinstance(parent_coeff, np.ndarray):
+        counters.count_diag_scale(*parent_coeff.shape)
+        counters.count_matmat(*parent_coeff.shape, other_coeff.shape[1])
+    else:
+        parent_coeff.count_rake(other_coeff, counters)
 
 
 def _rake_product(parent_coeff, diag: np.ndarray, other_coeff, counters: OpCounters):
-    """parent_coeff . Diag(diag) . other_coeff"""
-    if isinstance(parent_coeff, np.ndarray):
-        counters.count_diag_scale(*parent_coeff.shape)
-        scaled = parent_coeff * diag
-        counters.count_matmat(scaled.shape[0], scaled.shape[1], other_coeff.shape[1])
-        return scaled @ other_coeff
-    return parent_coeff.rake_product(diag, other_coeff, counters)
+    """parent_coeff . Diag(diag) . other_coeff, counted"""
+    _count_rake(parent_coeff, other_coeff, counters)
+    return (parent_coeff * diag) @ other_coeff
 
 
 def materialize(coeff) -> np.ndarray:
     return coeff if isinstance(coeff, np.ndarray) else coeff.materialize()
+
+
+def _form(coeff):
+    """What the operation counts of a coefficient depend on."""
+    return coeff.shape if isinstance(coeff, np.ndarray) else coeff.form
+
+
+def _equation_cost(index: "ContractionIndex", rec: "CoeffRecord") -> tuple:
+    """Counts of evaluating one version's equation once: its two sides times
+    child vectors, then their product.  A pi step through the version (one
+    side times the sibling's lambda, a product with pi, the other side
+    transposed) counts the same."""
+    key = (_form(rec.left.coeff), _form(rec.right.coeff))
+    cost = index._costs.get(key)
+    if cost is None:
+        scratch = OpCounters()
+        scratch.count_equation()
+        _count_matvec(rec.left.coeff, scratch)
+        _count_matvec(rec.right.coeff, scratch)
+        scratch.count_vector_op(rec.left.coeff.shape[0])
+        cost = index._costs[key] = scratch.as_cost()
+    return cost
+
+
+def _rake_cost(index: "ContractionIndex", equation: "RakeEquation") -> tuple:
+    """Counts of evaluating one rake equation once."""
+    key = ("rake", _form(equation.e_side_input.coeff),
+           _form(equation.parent_input.coeff), _form(equation.z_side_input.coeff))
+    cost = index._costs.get(key)
+    if cost is None:
+        scratch = OpCounters()
+        _count_matvec(equation.e_side_input.coeff, scratch)
+        _count_rake(equation.parent_input.coeff, equation.z_side_input.coeff, scratch)
+        scratch.count_equation()
+        cost = index._costs[key] = scratch.as_cost()
+    return cost
 
 
 # -- stored structure ------------------------------------------------------------
@@ -96,24 +137,24 @@ class Slot:
         return f"<Slot {self.owner}.{side} v{self.version} level={self.level}>"
 
 
-@dataclass
+@dataclass(slots=True)
 class RakeEquation:
-    """output = parent_input . Diag(e_side_input . lambda(leaf)) . z_side_input"""
+    """output = parent_input . Diag(e_side_input . lambda(leaf)) . z_side_input
+
+    cost counts one evaluation; chain_cost counts the whole consumer chain
+    an update starting here recomputes (filled in when contract() ends).
+    """
 
     output: Slot
     parent_input: Slot
     e_side_input: Slot
     z_side_input: Slot
     leaf: str
-
-    def recompute(self, index: "ContractionIndex") -> None:
-        diag = _matvec(self.e_side_input.coeff, index.evidence[self.leaf], index.counters)
-        self.output.coeff = _rake_product(
-            self.parent_input.coeff, diag, self.z_side_input.coeff, index.counters)
-        index.counters.count_equation()
+    cost: tuple = NO_COST
+    chain_cost: tuple = NO_COST
 
 
-@dataclass
+@dataclass(slots=True)
 class CoeffRecord:
     """One version of a node's two-sided likelihood equation.
 
@@ -122,6 +163,13 @@ class CoeffRecord:
     version 0 holds the base-tree conditional matrices; each later version is
     created by one rake below the owner and shares the untouched side's slot
     with its predecessor.
+
+    above is the next version on the root-ward query walk: the owner's next
+    version, or, for the last version of a raked node, the grandparent
+    version that absorbed it; None only for the root's terminal version.
+    cost counts one evaluation of this equation (_equation_cost) and
+    walk_cost the whole walk that builds this version's (pi, lambda, lambda)
+    triple (filled in when contract() ends).
     """
 
     owner: str
@@ -132,6 +180,9 @@ class CoeffRecord:
     left_child: str
     right_child: str
     created_by: "RakeEvent | None" = None
+    above: "CoeffRecord | None" = None
+    cost: tuple = NO_COST
+    walk_cost: tuple = NO_COST
 
     def side_slot(self, side: int) -> Slot:
         return self.left if side == LEFT else self.right
@@ -140,7 +191,7 @@ class CoeffRecord:
         return self.left_child if side == LEFT else self.right_child
 
 
-@dataclass
+@dataclass(slots=True)
 class RakeEvent:
     """Everything one rake step removed, spliced and rewrote."""
 
@@ -163,18 +214,15 @@ class PiLambdaTriple:
     lambda_left: np.ndarray
     lambda_right: np.ndarray
 
-    def lam(self, side: int) -> np.ndarray:
-        return self.lambda_left if side == LEFT else self.lambda_right
 
-
-@dataclass
+@dataclass(slots=True)
 class LevelNode:
     parent: str | None
     side: int | None
     record: CoeffRecord | None  # None for leaves
 
 
-@dataclass
+@dataclass(slots=True)
 class Level:
     index: int
     nodes: dict[str, LevelNode]
@@ -203,10 +251,12 @@ class ContractionIndex:
         self.base_matrix_count = 0
         self.stored_matrix_count = 0
         self.last_update_trace: list[Slot] = []
+        # equation versions the last query's walk climbed (see _walk)
         self.last_calc_depth = 0
         # live structure, only used while contract() is running
         self._live_children: dict[str, list[str]] | None = None
         self._live_parent: dict[str, str | None] | None = None
+        self._costs: dict | None = {}  # operation counts by coefficient forms
         self._slot_seq = 0
         self._building = True
 
@@ -245,13 +295,14 @@ def contract(tree: CausalTree, coeffs: dict[str, object] | None = None,
 
     The index owns the tree it is given: it keeps it as index.tree, and
     update_evidence writes each new likelihood through to it, so copy the
-    tree first to keep the original.  Leaf likelihoods are shared with the
-    tree, not copied.
+    tree first to keep the original.  Leaf likelihoods and conditional
+    matrices are shared with the tree, not copied; no update writes to a
+    conditional matrix.
 
     coeffs optionally maps each non-root node id to the coefficient object
-    for the edge entering it (defaults to a copy of the node's conditional
-    matrix).  Raises TreeTooSmall for trees under three nodes.  _max_rounds
-    stops early and leaves the index in its live, partially contracted state;
+    for the edge entering it (defaults to the node's conditional matrix).
+    Raises TreeTooSmall for trees under three nodes.  _max_rounds stops
+    early and leaves the index in its live, partially contracted state;
     only rake() may be called on such an index.
     """
     if tree.n < 3:
@@ -267,13 +318,14 @@ def contract(tree: CausalTree, coeffs: dict[str, object] | None = None,
         node = tree.nodes[node_id]
         if node.children:
             left, right = node.children
-            left_coeff = coeffs[left] if coeffs is not None else tree.nodes[left].cpt.copy()
-            right_coeff = coeffs[right] if coeffs is not None else tree.nodes[right].cpt.copy()
+            left_coeff = coeffs[left] if coeffs is not None else tree.nodes[left].cpt
+            right_coeff = coeffs[right] if coeffs is not None else tree.nodes[right].cpt
             rec = CoeffRecord(
                 owner=node_id, version=0, level=0,
                 left=index._new_slot(left_coeff, node_id, LEFT, 0, 0),
                 right=index._new_slot(right_coeff, node_id, RIGHT, 0, 0),
                 left_child=left, right_child=right)
+            rec.cost = _equation_cost(index, rec)
             index.records[node_id] = [rec]
         else:
             index.evidence[node_id] = node.evidence
@@ -295,10 +347,32 @@ def contract(tree: CausalTree, coeffs: dict[str, object] | None = None,
         index.leaf_counts.append(len(frontier))
         index.levels.append(_snapshot(index, level))
 
+    _total_costs(index)
     index._building = False
     index._live_children = None
     index._live_parent = None
+    index._costs = None
     return index
+
+
+def _total_costs(index: ContractionIndex) -> None:
+    """Fix the counts of every update chain and query walk.
+
+    A version's walk climbs to the version above it, and an equation's
+    output feeds one later equation; both are created by later rakes, so
+    one pass over the rakes in reverse order sees every total it adds to.
+    """
+    for event in reversed(index.rake_log):
+        post = event.grandparent_post
+        raked = index.records[event.parent][-1]
+        # one step below post: the raked parent's lambda (through its own
+        # final equation) or its pi (through the grandparent's equation)
+        event.grandparent_pre.walk_cost = sum_costs(post.walk_cost, raked.cost)
+        raked.walk_cost = sum_costs(post.walk_cost, event.grandparent_pre.cost)
+        equation = event.equation
+        consumer = equation.output.consumer
+        equation.chain_cost = equation.cost if consumer is None \
+            else sum_costs(equation.cost, consumer.chain_cost)
 
 
 def _snapshot(index: ContractionIndex, level: int) -> Level:
@@ -341,19 +415,16 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEvent:
     parent_side = LEFT if grand_pre.left_child == parent else RIGHT
     sibling = grand_pre.child(1 - parent_side)
 
-    diag = _matvec(parent_rec.side_slot(leaf_side).coeff, index.evidence[leaf], index.counters)
-    new_coeff = _rake_product(
-        grand_pre.side_slot(parent_side).coeff, diag,
-        parent_rec.side_slot(1 - leaf_side).coeff, index.counters)
-    index.counters.count_equation()
-    new_slot = index._new_slot(new_coeff, grand, parent_side, grand_pre.version + 1, level)
-
+    new_slot = index._new_slot(None, grand, parent_side, grand_pre.version + 1, level)
     equation = RakeEquation(
         output=new_slot,
         parent_input=grand_pre.side_slot(parent_side),
         e_side_input=parent_rec.side_slot(leaf_side),
         z_side_input=parent_rec.side_slot(1 - leaf_side),
         leaf=leaf)
+    _recompute(index.evidence, equation)  # no consumer yet: this equation only
+    equation.cost = _rake_cost(index, equation)
+    index.counters.add(equation.cost)
     for slot in (equation.parent_input, equation.e_side_input, equation.z_side_input):
         assert slot.consumer is None, "a stored matrix may feed only one equation"
         slot.consumer = equation
@@ -367,6 +438,9 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEvent:
         right=new_slot if parent_side == RIGHT else shared,
         left_child=survivor if parent_side == LEFT else sibling,
         right_child=survivor if parent_side == RIGHT else sibling)
+    post.cost = _equation_cost(index, post)
+    grand_pre.above = post
+    parent_rec.above = post
     index.records[grand].append(post)
 
     event = RakeEvent(
@@ -385,7 +459,7 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEvent:
     return event
 
 
-# -- queries ----------------------------------------------------------------------
+# -- queries ---------------------------------------------------------------------
 
 def lambda_query(index: ContractionIndex, node_id: str) -> np.ndarray:
     """Likelihood vector of the evidence below a node, via highest-level
@@ -402,11 +476,21 @@ def _lambda_rec(index: ContractionIndex, node_id: str) -> np.ndarray:
     rec = index.records[node_id][-1]
     left = _lambda_rec(index, rec.left_child)
     right = _lambda_rec(index, rec.right_child)
-    index.counters.count_equation()
-    out = _matvec(rec.left.coeff, left, index.counters) \
-        * _matvec(rec.right.coeff, right, index.counters)
-    index.counters.count_vector_op(out.shape[0])
-    return out
+    index.counters.add(rec.cost)
+    return (rec.left.coeff @ left) * (rec.right.coeff @ right)
+
+
+def _recompute(evidence: dict[str, np.ndarray], equation: RakeEquation | None) -> list[Slot]:
+    """Evaluate equation, then the equation its output feeds, and so on up
+    the consumer chain; return the rewritten slots in order."""
+    trace: list[Slot] = []
+    while equation is not None:
+        diag = equation.e_side_input.coeff @ evidence[equation.leaf]
+        out = equation.output
+        out.coeff = (equation.parent_input.coeff * diag) @ equation.z_side_input.coeff
+        trace.append(out)
+        equation = out.consumer
+    return trace
 
 
 def update_evidence(index: ContractionIndex, leaf_id: str, evidence) -> ContractionIndex:
@@ -421,20 +505,17 @@ def update_evidence(index: ContractionIndex, leaf_id: str, evidence) -> Contract
     """
     set_evidence(index.tree, leaf_id, evidence)
     index.evidence[leaf_id] = index.tree.nodes[leaf_id].evidence
-    trace: list[Slot] = []
     equation = index.leaf_consumer.get(leaf_id)
-    while equation is not None:
-        equation.recompute(index)
-        trace.append(equation.output)
-        equation = equation.output.consumer
-    index.last_update_trace = trace
+    if equation is not None:
+        index.counters.add(equation.chain_cost)
+    index.last_update_trace = _recompute(index.evidence, equation)
     return index
 
 
 def calc_pi_lambda(index: ContractionIndex, node_id: str, level: int) -> PiLambdaTriple:
     """pi of a node plus the lambdas of its children as of a contraction level.
 
-    The node must have an equation at that level.  One recursive step per
+    The node must have an equation at that level.  One walk step per
     equation version on the path to the root.
     """
     if node_id not in index.tree.nodes:
@@ -444,130 +525,87 @@ def calc_pi_lambda(index: ContractionIndex, node_id: str, level: int) -> PiLambd
     entry = index.levels[level].nodes.get(node_id)
     if entry is None or entry.record is None:
         raise LevelOutOfRange(f"{node_id!r} has no equations at level {level}")
-    index.last_calc_depth = 0
-    return _calc(index, node_id, entry.record.version, 1)
+    pi, (lam_left, lam_right) = _walk(index, entry.record)
+    return PiLambdaTriple(pi=pi.copy(), lambda_left=lam_left, lambda_right=lam_right)
 
 
-def _calc(index: ContractionIndex, node_id: str, version: int, depth: int) -> PiLambdaTriple:
-    """Recursive core: triple for the node's equation at the given version."""
-    index.last_calc_depth = max(index.last_calc_depth, depth)
-    recs = index.records[node_id]
-    rec = recs[version]
-    if version == len(recs) - 1:
-        event = index.removed_by.get(node_id)
-        if event is None:
-            # Terminal three-node form: the root flanked by the extreme leaves.
-            return PiLambdaTriple(
-                pi=index.tree.nodes[index.root].prior.copy(),
-                lambda_left=index.evidence[rec.left_child],
-                lambda_right=index.evidence[rec.right_child])
-        # The node was raked away: recover pi from the grandparent's triple.
-        above = _calc(index, event.grandparent, event.grandparent_post.version, depth + 1)
-        pi = _pi_of_raked_parent(index, event, above)
-        lam_z = above.lam(event.parent_side)
-        lam_e = index.evidence[event.leaf]
-        if event.leaf_side == LEFT:
-            return PiLambdaTriple(pi=pi, lambda_left=lam_e, lambda_right=lam_z)
-        return PiLambdaTriple(pi=pi, lambda_left=lam_z, lambda_right=lam_e)
-    # The node survived the rake that produced version+1: same pi, but the
-    # raked child's lambda must be reconstructed from its final equation.
-    event = recs[version + 1].created_by
-    above = _calc(index, node_id, version + 1, depth + 1)
-    removed = event.parent  # the child that was raked away between versions
-    removed_rec = index.records[removed][-1]
-    lam_parts = [None, None]
-    lam_parts[event.leaf_side] = index.evidence[event.leaf]
-    lam_parts[1 - event.leaf_side] = above.lam(event.parent_side)
-    index.counters.count_equation()
-    lam_removed = _matvec(removed_rec.left.coeff, lam_parts[LEFT], index.counters) \
-        * _matvec(removed_rec.right.coeff, lam_parts[RIGHT], index.counters)
-    index.counters.count_vector_op(lam_removed.shape[0])
-    if event.parent_side == LEFT:
-        return PiLambdaTriple(pi=above.pi, lambda_left=lam_removed, lambda_right=above.lambda_right)
-    return PiLambdaTriple(pi=above.pi, lambda_left=above.lambda_left, lambda_right=lam_removed)
+def _walk(index: ContractionIndex, rec: CoeffRecord):
+    """(pi, [lambda_left, lambda_right]) of an equation version: pi of its
+    owner and the lambdas of its two children under the evidence in force.
 
-
-def _pi_of_raked_parent(index: ContractionIndex, event: RakeEvent,
-                        above: PiLambdaTriple) -> np.ndarray:
-    """pi of the raked parent x from its grandparent-side views.
-
-    The sibling-side coefficient is shared across the rake, so the
-    grandparent's post-rake record supplies it; the x-side coefficient comes
-    from the pre-rake record, used transposed.
+    Climbs rec.above to the root's terminal version, whose triple is the
+    prior and the extreme leaves' likelihoods, then comes back down one
+    rake at a time.  Below a version created by rake (e, x, u), either u
+    keeps its pi and x's lambda is rebuilt from x's final equation, or the
+    walk enters x's final version, whose pi comes through u's equation.
+    Sets index.last_calc_depth to the number of versions climbed; pi may be
+    the root's prior itself, so callers must not write to it.
     """
-    sibling_coeff = event.grandparent_post.side_slot(1 - event.parent_side).coeff
-    own_coeff = event.grandparent_pre.side_slot(event.parent_side).coeff
-    lam_sibling = above.lam(1 - event.parent_side)
-    term = _matvec(sibling_coeff, lam_sibling, index.counters)
-    index.counters.count_vector_op(term.shape[0])
-    index.counters.count_equation()
-    return _rmatvec(own_coeff, above.pi * term, index.counters)
+    index.counters.add(rec.walk_cost)
+    path = []
+    while rec.above is not None:
+        path.append(rec)
+        rec = rec.above
+    index.last_calc_depth = len(path)
+    evidence = index.evidence
+    pi = index.tree.nodes[index.root].prior
+    lam = [evidence[rec.left_child], evidence[rec.right_child]]
+    for rec in reversed(path):
+        post = rec.above
+        event = post.created_by
+        equation = event.equation
+        side = event.parent_side
+        lam_z = lam[side]
+        if rec is event.grandparent_pre:
+            lam[side] = (equation.e_side_input.coeff @ evidence[event.leaf]) \
+                * (equation.z_side_input.coeff @ lam_z)
+        else:
+            sibling = post.right if side == LEFT else post.left
+            pi = (pi * (sibling.coeff @ lam[1 - side])) @ equation.parent_input.coeff
+            lam_e = evidence[event.leaf]
+            lam = [lam_e, lam_z] if event.leaf_side == LEFT else [lam_z, lam_e]
+    return pi, lam
 
 
-def _pi_of_leaf(index: ContractionIndex, leaf_id: str) -> np.ndarray:
-    if leaf_id in (index.extreme_left, index.extreme_right):
-        rec = index.records[index.root][-1]
-        side = LEFT if rec.left_child == leaf_id else RIGHT
-        other = rec.child(1 - side)
-        term = _matvec(rec.side_slot(1 - side).coeff, index.evidence[other], index.counters)
-        index.counters.count_vector_op(term.shape[0])
-        index.counters.count_equation()
-        prior = index.tree.nodes[index.root].prior
-        return _rmatvec(rec.side_slot(side).coeff, prior * term, index.counters)
-    event = index.removed_by[leaf_id]
-    above = _calc(index, event.grandparent, event.grandparent_post.version, 1)
-    pi_parent = _pi_of_raked_parent(index, event, above)
-    parent_rec = index.records[event.parent][-1]
-    lam_z = above.lam(event.parent_side)
-    term = _matvec(parent_rec.side_slot(1 - event.leaf_side).coeff, lam_z, index.counters)
-    index.counters.count_vector_op(term.shape[0])
-    index.counters.count_equation()
-    return _rmatvec(parent_rec.side_slot(event.leaf_side).coeff, pi_parent * term, index.counters)
+def _leaf_pi(index: ContractionIndex, leaf_id: str) -> np.ndarray:
+    """pi of a leaf, through the final version of its parent: the raked
+    parent's, or the root's for the two extreme leaves."""
+    event = index.removed_by.get(leaf_id)
+    rec = index.records[index.root if event is None else event.parent][-1]
+    pi, lam = _walk(index, rec)
+    index.counters.add(rec.cost)
+    if rec.left_child == leaf_id:
+        return (pi * (rec.right.coeff @ lam[RIGHT])) @ rec.left.coeff
+    return (pi * (rec.left.coeff @ lam[LEFT])) @ rec.right.coeff
 
 
 def pi_query(index: ContractionIndex, node_id: str) -> np.ndarray:
-    """Prior-side message at a node under the evidence currently in force."""
+    """Prior-side message at a node under the evidence in force."""
     if node_id not in index.tree.nodes:
         raise UnknownNode(f"no node {node_id!r}")
     if node_id == index.root:
+        index.last_calc_depth = 0
         return index.tree.nodes[index.root].prior.copy()
     if node_id in index.evidence:
-        return _pi_of_leaf(index, node_id)
-    event = index.removed_by[node_id]
-    above = _calc(index, event.grandparent, event.grandparent_post.version, 1)
-    return _pi_of_raked_parent(index, event, above)
+        return _leaf_pi(index, node_id)
+    return _walk(index, index.records[node_id][-1])[0]
 
 
 def belief_query(index: ContractionIndex, node_id: str) -> Belief:
-    """Normalized belief at any node, sharing a single triple computation.
+    """Normalized belief at any node from one root-ward walk.
 
-    pi and the lambdas needed for the node's own equation come from one
-    _calc walk, so the whole query costs one root-ward pass.
+    An internal node's walk ends at its final equation version, which gives
+    its pi and its children's lambdas; a leaf's ends at its parent's.
     """
     if node_id not in index.tree.nodes:
         raise UnknownNode(f"no node {node_id!r}")
-    if node_id == index.root:
-        rec = index.records[index.root][-1]
-        triple = _calc(index, index.root, rec.version, 1)
-        index.counters.count_equation()
-        lam = _matvec(rec.left.coeff, triple.lambda_left, index.counters) \
-            * _matvec(rec.right.coeff, triple.lambda_right, index.counters)
-        index.counters.count_vector_op(lam.shape[0])
-        pi = triple.pi
-    elif node_id in index.evidence:
+    if node_id in index.evidence:
         lam = index.evidence[node_id]
-        pi = _pi_of_leaf(index, node_id)
+        pi = _leaf_pi(index, node_id)
     else:
-        event = index.removed_by[node_id]
-        above = _calc(index, event.grandparent, event.grandparent_post.version, 1)
-        pi = _pi_of_raked_parent(index, event, above)
         rec = index.records[node_id][-1]
-        lam_parts = [None, None]
-        lam_parts[event.leaf_side] = index.evidence[event.leaf]
-        lam_parts[1 - event.leaf_side] = above.lam(event.parent_side)
-        index.counters.count_equation()
-        lam = _matvec(rec.left.coeff, lam_parts[LEFT], index.counters) \
-            * _matvec(rec.right.coeff, lam_parts[RIGHT], index.counters)
-        index.counters.count_vector_op(lam.shape[0])
+        pi, (lam_left, lam_right) = _walk(index, rec)
+        index.counters.add(rec.cost)
+        lam = (rec.left.coeff @ lam_left) * (rec.right.coeff @ lam_right)
     index.counters.count_vector_op(lam.shape[0])
     return normalize_belief(lam * pi, node=node_id)

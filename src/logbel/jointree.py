@@ -308,7 +308,8 @@ def prior_marginals(pt: Polytree) -> dict[str, np.ndarray]:
     """Evidence-free marginal of every variable, one topological pass.
 
     Parents of a polytree node are marginally independent, so the joint
-    parent distribution is the Kronecker product of parent marginals.
+    parent distribution is the Kronecker product of parent marginals (built
+    as flattened outer products, which is faster on short vectors).
     """
     marginals: dict[str, np.ndarray] = {}
     for vid in pt.topological_order():
@@ -318,7 +319,7 @@ def prior_marginals(pt: Polytree) -> dict[str, np.ndarray]:
             continue
         joint = np.ones(1)
         for p in var.parents:
-            joint = np.kron(joint, marginals[p])
+            joint = np.outer(joint, marginals[p]).ravel()
         marginals[vid] = var.cpt.T @ joint
     return marginals
 
@@ -329,9 +330,10 @@ class FactoredMatrix:
     """K_parent x K_child conditional stored as left (K_parent x L) times
     right (L x K_child); never materialized outside tests.
 
-    Implements the coefficient protocol used by contraction: matvec,
-    rmatvec, rake_product, materialize.  Only four product shapes occur,
-    tagged on the counters so tests can assert nothing else sneaks in.
+    Implements the coefficient protocol used by contraction: the ndarray
+    products below, count_matvec / count_rake, form and materialize.  Only
+    four product shapes occur, tagged on the counters so tests can assert
+    nothing else sneaks in.
     """
 
     __slots__ = ("left", "right")
@@ -351,34 +353,57 @@ class FactoredMatrix:
     def width(self) -> int:
         return self.left.shape[1]
 
-    def matvec(self, vec: np.ndarray, counters: OpCounters) -> np.ndarray:
+    @property
+    def form(self) -> tuple:
+        """The factor shapes, which fix every operation count."""
+        return (self.left.shape, self.right.shape)
+
+    # Plain products, as on an ndarray: self @ vec, vec @ self (the
+    # transposed product), self * diag (scales the columns) and self @ other
+    # (keeps self's left factor and folds the rest into the right one, so a
+    # rake costs O(K L^2)).  numpy defers vec @ self to __rmatmul__.
+    __array_ufunc__ = None
+
+    def __matmul__(self, other):
+        if isinstance(other, FactoredMatrix):
+            return FactoredMatrix(self.left, (self.right @ other.left) @ other.right)
+        return self.left @ (self.right @ other)
+
+    def __rmatmul__(self, vec: np.ndarray) -> np.ndarray:
+        return (vec @ self.left) @ self.right
+
+    def __mul__(self, diag: np.ndarray) -> "FactoredMatrix":
+        return FactoredMatrix(self.left, self.right * diag)
+
+    # Counted products and their counts alone.
+    def count_matvec(self, counters: OpCounters) -> None:
         counters.tag("matxvec")
         counters.count_matvec(*self.right.shape)
         counters.count_matvec(*self.left.shape)
-        return self.left @ (self.right @ vec)
 
-    def rmatvec(self, vec: np.ndarray, counters: OpCounters) -> np.ndarray:
-        counters.tag("matxvec")
-        counters.count_matvec(self.left.shape[1], self.left.shape[0])
-        counters.count_matvec(self.right.shape[1], self.right.shape[0])
-        return self.right.T @ (self.left.T @ vec)
-
-    def rake_product(self, diag: np.ndarray, other: "FactoredMatrix",
-                     counters: OpCounters) -> "FactoredMatrix":
-        """self . Diag(diag) . other, keeping self's left factor fixed and
-        folding everything else into the right factor: O(K L^2) work."""
+    def count_rake(self, other: "FactoredMatrix", counters: OpCounters) -> None:
         if not isinstance(other, FactoredMatrix):
             raise DimensionMismatch("factored coefficients only combine with factored ones")
         counters.tag("LKxdiag")
         counters.count_diag_scale(*self.right.shape)
-        scaled = self.right * diag
         counters.tag("LKxKL")
-        counters.count_matmat(scaled.shape[0], scaled.shape[1], other.left.shape[1])
-        m1 = scaled @ other.left
+        counters.count_matmat(*self.right.shape, other.left.shape[1])
         counters.tag("LLxLK")
-        counters.count_matmat(m1.shape[0], m1.shape[1], other.right.shape[1])
-        m2 = m1 @ other.right
-        return FactoredMatrix(self.left, m2)
+        counters.count_matmat(self.right.shape[0], other.left.shape[1], other.right.shape[1])
+
+    def matvec(self, vec: np.ndarray, counters: OpCounters) -> np.ndarray:
+        self.count_matvec(counters)
+        return self @ vec
+
+    def rmatvec(self, vec: np.ndarray, counters: OpCounters) -> np.ndarray:
+        self.count_matvec(counters)
+        return vec @ self
+
+    def rake_product(self, diag: np.ndarray, other: "FactoredMatrix",
+                     counters: OpCounters) -> "FactoredMatrix":
+        """self . Diag(diag) . other, counted."""
+        self.count_rake(other, counters)
+        return (self * diag) @ other
 
     def materialize(self) -> np.ndarray:
         return self.left @ self.right
@@ -398,7 +423,8 @@ def _family_weights(pt: Polytree, clique: Clique, marginals: dict[str, np.ndarra
     var = pt.variables[clique.variable]
     joint = np.ones(1)
     for p in var.parents:
-        joint = np.kron(joint, np.ones(pt.variables[p].domain) if p == given else marginals[p])
+        joint = np.outer(joint, np.ones(pt.variables[p].domain) if p == given
+                         else marginals[p]).ravel()
     table = var.cpt.T if var.parents else var.prior[:, None]
     return (table * joint).ravel()
 
@@ -535,9 +561,10 @@ def polytree_update(engine: PolytreeEngine, var_id: str, likelihood) -> Polytree
 
 
 def polytree_query(engine: PolytreeEngine, var_id: str, via: str | None = None) -> Belief:
-    """Posterior marginal of a variable: clique belief marginalized onto the
-    variable's coordinate.  via selects any clique containing the variable
-    (defaults to the variable's own)."""
+    """Posterior marginal of a variable: clique belief summed over the
+    clique's other members (clique states are in numpy's C order).  via
+    selects any clique containing the variable (defaults to the variable's
+    own)."""
     if var_id not in engine.polytree.variables:
         raise UnknownVariable(f"no variable {var_id!r}")
     clique_var = var_id if via is None else via
@@ -547,7 +574,8 @@ def polytree_query(engine: PolytreeEngine, var_id: str, via: str | None = None) 
     if var_id not in clique.members:
         raise UnknownVariable(f"clique of {clique_var!r} does not contain {var_id!r}")
     clique_bel = belief_query(engine.index, engine.compiled.clique_node[clique_var])
-    dist = clique.projection(var_id).T @ clique_bel.dist
+    others = tuple(i for i, member in enumerate(clique.members) if member != var_id)
+    dist = clique_bel.dist.reshape(clique.domains).sum(axis=others)
     return Belief(dist=dist, normalizer=clique_bel.normalizer)
 
 

@@ -67,7 +67,13 @@ def check_likelihood(evidence, domain: int | None = None, *,
     """
     if isinstance(evidence, Evidence):
         evidence = evidence.likelihood
-    vec = as_prob_vector(evidence, what=what)
+    vec = np.array(evidence, dtype=np.float64)
+    # One min and one max decide the valid case (NaN fails the min, inf the
+    # max); the ordered checks below only run to name what is wrong.
+    if vec.ndim == 1 and vec.shape[0] and (domain is None or vec.shape[0] == domain) \
+            and vec.min() >= 0.0 and 0.0 < vec.max() < np.inf:
+        return vec
+    vec = as_prob_vector(vec, what=what)
     if domain is not None and vec.shape[0] != domain:
         raise DimensionMismatch(f"{what} has length {vec.shape[0]}, domain is {domain}")
     if not np.any(vec > 0.0):

@@ -276,6 +276,44 @@ class TestQueries:
                 assert index.last_calc_depth <= 2 * rounds
 
 
+class TestWalkDepth:
+    def test_depth_is_that_of_the_last_walk(self):
+        index = contract(chain_tree(301, k=2, rng=np.random.default_rng(4)))
+        depths = {}
+        for node_id in index.tree.nodes:
+            belief_query(index, node_id)
+            depths[node_id] = index.last_calc_depth
+        deep = max(depths, key=depths.get)
+        assert depths[deep] >= 8
+        shallow = [index.root, index.extreme_left, index.extreme_right]
+        for node_id in shallow:
+            belief_query(index, deep)
+            assert index.last_calc_depth == depths[deep]
+            belief_query(index, node_id)
+            assert index.last_calc_depth == 0
+        pi_query(index, deep)
+        pi_query(index, index.root)
+        assert index.last_calc_depth == 0
+        calc_pi_lambda(index, index.root, len(index.levels) - 1)
+        assert index.last_calc_depth == 0
+
+    def test_depth_counts_the_versions_climbed(self):
+        rng = np.random.default_rng(31)
+        for tree in small_corpus(rng, count=4, hi=120):
+            index = contract(tree)
+            for node_id in tree.nodes:
+                if node_id in index.evidence:
+                    event = index.removed_by.get(node_id)
+                    owner = index.root if event is None else event.parent
+                else:
+                    owner = node_id
+                rec, climbed = index.records[owner][-1], 0
+                while rec.above is not None:
+                    rec, climbed = rec.above, climbed + 1
+                belief_query(index, node_id)
+                assert index.last_calc_depth == climbed
+
+
 class TestCalcPiLambda:
     def test_matches_full_propagation_at_every_level(self):
         rng = np.random.default_rng(30)

@@ -15,6 +15,7 @@ from logbel import (
     RowNotStochastic,
     UnknownVariable,
     ZeroMarginalDivisor,
+    belief_query,
     brute_polytree_marginal,
     build_engine,
     build_join_tree,
@@ -391,6 +392,22 @@ class TestEngine:
             b = polytree_query(engine, sep, via=pc)
             np.testing.assert_allclose(a.dist, b.dist, atol=1e-9)
 
+    def test_marginal_sums_match_projection(self):
+        # summing the clique belief over the other members is the
+        # projection J^T . belief the compiler builds its edges from
+        rng = np.random.default_rng(13)
+        for pt in polytree_corpus(rng, count=8, max_vars=8, p=3):
+            engine = build_engine(pt)
+            self._storm(engine, pt, rng, ops=6)
+            for cvar, clique in engine.join_tree.cliques.items():
+                clique_bel = belief_query(engine.index, engine.compiled.clique_node[cvar])
+                for member in clique.members:
+                    got = polytree_query(engine, member, via=cvar)
+                    np.testing.assert_allclose(
+                        got.dist, clique.projection(member).T @ clique_bel.dist,
+                        rtol=0, atol=1e-15)
+                    assert got.normalizer == clique_bel.normalizer
+
     def test_update_and_query_rejections(self):
         engine = build_engine(vee_polytree())
         with pytest.raises(UnknownVariable):
@@ -422,6 +439,24 @@ class TestFactoredMatrix:
             np.testing.assert_allclose(fm.matvec(v, counters), dense @ v, rtol=1e-12)
             np.testing.assert_allclose(fm.rmatvec(w, counters), dense.T @ w, rtol=1e-12)
             assert set(counters.shape_tags) == {"matxvec"}
+
+    def test_plain_operators_match_dense(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            K, L, K2, L2 = (int(x) for x in rng.integers(1, 7, size=4))
+            fm = FactoredMatrix(rng.random((K, L)), rng.random((L, K2)))
+            other = FactoredMatrix(rng.random((K2, L2)), rng.random((L2, K)))
+            dense = fm.materialize()
+            v, w, diag = rng.random(K2), rng.random(K), rng.random(K2)
+            np.testing.assert_allclose(fm @ v, dense @ v, rtol=1e-12)
+            left_product = w @ fm  # numpy defers to FactoredMatrix.__rmatmul__
+            assert isinstance(left_product, np.ndarray) and left_product.dtype == np.float64
+            np.testing.assert_allclose(left_product, dense.T @ w, rtol=1e-12)
+            raked = (fm * diag) @ other
+            assert isinstance(raked, FactoredMatrix) and raked.width == fm.width
+            np.testing.assert_allclose(raked.materialize(),
+                                       dense @ np.diag(diag) @ other.materialize(),
+                                       rtol=1e-12)
 
     def test_rake_product_matches_dense(self):
         rng = np.random.default_rng(11)

@@ -21,7 +21,10 @@ can be substituted per edge through the coeffs argument of contract().
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -217,16 +220,53 @@ class PiLambdaTriple:
 
 @dataclass(slots=True)
 class LevelNode:
-    parent: str | None
-    side: int | None
     record: CoeffRecord | None  # None for leaves
 
 
 @dataclass(slots=True)
 class Level:
+    """The tree after one round of rakes: its left-to-right frontier, and
+    nodes, a read-only view of the nodes still present, each with its
+    latest equation version, computed on demand."""
+
     index: int
-    nodes: dict[str, LevelNode]
-    leaves: list[str]  # left-to-right frontier
+    leaves: list[str]
+    _owner: "ContractionIndex"
+
+    @property
+    def nodes(self) -> Mapping[str, LevelNode]:
+        return _LevelNodes(self._owner, self.index)
+
+
+class _LevelNodes(Mapping):
+    """Nodes of one level, read from the index: a node is present until the
+    rake that removes it (removed_by), and its record is the last version
+    created at or before the level (CoeffRecord.level)."""
+
+    __slots__ = ("_owner", "_level")
+
+    def __init__(self, owner: "ContractionIndex", level: int):
+        self._owner = owner
+        self._level = level
+
+    def _present(self, node_id: str) -> bool:
+        event = self._owner.removed_by.get(node_id)
+        return event is None or event.level > self._level
+
+    def __getitem__(self, node_id: str) -> LevelNode:
+        if node_id not in self._owner.tree.nodes or not self._present(node_id):
+            raise KeyError(node_id)
+        recs = self._owner.records.get(node_id)
+        if recs is None:
+            return LevelNode(record=None)
+        latest = bisect_right(recs, self._level, key=attrgetter("level")) - 1
+        return LevelNode(record=recs[latest])
+
+    def __iter__(self):
+        return (nid for nid in self._owner.tree.nodes if self._present(nid))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 class ContractionIndex:
@@ -240,12 +280,12 @@ class ContractionIndex:
         self.leaf_consumer: dict[str, RakeEquation] = {}
         self.rake_log: list[RakeEvent] = []
         self.removed_by: dict[str, RakeEvent] = {}
-        self.levels: list[Level] = []
-        self.leaf_counts: list[int] = []
         self.root = tree.root
+        order = tree.leaf_order()
+        self.levels: list[Level] = [Level(0, order, self)]
+        self.leaf_counts: list[int] = [len(order)]
         # The leftmost and rightmost leaves are never raked, so the extremes
         # of every frontier coincide with those of the base tree.
-        order = tree.leaf_order()
         self.extreme_left: str = order[0]
         self.extreme_right: str = order[-1]
         self.base_matrix_count = 0
@@ -266,9 +306,9 @@ class ContractionIndex:
         self.stored_matrix_count += 1
         return slot
 
-    # -- live-frontier helpers used during construction -------------------------
-
     def _frontier(self) -> list[str]:
+        """Leaves of the live tree, left to right, while contract() runs; a
+        walk that checks the frontiers contract() derives."""
         out = []
         stack = [self.root]
         while stack:
@@ -331,21 +371,19 @@ def contract(tree: CausalTree, coeffs: dict[str, object] | None = None,
             index.evidence[node_id] = node.evidence
     index.base_matrix_count = index.stored_matrix_count
 
-    frontier = index._frontier()
-    index.leaf_counts.append(len(frontier))
-    index.levels.append(_snapshot(index, 0))
-
+    frontier = index.levels[0].leaves
     level = 0
     while len(frontier) > 2:
         if _max_rounds is not None and level >= _max_rounds:
             return index
         level += 1
-        selected = frontier[1:-1][::2]
-        for leaf in selected:
+        interior = frontier[1:-1]
+        for leaf in interior[::2]:
             rake(index, level, leaf)
-        frontier = index._frontier()
+        # a rake removes exactly its leaf from the frontier, keeping the order
+        frontier = [frontier[0], *interior[1::2], frontier[-1]]
         index.leaf_counts.append(len(frontier))
-        index.levels.append(_snapshot(index, level))
+        index.levels.append(Level(level, frontier, index))
 
     _total_costs(index)
     index._building = False
@@ -373,19 +411,6 @@ def _total_costs(index: ContractionIndex) -> None:
         consumer = equation.output.consumer
         equation.chain_cost = equation.cost if consumer is None \
             else sum_costs(equation.cost, consumer.chain_cost)
-
-
-def _snapshot(index: ContractionIndex, level: int) -> Level:
-    nodes: dict[str, LevelNode] = {}
-    stack = [index.root]
-    while stack:
-        cur = stack.pop()
-        parent = index._live_parent[cur]
-        side = None if parent is None else index._live_children[parent].index(cur)
-        record = index.records[cur][-1] if index._live_children[cur] else None
-        nodes[cur] = LevelNode(parent=parent, side=side, record=record)
-        stack.extend(index._live_children[cur])
-    return Level(index=level, nodes=nodes, leaves=index._frontier())
 
 
 def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEvent:

@@ -15,6 +15,7 @@ over joint parent assignments with the first parent most significant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     DuplicateId,
     FormatError,
     ImpossibleEvidence,
+    LogbelError,
     NotAPolytree,
     UnknownVariable,
     ZeroMarginalDivisor,
@@ -35,8 +37,10 @@ from .errors import (
 from .model import (
     Belief,
     CausalTree,
+    Node,
+    TableBatch,
     _float_array,
-    build_tree,
+    build_tree,  # noqa: F401  (the traced benchmark wraps jointree.build_tree by name)
     check_cpt,
     check_prior,
     normalize_tree,
@@ -104,23 +108,36 @@ class Polytree:
             raise NotAPolytree("underlying graph is disconnected")
 
     def _check_tables(self) -> None:
+        """Validate and store every table, once: value checks batched, and
+        the ordered pass rerun to name a failure (as CausalTree's)."""
         for var in self.variables.values():  # every domain, before cpts use them
-            if not isinstance(var.domain, int) or var.domain < 1:
+            if isinstance(var.domain, bool) or not isinstance(var.domain, int) \
+                    or var.domain < 1:
                 raise FormatError(f"variable {var.id!r} has invalid domain {var.domain!r}")
+        batch = TableBatch()
+        try:
+            self._store_tables(batch.cpt, batch.prior)
+            if batch.valid():
+                return
+        except (LogbelError, TypeError, ValueError):
+            pass
+        self._store_tables(check_cpt, check_prior)
+
+    def _store_tables(self, cpt_check, prior_check) -> None:
         for var in self.variables.values():
             if var.parents:
                 if var.cpt is None:
                     raise FormatError(f"variable {var.id!r} has parents but no cpt")
                 if var.prior is not None:
                     raise FormatError(f"variable {var.id!r} has parents and must not carry a prior")
-                rows = int(np.prod([self.variables[p].domain for p in var.parents]))
-                var.cpt = check_cpt(var.cpt, (rows, var.domain), var.id)
+                rows = math.prod(self.variables[p].domain for p in var.parents)
+                var.cpt = cpt_check(var.cpt, (rows, var.domain), var.id)
             else:
                 if var.prior is None:
                     raise FormatError(f"parentless variable {var.id!r} needs a prior")
                 if var.cpt is not None:
                     raise FormatError(f"parentless variable {var.id!r} must not carry a cpt")
-                var.prior = check_prior(var.prior, var.domain, var.id)
+                var.prior = prior_check(var.prior, var.domain, var.id)
 
     @property
     def n(self) -> int:
@@ -430,15 +447,17 @@ def _family_weights(pt: Polytree, clique: Clique, marginals: dict[str, np.ndarra
 
 
 def _separator_conditional(pt: Polytree, clique: Clique, separator: str,
-                           marginals: dict[str, np.ndarray]) -> np.ndarray:
-    """R[s_value, clique_state] = p(clique state | separator = s_value).
+                           marginals: dict[str, np.ndarray],
+                           projection: np.ndarray) -> np.ndarray:
+    """R[s_value, clique_state] = p(clique state | separator = s_value);
+    projection is clique.projection(separator).
 
     For separator s among the parents: rows combine the child CPT with the
     marginals of the other parents.  For s equal to the clique's own
     variable the parent marginals enter in full and the variable's own
     marginal divides out (Bayes flip), which requires it to be positive.
     """
-    R = clique.projection(separator).T * _family_weights(pt, clique, marginals, separator)
+    R = projection.T * _family_weights(pt, clique, marginals, separator)
     if separator == clique.variable:
         own = marginals[separator]
         if np.any(own == 0.0):
@@ -463,7 +482,12 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
                       state_cap: int = DEFAULT_CLIQUE_CAP) -> CompiledTree:
     """Emit the clique causal tree: domain-K clique nodes, factored edge
     conditionals, one indicator evidence leaf per variable, then normalize
-    to complete binary form with factored identities on the dummy edges."""
+    to complete binary form with factored identities on the dummy edges.
+
+    Only the normalized tree is validated: it holds every emitted table
+    plus the dummies'.  Projections and identities are built once per shape
+    and shared, read-only, by every edge of this tree that needs them.
+    """
     if marginals is None:
         marginals = prior_marginals(pt)
     for clique in jt.cliques.values():
@@ -471,7 +495,24 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
             raise DimensionOverflow(
                 f"clique of {clique.variable!r} has {clique.K} states, cap is {state_cap}")
 
-    nodes: list[dict] = []
+    shared: dict[tuple, np.ndarray] = {}
+
+    def projection(clique: Clique, member: str) -> np.ndarray:
+        key = (tuple(clique.domains), clique.members.index(member))
+        arr = shared.get(key)
+        if arr is None:
+            arr = shared[key] = clique.projection(member)
+            arr.flags.writeable = False
+        return arr
+
+    def identity(k: int) -> np.ndarray:
+        arr = shared.get(("eye", k))
+        if arr is None:
+            arr = shared[("eye", k)] = np.eye(k)
+            arr.flags.writeable = False
+        return arr
+
+    nodes: list[Node] = []
     factored: dict[str, FactoredMatrix] = {}
     clique_node: dict[str, str] = {}
     evidence_leaf: dict[str, str] = {}
@@ -480,41 +521,42 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
     while stack:
         cvar = stack.pop()
         clique = jt.cliques[cvar]
-        node_id = f"C:{cvar}"
+        node_id, leaf_id = f"C:{cvar}", f"E:{cvar}"
         clique_node[cvar] = node_id
-        entry: dict = {"id": node_id, "domain": clique.K}
+        evidence_leaf[cvar] = leaf_id
+        kids = [cv for cv, _ in jt.children[cvar]]
+        # evidence leaf first, then the child cliques in join-tree order
+        node = Node(id=node_id, domain=clique.K,
+                    children=[leaf_id, *(f"C:{cv}" for cv in kids)])
         if jt.parent[cvar] is None:
-            entry["parent"] = None
-            entry["prior"] = _family_weights(pt, clique, marginals)
+            node.prior = _family_weights(pt, clique, marginals)
         else:
             parent_cvar, separator = jt.parent[cvar]
-            entry["parent"] = f"C:{parent_cvar}"
-            J = jt.cliques[parent_cvar].projection(separator)
-            R = _separator_conditional(pt, clique, separator, marginals)
-            entry["cpt"] = J @ R
+            node.parent = f"C:{parent_cvar}"
+            J = projection(jt.cliques[parent_cvar], separator)
+            R = _separator_conditional(pt, clique, separator, marginals,
+                                       projection(clique, separator))
+            node.cpt = J @ R
             factored[node_id] = FactoredMatrix(J, R)
-        nodes.append(entry)
-        leaf_id = f"E:{cvar}"
-        evidence_leaf[cvar] = leaf_id
-        J_own = clique.projection(cvar)
-        nodes.append({"id": leaf_id, "domain": clique.domains[0],
-                      "parent": node_id, "cpt": J_own,
-                      "evidence": [1.0] * clique.domains[0]})
-        factored[leaf_id] = FactoredMatrix(J_own, np.eye(clique.domains[0]))
-        # declaration order fixes sibling order: evidence leaf first
-        stack.extend(cv for cv, _ in reversed(jt.children[cvar]))
-    raw_tree = build_tree({"nodes": nodes})
-    tree, _ = normalize_tree(raw_tree)
+        nodes.append(node)
+        k_own = clique.domains[0]
+        J_own = projection(clique, cvar)
+        nodes.append(Node(id=leaf_id, domain=k_own, parent=node_id,
+                          cpt=J_own, evidence=np.ones(k_own)))
+        factored[leaf_id] = FactoredMatrix(J_own, identity(k_own))
+        stack.extend(reversed(kids))
+    # Every leaf clique has its evidence leaf as only child, so this tree is
+    # never complete binary and normalize_tree rebuilds and checks it.
+    tree, _ = normalize_tree(CausalTree.unchecked(nodes, f"C:{jt.root}"))
     for node_id, node in tree.nodes.items():
         if node.parent is None or node_id in factored:
             continue
         # normalization dummies: identity splitters and unit virtual leaves
         k_parent = tree.nodes[node.parent].domain
         if node.domain == k_parent:
-            eye = np.eye(k_parent)
-            factored[node_id] = FactoredMatrix(eye, eye)
+            factored[node_id] = FactoredMatrix(identity(k_parent), identity(k_parent))
         else:
-            factored[node_id] = FactoredMatrix(node.cpt.copy(), np.eye(node.domain))
+            factored[node_id] = FactoredMatrix(node.cpt, identity(node.domain))
     return CompiledTree(tree=tree, coeffs=factored,
                         clique_node=clique_node, evidence_leaf=evidence_leaf)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     ImpossibleEvidence,
     InvalidProbability,
     LeafWithoutEvidence,
+    LogbelError,
     MissingRoot,
     MultipleRoots,
     NotALeaf,
@@ -39,6 +41,8 @@ from .errors import (
 
 STOCHASTIC_TOL = 1e-9
 DEFAULT_STATE_CAP = 1 << 24
+TABLE_CHUNK = 256          # tables stacked per batched check (TableBatch)
+CHUNK_ENTRIES = 1 << 16    # and at most this many entries, unless one table has more
 
 _NODE_KEYS = {"id", "domain", "parent", "cpt", "prior", "evidence"}
 
@@ -112,6 +116,69 @@ def check_cpt(values, shape: tuple[int, int], owner: str) -> np.ndarray:
     return cpt
 
 
+class TableBatch:
+    """Deferred table checks.
+
+    cpt, prior and likelihood stand in for check_cpt, check_prior and
+    check_likelihood: each converts its table as they do and checks its
+    shape at once (raising DimensionMismatch), and valid() then decides
+    their value checks together.  Tables of one shape are stacked at most
+    TABLE_CHUNK at a time (fewer when large, to bound the scratch copy),
+    and the single checks' reductions, taken along the last axis, decide a
+    whole chunk.  A failure is named by rerunning the single checks.
+    """
+
+    def __init__(self):
+        self.tables: list[np.ndarray] = []
+        self.likelihoods: list[np.ndarray] = []
+
+    def cpt(self, values, shape: tuple[int, int], owner: str) -> np.ndarray:
+        cpt = np.asarray(values, dtype=np.float64)
+        self.tables.append(_shaped(cpt, shape, owner))
+        return cpt
+
+    def prior(self, values, domain: int, owner: str) -> np.ndarray:
+        prior = np.array(values, dtype=np.float64)
+        self.tables.append(_shaped(prior, (domain,), owner)[None])  # a one-row table
+        return prior
+
+    def likelihood(self, values, domain: int, *, what: str) -> np.ndarray:
+        vec = np.array(values, dtype=np.float64)
+        self.likelihoods.append(_shaped(vec, (domain,), what))
+        return vec
+
+    def valid(self) -> bool:
+        for arrays, chunk_valid in ((self.tables, _rows_stochastic),
+                                    (self.likelihoods, _rows_positive)):
+            groups: dict[tuple, list[np.ndarray]] = {}
+            for arr in arrays:
+                groups.setdefault(arr.shape, []).append(arr)
+            for shape, group in groups.items():
+                step = max(1, min(TABLE_CHUNK, CHUNK_ENTRIES // math.prod(shape)))
+                for start in range(0, len(group), step):
+                    if not chunk_valid(np.stack(group[start:start + step])):
+                        return False
+        return True
+
+
+def _shaped(arr: np.ndarray, shape: tuple, owner: str) -> np.ndarray:
+    if arr.shape != shape:
+        raise DimensionMismatch(f"table of {owner!r} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _rows_stochastic(chunk: np.ndarray) -> bool:
+    """check_cpt's valid case, for every row of the chunk."""
+    return bool(np.abs(chunk.sum(axis=-1) - 1.0).max() <= STOCHASTIC_TOL
+                and chunk.min() >= 0.0)
+
+
+def _rows_positive(chunk: np.ndarray) -> bool:
+    """check_likelihood's valid case, for every row of the chunk."""
+    peak = chunk.max(axis=-1)
+    return bool(chunk.min() >= 0.0 and peak.min() > 0.0 and peak.max() < np.inf)
+
+
 @dataclass(frozen=True)
 class Belief:
     """A normalized distribution together with the constant that normalized it.
@@ -175,6 +242,16 @@ class CausalTree:
         self._check_reachable()
         self._check_tables()
 
+    @classmethod
+    def unchecked(cls, nodes: list[Node], root: str) -> "CausalTree":
+        """A tree over nodes whose children lists are filled in, checking
+        nothing: for a tree the package derives itself and passes only to
+        normalize_tree, whose rebuilt output CausalTree() checks in full."""
+        tree = cls.__new__(cls)
+        tree.nodes = {node.id: node for node in nodes}
+        tree.root = root
+        return tree
+
     # -- construction checks --------------------------------------------------
 
     def _derive_children(self, nodes: list[Node]) -> None:
@@ -223,9 +300,27 @@ class CausalTree:
             raise Cycle(f"nodes unreachable from root (cycle or orphan): {missing}")
 
     def _check_tables(self) -> None:
+        """Validate and store every table, once.
+
+        A first pass defers the value checks to one TableBatch, which
+        decides them in shape batches.  When anything fails, the ordered
+        pass reruns with the single checks; it alone raises, so the error
+        names the first bad node in declaration order.
+        """
         for node in self.nodes.values():  # every domain, before tables use them
-            if not isinstance(node.domain, int) or node.domain < 1:
+            if isinstance(node.domain, bool) or not isinstance(node.domain, int) \
+                    or node.domain < 1:
                 raise FormatError(f"node {node.id!r}: domain must be a positive integer")
+        batch = TableBatch()
+        try:
+            self._store_tables(batch.cpt, batch.prior, batch.likelihood)
+            if batch.valid():
+                return
+        except (LogbelError, TypeError, ValueError):
+            pass
+        self._store_tables(check_cpt, check_prior, check_likelihood)
+
+    def _store_tables(self, cpt_check, prior_check, likelihood_check) -> None:
         for node in self.nodes.values():
             is_root = node.parent is None
             is_leaf = not node.children
@@ -234,20 +329,20 @@ class CausalTree:
                     raise FormatError(f"root {node.id!r} must not carry a conditional table")
                 if node.prior is None:
                     raise FormatError(f"root {node.id!r} must carry a prior")
-                node.prior = check_prior(node.prior, node.domain, node.id)
+                node.prior = prior_check(node.prior, node.domain, node.id)
             else:
                 if node.prior is not None:
                     raise FormatError(f"non-root {node.id!r} must not carry a prior")
                 if node.cpt is None:
                     raise FormatError(f"non-root {node.id!r} must carry a conditional table")
-                node.cpt = check_cpt(
+                node.cpt = cpt_check(
                     node.cpt, (self.nodes[node.parent].domain, node.domain), node.id)
             if is_leaf:
                 if node.evidence is None:
                     if is_root:
                         continue  # a bare single-node tree carries only its prior
                     raise LeafWithoutEvidence(f"leaf {node.id!r} has no evidence")
-                node.evidence = check_likelihood(
+                node.evidence = likelihood_check(
                     node.evidence, node.domain, what=f"evidence of {node.id!r}")
             elif node.evidence is not None:
                 raise FormatError(f"internal node {node.id!r} must not carry evidence")

@@ -137,6 +137,12 @@ MALFORMED_NETWORKS = {
     "non-object-variable": _malformed(VEE_NET, lambda n: n["variables"].append(5)),
     "string-prior": _malformed(IDENTITY_NET, lambda n: n["nodes"][0].update(prior="0.5 0.5")),
     "string-table": _malformed(VEE_NET, lambda n: n["variables"][2].update(cpt="high")),
+    # domain true would read as 1, and the tables fit that domain
+    "boolean-domain": _malformed(IDENTITY_NET, lambda n: n["nodes"][2].update(
+        domain=True, cpt=[[1.0], [1.0]], evidence=[1.0])),
+    "boolean-variable-domain": _malformed(VEE_NET, lambda n: (
+        n["variables"][1].update(domain=True, prior=[1.0]),
+        n["variables"][2].update(cpt=[[0.9, 0.1], [0.3, 0.7]]))),
     # parent "a" moved after its child, so the child's cpt check meets it first
     "string-parent-domain": _malformed(
         VEE_NET, lambda n: n["variables"].append(n["variables"].pop(0) | {"domain": "2"})),

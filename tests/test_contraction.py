@@ -19,12 +19,14 @@ from logbel import (
     contract,
     full_propagate,
     lambda_query,
+    normalize_tree,
     pi_query,
     rake,
     update_evidence,
 )
 from logbel.contraction import materialize
 from logbel.generate import balanced_tree, random_likelihood, random_tree
+from test_counts import ragged_tree
 
 
 def small_corpus(rng, count=12, lo=5, hi=64, k=(2, 3)):
@@ -174,6 +176,46 @@ class TestStorage:
         index = contract(identity_balanced(31))
         for slot in index.all_slots():
             np.testing.assert_allclose(materialize(slot.coeff), np.eye(2), atol=1e-15)
+
+
+def _version(rec):
+    return None if rec is None else (rec.owner, rec.version, rec.level,
+                                     rec.left_child, rec.right_child)
+
+
+class TestLevelViews:
+    """levels[L] is computed on demand; contract(tree, _max_rounds=L) stops
+    with the live tree of that level, which it must describe."""
+
+    def test_views_match_partial_contractions(self):
+        rng = np.random.default_rng(40)
+        trees = list(small_corpus(rng, count=5, hi=120))
+        trees += [normalize_tree(ragged_tree(n, rng))[0] for n in (9, 40, 150)]
+        trees.append(chain_tree(41, k=2, rng=rng))
+        for tree in trees:
+            full = contract(tree)
+            # the last level is the terminal form (TestSchedule checks it);
+            # a partial build asked to stop there finishes instead
+            for level in full.levels[:-1]:
+                part = contract(tree, _max_rounds=level.index)
+                view = level.nodes
+                assert set(view) == set(part._live_children)
+                assert len(view) == len(part._live_children)
+                for node_id in part._live_children:
+                    recs = part.records.get(node_id)
+                    assert _version(view[node_id].record) == \
+                        _version(recs[-1] if recs else None)
+                assert part._frontier() == level.leaves
+                assert part.levels[-1].leaves == level.leaves
+                removed = next(iter(part.removed_by), None)
+                if removed is not None:
+                    assert removed not in view and view.get(removed) is None
+            assert full.leaf_counts == [len(level.leaves) for level in full.levels]
+
+    def test_view_is_read_only(self):
+        index = contract(chain_tree(9, k=2, rng=np.random.default_rng(3)))
+        with pytest.raises(TypeError):
+            index.levels[0].nodes["x1"] = None
 
 
 class TestLevelEquivalence:

@@ -15,13 +15,16 @@ from logbel import (
     RowNotStochastic,
     UnknownVariable,
     ZeroMarginalDivisor,
+    CausalTree,
     belief_query,
     brute_polytree_marginal,
     build_engine,
     build_join_tree,
     build_polytree,
+    build_tree,
     compile_join_tree,
     extract_cliques,
+    normalize_tree,
     polytree_query,
     polytree_update,
     prior_marginals,
@@ -30,7 +33,8 @@ from logbel import (
 )
 from logbel.contraction import _rake_product, contract, materialize
 from logbel.generate import random_likelihood
-from logbel.jointree import FactoredMatrix
+from logbel.jointree import FactoredMatrix, _family_weights, _separator_conditional
+from logbel.model import TableBatch
 
 SANCTIONED_TAGS = {"LKxKL", "LKxdiag", "LLxLK", "matxvec"}
 
@@ -329,6 +333,108 @@ class TestCompile:
         engine = build_engine(pt)  # rooting at v0 needs no division
         np.testing.assert_allclose(polytree_query(engine, "v1").dist, [0.7, 0.3],
                                    atol=1e-12)
+
+
+    def test_one_table_validation_per_build(self, monkeypatch):
+        """normalize_tree and build_engine validate the tree they return
+        once, each of its tables once, and never need the ordered pass."""
+        passes, batches = [], []
+        store, decide = CausalTree._store_tables, TableBatch.valid
+
+        def store_spy(tree, *checks):
+            passes.append(tree)
+            return store(tree, *checks)
+
+        def decide_spy(batch):
+            batches.append((len(batch.tables), len(batch.likelihoods)))
+            return decide(batch)
+
+        wide = build_tree({"nodes": [{"id": "r", "domain": 2, "prior": [0.5, 0.5]}] + [
+            {"id": f"c{i}", "domain": 2, "parent": "r", "cpt": [[0.9, 0.1], [0.2, 0.8]],
+             "evidence": [1.0, 0.5]} for i in range(5)]})
+        builds = [lambda: normalize_tree(wide)[0]] + [
+            lambda pt=pt: build_engine(pt).compiled.tree
+            for pt in polytree_corpus(np.random.default_rng(21), count=4, max_vars=12)]
+        monkeypatch.setattr(CausalTree, "_store_tables", store_spy)
+        monkeypatch.setattr(TableBatch, "valid", decide_spy)
+        for build in builds:
+            passes.clear()
+            batches.clear()
+            tree = build()
+            assert passes == [tree]
+            assert batches == [(tree.n, len(tree.leaf_order()))]  # n - 1 cpts, the prior
+
+    def test_matches_compiling_through_a_network_description(self):
+        """One-pass compilation is bit-identical to emitting the clique tree
+        as a description, reading it back with build_tree and normalizing."""
+        rng = np.random.default_rng(22)
+        for pt in polytree_corpus(rng, count=10):
+            jt = build_join_tree(extract_cliques(pt), pt)
+            marginals = prior_marginals(pt)
+            ref_tree, ref_coeffs = _compile_through_description(jt, pt, marginals)
+            compiled = compile_join_tree(jt, pt, marginals)
+            assert list(compiled.tree.nodes) == list(ref_tree.nodes)
+            for node_id, node in compiled.tree.nodes.items():
+                ref = ref_tree.nodes[node_id]
+                assert (node.domain, node.parent, node.children) == \
+                    (ref.domain, ref.parent, ref.children)
+                for table in ("cpt", "prior", "evidence"):
+                    ours, theirs = getattr(node, table), getattr(ref, table)
+                    assert (ours is None) == (theirs is None)
+                    if ours is not None:
+                        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+            assert list(compiled.coeffs) == list(ref_coeffs)
+            for node_id, fm in compiled.coeffs.items():
+                ref = ref_coeffs[node_id]
+                assert np.array_equal(fm.left, ref.left) and np.array_equal(fm.right, ref.right)
+            index = contract(compiled.tree, coeffs=dict(compiled.coeffs))
+            ref_index = contract(ref_tree, coeffs=ref_coeffs)
+            for _ in range(6):
+                vid = str(rng.choice(list(pt.variables)))
+                vec = random_likelihood(pt.variables[vid].domain, rng)
+                update_evidence(index, compiled.evidence_leaf[vid], vec)
+                update_evidence(ref_index, compiled.evidence_leaf[vid], vec)
+                for node_id in compiled.tree.nodes:
+                    ours = belief_query(index, node_id)
+                    theirs = belief_query(ref_index, node_id)
+                    assert np.array_equal(ours.dist, theirs.dist)
+                    assert ours.normalizer == theirs.normalizer
+
+
+def _compile_through_description(jt, pt, marginals):
+    """Reference for compile_join_tree: the clique tree as a network
+    description, read back and validated by build_tree, then normalized."""
+    nodes, coeffs = [], {}
+    stack = [jt.root]
+    while stack:
+        cvar = stack.pop()
+        clique = jt.cliques[cvar]
+        entry = {"id": f"C:{cvar}", "domain": clique.K}
+        if jt.parent[cvar] is None:
+            entry["prior"] = _family_weights(pt, clique, marginals)
+        else:
+            parent_cvar, separator = jt.parent[cvar]
+            entry["parent"] = f"C:{parent_cvar}"
+            J = jt.cliques[parent_cvar].projection(separator)
+            R = _separator_conditional(pt, clique, separator, marginals,
+                                       clique.projection(separator))
+            entry["cpt"] = J @ R
+            coeffs[entry["id"]] = FactoredMatrix(J, R)
+        nodes.append(entry)
+        k = clique.domains[0]
+        J_own = clique.projection(cvar)
+        nodes.append({"id": f"E:{cvar}", "domain": k, "parent": entry["id"],
+                      "cpt": J_own, "evidence": [1.0] * k})
+        coeffs[f"E:{cvar}"] = FactoredMatrix(J_own, np.eye(k))
+        stack.extend(cv for cv, _ in reversed(jt.children[cvar]))
+    tree, _ = normalize_tree(build_tree({"nodes": nodes}))
+    for node_id, node in tree.nodes.items():
+        if node.parent is None or node_id in coeffs:
+            continue
+        k_parent = tree.nodes[node.parent].domain
+        coeffs[node_id] = FactoredMatrix(np.eye(k_parent), np.eye(k_parent)) \
+            if node.domain == k_parent else FactoredMatrix(node.cpt, np.eye(node.domain))
+    return tree, coeffs
 
 
 class TestEngine:

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from logbel import (
     FormatError,
     InvalidProbability,
     LeafWithoutEvidence,
+    LogbelError,
     MissingRoot,
     MultipleRoots,
     NotALeaf,
@@ -25,11 +27,13 @@ from logbel import (
     full_propagate,
     load_network,
     normalize_tree,
+    random_polytree,
     save_network,
     set_evidence,
     tree_to_spec,
 )
 from logbel.generate import random_tree
+from logbel.model import TABLE_CHUNK, TableBatch
 
 
 def identity_tree(evidence_e=(1.0, 1.0), evidence_f=(1.0, 1.0)):
@@ -399,3 +403,101 @@ class TestRoundTrip:
         for node_id in tree.nodes:
             np.testing.assert_allclose(table_b.beliefs[node_id].dist,
                                        table_a.beliefs[node_id].dist, atol=1e-15)
+
+
+@pytest.mark.parametrize("builder, spec, name", [
+    (build_tree, {"nodes": [
+        {"id": "u", "domain": 2, "prior": [0.5, 0.5]},
+        {"id": "e", "domain": True, "parent": "u", "cpt": [[1.0], [1.0]], "evidence": [1.0]},
+        {"id": "f", "domain": 2, "parent": "u", "cpt": [[1, 0], [0, 1]], "evidence": [1, 1]},
+    ]}, "'e'"),
+    (build_polytree, {"variables": [
+        {"id": "a", "domain": 2, "prior": [0.5, 0.5]},
+        {"id": "b", "domain": True, "parents": ["a"], "cpt": [[1.0], [1.0]]},
+    ]}, "'b'"),
+], ids=["build_tree", "build_polytree"])
+def test_boolean_domain_rejected(builder, spec, name):
+    with pytest.raises(FormatError, match=name):
+        builder(spec)
+
+
+# -- the batched table check against the ordered one ------------------------------
+
+def _polytree_spec(pt):
+    return {"variables": [
+        {"id": v.id, "domain": v.domain, "parents": list(v.parents),
+         **({"cpt": v.cpt.tolist()} if v.parents else {"prior": v.prior.tolist()})}
+        for v in pt.variables.values()]}
+
+
+def _corrupt(spec, rng, kinds):
+    """Damage one table of spec (a network description) in one of kinds."""
+    entries = spec.get("nodes") or spec["variables"]
+    kind = str(rng.choice(kinds))
+    if kind.startswith("evidence"):
+        key = "evidence"
+    else:
+        key = "prior" if rng.random() < 0.15 else "cpt"
+    holders = [e for e in entries if key in e]
+    entry = holders[int(rng.integers(len(holders)))]
+    table = entry[key]
+    row = table[int(rng.integers(len(table)))] if key == "cpt" else table
+    col = int(rng.integers(len(row)))
+    if kind == "nan":
+        row[col] = float("nan")
+    elif kind in ("+inf", "-inf"):
+        row[col] = np.inf if kind == "+inf" else -np.inf
+    elif kind == "negative":
+        row[col] -= 1.5
+        row[(col + 1) % len(row)] += 1.5
+    elif kind == "sum-1+1e-6":
+        row[col] += 1e-6
+    elif kind == "wrong-shape":
+        if key == "cpt" and len(table) > 1:
+            table.pop()
+        else:
+            row.append(0.0)
+    elif kind == "evidence-all-zero":
+        row[:] = [0.0] * len(row)
+    elif kind == "evidence-wrong-length":
+        row.append(1.0)
+
+
+def _outcome(builder, spec):
+    try:
+        builder(spec)
+    except LogbelError as exc:
+        return type(exc), str(exc), getattr(exc, "node", None), getattr(exc, "row", None)
+    return None
+
+
+TABLE_KINDS = ["nan", "+inf", "-inf", "negative", "sum-1+1e-6", "wrong-shape"]
+
+
+@pytest.mark.parametrize("family", ["tree", "polytree"])
+def test_batched_check_matches_ordered_check(family, monkeypatch):
+    """Every table is decided in shape batches (chunks of TABLE_CHUNK); the
+    ordered single-table pass must report exactly the same first error."""
+    rng = np.random.default_rng(50)
+    if family == "tree":
+        builder = build_tree
+        kinds = TABLE_KINDS + ["evidence-all-zero", "evidence-wrong-length"]
+        specs = [tree_to_spec(random_tree(n, k, rng))
+                 for n, k in [(700, 2), (600, 2), (90, (2, 3)), (41, 3)]]
+    else:
+        builder, kinds = build_polytree, TABLE_KINDS
+        specs = [_polytree_spec(random_polytree(n, 3, k, rng))
+                 for n, k in [(900, 2), (60, (2, 3))]]
+    assert max(len(spec.get("nodes") or spec["variables"]) for spec in specs) > 2 * TABLE_CHUNK
+    cases = []
+    for spec in specs:
+        cases.append(spec)
+        for _ in range(8):
+            bad = copy.deepcopy(spec)
+            for _ in range(int(rng.integers(1, 3))):
+                _corrupt(bad, rng, kinds)
+            cases.append(bad)
+    outcomes = [_outcome(builder, copy.deepcopy(spec)) for spec in cases]
+    monkeypatch.setattr(TableBatch, "valid", lambda self: False)  # ordered pass only
+    assert outcomes == [_outcome(builder, copy.deepcopy(spec)) for spec in cases]
+    assert outcomes.count(None) == len(specs)

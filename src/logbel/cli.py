@@ -21,34 +21,27 @@ import time
 
 import numpy as np
 
-from .contraction import belief_query, contract, update_evidence
-from .counters import OpCounters
+from .contraction import contract
 from .errors import FormatError, ImpossibleEvidence, LogbelError
 from .generate import balanced_tree, chain_tree, random_likelihood, random_tree
 from .jointree import (
     Polytree,
-    brute_polytree_marginal,
     build_engine,
     build_join_tree,
     build_polytree,
     compile_join_tree,
     extract_cliques,
-    polytree_query,
-    polytree_update,
     prior_marginals,
 )
 from .model import (
-    Belief,
+    BruteForceOracle,
     CausalTree,
     Evidence,
-    brute_force_marginal,
     build_tree,
     normalize_tree,
     set_evidence,
 )
-from .propagate import LazyState, belief, full_propagate, lazy_query, lazy_update
-
-TREE_STRATEGIES = ("full", "lazy", "contract")
+from .propagate import FullState, LazyState, belief, full_propagate
 
 
 def load_problem(path) -> tuple[str, CausalTree | Polytree]:
@@ -88,81 +81,58 @@ def parse_stream(path) -> list[tuple]:
     return ops
 
 
-# -- strategy runners ---------------------------------------------------------------
+# -- engines ------------------------------------------------------------------------
 
 
-class FullRunner:
-    """Absorbs every update with a complete propagation pass."""
-
-    name = "full"
-
-    def __init__(self, tree: CausalTree):
-        self.tree = tree.copy()
-        self.counters = OpCounters()
-        self.table = full_propagate(self.tree, self.counters)
-
-    def update(self, node_id: str, vec: np.ndarray) -> None:
-        set_evidence(self.tree, node_id, vec)
-        self.table = full_propagate(self.tree, self.counters)
-
-    def query(self, node_id: str) -> Belief:
-        return belief(self.table, node_id)
-
-
-class LazyRunner:
-    name = "lazy"
-
-    def __init__(self, tree: CausalTree):
-        self.state = LazyState(tree)
-        self.counters = self.state.counters
-
-    def update(self, node_id: str, vec: np.ndarray) -> None:
-        lazy_update(self.state, node_id, vec)
-
-    def query(self, node_id: str) -> Belief:
-        return lazy_query(self.state, node_id)
-
-
-class ContractRunner:
-    name = "contract"
-
-    def __init__(self, tree: CausalTree):
-        normalized, _ = normalize_tree(tree)
-        self.index = contract(normalized)
-        self.counters = self.index.counters
-
-    def update(self, node_id: str, vec: np.ndarray) -> None:
-        update_evidence(self.index, node_id, vec)
-
-    def query(self, node_id: str) -> Belief:
-        return belief_query(self.index, node_id)
-
-
-class PolytreeRunner:
-    name = "polytree"
+class _FullPolytreeOracle:
+    """Independent slow path: full propagation over the compiled clique tree,
+    no contraction involved.  It propagates at each query, not after each
+    update as FullState does, so evidence that is jointly impossible only
+    between two queries is not an error, as for the subject."""
 
     def __init__(self, pt: Polytree):
-        self.engine = build_engine(pt)
-        self.counters = self.engine.counters
+        self.cliques = extract_cliques(pt)
+        jt = build_join_tree(self.cliques, pt)
+        self.compiled = compile_join_tree(jt, pt, prior_marginals(pt))
 
-    def update(self, var_id: str, vec: np.ndarray) -> None:
-        polytree_update(self.engine, var_id, vec)
+    def update(self, var_id, vec):
+        set_evidence(self.compiled.tree, self.compiled.evidence_leaf[var_id], vec)
 
-    def query(self, var_id: str) -> Belief:
-        return polytree_query(self.engine, var_id)
+    def query(self, var_id):
+        table = full_propagate(self.compiled.tree)
+        clique_bel = belief(table, self.compiled.clique_node[var_id])
+        return self.cliques[var_id].member_belief(var_id, clique_bel)
+
+
+# Every engine answers update(id, vec) and query(id) -> Belief; those that
+# count their work expose counters.  run replays a stream through one,
+# verify pits contract (or polytree) against brute or full, and bench
+# times full against contract.
+ENGINES = {
+    "tree": {
+        "full": FullState,
+        "lazy": LazyState,
+        "contract": lambda tree: contract(normalize_tree(tree)[0]),
+        "brute": BruteForceOracle,
+    },
+    "polytree": {
+        "polytree": build_engine,
+        "full": _FullPolytreeOracle,
+        "brute": BruteForceOracle,
+    },
+}
 
 
 def _make_runner(kind: str, problem, strategy: str):
-    if kind == "tree":
-        if strategy not in TREE_STRATEGIES:
-            raise FormatError(
-                f"strategy {strategy!r} needs a polytree network; "
-                f"tree networks support {', '.join(TREE_STRATEGIES)}")
-        return {"full": FullRunner, "lazy": LazyRunner,
-                "contract": ContractRunner}[strategy](problem)
-    if strategy != "polytree":
+    """The engine run replays through; a polytree's full and brute
+    entries are oracles for verify only."""
+    if kind == "tree" and strategy not in ("full", "lazy", "contract"):
+        raise FormatError(
+            f"strategy {strategy!r} needs a polytree network; "
+            "tree networks support full, lazy, contract")
+    if kind == "polytree" and strategy != "polytree":
         raise FormatError("polytree networks support only the 'polytree' strategy")
-    return PolytreeRunner(problem)
+    return ENGINES[kind][strategy](problem)
 
 
 def _domain_of(kind: str, problem, node_id: str) -> int:
@@ -209,50 +179,6 @@ def cmd_run(args) -> int:
 # -- verify -------------------------------------------------------------------------
 
 
-class _BruteTreeOracle:
-    def __init__(self, tree: CausalTree):
-        self.tree = tree.copy()
-
-    def update(self, node_id, vec):
-        set_evidence(self.tree, node_id, vec)
-
-    def query(self, node_id):
-        return brute_force_marginal(self.tree, node_id)
-
-
-class _BrutePolytreeOracle:
-    def __init__(self, pt: Polytree):
-        self.pt = pt
-        self.evidence: dict[str, np.ndarray] = {}
-
-    def update(self, var_id, vec):
-        self.evidence[var_id] = vec
-
-    def query(self, var_id):
-        return brute_polytree_marginal(self.pt, self.evidence, var_id)
-
-
-class _FullPolytreeOracle:
-    """Independent slow path: full propagation over the compiled clique tree,
-    no contraction involved."""
-
-    def __init__(self, pt: Polytree):
-        cliques = extract_cliques(pt)
-        jt = build_join_tree(cliques, pt)
-        self.compiled = compile_join_tree(jt, pt, prior_marginals(pt))
-        self.tree = self.compiled.tree
-        self.cliques = cliques
-
-    def update(self, var_id, vec):
-        set_evidence(self.tree, self.compiled.evidence_leaf[var_id], vec)
-
-    def query(self, var_id):
-        table = full_propagate(self.tree)
-        clique_bel = belief(table, self.compiled.clique_node[var_id])
-        dist = self.cliques[var_id].projection(var_id).T @ clique_bel.dist
-        return Belief(dist=dist, normalizer=clique_bel.normalizer)
-
-
 def cmd_verify(args, _corrupt=None) -> int:
     """Replay the stream under the log-time strategy and an oracle; compare
     every query.  _corrupt is a fault-injection hook used by tests: it
@@ -260,18 +186,10 @@ def cmd_verify(args, _corrupt=None) -> int:
     try:
         kind, problem = load_problem(args.network)
         ops = parse_stream(args.ops)
-        if kind == "tree":
-            subject = ContractRunner(problem)
-            oracle = _BruteTreeOracle(problem) if args.oracle == "brute" \
-                else FullRunner(problem)
-            if _corrupt is not None:
-                _corrupt(subject.index)
-        else:
-            subject = PolytreeRunner(problem)
-            oracle = _BrutePolytreeOracle(problem) if args.oracle == "brute" \
-                else _FullPolytreeOracle(problem)
-            if _corrupt is not None:
-                _corrupt(subject.engine.index)
+        subject = ENGINES[kind]["contract" if kind == "tree" else "polytree"](problem)
+        oracle = ENGINES[kind][args.oracle](problem)
+        if _corrupt is not None:
+            _corrupt(subject if kind == "tree" else subject.index)
     except (LogbelError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -327,7 +245,7 @@ def _bench_ops(tree: CausalTree, cycles: int, seed: int) -> list[tuple]:
 
 def _run_bench_strategy(tree: CausalTree, strategy: str, ops: list[tuple]) -> list[dict]:
     t0 = time.perf_counter_ns()
-    runner = {"full": FullRunner, "contract": ContractRunner}[strategy](tree)
+    runner = ENGINES["tree"][strategy](tree)
     build_ns = time.perf_counter_ns() - t0
     build_snap = runner.counters.snapshot()
     rows = {

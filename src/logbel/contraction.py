@@ -328,6 +328,12 @@ class ContractionIndex:
                 seen[rec.right.uid] = rec.right
         return [seen[uid] for uid in sorted(seen)]
 
+    def update(self, leaf_id: str, evidence) -> None:
+        update_evidence(self, leaf_id, evidence)
+
+    def query(self, node_id: str) -> Belief:
+        return belief_query(self, node_id)
+
 
 def contract(tree: CausalTree, coeffs: dict[str, object] | None = None,
              _max_rounds: int | None = None) -> ContractionIndex:

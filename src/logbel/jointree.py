@@ -28,7 +28,6 @@ from .errors import (
     DimensionOverflow,
     DuplicateId,
     FormatError,
-    ImpossibleEvidence,
     LogbelError,
     NotAPolytree,
     UnknownVariable,
@@ -36,6 +35,7 @@ from .errors import (
 )
 from .model import (
     Belief,
+    BruteForceOracle,
     CausalTree,
     Node,
     TableBatch,
@@ -166,6 +166,17 @@ class Polytree:
             raise NotAPolytree("directed cycle among variables")
         return order
 
+    def families(self) -> list[tuple]:
+        """Per variable, (id, domain, parent ids, prior or conditional table
+        with one axis per parent, None), the form BruteForceOracle
+        enumerates; a polytree carries no evidence of its own."""
+        out = []
+        for vid, var in self.variables.items():
+            dims = [self.variables[p].domain for p in var.parents]
+            table = var.cpt.reshape(dims + [var.domain]) if var.parents else var.prior
+            out.append((vid, var.domain, var.parents, table, None))
+        return out
+
 
 def build_polytree(spec: dict) -> Polytree:
     if not isinstance(spec, dict) or "variables" not in spec:
@@ -240,6 +251,13 @@ class Clique:
         states = np.arange(self.K)
         out[states, (states // self.strides[i]) % self.domains[i]] = 1.0
         return out
+
+    def member_belief(self, member: str, clique_bel: Belief) -> Belief:
+        """A member's marginal from a belief over the clique's states: the
+        sum over the other members (clique states are in numpy's C order)."""
+        others = tuple(i for i, m in enumerate(self.members) if m != member)
+        dist = clique_bel.dist.reshape(self.domains).sum(axis=others)
+        return Belief(dist=dist, normalizer=clique_bel.normalizer)
 
 
 def extract_cliques(pt: Polytree) -> dict[str, Clique]:
@@ -582,6 +600,12 @@ class PolytreeEngine:
         leaves = self.compiled.evidence_leaf
         return {vid: self.index.evidence[leaf] for vid, leaf in leaves.items()}
 
+    def update(self, var_id: str, likelihood) -> None:
+        polytree_update(self, var_id, likelihood)
+
+    def query(self, var_id: str) -> Belief:
+        return polytree_query(self, var_id)
+
 
 def build_engine(pt: Polytree, root_var: str | None = None,
                  state_cap: int = DEFAULT_CLIQUE_CAP) -> PolytreeEngine:
@@ -615,38 +639,21 @@ def polytree_query(engine: PolytreeEngine, var_id: str, via: str | None = None) 
     clique = engine.join_tree.cliques[clique_var]
     if var_id not in clique.members:
         raise UnknownVariable(f"clique of {clique_var!r} does not contain {var_id!r}")
-    clique_bel = belief_query(engine.index, engine.compiled.clique_node[clique_var])
-    others = tuple(i for i, member in enumerate(clique.members) if member != var_id)
-    dist = clique_bel.dist.reshape(clique.domains).sum(axis=others)
-    return Belief(dist=dist, normalizer=clique_bel.normalizer)
+    return clique.member_belief(
+        var_id, belief_query(engine.index, engine.compiled.clique_node[clique_var]))
 
 
 def brute_polytree_marginal(pt: Polytree, evidence: dict[str, np.ndarray],
                             var_id: str) -> Belief:
-    """Joint enumeration oracle over all variable assignments."""
+    """Exact marginal by enumerating the joint of all variables
+    (BruteForceOracle, capped at DEFAULT_STATE_CAP states); each evidence
+    vector is checked against its variable's domain."""
     if var_id not in pt.variables:
         raise UnknownVariable(f"no variable {var_id!r}")
-    order = list(pt.variables)
-    axis = {vid: i for i, vid in enumerate(order)}
-    shape = tuple(pt.variables[v].domain for v in order)
-    weight = np.ones(shape)
-    for vid in order:
-        var = pt.variables[vid]
-        axes = [axis[p] for p in var.parents] + [axis[vid]]
-        dims = [pt.variables[p].domain for p in var.parents] + [var.domain]
-        table = var.cpt.reshape(dims) if var.parents else var.prior
-        aligned = np.transpose(table, np.argsort(axes))
-        view_shape = [shape[ax] if ax in axes else 1 for ax in range(len(order))]
-        weight = weight * aligned.reshape(view_shape)
-        if vid in evidence:
-            ev_shape = [var.domain if ax == axis[vid] else 1 for ax in range(len(order))]
-            weight = weight * evidence[vid].reshape(ev_shape)
-    other = tuple(ax for ax in range(len(order)) if ax != axis[var_id])
-    raw = weight.sum(axis=other)
-    total = raw.sum()
-    if total <= 0.0:
-        raise ImpossibleEvidence(f"total probability mass is zero at {var_id!r}")
-    return Belief(dist=raw / total, normalizer=1.0 / total)
+    oracle = BruteForceOracle(pt)
+    for vid, vec in evidence.items():
+        oracle.update(vid, vec)
+    return oracle.query(var_id)
 
 
 def random_polytree(n_vars: int, p: int, k, rng) -> Polytree:

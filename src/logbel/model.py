@@ -9,7 +9,8 @@ order used by the contraction engine.
 
 This module owns construction and validation, normalization to complete
 binary form, evidence assignment, JSON (de)serialization, and the
-joint-enumeration oracle that every other engine is tested against.
+joint-enumeration oracle that every engine, on trees and polytrees, is
+tested against.
 """
 
 from __future__ import annotations
@@ -355,9 +356,6 @@ class CausalTree:
         except KeyError:
             raise UnknownNode(f"no node {node_id!r}") from None
 
-    def is_leaf(self, node_id: str) -> bool:
-        return not self.node(node_id).children
-
     @property
     def n(self) -> int:
         return len(self.nodes)
@@ -419,6 +417,13 @@ class CausalTree:
 
     def is_complete_binary(self) -> bool:
         return all(len(n.children) in (0, 2) for n in self.nodes.values())
+
+    def families(self) -> list[tuple]:
+        """Per node, (id, domain, parent ids, prior or conditional table,
+        evidence or None), the form BruteForceOracle enumerates."""
+        return [(nid, n.domain, () if n.parent is None else (n.parent,),
+                 n.prior if n.parent is None else n.cpt, n.evidence)
+                for nid, n in self.nodes.items()]
 
     def copy(self) -> "CausalTree":
         """Independent clone; the source was validated when it was built."""
@@ -598,46 +603,62 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
 
 # -- joint-enumeration oracle ------------------------------------------------------
 
+class BruteForceOracle:
+    """Exact marginals by enumerating the joint: the test oracle for trees
+    and polytrees alike, behind the engines' update/query interface.
+
+    network.families() lists, per variable in axis order, (id, domain,
+    parent ids, table, likelihood or None); the table has one axis per
+    parent, then the variable's own.  update stores a checked likelihood
+    for any variable; query folds each likelihood into its own table and
+    broadcasts that table once over the joint, which grows from a scalar.
+    """
+
+    def __init__(self, network, *, state_cap: int = DEFAULT_STATE_CAP):
+        self.families = network.families()
+        self.domains = {fam[0]: fam[1] for fam in self.families}
+        self.evidence = {fam[0]: fam[4] for fam in self.families if fam[4] is not None}
+        self.state_cap = state_cap
+
+    def _domain(self, var_id: str) -> int:
+        try:
+            return self.domains[var_id]
+        except KeyError:
+            raise UnknownNode(f"no node {var_id!r}") from None
+
+    def update(self, var_id: str, evidence) -> None:
+        self.evidence[var_id] = check_likelihood(
+            evidence, self._domain(var_id), what=f"evidence of {var_id!r}")
+
+    def query(self, var_id: str) -> Belief:
+        self._domain(var_id)
+        states = 1
+        for domain in self.domains.values():  # checked before anything is allocated
+            states *= domain
+            if states > self.state_cap:
+                raise StateSpaceTooLarge(f"joint has more than {self.state_cap} states; "
+                                         "raise state_cap to force enumeration")
+        axis = {vid: i for i, vid in enumerate(self.domains)}
+        dims = list(self.domains.values())
+        weight = 1.0
+        for vid, _, parents, table, _ in self.families:
+            if vid in self.evidence:
+                table = table * self.evidence[vid]
+            axes = [axis[p] for p in parents] + [axis[vid]]
+            shape = [1] * len(dims)
+            for ax in axes:
+                shape[ax] = dims[ax]
+            weight = weight * np.transpose(table, np.argsort(axes)).reshape(shape)
+        keep = axis[var_id]
+        raw = weight.sum(axis=tuple(ax for ax in range(len(dims)) if ax != keep))
+        return normalize_belief(raw, node=var_id)
+
+
 def brute_force_marginal(tree: CausalTree, node_id: str, *,
                          state_cap: int = DEFAULT_STATE_CAP) -> Belief:
-    """Exact marginal by enumerating the full joint (the testing oracle).
-
-    Builds the joint weight tensor over all node domains: prior at the root,
-    one conditional factor per edge, one likelihood factor per leaf with
-    evidence.  Works on any valid tree, normalized or not.
+    """Exact marginal by enumerating the full joint (BruteForceOracle): prior
+    at the root, one conditional factor per edge, one likelihood factor per
+    leaf with evidence.  Works on any valid tree, normalized or not.
     """
     tree.node(node_id)
-    ids = list(tree.nodes)
-    axis = {nid: i for i, nid in enumerate(ids)}
-    dims = [tree.nodes[nid].domain for nid in ids]
-    total_states = 1
-    for d in dims:
-        total_states *= d
-        if total_states > state_cap:
-            raise StateSpaceTooLarge(
-                f"joint has more than {state_cap} states; raise state_cap to force enumeration")
-
-    weight = np.ones(dims)
-    for nid in ids:
-        node = tree.nodes[nid]
-        if node.parent is None:
-            weight = weight * _expand(node.prior, (axis[nid],), dims)
-        else:
-            weight = weight * _expand(node.cpt, (axis[node.parent], axis[nid]), dims)
-        if node.evidence is not None:
-            weight = weight * _expand(node.evidence, (axis[nid],), dims)
-
-    keep = axis[node_id]
-    marg = weight.sum(axis=tuple(i for i in range(len(dims)) if i != keep))
-    return normalize_belief(marg, node=node_id)
-
-
-def _expand(arr: np.ndarray, axes: tuple[int, ...], dims: list[int]) -> np.ndarray:
-    """Reshape a factor so it broadcasts over the joint tensor with the given axes."""
-    if len(axes) == 2 and axes[0] > axes[1]:
-        arr = arr.T
-        axes = (axes[1], axes[0])
-    shape = [1] * len(dims)
-    for ax in axes:
-        shape[ax] = dims[ax]
-    return arr.reshape(shape)
+    return BruteForceOracle(tree, state_cap=state_cap).query(node_id)

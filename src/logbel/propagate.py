@@ -2,7 +2,7 @@
 
 full_propagate runs the two-pass algorithm: a bottom-up likelihood pass
 (lambda vectors) and a top-down prior pass (pi vectors), then combines them
-into beliefs.  Linear work per run.
+into beliefs.  Linear work per run.  FullState reruns it after every update.
 
 LazyState keeps only the lambda vectors cached.  An evidence update
 recomputes the lambda equations of the leaf's ancestors (depth-many
@@ -105,6 +105,23 @@ def belief(table: PropagationTable, node_id: str) -> Belief:
     return table.beliefs[node_id]
 
 
+class FullState:
+    """Inference state that absorbs every update with a full propagation
+    pass; queries are table lookups."""
+
+    def __init__(self, tree: CausalTree):
+        self.tree = tree.copy()
+        self.counters = OpCounters()
+        self.table = full_propagate(self.tree, self.counters)
+
+    def update(self, leaf_id: str, evidence) -> None:
+        set_evidence(self.tree, leaf_id, evidence)
+        self.table = full_propagate(self.tree, self.counters)
+
+    def query(self, node_id: str) -> Belief:
+        return belief(self.table, node_id)
+
+
 class LazyState:
     """Cached-lambda inference state with depth-bounded updates and queries."""
 
@@ -119,6 +136,12 @@ class LazyState:
                     else np.ones(node.domain)
             else:
                 self.lambdas[node_id] = _lambda_at(self.tree, node_id, self.lambdas, self.counters)
+
+    def update(self, leaf_id: str, evidence) -> None:
+        lazy_update(self, leaf_id, evidence)
+
+    def query(self, node_id: str) -> Belief:
+        return lazy_query(self, node_id)
 
 
 def lazy_update(state: LazyState, leaf_id: str, evidence) -> LazyState:

@@ -1,13 +1,21 @@
 import copy
 import csv
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from logbel import brute_polytree_marginal, build_polytree, random_tree, tree_to_spec
-from logbel.cli import build_parser, cmd_verify, main
+from logbel import (
+    brute_polytree_marginal,
+    build_polytree,
+    random_polytree,
+    random_tree,
+    tree_to_spec,
+)
+from logbel.cli import ENGINES, build_parser, cmd_verify, main
 from logbel.contraction import materialize
+from logbel.generate import random_likelihood
 
 EYE = [[1.0, 0.0], [0.0, 1.0]]
 
@@ -40,6 +48,13 @@ def write_stream(tmp_path, name, text):
 def random_net(tmp_path, n=15, seed=0):
     tree = random_tree(n, k=2, rng=np.random.default_rng(seed))
     return write_json(tmp_path, f"net{seed}.json", tree_to_spec(tree)), tree
+
+
+def polytree_spec(pt):
+    return {"variables": [
+        {"id": v.id, "domain": v.domain, "parents": list(v.parents),
+         **({"cpt": v.cpt.tolist()} if v.parents else {"prior": v.prior.tolist()})}
+        for v in pt.variables.values()]}
 
 
 class TestRun:
@@ -226,6 +241,52 @@ class TestVerify:
         ops = write_stream(tmp_path, "ops.txt", "U e 0\nU f 1\nQ u\n")
         assert main(["verify", "--network", net, "--ops", ops]) == 2
 
+    def test_polytree_evidence_impossible_between_queries(self, tmp_path, capsys):
+        """Like the subject, both oracles judge the evidence at queries."""
+        net = write_json(tmp_path, "net.json", {"variables": [
+            {"id": "a", "domain": 2, "prior": [0.5, 0.5]},
+            {"id": "c", "domain": 2, "parents": ["a"], "cpt": EYE}]})
+        ops = write_stream(tmp_path, "ops.txt", "U a 0\nU c 1\nU c 0\nQ a\n")
+        for oracle in ("brute", "full"):
+            assert main(["verify", "--network", net, "--ops", ops,
+                         "--oracle", oracle]) == 0
+            assert capsys.readouterr().out.startswith("PASS")
+
+    def test_polytree_too_large_to_enumerate(self, tmp_path, capsys):
+        pt = random_polytree(70, 3, 2, np.random.default_rng(0))
+        net = write_json(tmp_path, "net.json", polytree_spec(pt))
+        ops = write_stream(tmp_path, "ops.txt", "S v3 0.5 1.0\nQ v0\n")
+        assert main(["verify", "--network", net, "--ops", ops]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestEngineRegistry:
+    @pytest.mark.parametrize("kind", ["tree", "polytree"])
+    def test_every_engine_answers_alike(self, kind):
+        """run's strategies and verify's oracles, replaying one stream."""
+        rng = np.random.default_rng(21)
+        if kind == "tree":
+            problem = random_tree(11, (2, 3), rng)
+            domains = {nid: node.domain for nid, node in problem.nodes.items()}
+            targets = problem.leaf_order()
+        else:
+            problem = random_polytree(9, 2, (2, 3), rng)
+            domains = {vid: var.domain for vid, var in problem.variables.items()}
+            targets = list(domains)
+        engines = {name: make(problem) for name, make in ENGINES[kind].items()}
+        assert set(engines) == ({"full", "lazy", "contract", "brute"} if kind == "tree"
+                                else {"polytree", "full", "brute"})
+        ids = list(domains)
+        for _ in range(12):
+            target = targets[int(rng.integers(len(targets)))]
+            vec = random_likelihood(domains[target], rng)
+            for engine in engines.values():
+                engine.update(target, vec)
+            node = ids[int(rng.integers(len(ids)))]
+            answers = {name: engine.query(node).dist for name, engine in engines.items()}
+            for (a, got), (b, want) in itertools.combinations(answers.items(), 2):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=f"{a} vs {b}")
+
 
 class TestBench:
     def test_csv_format_and_summary(self, tmp_path, capsys):
@@ -273,6 +334,15 @@ class TestBench:
         assert len(rows) == 12
         assert {r[1] for r in rows} == {"31", "63"}
 
+    def test_counts_are_pinned(self, tmp_path, capsys):
+        out_csv = str(tmp_path / "bench.csv")
+        assert main(["bench", "--shape", "random", "--n", "31,63",
+                     "--cycles", "3", "--seed", "0", "--csv", out_csv]) == 0
+        capsys.readouterr()
+        with open(out_csv, newline="") as fh:
+            rows = [row[3:-1] for row in csv.reader(fh)][1:]  # drop shape, n, k and wall_ns
+        assert rows == BENCH_COUNTS
+
     def test_argument_rejections(self, tmp_path, capsys):
         out_csv = str(tmp_path / "bench.csv")
         assert main(["bench", "--n", "abc", "--csv", out_csv]) == 1
@@ -280,3 +350,21 @@ class TestBench:
         assert main(["bench", "--n", "63", "--cycles", "1",
                      "--csv", str(tmp_path / "no_dir" / "x.csv")]) == 1
         capsys.readouterr()
+
+
+# strategy, op, count, mult_adds, equation_evals for n = 31, then n = 63;
+# recorded with one adapter class per engine, before the engine registry.
+BENCH_COUNTS = [
+    ["full", "build", "1", "512", "45"],
+    ["full", "update", "3", "1536", "135"],
+    ["full", "query", "3", "0", "0"],
+    ["contract", "build", "1", "224", "14"],
+    ["contract", "update", "3", "128", "8"],
+    ["contract", "query", "3", "156", "15"],
+    ["full", "build", "1", "1056", "93"],
+    ["full", "update", "3", "3168", "279"],
+    ["full", "query", "3", "0", "0"],
+    ["contract", "build", "1", "480", "30"],
+    ["contract", "update", "3", "64", "4"],
+    ["contract", "query", "3", "146", "14"],
+]

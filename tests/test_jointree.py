@@ -13,10 +13,12 @@ from logbel import (
     NotAPolytree,
     OpCounters,
     RowNotStochastic,
+    StateSpaceTooLarge,
     UnknownVariable,
     ZeroMarginalDivisor,
     CausalTree,
     belief_query,
+    brute_force_marginal,
     brute_polytree_marginal,
     build_engine,
     build_join_tree,
@@ -276,6 +278,52 @@ class TestPriorMarginals:
             for vid in pt.variables:
                 expected = brute_polytree_marginal(pt, {}, vid)
                 np.testing.assert_allclose(marginals[vid], expected.dist, atol=1e-12)
+
+
+class TestBruteForce:
+    def test_state_cap_checked_before_enumeration(self):
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        pt = build_polytree({"variables": [
+            {"id": "v0", "domain": 2, "prior": [0.5, 0.5]},
+            *({"id": f"v{i}", "domain": 2, "parents": [f"v{i - 1}"], "cpt": eye}
+              for i in range(1, 25))]})
+        with pytest.raises(StateSpaceTooLarge):
+            brute_polytree_marginal(pt, {}, "v0")
+
+    @pytest.mark.parametrize("vec, error", [
+        ([np.nan, 1.0], InvalidProbability),
+        ([-0.5, 1.0], InvalidProbability),
+        ([0.0, 0.0], AllZeroLikelihood),
+        ([0.2, 0.3, 0.5], DimensionMismatch),
+        ([1.0], DimensionMismatch),  # would broadcast over the domain unchecked
+    ])
+    def test_evidence_is_checked(self, vec, error):
+        with pytest.raises(error, match="evidence of 'c'"):
+            brute_polytree_marginal(vee_polytree(), {"c": np.array(vec)}, "a")
+
+    def test_trees_and_polytrees_enumerate_alike(self):
+        """A tree written as a polytree, one parent per variable and the
+        leaf likelihoods as evidence, has the same marginals."""
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3, 6, 9, 13):
+            domains = [int(rng.integers(2, 4)) for _ in range(n)]
+            parents = [None] + [int(rng.integers(i)) for i in range(1, n)]
+            variables, nodes, evidence = [], [], {}
+            for i, (domain, parent) in enumerate(zip(domains, parents)):
+                table = ({"prior": rng.dirichlet(np.ones(domain)).tolist()} if parent is None
+                         else {"cpt": rng.dirichlet(np.ones(domain), size=domains[parent]).tolist()})
+                variables.append({"id": f"v{i}", "domain": domain, **table,
+                                  "parents": [] if parent is None else [f"v{parent}"]})
+                node = {"id": f"v{i}", "domain": domain, **table,
+                        "parent": None if parent is None else f"v{parent}"}
+                if i not in parents and parent is not None:
+                    node["evidence"] = evidence[f"v{i}"] = random_likelihood(domain, rng)
+                nodes.append(node)
+            tree, pt = build_tree({"nodes": nodes}), build_polytree({"variables": variables})
+            for vid in pt.variables:
+                np.testing.assert_allclose(
+                    brute_polytree_marginal(pt, evidence, vid).dist,
+                    brute_force_marginal(tree, vid).dist, rtol=0, atol=1e-12)
 
 
 class TestCompile:

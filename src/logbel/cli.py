@@ -86,9 +86,9 @@ def parse_stream(path) -> list[tuple]:
 
 class _FullPolytreeOracle:
     """Independent slow path: full propagation over the compiled clique tree,
-    no contraction involved.  It propagates at each query, not after each
-    update as FullState does, so evidence that is jointly impossible only
-    between two queries is not an error, as for the subject."""
+    no contraction involved.  It propagates at each query, so evidence
+    that is jointly impossible only between two queries is not an error,
+    as for the subject."""
 
     def __init__(self, pt: Polytree):
         self.cliques = extract_cliques(pt)
@@ -104,6 +104,13 @@ class _FullPolytreeOracle:
         return self.cliques[var_id].member_belief(var_id, clique_bel)
 
 
+def _contraction_engine(tree: CausalTree):
+    """contract takes ownership of its tree, so a tree normalize_tree
+    returns unchanged is copied first; the caller's tree stays as it is."""
+    normalized, _ = normalize_tree(tree)
+    return contract(normalized.copy() if normalized is tree else normalized)
+
+
 # Every engine answers update(id, vec) and query(id) -> Belief; those that
 # count their work expose counters.  run replays a stream through one,
 # verify pits contract (or polytree) against brute or full, and bench
@@ -112,7 +119,7 @@ ENGINES = {
     "tree": {
         "full": FullState,
         "lazy": LazyState,
-        "contract": lambda tree: contract(normalize_tree(tree)[0]),
+        "contract": _contraction_engine,
         "brute": BruteForceOracle,
     },
     "polytree": {

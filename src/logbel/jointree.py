@@ -28,7 +28,6 @@ from .errors import (
     DimensionOverflow,
     DuplicateId,
     FormatError,
-    LogbelError,
     NotAPolytree,
     UnknownVariable,
     ZeroMarginalDivisor,
@@ -38,12 +37,10 @@ from .model import (
     BruteForceOracle,
     CausalTree,
     Node,
-    TableBatch,
     _float_array,
     build_tree,  # noqa: F401  (the traced benchmark wraps jointree.build_tree by name)
-    check_cpt,
-    check_prior,
     normalize_tree,
+    validate_tables,
 )
 
 DEFAULT_CLIQUE_CAP = 4096
@@ -108,22 +105,13 @@ class Polytree:
             raise NotAPolytree("underlying graph is disconnected")
 
     def _check_tables(self) -> None:
-        """Validate and store every table, once: value checks batched, and
-        the ordered pass rerun to name a failure (as CausalTree's)."""
         for var in self.variables.values():  # every domain, before cpts use them
             if isinstance(var.domain, bool) or not isinstance(var.domain, int) \
                     or var.domain < 1:
                 raise FormatError(f"variable {var.id!r} has invalid domain {var.domain!r}")
-        batch = TableBatch()
-        try:
-            self._store_tables(batch.cpt, batch.prior)
-            if batch.valid():
-                return
-        except (LogbelError, TypeError, ValueError):
-            pass
-        self._store_tables(check_cpt, check_prior)
+        validate_tables(self._store_tables)
 
-    def _store_tables(self, cpt_check, prior_check) -> None:
+    def _store_tables(self, checks) -> None:
         for var in self.variables.values():
             if var.parents:
                 if var.cpt is None:
@@ -131,13 +119,13 @@ class Polytree:
                 if var.prior is not None:
                     raise FormatError(f"variable {var.id!r} has parents and must not carry a prior")
                 rows = math.prod(self.variables[p].domain for p in var.parents)
-                var.cpt = cpt_check(var.cpt, (rows, var.domain), var.id)
+                var.cpt = checks.cpt(var.cpt, (rows, var.domain), var.id)
             else:
                 if var.prior is None:
                     raise FormatError(f"parentless variable {var.id!r} needs a prior")
                 if var.cpt is not None:
                     raise FormatError(f"parentless variable {var.id!r} must not carry a cpt")
-                var.prior = prior_check(var.prior, var.domain, var.id)
+                var.prior = checks.prior(var.prior, var.domain, var.id)
 
     @property
     def n(self) -> int:
@@ -502,9 +490,10 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
     conditionals, one indicator evidence leaf per variable, then normalize
     to complete binary form with factored identities on the dummy edges.
 
-    Only the normalized tree is validated: it holds every emitted table
-    plus the dummies'.  Projections and identities are built once per shape
-    and shared, read-only, by every edge of this tree that needs them.
+    The emitted tree is validated once, before normalize_tree adds the
+    dummies, whose tables are constant.  Projections and identities are
+    built once per shape and shared, read-only, by every edge of this tree
+    that needs them.
     """
     if marginals is None:
         marginals = prior_marginals(pt)
@@ -542,10 +531,7 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
         node_id, leaf_id = f"C:{cvar}", f"E:{cvar}"
         clique_node[cvar] = node_id
         evidence_leaf[cvar] = leaf_id
-        kids = [cv for cv, _ in jt.children[cvar]]
-        # evidence leaf first, then the child cliques in join-tree order
-        node = Node(id=node_id, domain=clique.K,
-                    children=[leaf_id, *(f"C:{cv}" for cv in kids)])
+        node = Node(id=node_id, domain=clique.K)
         if jt.parent[cvar] is None:
             node.prior = _family_weights(pt, clique, marginals)
         else:
@@ -562,10 +548,10 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
         nodes.append(Node(id=leaf_id, domain=k_own, parent=node_id,
                           cpt=J_own, evidence=np.ones(k_own)))
         factored[leaf_id] = FactoredMatrix(J_own, identity(k_own))
-        stack.extend(reversed(kids))
-    # Every leaf clique has its evidence leaf as only child, so this tree is
-    # never complete binary and normalize_tree rebuilds and checks it.
-    tree, _ = normalize_tree(CausalTree.unchecked(nodes, f"C:{jt.root}"))
+        stack.extend(cv for cv, _ in reversed(jt.children[cvar]))
+    # Preorder declares each clique's evidence leaf before its child cliques,
+    # which come in join-tree order, so that is their sibling order.
+    tree, _ = normalize_tree(CausalTree(nodes))
     for node_id, node in tree.nodes.items():
         if node.parent is None or node_id in factored:
             continue

@@ -19,6 +19,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -180,6 +181,28 @@ def _rows_positive(chunk: np.ndarray) -> bool:
     return bool(chunk.min() >= 0.0 and peak.min() > 0.0 and peak.max() < np.inf)
 
 
+_SINGLE_CHECKS = SimpleNamespace(cpt=check_cpt, prior=check_prior, likelihood=check_likelihood)
+
+
+def validate_tables(store) -> None:
+    """Run store(checks), which converts and stores every table of a network
+    through checks.cpt, checks.prior and checks.likelihood, once.
+
+    The first pass takes a TableBatch's stand-ins, which decides the value
+    checks in shape batches.  When anything fails, store reruns with the
+    single checks; that ordered pass alone raises, so the error names the
+    first bad table in declaration order.
+    """
+    batch = TableBatch()
+    try:
+        store(batch)
+        if batch.valid():
+            return
+    except (LogbelError, TypeError, ValueError):
+        pass
+    store(_SINGLE_CHECKS)
+
+
 @dataclass(frozen=True)
 class Belief:
     """A normalized distribution together with the constant that normalized it.
@@ -222,7 +245,7 @@ class Node:
     id: str
     domain: int
     parent: str | None = None
-    children: list[str] = field(default_factory=list)
+    children: list[str] = field(default_factory=list)  # CausalTree derives it
     cpt: np.ndarray | None = None       # (parent domain, own domain), row-stochastic
     prior: np.ndarray | None = None     # root only
     evidence: np.ndarray | None = None  # leaves only
@@ -245,35 +268,24 @@ class CausalTree:
 
     @classmethod
     def unchecked(cls, nodes: list[Node], root: str) -> "CausalTree":
-        """A tree over nodes whose children lists are filled in, checking
-        nothing: for a tree the package derives itself and passes only to
-        normalize_tree, whose rebuilt output CausalTree() checks in full."""
+        """A tree over nodes, children derived from parent links, checking
+        nothing else: for normalize_tree, whose output holds a validated
+        tree's tables and the dummies' constant ones."""
         tree = cls.__new__(cls)
         tree.nodes = {node.id: node for node in nodes}
         tree.root = root
+        tree._derive_children(nodes)
         return tree
 
     # -- construction checks --------------------------------------------------
 
     def _derive_children(self, nodes: list[Node]) -> None:
-        if any(node.children for node in nodes):
-            # Children lists supplied explicitly (e.g. by normalize_tree);
-            # verify they agree with the parent links.
-            seen: dict[str, str] = {}
-            for node in nodes:
-                for child in node.children:
-                    if child not in self.nodes:
-                        raise UnknownNode(f"{node.id!r} lists unknown child {child!r}")
-                    if child in seen:
-                        raise Cycle(f"{child!r} appears under two parents")
-                    seen[child] = node.id
-                    if self.nodes[child].parent != node.id:
-                        raise Cycle(f"child list of {node.id!r} disagrees with parent links")
-            for node in nodes:
-                if node.parent is not None and seen.get(node.id) != node.parent:
-                    raise Cycle(f"{node.id!r} missing from its parent's child list")
-            return
-        for node in nodes:  # declaration order defines sibling order
+        """Children from parent links; declaration order is sibling order."""
+        for node in nodes:
+            if node.children:
+                raise FormatError(
+                    f"node {node.id!r} arrives with children; they come from parent links")
+        for node in nodes:
             if node.parent is not None:
                 if node.parent not in self.nodes:
                     raise UnknownNode(f"{node.id!r} references unknown parent {node.parent!r}")
@@ -301,27 +313,13 @@ class CausalTree:
             raise Cycle(f"nodes unreachable from root (cycle or orphan): {missing}")
 
     def _check_tables(self) -> None:
-        """Validate and store every table, once.
-
-        A first pass defers the value checks to one TableBatch, which
-        decides them in shape batches.  When anything fails, the ordered
-        pass reruns with the single checks; it alone raises, so the error
-        names the first bad node in declaration order.
-        """
         for node in self.nodes.values():  # every domain, before tables use them
             if isinstance(node.domain, bool) or not isinstance(node.domain, int) \
                     or node.domain < 1:
                 raise FormatError(f"node {node.id!r}: domain must be a positive integer")
-        batch = TableBatch()
-        try:
-            self._store_tables(batch.cpt, batch.prior, batch.likelihood)
-            if batch.valid():
-                return
-        except (LogbelError, TypeError, ValueError):
-            pass
-        self._store_tables(check_cpt, check_prior, check_likelihood)
+        validate_tables(self._store_tables)
 
-    def _store_tables(self, cpt_check, prior_check, likelihood_check) -> None:
+    def _store_tables(self, checks) -> None:
         for node in self.nodes.values():
             is_root = node.parent is None
             is_leaf = not node.children
@@ -330,20 +328,20 @@ class CausalTree:
                     raise FormatError(f"root {node.id!r} must not carry a conditional table")
                 if node.prior is None:
                     raise FormatError(f"root {node.id!r} must carry a prior")
-                node.prior = prior_check(node.prior, node.domain, node.id)
+                node.prior = checks.prior(node.prior, node.domain, node.id)
             else:
                 if node.prior is not None:
                     raise FormatError(f"non-root {node.id!r} must not carry a prior")
                 if node.cpt is None:
                     raise FormatError(f"non-root {node.id!r} must carry a conditional table")
-                node.cpt = cpt_check(
+                node.cpt = checks.cpt(
                     node.cpt, (self.nodes[node.parent].domain, node.domain), node.id)
             if is_leaf:
                 if node.evidence is None:
                     if is_root:
                         continue  # a bare single-node tree carries only its prior
                     raise LeafWithoutEvidence(f"leaf {node.id!r} has no evidence")
-                node.evidence = likelihood_check(
+                node.evidence = checks.likelihood(
                     node.evidence, node.domain, what=f"evidence of {node.id!r}")
             elif node.evidence is not None:
                 raise FormatError(f"internal node {node.id!r} must not carry evidence")
@@ -547,12 +545,15 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
     child gain a virtual unit-domain evidence leaf (likelihood [1],
     all-ones column edge matrix).  Original ids are preserved, so the id
     map is the identity on them; beliefs of original nodes are unchanged.
+
+    The dummies are declared after the original nodes, so every holder's
+    kept child comes first.  tree is a validated CausalTree and the
+    dummies' tables are constant, so the result is not checked again.
     """
     if tree.is_complete_binary():
         return tree, {nid: nid for nid in tree.nodes}
 
     parent = {nid: n.parent for nid, n in tree.nodes.items()}
-    children = {nid: list(n.children) for nid, n in tree.nodes.items()}
     aux: list[Node] = []
 
     counter = 0
@@ -566,39 +567,26 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
                 return cand
 
     for cur in reversed(tree.nodes):
-        kids = children[cur]
+        kids = tree.nodes[cur].children
         k = tree.nodes[cur].domain
         if len(kids) == 1:
-            virt = fresh("unit")
-            children[virt] = []
-            aux.append(Node(id=virt, domain=1, parent=cur,
+            aux.append(Node(id=fresh("unit"), domain=1, parent=cur,
                             cpt=np.ones((k, 1)), evidence=np.ones(1)))
-            children[cur] = [kids[0], virt]
         elif len(kids) > 2:
-            holder = cur  # keeps kids[i - 1], passes kids[i:] to the next splitter
-            for i in range(1, len(kids) - 1):
+            holder = cur  # keeps the previous kid, passes the rest to a splitter
+            for kid in kids[1:-1]:
                 split = fresh("split")
                 aux.append(Node(id=split, domain=k, parent=holder, cpt=np.eye(k)))
-                children[holder] = [kids[i - 1], split]
-                parent[kids[i]] = split
+                parent[kid] = split
                 holder = split
-            children[holder] = kids[-2:]
             parent[kids[-1]] = holder
 
-    nodes = []
-    for node in tree.nodes.values():
-        nodes.append(Node(
-            id=node.id, domain=node.domain, parent=parent[node.id],
-            children=list(children[node.id]),
-            cpt=None if node.cpt is None else node.cpt.copy(),
-            prior=None if node.prior is None else node.prior.copy(),
-            evidence=None if node.evidence is None else node.evidence.copy(),
-        ))
-    for node in aux:
-        node.children = list(children[node.id])
-        nodes.append(node)
-    normalized = CausalTree(nodes)
-    return normalized, {nid: nid for nid in tree.nodes}
+    nodes = [Node(id=node.id, domain=node.domain, parent=parent[node.id],
+                  cpt=None if node.cpt is None else node.cpt.copy(),
+                  prior=None if node.prior is None else node.prior.copy(),
+                  evidence=None if node.evidence is None else node.evidence.copy())
+             for node in tree.nodes.values()]
+    return CausalTree.unchecked(nodes + aux, tree.root), {nid: nid for nid in tree.nodes}
 
 
 # -- joint-enumeration oracle ------------------------------------------------------

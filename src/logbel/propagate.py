@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counters import OpCounters
-from .errors import UnknownNode
+from .errors import ImpossibleEvidence, UnknownNode
 from .model import Belief, CausalTree, normalize_belief, set_evidence
 
 
@@ -107,18 +107,31 @@ def belief(table: PropagationTable, node_id: str) -> Belief:
 
 class FullState:
     """Inference state that absorbs every update with a full propagation
-    pass; queries are table lookups."""
+    pass; queries are table lookups.
+
+    While the evidence in force is jointly impossible there is no table
+    (None); a query then propagates again and raises ImpossibleEvidence
+    only if the evidence is still impossible.
+    """
 
     def __init__(self, tree: CausalTree):
         self.tree = tree.copy()
         self.counters = OpCounters()
-        self.table = full_propagate(self.tree, self.counters)
+        self._propagate()
+
+    def _propagate(self) -> None:
+        try:
+            self.table = full_propagate(self.tree, self.counters)
+        except ImpossibleEvidence:
+            self.table = None
 
     def update(self, leaf_id: str, evidence) -> None:
         set_evidence(self.tree, leaf_id, evidence)
-        self.table = full_propagate(self.tree, self.counters)
+        self._propagate()
 
     def query(self, node_id: str) -> Belief:
+        if self.table is None:
+            self.table = full_propagate(self.tree, self.counters)
         return belief(self.table, node_id)
 
 

@@ -137,6 +137,18 @@ class TestRun:
             capsys.readouterr()
             assert code == 2
 
+    def test_evidence_impossible_between_queries(self, tmp_path, capsys):
+        net = write_json(tmp_path, "net.json", IDENTITY_NET)
+        ops = write_stream(tmp_path, "ops.txt", "U e 0\nU f 1\nU f 0\nQ u\n")
+        outs = []
+        for strategy in ("full", "lazy", "contract"):
+            assert main(["run", "--network", net, "--ops", ops,
+                         "--strategy", strategy]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs == [outs[0]] * 3 and outs[0].startswith("Q u ")
+        assert main(["verify", "--network", net, "--ops", ops, "--oracle", "full"]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
+
 
 def _malformed(net, edit):
     bad = copy.deepcopy(net)
@@ -286,6 +298,13 @@ class TestEngineRegistry:
             answers = {name: engine.query(node).dist for name, engine in engines.items()}
             for (a, got), (b, want) in itertools.combinations(answers.items(), 2):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=f"{a} vs {b}")
+
+    def test_contract_entry_leaves_the_callers_tree_alone(self):
+        tree = random_tree(7, 2, np.random.default_rng(4))  # already complete binary
+        leaf = tree.leaf_order()[0]
+        before = tree.nodes[leaf].evidence.copy()
+        ENGINES["tree"]["contract"](tree).update(leaf, np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(tree.nodes[leaf].evidence, before)
 
 
 class TestBench:

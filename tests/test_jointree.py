@@ -384,13 +384,14 @@ class TestCompile:
 
 
     def test_one_table_validation_per_build(self, monkeypatch):
-        """normalize_tree and build_engine validate the tree they return
-        once, each of its tables once, and never need the ordered pass."""
+        """normalize_tree checks nothing; build_engine validates the clique
+        tree of 2n nodes it emits once, each of its tables once, and never
+        needs the ordered pass."""
         passes, batches = [], []
         store, decide = CausalTree._store_tables, TableBatch.valid
 
         def store_spy(tree, *checks):
-            passes.append(tree)
+            passes.append(tree.n)
             return store(tree, *checks)
 
         def decide_spy(batch):
@@ -400,17 +401,17 @@ class TestCompile:
         wide = build_tree({"nodes": [{"id": "r", "domain": 2, "prior": [0.5, 0.5]}] + [
             {"id": f"c{i}", "domain": 2, "parent": "r", "cpt": [[0.9, 0.1], [0.2, 0.8]],
              "evidence": [1.0, 0.5]} for i in range(5)]})
-        builds = [lambda: normalize_tree(wide)[0]] + [
-            lambda pt=pt: build_engine(pt).compiled.tree
-            for pt in polytree_corpus(np.random.default_rng(21), count=4, max_vars=12)]
+        corpus = polytree_corpus(np.random.default_rng(21), count=4, max_vars=12)
         monkeypatch.setattr(CausalTree, "_store_tables", store_spy)
         monkeypatch.setattr(TableBatch, "valid", decide_spy)
-        for build in builds:
+        assert normalize_tree(wide)[0].n == 9  # rebuilt with three splitters
+        assert passes == [] and batches == []
+        for pt in corpus:
             passes.clear()
             batches.clear()
-            tree = build()
-            assert passes == [tree]
-            assert batches == [(tree.n, len(tree.leaf_order()))]  # n - 1 cpts, the prior
+            build_engine(pt)
+            assert passes == [2 * pt.n]
+            assert batches == [(2 * pt.n, pt.n)]  # 2n - 1 cpts and the prior; n likelihoods
 
     def test_matches_compiling_through_a_network_description(self):
         """One-pass compilation is bit-identical to emitting the clique tree

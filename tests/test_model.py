@@ -6,6 +6,7 @@ import pytest
 
 from logbel import (
     AllZeroLikelihood,
+    CausalTree,
     Cycle,
     DimensionMismatch,
     DuplicateId,
@@ -16,6 +17,7 @@ from logbel import (
     LogbelError,
     MissingRoot,
     MultipleRoots,
+    Node,
     NotALeaf,
     RowNotStochastic,
     StateSpaceTooLarge,
@@ -34,6 +36,7 @@ from logbel import (
 )
 from logbel.generate import random_tree
 from logbel.model import TABLE_CHUNK, TableBatch
+from test_counts import ragged_tree
 
 
 def identity_tree(evidence_e=(1.0, 1.0), evidence_f=(1.0, 1.0)):
@@ -60,6 +63,14 @@ class TestBuildTree:
             assert tree.nodes[f"x{i}"].children == [f"e{i}", f"x{i+1}"]
         assert tree.nodes["x4"].children == ["e4", "e5"]
         assert tree.depth == 4
+
+    def test_prefilled_children_rejected(self):
+        """Children come only from parent links, in declaration order."""
+        nodes = [Node(id="u", domain=2, prior=np.array([0.5, 0.5]), children=["f", "e"]),
+                 Node(id="e", domain=2, parent="u", cpt=np.eye(2), evidence=np.ones(2)),
+                 Node(id="f", domain=2, parent="u", cpt=np.eye(2), evidence=np.ones(2))]
+        with pytest.raises(FormatError, match="'u'"):
+            CausalTree(nodes)
 
     def test_duplicate_id(self):
         with pytest.raises(DuplicateId):
@@ -333,6 +344,15 @@ class TestNormalizeTree:
             singles = sum(1 for n in tree.nodes.values() if len(n.children) == 1)
             normalized, _ = normalize_tree(tree)
             assert normalized.n <= 2 * tree.n + singles
+
+    def test_ragged_trees_keep_leaf_order(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            tree = ragged_tree(int(rng.integers(2, 40)), rng)
+            normalized, _ = normalize_tree(tree)
+            assert normalized.is_complete_binary()
+            kept = [leaf for leaf in normalized.leaf_order() if leaf in tree.nodes]
+            assert kept == tree.leaf_order()
 
 
 class TestBruteForce:

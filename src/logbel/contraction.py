@@ -121,15 +121,14 @@ class Slot:
     hook the update walk follows.
     """
 
-    __slots__ = ("uid", "coeff", "consumer", "owner", "side", "version", "level")
+    __slots__ = ("uid", "coeff", "consumer", "owner", "side", "level")
 
-    def __init__(self, uid: int, coeff, owner: str, side: int, version: int, level: int):
+    def __init__(self, uid: int, coeff, owner: str, side: int, level: int):
         self.uid = uid
         self.coeff = coeff
         self.consumer: RakeEquation | None = None
         self.owner = owner
         self.side = side
-        self.version = version
         self.level = level
 
     def describe(self) -> tuple[str, str, int]:
@@ -137,22 +136,31 @@ class Slot:
 
     def __repr__(self):
         side = "left" if self.side == LEFT else "right"
-        return f"<Slot {self.owner}.{side} v{self.version} level={self.level}>"
+        return f"<Slot #{self.uid} {self.owner}.{side} level={self.level}>"
 
 
 @dataclass(slots=True)
 class RakeEquation:
-    """output = parent_input . Diag(e_side_input . lambda(leaf)) . z_side_input
+    """One rake (e, x, u) and the equation it stores on u's side of x:
+    output = parent_input . Diag(e_side_input . lambda(leaf)) . z_side_input
 
-    cost counts one evaluation; chain_cost counts the whole consumer chain
-    an update starting here recomputes (filled in when contract() ends).
+    grandparent_pre is the version of u it rewrote (its above is the new
+    one).  cost counts one evaluation; chain_cost counts the whole consumer
+    chain an update starting here recomputes (filled in when contract()
+    ends).  The fields _recompute reads come first.
     """
 
+    e_side_input: Slot
+    leaf: str           # raked leaf e
     output: Slot
     parent_input: Slot
-    e_side_input: Slot
     z_side_input: Slot
-    leaf: str
+    level: int
+    parent: str         # raked parent x
+    grandparent: str    # u
+    leaf_side: int      # side of e within x
+    parent_side: int    # side of x within u
+    grandparent_pre: "CoeffRecord"
     cost: tuple = NO_COST
     chain_cost: tuple = NO_COST
 
@@ -182,7 +190,7 @@ class CoeffRecord:
     right: Slot
     left_child: str
     right_child: str
-    created_by: "RakeEvent | None" = None
+    created_by: RakeEquation | None = None
     above: "CoeffRecord | None" = None
     cost: tuple = NO_COST
     walk_cost: tuple = NO_COST
@@ -192,21 +200,6 @@ class CoeffRecord:
 
     def child(self, side: int) -> str:
         return self.left_child if side == LEFT else self.right_child
-
-
-@dataclass(slots=True)
-class RakeEvent:
-    """Everything one rake step removed, spliced and rewrote."""
-
-    level: int
-    leaf: str           # raked leaf e
-    parent: str         # raked parent x
-    grandparent: str    # u
-    leaf_side: int      # side of e within x
-    parent_side: int    # side of x within u
-    grandparent_pre: CoeffRecord
-    grandparent_post: CoeffRecord
-    equation: RakeEquation
 
 
 @dataclass
@@ -250,8 +243,8 @@ class _LevelNodes(Mapping):
         self._level = level
 
     def _present(self, node_id: str) -> bool:
-        event = self._owner.removed_by.get(node_id)
-        return event is None or event.level > self._level
+        rk = self._owner.removed_by.get(node_id)
+        return rk is None or rk.level > self._level
 
     def __getitem__(self, node_id: str) -> LevelNode:
         if node_id not in self._owner.tree.nodes or not self._present(node_id):
@@ -278,12 +271,11 @@ class ContractionIndex:
         self.records: dict[str, list[CoeffRecord]] = {}
         self.evidence: dict[str, np.ndarray] = {}
         self.leaf_consumer: dict[str, RakeEquation] = {}
-        self.rake_log: list[RakeEvent] = []
-        self.removed_by: dict[str, RakeEvent] = {}
+        self.rake_log: list[RakeEquation] = []
+        self.removed_by: dict[str, RakeEquation] = {}  # raked leaf and parent -> rake
         self.root = tree.root
         order = tree.leaf_order()
         self.levels: list[Level] = [Level(0, order, self)]
-        self.leaf_counts: list[int] = [len(order)]
         # The leftmost and rightmost leaves are never raked, so the extremes
         # of every frontier coincide with those of the base tree.
         self.extreme_left: str = order[0]
@@ -293,16 +285,19 @@ class ContractionIndex:
         self.last_update_trace: list[Slot] = []
         # equation versions the last query's walk climbed (see _walk)
         self.last_calc_depth = 0
-        # live structure, only used while contract() is running
+        # live structure, only set while contract() is running
         self._live_children: dict[str, list[str]] | None = None
         self._live_parent: dict[str, str | None] | None = None
         self._costs: dict | None = {}  # operation counts by coefficient forms
-        self._slot_seq = 0
-        self._building = True
 
-    def _new_slot(self, coeff, owner: str, side: int, version: int, level: int) -> Slot:
-        slot = Slot(self._slot_seq, coeff, owner, side, version, level)
-        self._slot_seq += 1
+    @property
+    def leaf_counts(self) -> list[int]:
+        """Frontier size of every level."""
+        return [len(level.leaves) for level in self.levels]
+
+    def _new_slot(self, coeff, owner: str, side: int, level: int) -> Slot:
+        """A stored matrix; its uid is its rank in storage order."""
+        slot = Slot(self.stored_matrix_count, coeff, owner, side, level)
         self.stored_matrix_count += 1
         return slot
 
@@ -368,8 +363,8 @@ def contract(tree: CausalTree, coeffs: dict[str, object] | None = None,
             right_coeff = coeffs[right] if coeffs is not None else tree.nodes[right].cpt
             rec = CoeffRecord(
                 owner=node_id, version=0, level=0,
-                left=index._new_slot(left_coeff, node_id, LEFT, 0, 0),
-                right=index._new_slot(right_coeff, node_id, RIGHT, 0, 0),
+                left=index._new_slot(left_coeff, node_id, LEFT, 0),
+                right=index._new_slot(right_coeff, node_id, RIGHT, 0),
                 left_child=left, right_child=right)
             rec.cost = _equation_cost(index, rec)
             index.records[node_id] = [rec]
@@ -388,11 +383,9 @@ def contract(tree: CausalTree, coeffs: dict[str, object] | None = None,
             rake(index, level, leaf)
         # a rake removes exactly its leaf from the frontier, keeping the order
         frontier = [frontier[0], *interior[1::2], frontier[-1]]
-        index.leaf_counts.append(len(frontier))
         index.levels.append(Level(level, frontier, index))
 
     _total_costs(index)
-    index._building = False
     index._live_children = None
     index._live_parent = None
     index._costs = None
@@ -406,27 +399,27 @@ def _total_costs(index: ContractionIndex) -> None:
     output feeds one later equation; both are created by later rakes, so
     one pass over the rakes in reverse order sees every total it adds to.
     """
-    for event in reversed(index.rake_log):
-        post = event.grandparent_post
-        raked = index.records[event.parent][-1]
+    for rk in reversed(index.rake_log):
+        pre = rk.grandparent_pre
+        post = pre.above
+        raked = index.records[rk.parent][-1]
         # one step below post: the raked parent's lambda (through its own
         # final equation) or its pi (through the grandparent's equation)
-        event.grandparent_pre.walk_cost = sum_costs(post.walk_cost, raked.cost)
-        raked.walk_cost = sum_costs(post.walk_cost, event.grandparent_pre.cost)
-        equation = event.equation
-        consumer = equation.output.consumer
-        equation.chain_cost = equation.cost if consumer is None \
-            else sum_costs(equation.cost, consumer.chain_cost)
+        pre.walk_cost = sum_costs(post.walk_cost, raked.cost)
+        raked.walk_cost = sum_costs(post.walk_cost, pre.cost)
+        consumer = rk.output.consumer
+        rk.chain_cost = rk.cost if consumer is None else sum_costs(rk.cost, consumer.chain_cost)
 
 
-def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEvent:
+def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
     """Remove one leaf and its parent, rewriting the grandparent's equation.
 
     Internal step of contract(); exposed so tests can drive partial
-    contractions.  Raises NotRakeable for extreme leaves or leaves whose
-    parent is the root.
+    contractions.  Returns the rake's record, which rake_log, removed_by,
+    leaf_consumer and created_by hold.  Raises NotRakeable for extreme
+    leaves or leaves whose parent is the root.
     """
-    if not index._building:
+    if index._live_children is None:
         raise NotRakeable("index is fully contracted")
     if leaf not in index.tree.nodes:
         raise UnknownNode(f"no node {leaf!r}")
@@ -446,21 +439,23 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEvent:
     parent_side = LEFT if grand_pre.left_child == parent else RIGHT
     sibling = grand_pre.child(1 - parent_side)
 
-    new_slot = index._new_slot(None, grand, parent_side, grand_pre.version + 1, level)
-    equation = RakeEquation(
+    new_slot = index._new_slot(None, grand, parent_side, level)
+    rk = RakeEquation(
+        e_side_input=parent_rec.side_slot(leaf_side),
+        leaf=leaf,
         output=new_slot,
         parent_input=grand_pre.side_slot(parent_side),
-        e_side_input=parent_rec.side_slot(leaf_side),
         z_side_input=parent_rec.side_slot(1 - leaf_side),
-        leaf=leaf)
-    _recompute(index.evidence, equation)  # no consumer yet: this equation only
-    equation.cost = _rake_cost(index, equation)
-    index.counters.add(equation.cost)
-    for slot in (equation.parent_input, equation.e_side_input, equation.z_side_input):
+        level=level, parent=parent, grandparent=grand,
+        leaf_side=leaf_side, parent_side=parent_side, grandparent_pre=grand_pre)
+    _recompute(index.evidence, rk)  # no consumer yet: this equation only
+    rk.cost = _rake_cost(index, rk)
+    index.counters.add(rk.cost)
+    for slot in (rk.parent_input, rk.e_side_input, rk.z_side_input):
         assert slot.consumer is None, "a stored matrix may feed only one equation"
-        slot.consumer = equation
+        slot.consumer = rk
     assert leaf not in index.leaf_consumer
-    index.leaf_consumer[leaf] = equation
+    index.leaf_consumer[leaf] = rk
 
     shared = grand_pre.side_slot(1 - parent_side)
     post = CoeffRecord(
@@ -468,26 +463,21 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEvent:
         left=new_slot if parent_side == LEFT else shared,
         right=new_slot if parent_side == RIGHT else shared,
         left_child=survivor if parent_side == LEFT else sibling,
-        right_child=survivor if parent_side == RIGHT else sibling)
+        right_child=survivor if parent_side == RIGHT else sibling,
+        created_by=rk)
     post.cost = _equation_cost(index, post)
     grand_pre.above = post
     parent_rec.above = post
     index.records[grand].append(post)
-
-    event = RakeEvent(
-        level=level, leaf=leaf, parent=parent, grandparent=grand,
-        leaf_side=leaf_side, parent_side=parent_side,
-        grandparent_pre=grand_pre, grandparent_post=post, equation=equation)
-    post.created_by = event
-    index.rake_log.append(event)
-    index.removed_by[leaf] = event
-    index.removed_by[parent] = event
+    index.rake_log.append(rk)
+    index.removed_by[leaf] = rk
+    index.removed_by[parent] = rk
 
     index._live_children[grand][parent_side] = survivor
     index._live_parent[survivor] = grand
     del index._live_children[leaf], index._live_children[parent]
     del index._live_parent[leaf], index._live_parent[parent]
-    return event
+    return rk
 
 
 # -- queries ---------------------------------------------------------------------
@@ -583,26 +573,25 @@ def _walk(index: ContractionIndex, rec: CoeffRecord):
     lam = [evidence[rec.left_child], evidence[rec.right_child]]
     for rec in reversed(path):
         post = rec.above
-        event = post.created_by
-        equation = event.equation
-        side = event.parent_side
+        rk = post.created_by
+        side = rk.parent_side
         lam_z = lam[side]
-        if rec is event.grandparent_pre:
-            lam[side] = (equation.e_side_input.coeff @ evidence[event.leaf]) \
-                * (equation.z_side_input.coeff @ lam_z)
+        if rec is rk.grandparent_pre:
+            lam[side] = (rk.e_side_input.coeff @ evidence[rk.leaf]) \
+                * (rk.z_side_input.coeff @ lam_z)
         else:
             sibling = post.right if side == LEFT else post.left
-            pi = (pi * (sibling.coeff @ lam[1 - side])) @ equation.parent_input.coeff
-            lam_e = evidence[event.leaf]
-            lam = [lam_e, lam_z] if event.leaf_side == LEFT else [lam_z, lam_e]
+            pi = (pi * (sibling.coeff @ lam[1 - side])) @ rk.parent_input.coeff
+            lam_e = evidence[rk.leaf]
+            lam = [lam_e, lam_z] if rk.leaf_side == LEFT else [lam_z, lam_e]
     return pi, lam
 
 
 def _leaf_pi(index: ContractionIndex, leaf_id: str) -> np.ndarray:
     """pi of a leaf, through the final version of its parent: the raked
     parent's, or the root's for the two extreme leaves."""
-    event = index.removed_by.get(leaf_id)
-    rec = index.records[index.root if event is None else event.parent][-1]
+    rk = index.removed_by.get(leaf_id)
+    rec = index.records[index.root if rk is None else rk.parent][-1]
     pi, lam = _walk(index, rec)
     index.counters.add(rec.cost)
     if rec.left_child == leaf_id:

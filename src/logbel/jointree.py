@@ -58,7 +58,11 @@ class Variable:
 
 
 class Polytree:
-    """Singly connected Bayesian network; parents are ordered per variable."""
+    """Singly connected Bayesian network; parents are ordered per variable.
+
+    children lists each variable's children in declaration order; with the
+    parent lists it is the skeleton the join tree is rooted on.
+    """
 
     def __init__(self, variables: list[Variable]):
         self.variables: dict[str, Variable] = {}
@@ -68,9 +72,10 @@ class Polytree:
             self.variables[var.id] = var
         if not self.variables:
             raise FormatError("polytree has no variables")
+        self.children: dict[str, list[str]] = {vid: [] for vid in self.variables}
         self._check_structure()
         self._check_tables()
-        self.topological_order()  # rejects directed cycles the edge count misses
+        self._order = self._sort()  # rejects directed cycles the edge count misses
 
     def _check_structure(self) -> None:
         edges: set[tuple[str, str]] = set()
@@ -83,16 +88,13 @@ class Polytree:
                 if parent == var.id:
                     raise NotAPolytree(f"variable {var.id!r} is its own parent")
                 edges.add((min(parent, var.id), max(parent, var.id)))
+                self.children[parent].append(var.id)
         n = len(self.variables)
         if len(edges) != n - 1:
             raise NotAPolytree(
                 f"underlying graph has {len(edges)} edges over {n} variables; "
                 "a polytree needs exactly n - 1")
         # n - 1 distinct edges form a tree iff the graph is connected
-        adjacency: dict[str, list[str]] = {v: [] for v in self.variables}
-        for a, b in edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
         seen = set()
         stack = [next(iter(self.variables))]
         while stack:
@@ -100,7 +102,8 @@ class Polytree:
             if cur in seen:
                 continue
             seen.add(cur)
-            stack.extend(adjacency[cur])
+            stack.extend(self.children[cur])
+            stack.extend(self.variables[cur].parents)
         if len(seen) != n:
             raise NotAPolytree("underlying graph is disconnected")
 
@@ -136,17 +139,17 @@ class Polytree:
         return max(len(v.parents) for v in self.variables.values())
 
     def topological_order(self) -> list[str]:
+        """Parents before children, as sorted when the network was built."""
+        return list(self._order)
+
+    def _sort(self) -> list[str]:
         order: list[str] = []
         pending = {vid: len(v.parents) for vid, v in self.variables.items()}
         ready = [vid for vid, deg in pending.items() if deg == 0]
-        children: dict[str, list[str]] = {vid: [] for vid in self.variables}
-        for vid, var in self.variables.items():
-            for p in var.parents:
-                children[p].append(vid)
         while ready:
             cur = ready.pop()
             order.append(cur)
-            for child in children[cur]:
+            for child in self.children[cur]:
                 pending[child] -= 1
                 if pending[child] == 0:
                     ready.append(child)
@@ -286,35 +289,30 @@ def build_join_tree(cliques: dict[str, Clique], pt: Polytree,
     The clique graph mirrors the polytree skeleton, so it is a tree, and a
     variable's cliques (its own and its children's) form a star around its
     own clique: running intersection holds by construction and is not
-    re-checked.  The linear checks stay: the tree is connected, and every
-    edge's cliques share exactly their separator (c = 1).
+    re-checked; the skeleton is the polytree's own children and parents.
+    The linear checks stay: the tree is connected, and every edge's cliques
+    share exactly their separator (c = 1).
     """
     if root_var is None:
         root_var = next(v for v in pt.variables if not pt.variables[v].parents)
     if root_var not in cliques:
         raise UnknownVariable(f"no variable {root_var!r}")
 
-    undirected: dict[str, list[tuple[str, str]]] = {v: [] for v in cliques}
-    for vid, var in pt.variables.items():
-        for p in var.parents:
-            # polytree edge p -> vid, separator {p}
-            undirected[p].append((vid, p))
-            undirected[vid].append((p, p))
-
     children: dict[str, list[tuple[str, str]]] = {v: [] for v in cliques}
     parent: dict[str, tuple[str, str] | None] = {root_var: None}
     stack = [root_var]
-    seen = {root_var}
     while stack:
         cur = stack.pop()
-        for nxt, sep in undirected[cur]:
-            if nxt in seen:
+        # polytree edges cur -> c (separator {cur}) and p -> cur (separator {p})
+        neighbours = [(c, cur) for c in pt.children[cur]] + \
+            [(p, p) for p in pt.variables[cur].parents]
+        for nxt, sep in neighbours:
+            if nxt in parent:
                 continue
-            seen.add(nxt)
             parent[nxt] = (cur, sep)
             children[cur].append((nxt, sep))
             stack.append(nxt)
-    if len(seen) != len(cliques):
+    if len(parent) != len(cliques):
         raise ConstructionError("join tree is not connected")
     for order in children.values():
         order.sort()
@@ -555,12 +553,9 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
     for node_id, node in tree.nodes.items():
         if node.parent is None or node_id in factored:
             continue
-        # normalization dummies: identity splitters and unit virtual leaves
-        k_parent = tree.nodes[node.parent].domain
-        if node.domain == k_parent:
-            factored[node_id] = FactoredMatrix(identity(k_parent), identity(k_parent))
-        else:
-            factored[node_id] = FactoredMatrix(node.cpt, identity(node.domain))
+        # normalization dummies (identity splitters, unit virtual leaves):
+        # their constant table, times an identity
+        factored[node_id] = FactoredMatrix(node.cpt, identity(node.domain))
     return CompiledTree(tree=tree, coeffs=factored,
                         clique_node=clique_node, evidence_leaf=evidence_leaf)
 

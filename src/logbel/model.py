@@ -484,18 +484,11 @@ def _float_array(raw: dict, key: str, owner: str) -> np.ndarray | None:
 def tree_to_spec(tree: CausalTree) -> dict:
     """Serialize to the network-description format (inverse of build_tree).
 
-    Nodes are emitted in breadth-first order following child lists, so the
-    rebuilt tree derives identical sibling order from declaration order.
+    Nodes are emitted in declaration order, from which every tree derives
+    its child lists, so the rebuilt tree has the same sibling order.
     """
-    order = []
-    queue = [tree.root]
-    while queue:
-        cur = queue.pop(0)
-        order.append(cur)
-        queue.extend(tree.nodes[cur].children)
     out = []
-    for node_id in order:
-        node = tree.nodes[node_id]
+    for node in tree.nodes.values():
         entry: dict = {"id": node.id, "domain": node.domain, "parent": node.parent}
         if node.cpt is not None:
             entry["cpt"] = node.cpt.tolist()
@@ -548,7 +541,8 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
 
     The dummies are declared after the original nodes, so every holder's
     kept child comes first.  tree is a validated CausalTree and the
-    dummies' tables are constant, so the result is not checked again.
+    dummies' tables are constant, so the result is not checked again.  Its
+    nodes share tree's tables, which nothing writes in place.
     """
     if tree.is_complete_binary():
         return tree, {nid: nid for nid in tree.nodes}
@@ -574,17 +568,16 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
                             cpt=np.ones((k, 1)), evidence=np.ones(1)))
         elif len(kids) > 2:
             holder = cur  # keeps the previous kid, passes the rest to a splitter
+            eye = np.eye(k)  # one table for the whole chain
             for kid in kids[1:-1]:
                 split = fresh("split")
-                aux.append(Node(id=split, domain=k, parent=holder, cpt=np.eye(k)))
+                aux.append(Node(id=split, domain=k, parent=holder, cpt=eye))
                 parent[kid] = split
                 holder = split
             parent[kids[-1]] = holder
 
     nodes = [Node(id=node.id, domain=node.domain, parent=parent[node.id],
-                  cpt=None if node.cpt is None else node.cpt.copy(),
-                  prior=None if node.prior is None else node.prior.copy(),
-                  evidence=None if node.evidence is None else node.evidence.copy())
+                  cpt=node.cpt, prior=node.prior, evidence=node.evidence)
              for node in tree.nodes.values()]
     return CausalTree.unchecked(nodes + aux, tree.root), {nid: nid for nid in tree.nodes}
 

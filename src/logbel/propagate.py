@@ -138,9 +138,9 @@ class FullState:
 class LazyState:
     """Cached-lambda inference state with depth-bounded updates and queries."""
 
-    def __init__(self, tree: CausalTree, counters: OpCounters | None = None):
+    def __init__(self, tree: CausalTree):
         self.tree = tree.copy()
-        self.counters = counters if counters is not None else OpCounters()
+        self.counters = OpCounters()
         self.lambdas: dict[str, np.ndarray] = {}
         for node_id in self.tree.post_order():
             node = self.tree.nodes[node_id]

@@ -162,6 +162,20 @@ class TestStorage:
             stored = {slot.uid for slot in index.all_slots()}
             assert outputs <= stored
 
+    def test_one_record_per_rake(self):
+        rng = np.random.default_rng(24)
+        trees = list(small_corpus(rng, count=6, hi=120))
+        trees += [normalize_tree(ragged_tree(n, rng))[0] for n in (9, 40, 150)]
+        for tree in trees:
+            index = contract(tree)
+            assert len(index.rake_log) == len(index.leaf_consumer) == len(index.removed_by) // 2
+            for r in index.rake_log:
+                assert index.removed_by[r.leaf] is index.removed_by[r.parent] is r
+                assert r.grandparent_pre.above.created_by is r
+                assert r.grandparent_pre.owner == r.grandparent
+                assert index.leaf_consumer[r.leaf] is r
+                assert r.output.level == r.level
+
     def test_deterministic_rebuild(self):
         tree = random_tree(61, k=(2, 3), rng=np.random.default_rng(23))
         a = contract(tree)

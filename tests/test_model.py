@@ -26,6 +26,7 @@ from logbel import (
     build_polytree,
     build_tree,
     chain_tree,
+    contract,
     full_propagate,
     load_network,
     normalize_tree,
@@ -33,6 +34,7 @@ from logbel import (
     save_network,
     set_evidence,
     tree_to_spec,
+    update_evidence,
 )
 from logbel.generate import random_tree
 from logbel.model import TABLE_CHUNK, TableBatch
@@ -354,6 +356,29 @@ class TestNormalizeTree:
             kept = [leaf for leaf in normalized.leaf_order() if leaf in tree.nodes]
             assert kept == tree.leaf_order()
 
+    def test_output_shares_the_callers_tables(self):
+        tree = ragged_tree(60, np.random.default_rng(32))
+        normalized, _ = normalize_tree(tree)
+        assert normalized is not tree
+        for node_id, node in tree.nodes.items():
+            out = normalized.nodes[node_id]
+            assert out is not node
+            assert out.cpt is node.cpt and out.prior is node.prior \
+                and out.evidence is node.evidence
+        leaf = tree.leaf_order()[1]
+        before = tree.nodes[leaf].evidence
+        kept = before.copy()
+        update_evidence(contract(normalized), leaf, np.ones(tree.nodes[leaf].domain))
+        assert tree.nodes[leaf].evidence is before
+        np.testing.assert_array_equal(before, kept)
+        np.testing.assert_array_equal(normalized.nodes[leaf].evidence, 1.0)
+
+    def test_splitter_chain_shares_one_identity(self):
+        normalized, _ = normalize_tree(self._wide_tree(6))
+        splits = [n for nid, n in normalized.nodes.items() if nid.startswith("split")]
+        assert len(splits) == 4
+        assert all(n.cpt is splits[0].cpt for n in splits)
+
 
 class TestBruteForce:
     def test_identity_channel_pins_root(self):
@@ -412,6 +437,23 @@ class TestRoundTrip:
                 np.testing.assert_array_equal(other.prior, node.prior)
             if node.evidence is not None:
                 np.testing.assert_array_equal(other.evidence, node.evidence)
+
+    @pytest.mark.parametrize("shape", ["star", "normalized-ragged"])
+    def test_spec_keeps_declaration_order(self, shape):
+        rng = np.random.default_rng(12)
+        if shape == "star":
+            nodes = [{"id": "r", "domain": 2, "prior": [0.3, 0.7]}]
+            nodes += [{"id": f"c{i}", "domain": 2, "parent": "r",
+                       "cpt": [[0.9, 0.1], [0.2, 0.8]], "evidence": [1.0, 0.5]}
+                      for i in range(3000)]
+            tree = build_tree({"nodes": nodes})
+        else:
+            tree, _ = normalize_tree(ragged_tree(80, rng))
+        spec = tree_to_spec(tree)
+        assert [entry["id"] for entry in spec["nodes"]] == list(tree.nodes)
+        again = build_tree(spec)
+        assert {nid: n.children for nid, n in again.nodes.items()} == \
+            {nid: n.children for nid, n in tree.nodes.items()}
 
     def test_file_round_trip(self, tmp_path):
         tree = random_tree(11, k=2, rng=np.random.default_rng(2))

@@ -14,9 +14,11 @@ of equation versions.  Both touch O(log N) equations on balanced rake
 schedules.
 
 Coefficients are dense ndarrays by default; any object with the same
-products (coeff @ vec, vec @ coeff, coeff * diag, coeff @ other), plus
-count_matvec / count_rake / form / materialize (see jointree.FactoredMatrix),
-can be substituted per edge through the coeffs argument of contract().
+products (coeff @ vec, vec @ coeff, coeff * diag, coeff @ other), plus form
+(its factor shapes) and materialize (see jointree.FactoredMatrix), can be
+substituted per edge through the coeffs argument of contract(), dense and
+factored ones mixed freely.  Operation counts come from the forms alone,
+by the one rule in counters.py (matvec_cost and rake_cost).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .counters import NO_COST, OpCounters, sum_costs
+from .counters import NO_COST, OpCounters, matvec_cost, rake_cost, sum_costs
 from .errors import (
     ConstructionError,
     LevelOutOfRange,
@@ -46,39 +48,23 @@ LEFT, RIGHT = 0, 1
 # Ops evaluate coefficients with plain operators, which ndarrays and
 # jointree.FactoredMatrix both support: coeff @ vec, vec @ coeff (the
 # transposed product) and (coeff * diag) @ other.  Their operation counts
-# depend only on coefficient shapes, so they are fixed once per stored
-# equation when the index is built (see _equation_cost and _rake_cost).
+# depend only on coefficient forms (counters.matvec_cost and rake_cost), so
+# they are fixed once per stored equation when the index is built (see
+# _equation_cost and _rake_cost).
 
-def _count_matvec(coeff, counters: OpCounters) -> None:
-    """Count one product of coeff, or of its transpose, with a vector."""
-    if isinstance(coeff, np.ndarray):
-        counters.count_matvec(*coeff.shape)
-    else:
-        coeff.count_matvec(counters)
-
-
-def _count_rake(parent_coeff, other_coeff, counters: OpCounters) -> None:
-    """Count parent_coeff . Diag(.) . other_coeff."""
-    if isinstance(parent_coeff, np.ndarray):
-        counters.count_diag_scale(*parent_coeff.shape)
-        counters.count_matmat(*parent_coeff.shape, other_coeff.shape[1])
-    else:
-        parent_coeff.count_rake(other_coeff, counters)
+def _form(coeff) -> tuple:
+    """The factor shapes a coefficient's operation counts depend on."""
+    return (coeff.shape,) if isinstance(coeff, np.ndarray) else coeff.form
 
 
 def _rake_product(parent_coeff, diag: np.ndarray, other_coeff, counters: OpCounters):
     """parent_coeff . Diag(diag) . other_coeff, counted"""
-    _count_rake(parent_coeff, other_coeff, counters)
+    counters.add(rake_cost(_form(parent_coeff), _form(other_coeff)))
     return (parent_coeff * diag) @ other_coeff
 
 
 def materialize(coeff) -> np.ndarray:
     return coeff if isinstance(coeff, np.ndarray) else coeff.materialize()
-
-
-def _form(coeff):
-    """What the operation counts of a coefficient depend on."""
-    return coeff.shape if isinstance(coeff, np.ndarray) else coeff.form
 
 
 def _equation_cost(index: "ContractionIndex", rec: "CoeffRecord") -> tuple:
@@ -89,26 +75,23 @@ def _equation_cost(index: "ContractionIndex", rec: "CoeffRecord") -> tuple:
     key = (_form(rec.left.coeff), _form(rec.right.coeff))
     cost = index._costs.get(key)
     if cost is None:
-        scratch = OpCounters()
-        scratch.count_equation()
-        _count_matvec(rec.left.coeff, scratch)
-        _count_matvec(rec.right.coeff, scratch)
-        scratch.count_vector_op(rec.left.coeff.shape[0])
-        cost = index._costs[key] = scratch.as_cost()
+        left, right = key
+        product = (0, 0, 1, left[0][0], 0)  # the equation and its vector product
+        cost = sum_costs(sum_costs(matvec_cost(left), matvec_cost(right)), product)
+        index._costs[key] = cost
     return cost
 
 
 def _rake_cost(index: "ContractionIndex", equation: "RakeEquation") -> tuple:
     """Counts of evaluating one rake equation once."""
-    key = ("rake", _form(equation.e_side_input.coeff),
+    key = (_form(equation.e_side_input.coeff),
            _form(equation.parent_input.coeff), _form(equation.z_side_input.coeff))
     cost = index._costs.get(key)
     if cost is None:
-        scratch = OpCounters()
-        _count_matvec(equation.e_side_input.coeff, scratch)
-        _count_rake(equation.parent_input.coeff, equation.z_side_input.coeff, scratch)
-        scratch.count_equation()
-        cost = index._costs[key] = scratch.as_cost()
+        e_side, parent, z_side = key
+        evaluation = (0, 0, 1, 0, 0)  # the equation itself
+        cost = sum_costs(sum_costs(matvec_cost(e_side), rake_cost(parent, z_side)), evaluation)
+        index._costs[key] = cost
     return cost
 
 
@@ -171,9 +154,10 @@ class CoeffRecord:
 
     lambda(owner) = left.coeff . lambda(left_child) * right.coeff . lambda(right_child)
 
-    version 0 holds the base-tree conditional matrices; each later version is
-    created by one rake below the owner and shares the untouched side's slot
-    with its predecessor.
+    index.records[owner] lists the versions in order.  The first holds the
+    base-tree conditional matrices; each later version is created by one
+    rake below the owner and shares the untouched side's slot with its
+    predecessor.
 
     above is the next version on the root-ward query walk: the owner's next
     version, or, for the last version of a raked node, the grandparent
@@ -184,7 +168,6 @@ class CoeffRecord:
     """
 
     owner: str
-    version: int
     level: int
     left: Slot
     right: Slot
@@ -362,7 +345,7 @@ def contract(tree: CausalTree, coeffs: dict[str, object] | None = None,
             left_coeff = coeffs[left] if coeffs is not None else tree.nodes[left].cpt
             right_coeff = coeffs[right] if coeffs is not None else tree.nodes[right].cpt
             rec = CoeffRecord(
-                owner=node_id, version=0, level=0,
+                owner=node_id, level=0,
                 left=index._new_slot(left_coeff, node_id, LEFT, 0),
                 right=index._new_slot(right_coeff, node_id, RIGHT, 0),
                 left_child=left, right_child=right)
@@ -459,7 +442,7 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
 
     shared = grand_pre.side_slot(1 - parent_side)
     post = CoeffRecord(
-        owner=grand, version=grand_pre.version + 1, level=level,
+        owner=grand, level=level,
         left=new_slot if parent_side == LEFT else shared,
         right=new_slot if parent_side == RIGHT else shared,
         left_child=survivor if parent_side == LEFT else sibling,
@@ -547,7 +530,8 @@ def calc_pi_lambda(index: ContractionIndex, node_id: str, level: int) -> PiLambd
     if entry is None or entry.record is None:
         raise LevelOutOfRange(f"{node_id!r} has no equations at level {level}")
     pi, (lam_left, lam_right) = _walk(index, entry.record)
-    return PiLambdaTriple(pi=pi.copy(), lambda_left=lam_left, lambda_right=lam_right)
+    return PiLambdaTriple(pi=pi.copy(), lambda_left=lam_left.copy(),
+                          lambda_right=lam_right.copy())
 
 
 def _walk(index: ContractionIndex, rec: CoeffRecord):

@@ -10,31 +10,37 @@ counts r*m*c; rescaling a matrix by a diagonal counts r*c.
 Those counts depend only on the shapes involved, so the contraction index
 fixes the cost of each of its operations when it is built and adds it in
 one step.  A cost is a tuple (matrix_vector_mults, matrix_matrix_mults,
-equation_evals, scalar_mult_adds, matmat_mult_adds, shape tags as sorted
-(tag, count) pairs).
+equation_evals, scalar_mult_adds, matmat_mult_adds).
+
+The cost of a product with a stored coefficient follows from its form, the
+tuple of its factor shapes: (M.shape,) for a dense matrix, (left.shape,
+right.shape) for a factored one.  matvec_cost and rake_cost are the one
+rule every coefficient is counted by.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-NO_COST = (0, 0, 0, 0, 0, ())
+NO_COST = (0, 0, 0, 0, 0)
 
 
 def sum_costs(a: tuple, b: tuple) -> tuple:
     """The cost of doing a's work and then b's."""
-    tags = _sum_tags(a[5], b[5]) if a[5] and b[5] else a[5] or b[5]
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4], tags)
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4])
 
 
-@functools.lru_cache(maxsize=4096)
-def _sum_tags(a: tuple, b: tuple) -> tuple:
-    """Merged tag counts; few distinct ones occur, so they are shared."""
-    merged = dict(a)
-    for tag, n in b:
-        merged[tag] = merged.get(tag, 0) + n
-    return tuple(sorted(merged.items()))
+def matvec_cost(form: tuple) -> tuple:
+    """coeff @ vec or vec @ coeff: one matrix-vector product per factor."""
+    return (len(form), 0, 0, sum(rows * cols for rows, cols in form), 0)
+
+
+def rake_cost(parent_form: tuple, other_form: tuple) -> tuple:
+    """(parent * diag) @ other: the diagonal scales the parent's last factor,
+    which is then multiplied through each factor of other in turn."""
+    rows, cols = parent_form[-1]
+    matmat = sum(rows * inner * out for inner, out in other_form)
+    return (0, len(other_form), 0, rows * cols + matmat, matmat)
 
 
 @dataclass
@@ -46,19 +52,9 @@ class OpCounters:
     # Portion of scalar_mult_adds contributed by matrix-matrix products only.
     # This isolates the O(K^3)-vs-O(K*L^2) comparison for factored pipelines.
     matmat_mult_adds: int = 0
-    # Histogram of product shapes seen in factored pipelines, e.g. "LKxKL".
-    shape_tags: dict[str, int] = field(default_factory=dict)
 
     def count_matvec(self, rows: int, cols: int) -> None:
         self.matrix_vector_mults += 1
-        self.scalar_mult_adds += rows * cols
-
-    def count_matmat(self, rows: int, inner: int, cols: int) -> None:
-        self.matrix_matrix_mults += 1
-        self.scalar_mult_adds += rows * inner * cols
-        self.matmat_mult_adds += rows * inner * cols
-
-    def count_diag_scale(self, rows: int, cols: int) -> None:
         self.scalar_mult_adds += rows * cols
 
     def count_vector_op(self, n: int) -> None:
@@ -67,25 +63,14 @@ class OpCounters:
     def count_equation(self) -> None:
         self.equation_evals += 1
 
-    def tag(self, shape: str) -> None:
-        self.shape_tags[shape] = self.shape_tags.get(shape, 0) + 1
-
     def add(self, cost: tuple) -> None:
         """Add a precomputed cost (see the module docstring)."""
-        mv, mm, equations, mult_adds, matmat_adds, tags = cost
+        mv, mm, equations, mult_adds, matmat_adds = cost
         self.matrix_vector_mults += mv
         self.matrix_matrix_mults += mm
         self.equation_evals += equations
         self.scalar_mult_adds += mult_adds
         self.matmat_mult_adds += matmat_adds
-        for tag, n in tags:
-            self.shape_tags[tag] = self.shape_tags.get(tag, 0) + n
-
-    def as_cost(self) -> tuple:
-        """Everything counted so far, as one cost."""
-        return (self.matrix_vector_mults, self.matrix_matrix_mults, self.equation_evals,
-                self.scalar_mult_adds, self.matmat_mult_adds,
-                tuple(sorted(self.shape_tags.items())))
 
     def snapshot(self) -> tuple[int, int, int, int]:
         return (

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contraction import ContractionIndex, belief_query, contract, update_evidence
+from .contraction import ContractionIndex, _rake_product, belief_query, contract, update_evidence
 from .counters import OpCounters
 from .errors import (
     ConstructionError,
@@ -352,9 +352,8 @@ class FactoredMatrix:
     right (L x K_child); never materialized outside tests.
 
     Implements the coefficient protocol used by contraction: the ndarray
-    products below, count_matvec / count_rake, form and materialize.  Only
-    four product shapes occur, tagged on the counters so tests can assert
-    nothing else sneaks in.
+    products below, form and materialize.  counters.py counts every product
+    from form alone.
     """
 
     __slots__ = ("left", "right")
@@ -381,14 +380,17 @@ class FactoredMatrix:
 
     # Plain products, as on an ndarray: self @ vec, vec @ self (the
     # transposed product), self * diag (scales the columns) and self @ other
-    # (keeps self's left factor and folds the rest into the right one, so a
-    # rake costs O(K L^2)).  numpy defers vec @ self to __rmatmul__.
+    # for a factored or dense matrix (keeps self's left factor and folds the
+    # rest into the right one, so a rake costs O(K L^2)).  numpy defers
+    # vec @ self to __rmatmul__.
     __array_ufunc__ = None
 
     def __matmul__(self, other):
         if isinstance(other, FactoredMatrix):
             return FactoredMatrix(self.left, (self.right @ other.left) @ other.right)
-        return self.left @ (self.right @ other)
+        if other.ndim == 1:
+            return self.left @ (self.right @ other)
+        return FactoredMatrix(self.left, self.right @ other)
 
     def __rmatmul__(self, vec: np.ndarray) -> np.ndarray:
         return (vec @ self.left) @ self.right
@@ -396,35 +398,9 @@ class FactoredMatrix:
     def __mul__(self, diag: np.ndarray) -> "FactoredMatrix":
         return FactoredMatrix(self.left, self.right * diag)
 
-    # Counted products and their counts alone.
-    def count_matvec(self, counters: OpCounters) -> None:
-        counters.tag("matxvec")
-        counters.count_matvec(*self.right.shape)
-        counters.count_matvec(*self.left.shape)
-
-    def count_rake(self, other: "FactoredMatrix", counters: OpCounters) -> None:
-        if not isinstance(other, FactoredMatrix):
-            raise DimensionMismatch("factored coefficients only combine with factored ones")
-        counters.tag("LKxdiag")
-        counters.count_diag_scale(*self.right.shape)
-        counters.tag("LKxKL")
-        counters.count_matmat(*self.right.shape, other.left.shape[1])
-        counters.tag("LLxLK")
-        counters.count_matmat(self.right.shape[0], other.left.shape[1], other.right.shape[1])
-
-    def matvec(self, vec: np.ndarray, counters: OpCounters) -> np.ndarray:
-        self.count_matvec(counters)
-        return self @ vec
-
-    def rmatvec(self, vec: np.ndarray, counters: OpCounters) -> np.ndarray:
-        self.count_matvec(counters)
-        return vec @ self
-
-    def rake_product(self, diag: np.ndarray, other: "FactoredMatrix",
-                     counters: OpCounters) -> "FactoredMatrix":
+    def rake_product(self, diag: np.ndarray, other, counters: OpCounters) -> "FactoredMatrix":
         """self . Diag(diag) . other, counted."""
-        self.count_rake(other, counters)
-        return (self * diag) @ other
+        return _rake_product(self, diag, other, counters)
 
     def materialize(self) -> np.ndarray:
         return self.left @ self.right

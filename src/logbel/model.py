@@ -536,15 +536,17 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
     passing the rest down, with the identity over the parent's domain as
     edge matrix; the chain is emitted in one pass.  Nodes with exactly one
     child gain a virtual unit-domain evidence leaf (likelihood [1],
-    all-ones column edge matrix).  Original ids are preserved, so the id
-    map is the identity on them; beliefs of original nodes are unchanged.
+    all-ones column edge matrix), and a childless root gains two; a lone
+    root's own evidence, if any, becomes the first one's edge column.
+    Original ids are preserved, so the id map is the identity on them;
+    beliefs of original nodes are unchanged.
 
     The dummies are declared after the original nodes, so every holder's
     kept child comes first.  tree is a validated CausalTree and the
     dummies' tables are constant, so the result is not checked again.  Its
     nodes share tree's tables, which nothing writes in place.
     """
-    if tree.is_complete_binary():
+    if tree.is_complete_binary() and tree.n > 1:
         return tree, {nid: nid for nid in tree.nodes}
 
     parent = {nid: n.parent for nid, n in tree.nodes.items()}
@@ -579,6 +581,13 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
     nodes = [Node(id=node.id, domain=node.domain, parent=parent[node.id],
                   cpt=node.cpt, prior=node.prior, evidence=node.evidence)
              for node in tree.nodes.values()]
+    if tree.n == 1:
+        root = nodes[0]
+        lam = np.ones(root.domain) if root.evidence is None else root.evidence
+        root.evidence = None
+        for column in (lam, np.ones(root.domain)):
+            aux.append(Node(id=fresh("unit"), domain=1, parent=root.id,
+                            cpt=column[:, None], evidence=np.ones(1)))
     return CausalTree.unchecked(nodes + aux, tree.root), {nid: nid for nid in tree.nodes}
 
 

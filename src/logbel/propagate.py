@@ -99,10 +99,12 @@ def _pi_at(tree: CausalTree, node_id: str, parent_pi: np.ndarray,
 
 
 def belief(table: PropagationTable, node_id: str) -> Belief:
-    """Constant-time lookup in a finished propagation table."""
+    """Constant-time lookup in a finished propagation table; the caller
+    gets its own copy."""
     if node_id not in table.beliefs:
         raise UnknownNode(f"no node {node_id!r}")
-    return table.beliefs[node_id]
+    found = table.beliefs[node_id]
+    return Belief(dist=found.dist.copy(), normalizer=found.normalizer)
 
 
 class FullState:

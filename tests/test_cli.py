@@ -101,6 +101,19 @@ class TestRun:
         got = np.array([float(v) for v in out.split()[2:]])
         np.testing.assert_allclose(got, want, atol=1e-9)
 
+    def test_one_node_network(self, tmp_path, capsys):
+        net = write_json(tmp_path, "net.json",
+                         {"nodes": [{"id": "r", "domain": 2, "prior": [0.3, 0.7]}]})
+        ops = write_stream(tmp_path, "ops.txt", "Q r\n")
+        for strategy in ("full", "lazy", "contract"):
+            assert main(["run", "--network", net, "--ops", ops,
+                         "--strategy", strategy]) == 0
+            assert capsys.readouterr().out == "Q r 0.300000000000 0.700000000000\n"
+        for oracle in ("brute", "full"):
+            assert main(["verify", "--network", net, "--ops", ops,
+                         "--oracle", oracle]) == 0
+            assert capsys.readouterr().out.startswith("PASS")
+
     def test_parse_failure(self, tmp_path, capsys):
         net = write_json(tmp_path, "net.json", IDENTITY_NET)
         ops = write_stream(tmp_path, "ops.txt", "X u 1\n")

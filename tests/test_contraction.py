@@ -192,9 +192,13 @@ class TestStorage:
             np.testing.assert_allclose(materialize(slot.coeff), np.eye(2), atol=1e-15)
 
 
-def _version(rec):
-    return None if rec is None else (rec.owner, rec.version, rec.level,
-                                     rec.left_child, rec.right_child)
+def _version(index, rec):
+    """A record as owner, position among the owner's versions, level and
+    children; None for a leaf."""
+    if rec is None:
+        return None
+    position = next(i for i, r in enumerate(index.records[rec.owner]) if r is rec)
+    return (rec.owner, position, rec.level, rec.left_child, rec.right_child)
 
 
 class TestLevelViews:
@@ -217,8 +221,8 @@ class TestLevelViews:
                 assert len(view) == len(part._live_children)
                 for node_id in part._live_children:
                     recs = part.records.get(node_id)
-                    assert _version(view[node_id].record) == \
-                        _version(recs[-1] if recs else None)
+                    assert _version(full, view[node_id].record) == \
+                        _version(part, recs[-1] if recs else None)
                 assert part._frontier() == level.leaves
                 assert part.levels[-1].leaves == level.leaves
                 removed = next(iter(part.removed_by), None)
@@ -389,6 +393,15 @@ class TestCalcPiLambda:
                     np.testing.assert_allclose(triple.lambda_right,
                                                table.lambdas[entry.record.right_child],
                                                rtol=1e-9, atol=1e-300)
+
+    def test_results_own_their_arrays(self):
+        index = contract(chain_tree(9, k=2, rng=np.random.default_rng(3)))
+        before = belief_query(index, "x1").dist
+        for level in index.levels:
+            triple = calc_pi_lambda(index, index.root, level.index)
+            for vec in (triple.pi, triple.lambda_left, triple.lambda_right):
+                vec[:] = [1.0, 0.0]
+        np.testing.assert_array_equal(belief_query(index, "x1").dist, before)
 
     def test_level_out_of_range(self):
         index = contract(chain_tree(9, k=2, rng=np.random.default_rng(3)))

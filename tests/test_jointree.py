@@ -34,11 +34,10 @@ from logbel import (
     update_evidence,
 )
 from logbel.contraction import _rake_product, contract, materialize
+from logbel.counters import matvec_cost, rake_cost
 from logbel.generate import random_likelihood
 from logbel.jointree import FactoredMatrix, _family_weights, _separator_conditional
 from logbel.model import TableBatch
-
-SANCTIONED_TAGS = {"LKxKL", "LKxdiag", "LLxLK", "matxvec"}
 
 
 def vee_polytree(prior_a=(0.4, 0.6)):
@@ -582,19 +581,6 @@ class TestFactoredMatrix:
         with pytest.raises(DimensionMismatch):
             FactoredMatrix(np.ones((3, 2)), np.ones((3, 2)))
 
-    def test_matvec_matches_dense(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            K, L, K2 = (int(x) for x in rng.integers(1, 7, size=3))
-            fm = FactoredMatrix(rng.random((K, L)), rng.random((L, K2)))
-            dense = fm.materialize()
-            v = rng.random(K2)
-            w = rng.random(K)
-            counters = OpCounters()
-            np.testing.assert_allclose(fm.matvec(v, counters), dense @ v, rtol=1e-12)
-            np.testing.assert_allclose(fm.rmatvec(w, counters), dense.T @ w, rtol=1e-12)
-            assert set(counters.shape_tags) == {"matxvec"}
-
     def test_plain_operators_match_dense(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
@@ -625,7 +611,46 @@ class TestFactoredMatrix:
             dense = parent.materialize() @ np.diag(diag) @ other.materialize()
             np.testing.assert_allclose(fused.materialize(), dense, rtol=1e-12)
             assert fused.width == parent.width
-            assert set(counters.shape_tags) <= SANCTIONED_TAGS
+            assert counters.matmat_mult_adds == 2 * L * K * L
+
+    def test_cost_rule_matches_closed_forms(self):
+        """One product per factor for coeff @ vec; a rake scales the parent's
+        last factor, then multiplies it through each factor of the other."""
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            K, L, K2, L2, K3 = (int(x) for x in rng.integers(1, 9, size=5))
+            dense, factored = ((K, K2),), ((K, L), (L, K2))
+            assert matvec_cost(dense) == (1, 0, 0, K * K2, 0)
+            assert matvec_cost(factored) == (2, 0, 0, K * L + L * K2, 0)
+            other_dense, other_factored = ((K2, K3),), ((K2, L2), (L2, K3))
+            mm = K * K2 * K3
+            assert rake_cost(dense, other_dense) == (0, 1, 0, K * K2 + mm, mm)
+            mm = K * K2 * L2 + K * L2 * K3
+            assert rake_cost(dense, other_factored) == (0, 2, 0, K * K2 + mm, mm)
+            mm = L * K2 * K3
+            assert rake_cost(factored, other_dense) == (0, 1, 0, L * K2 + mm, mm)
+            mm = L * K2 * L2 + L * L2 * K3
+            assert rake_cost(factored, other_factored) == (0, 2, 0, L * K2 + mm, mm)
+
+    def test_mixed_rakes_count_the_work_done(self):
+        """Dense over factored and factored over dense, K=6 and width 1."""
+        rng = np.random.default_rng(16)
+        dense = rng.random((6, 6))
+        fm = FactoredMatrix(rng.random((6, 1)), rng.random((1, 6)))
+        diag = rng.random(6)
+        want = dense @ np.diag(diag) @ fm.materialize()
+        counters = OpCounters()
+        got = _rake_product(dense, diag, fm, counters)  # ((M * diag) @ left) @ right
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert (counters.matrix_matrix_mults, counters.matmat_mult_adds,
+                counters.scalar_mult_adds) == (2, 36 + 36, 36 + 72)
+        want = fm.materialize() @ np.diag(diag) @ dense
+        counters = OpCounters()
+        got = _rake_product(fm, diag, dense, counters)  # left, (right * diag) @ M
+        assert isinstance(got, FactoredMatrix) and got.width == 1
+        np.testing.assert_allclose(got.materialize(), want, rtol=1e-12)
+        assert (counters.matrix_matrix_mults, counters.matmat_mult_adds,
+                counters.scalar_mult_adds) == (1, 36, 6 + 36)
 
     def test_identity_factors_stay_identity(self):
         eye = np.eye(3)
@@ -669,13 +694,22 @@ class TestFactoredAgainstDenseContraction:
                 np.testing.assert_allclose(materialize(fs.coeff),
                                            materialize(ds.coeff), atol=1e-12)
 
-    def test_only_sanctioned_shapes_appear(self):
+    def test_mixed_coefficients_match_dense(self):
+        """Dense and factored coefficients mixed on one tree answer as the
+        dense tree does."""
         rng = np.random.default_rng(14)
         pt = random_polytree(8, 2, 2, rng)
-        engine = build_engine(pt)
+        compiled = build_engine(pt).compiled
+        dense_coeffs = {nid: fm.materialize() for nid, fm in compiled.coeffs.items()}
+        mixed = {nid: fm if i % 2 else dense_coeffs[nid]
+                 for i, (nid, fm) in enumerate(compiled.coeffs.items())}
+        dense_index = contract(compiled.tree.copy(), coeffs=dense_coeffs)
+        mixed_index = contract(compiled.tree.copy(), coeffs=mixed)
         for _ in range(15):
             vid = str(rng.choice(list(pt.variables)))
-            polytree_update(engine, vid,
-                            random_likelihood(pt.variables[vid].domain, rng))
-            polytree_query(engine, str(rng.choice(list(pt.variables))))
-        assert set(engine.counters.shape_tags) <= SANCTIONED_TAGS
+            vec = random_likelihood(pt.variables[vid].domain, rng)
+            for index in (dense_index, mixed_index):
+                update_evidence(index, compiled.evidence_leaf[vid], vec)
+            node = compiled.clique_node[str(rng.choice(list(pt.variables)))]
+            np.testing.assert_allclose(belief_query(mixed_index, node).dist,
+                                       belief_query(dense_index, node).dist, atol=1e-12)

@@ -329,6 +329,19 @@ class TestNormalizeTree:
         for leaf in unit_leaves:
             np.testing.assert_array_equal(leaf.evidence, [1.0])
 
+    def test_lone_root_gets_two_unit_leaves(self):
+        for evidence in (None, [0.2, 0.9]):
+            spec = {"id": "r", "domain": 2, "prior": [0.3, 0.7]}
+            if evidence is not None:
+                spec["evidence"] = evidence
+            tree = build_tree({"nodes": [spec]})
+            normalized, id_map = normalize_tree(tree)
+            assert normalized.is_complete_binary() and normalized.n == 3
+            assert id_map == {"r": "r"} and tree.nodes["r"].children == []
+            assert normalized.nodes["r"].evidence is None
+            np.testing.assert_allclose(brute_force_marginal(normalized, "r").dist,
+                                       brute_force_marginal(tree, "r").dist, atol=1e-15)
+
     def test_marginals_preserved(self):
         rng = np.random.default_rng(42)
         for fanout in (3, 4, 5):

@@ -18,6 +18,7 @@ from logbel import (
     set_evidence,
 )
 from logbel.generate import balanced_tree, random_likelihood, random_tree
+from logbel.propagate import FullState
 
 
 def conflicting_tree():
@@ -99,6 +100,13 @@ class TestBelief:
         first = belief(table, tree.root).dist
         second = belief(table, tree.root).dist
         assert np.array_equal(first, second)
+
+    def test_full_state_results_own_their_arrays(self):
+        tree = random_tree(15, k=2, rng=np.random.default_rng(6))
+        state = FullState(tree)
+        before = state.query(tree.root).dist.copy()
+        state.query(tree.root).dist[:] = 0.0
+        np.testing.assert_array_equal(state.query(tree.root).dist, before)
 
     def test_unknown_node(self):
         tree = random_tree(7, k=2, rng=np.random.default_rng(7))

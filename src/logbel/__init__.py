@@ -68,6 +68,7 @@ from .jointree import (
     Clique,
     CompiledTree,
     FactoredMatrix,
+    Identity,
     JoinTree,
     Polytree,
     PolytreeEngine,
@@ -90,7 +91,7 @@ __all__ = [
     "AllZeroLikelihood", "Belief", "CausalTree", "Clique", "CompiledTree",
     "ConstructionError", "ContractionIndex", "Cycle", "DimensionMismatch",
     "DimensionOverflow", "DuplicateId", "Evidence", "FactoredMatrix",
-    "FormatError", "ImpossibleEvidence", "InvalidProbability", "JoinTree",
+    "FormatError", "Identity", "ImpossibleEvidence", "InvalidProbability", "JoinTree",
     "LazyState", "LeafWithoutEvidence", "LevelOutOfRange", "LogbelError",
     "MissingRoot", "MultipleRoots", "Node", "NotALeaf", "NotAPolytree",
     "NotRakeable", "OpCounters", "PiLambdaTriple", "Polytree",

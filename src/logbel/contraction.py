@@ -14,11 +14,16 @@ of equation versions.  Both touch O(log N) equations on balanced rake
 schedules.
 
 Coefficients are dense ndarrays by default; any object with the same
-products (coeff @ vec, vec @ coeff, coeff * diag, coeff @ other), plus form
-(its factor shapes) and materialize (see jointree.FactoredMatrix), can be
-substituted per edge through the coeffs argument of contract(), dense and
-factored ones mixed freely.  Operation counts come from the forms alone,
-by the one rule in counters.py (matvec_cost and rake_cost).
+products (coeff @ vec, vec @ coeff, coeff * diag, coeff @ other), plus shape,
+form (its factor shapes) and materialize, can be substituted per edge
+through the coeffs argument of contract(), forms mixed freely.  The package
+has two: jointree.FactoredMatrix, form (left.shape, right.shape), and
+jointree.Identity, form (), which every product passes through for free.
+Operation counts come from the forms alone, by the one rule in counters.py
+(matvec_cost and rake_cost), and a product's result takes the cheapest form
+that rule allows: a two-factor product whose matrix-vector product is not
+strictly cheaper than the dense one's is multiplied out
+(counters.factored_pays), and its counts include that product.
 """
 
 from __future__ import annotations
@@ -43,14 +48,14 @@ from .model import Belief, CausalTree, normalize_belief, set_evidence
 LEFT, RIGHT = 0, 1
 
 
-# -- coefficient algebra (dense ndarray or duck-typed factored form) ------------
+# -- coefficient algebra (dense ndarray or a duck-typed form) ------------------
 #
-# Ops evaluate coefficients with plain operators, which ndarrays and
-# jointree.FactoredMatrix both support: coeff @ vec, vec @ coeff (the
-# transposed product) and (coeff * diag) @ other.  Their operation counts
-# depend only on coefficient forms (counters.matvec_cost and rake_cost), so
-# they are fixed once per stored equation when the index is built (see
-# _equation_cost and _rake_cost).
+# Ops evaluate coefficients with plain operators, which ndarrays,
+# jointree.FactoredMatrix and jointree.Identity all support: coeff @ vec,
+# vec @ coeff (the transposed product) and (coeff * diag) @ other.  Their
+# operation counts depend only on coefficient forms (counters.matvec_cost
+# and rake_cost), so they are fixed once per stored equation when the index
+# is built (see _equation_cost and _rake_cost).
 
 def _form(coeff) -> tuple:
     """The factor shapes a coefficient's operation counts depend on."""
@@ -72,11 +77,12 @@ def _equation_cost(index: "ContractionIndex", rec: "CoeffRecord") -> tuple:
     child vectors, then their product.  A pi step through the version (one
     side times the sibling's lambda, a product with pi, the other side
     transposed) counts the same."""
-    key = (_form(rec.left.coeff), _form(rec.right.coeff))
+    K = rec.left.coeff.shape[0]
+    key = (K, _form(rec.left.coeff), _form(rec.right.coeff))
     cost = index._costs.get(key)
     if cost is None:
-        left, right = key
-        product = (0, 0, 1, left[0][0], 0)  # the equation and its vector product
+        _, left, right = key
+        product = (0, 0, 1, K, 0)  # the equation and its vector product
         cost = sum_costs(sum_costs(matvec_cost(left), matvec_cost(right)), product)
         index._costs[key] = cost
     return cost
@@ -313,7 +319,7 @@ class ContractionIndex:
         return belief_query(self, node_id)
 
 
-def contract(tree: CausalTree, coeffs: dict[str, object] | None = None,
+def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None,
              _max_rounds: int | None = None) -> ContractionIndex:
     """Build the full contraction hierarchy for a complete binary tree.
 
@@ -323,8 +329,9 @@ def contract(tree: CausalTree, coeffs: dict[str, object] | None = None,
     matrices are shared with the tree, not copied; no update writes to a
     conditional matrix.
 
-    coeffs optionally maps each non-root node id to the coefficient object
-    for the edge entering it (defaults to the node's conditional matrix).
+    coeffs optionally maps non-root node ids to the coefficient object for
+    the edge entering each; an edge it does not list uses its node's
+    conditional matrix.
     Raises TreeTooSmall for trees under three nodes.  _max_rounds stops
     early and leaves the index in its live, partially contracted state;
     only rake() may be called on such an index.
@@ -334,6 +341,7 @@ def contract(tree: CausalTree, coeffs: dict[str, object] | None = None,
     if not tree.is_complete_binary():
         raise ConstructionError("contraction requires a complete binary tree; run normalize_tree first")
 
+    coeffs = {} if coeffs is None else coeffs
     index = ContractionIndex(tree)
     index._live_children = {nid: list(n.children) for nid, n in tree.nodes.items()}
     index._live_parent = {nid: n.parent for nid, n in tree.nodes.items()}
@@ -342,8 +350,8 @@ def contract(tree: CausalTree, coeffs: dict[str, object] | None = None,
         node = tree.nodes[node_id]
         if node.children:
             left, right = node.children
-            left_coeff = coeffs[left] if coeffs is not None else tree.nodes[left].cpt
-            right_coeff = coeffs[right] if coeffs is not None else tree.nodes[right].cpt
+            left_coeff = coeffs.get(left, tree.nodes[left].cpt)
+            right_coeff = coeffs.get(right, tree.nodes[right].cpt)
             rec = CoeffRecord(
                 owner=node_id, level=0,
                 left=index._new_slot(left_coeff, node_id, LEFT, 0),

@@ -14,8 +14,12 @@ equation_evals, scalar_mult_adds, matmat_mult_adds).
 
 The cost of a product with a stored coefficient follows from its form, the
 tuple of its factor shapes: (M.shape,) for a dense matrix, (left.shape,
-right.shape) for a factored one.  matvec_cost and rake_cost are the one
-rule every coefficient is counted by.
+right.shape) for a factored one, () for the identity, which every product
+passes through for free.  matvec_cost and rake_cost are the one rule every
+coefficient is counted by, and factored_pays the one rule that decides
+which form a product keeps: two factors only while their matrix-vector
+product is strictly cheaper than the dense one, else the product is
+multiplied out (and rake_cost counts that product too).
 """
 
 from __future__ import annotations
@@ -35,12 +39,33 @@ def matvec_cost(form: tuple) -> tuple:
     return (len(form), 0, 0, sum(rows * cols for rows, cols in form), 0)
 
 
+def factored_pays(form: tuple) -> bool:
+    """Whether a two-factor form's matrix-vector product is strictly cheaper
+    than that of the dense matrix it stands for."""
+    (rows, inner), (_, cols) = form
+    return rows * inner + inner * cols < rows * cols
+
+
 def rake_cost(parent_form: tuple, other_form: tuple) -> tuple:
     """(parent * diag) @ other: the diagonal scales the parent's last factor,
-    which is then multiplied through each factor of other in turn."""
-    rows, cols = parent_form[-1]
-    matmat = sum(rows * inner * out for inner, out in other_form)
-    return (0, len(other_form), 0, rows * cols + matmat, matmat)
+    which is then multiplied through each factor of other in turn.  Through
+    an identity parent the diagonal scales other's first factor instead
+    (nothing at all if other is an identity too: the result is the
+    diagonal).  A two-factor result that does not pay is multiplied out."""
+    if parent_form:
+        rows, cols = parent_form[-1]
+        matmats = len(other_form)
+        matmat = sum(rows * inner * out for inner, out in other_form)
+        form = parent_form[:-1] + ((rows, other_form[-1][1]),) if other_form else parent_form
+    elif other_form:
+        (rows, cols), matmats, matmat, form = other_form[0], 0, 0, other_form
+    else:
+        return NO_COST
+    if len(form) == 2 and not factored_pays(form):
+        (out_rows, inner), (_, out_cols) = form
+        matmats += 1
+        matmat += out_rows * inner * out_cols
+    return (0, matmats, 0, rows * cols + matmat, matmat)
 
 
 @dataclass

@@ -3,9 +3,10 @@
 A polytree's moral graph is chordal and each of its maximal cliques is a
 family {v} union parents(v), so the join tree has one clique per variable,
 one edge per polytree edge, and singleton separators.  The join tree is
-itself a causal tree over clique-valued variables; edge conditionals are
-stored factored as (projection J) . (separator-conditional R), which keeps
-rake updates at O(K L^2) instead of O(K^3).
+itself a causal tree over clique-valued variables; an edge conditional is
+stored factored as (projection J) . (separator-conditional R) where that is
+the cheaper form, which keeps rake updates at O(K L^2) instead of O(K^3),
+and identity edges are stored as Identity, which costs nothing.
 
 Clique states use mixed-radix indexing with the clique's own variable most
 significant, then its parents in declaration order.  CPT rows likewise run
@@ -17,11 +18,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .contraction import ContractionIndex, _rake_product, belief_query, contract, update_evidence
-from .counters import OpCounters
+from .counters import OpCounters, factored_pays
 from .errors import (
     ConstructionError,
     DimensionMismatch,
@@ -345,16 +347,74 @@ def prior_marginals(pt: Polytree) -> dict[str, np.ndarray]:
     return marginals
 
 
-# -- factored coefficients ---------------------------------------------------------
+# -- coefficient forms -------------------------------------------------------------
+#
+# Besides dense ndarrays, a stored coefficient may be a FactoredMatrix or an
+# Identity.  Both implement the coefficient protocol used by contraction:
+# the ndarray products, form and materialize.  counters.py counts every
+# product from forms alone, and every product keeps the cheapest form that
+# rule allows (_cheapest).
+
+
+def _cheapest(left: np.ndarray, right: np.ndarray):
+    """left @ right, factored while that pays (counters.factored_pays),
+    multiplied out otherwise."""
+    if factored_pays((left.shape, right.shape)):
+        return FactoredMatrix(left, right)
+    return left @ right
+
+
+class Identity:
+    """The K x K identity: form (), and every product passes through it
+    uncounted.  Identity * diag is Diag(diag), which scales the rows of what
+    it multiplies (a diagonal, if that is an identity too)."""
+
+    __slots__ = ("K",)
+    form = ()
+    __array_ufunc__ = None  # numpy defers vec @ self to __rmatmul__
+
+    def __init__(self, K: int):
+        self.K = K
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.K, self.K)
+
+    def __matmul__(self, other):
+        return other
+
+    def __rmatmul__(self, vec: np.ndarray) -> np.ndarray:
+        return vec
+
+    def __mul__(self, diag: np.ndarray) -> "_Diagonal":
+        return _Diagonal(diag)
+
+    def materialize(self) -> np.ndarray:
+        return np.eye(self.K)
+
+    def __repr__(self):
+        return f"<Identity {self.K}>"
+
+
+class _Diagonal:
+    """Diag(diag), the left side of a rake through an identity parent."""
+
+    __slots__ = ("diag",)
+
+    def __init__(self, diag: np.ndarray):
+        self.diag = diag
+
+    def __matmul__(self, other):
+        if isinstance(other, np.ndarray):
+            return self.diag[:, None] * other
+        if isinstance(other, FactoredMatrix):
+            return _cheapest(self.diag[:, None] * other.left, other.right)
+        return np.diag(self.diag)  # Diag . Identity
+
 
 class FactoredMatrix:
-    """K_parent x K_child conditional stored as left (K_parent x L) times
-    right (L x K_child); never materialized outside tests.
-
-    Implements the coefficient protocol used by contraction: the ndarray
-    products below, form and materialize.  counters.py counts every product
-    from form alone.
-    """
+    """K_parent x K_child matrix stored as left (K_parent x L) times right
+    (L x K_child).  Its products stay factored while that pays."""
 
     __slots__ = ("left", "right")
 
@@ -380,17 +440,19 @@ class FactoredMatrix:
 
     # Plain products, as on an ndarray: self @ vec, vec @ self (the
     # transposed product), self * diag (scales the columns) and self @ other
-    # for a factored or dense matrix (keeps self's left factor and folds the
-    # rest into the right one, so a rake costs O(K L^2)).  numpy defers
-    # vec @ self to __rmatmul__.
+    # for a dense, factored or identity matrix (keeps self's left factor and
+    # folds the rest into the right one, so a rake costs O(K L^2), unless
+    # the result is cheaper dense).  numpy defers vec @ self to __rmatmul__.
     __array_ufunc__ = None
 
     def __matmul__(self, other):
+        if isinstance(other, np.ndarray):
+            if other.ndim == 1:
+                return self.left @ (self.right @ other)
+            return _cheapest(self.left, self.right @ other)
         if isinstance(other, FactoredMatrix):
-            return FactoredMatrix(self.left, (self.right @ other.left) @ other.right)
-        if other.ndim == 1:
-            return self.left @ (self.right @ other)
-        return FactoredMatrix(self.left, self.right @ other)
+            return _cheapest(self.left, (self.right @ other.left) @ other.right)
+        return _cheapest(self.left, self.right)  # self @ Identity
 
     def __rmatmul__(self, vec: np.ndarray) -> np.ndarray:
         return (vec @ self.left) @ self.right
@@ -449,10 +511,10 @@ def _separator_conditional(pt: Polytree, clique: Clique, separator: str,
 
 @dataclass
 class CompiledTree:
-    """Normalized causal tree over cliques plus the factored edge forms."""
+    """Normalized causal tree over cliques plus the edges not stored dense."""
 
     tree: CausalTree
-    coeffs: dict[str, FactoredMatrix]   # tree node id -> factored edge into it
+    coeffs: dict[str, object]           # tree node id -> factored or identity edge into it
     clique_node: dict[str, str]         # variable id -> clique tree-node id
     evidence_leaf: dict[str, str]       # variable id -> indicator leaf id
 
@@ -460,9 +522,21 @@ class CompiledTree:
 def compile_join_tree(jt: JoinTree, pt: Polytree,
                       marginals: dict[str, np.ndarray] | None = None,
                       state_cap: int = DEFAULT_CLIQUE_CAP) -> CompiledTree:
-    """Emit the clique causal tree: domain-K clique nodes, factored edge
+    """Emit the clique causal tree: domain-K clique nodes, edge
     conditionals, one indicator evidence leaf per variable, then normalize
-    to complete binary form with factored identities on the dummy edges.
+    to complete binary form.
+
+    Each edge's coefficient takes its cheapest form, known from shapes by
+    construction and never by comparing arrays.  coeffs lists the edges
+    whose form is not their node's dense cpt:
+    - a clique edge J . R is stored factored when counters.factored_pays
+      says so (never when J is square, as for a parentless parent clique);
+    - the identity splitters normalize_tree adds (domain equal to their
+      parent's) and the evidence leaf of a clique with as many states as
+      its variable (a parentless one's: its projection is the identity)
+      get Identity;
+    - the other evidence leaves (a projection) and the unit leaves (an
+      all-ones column) keep their dense tables.
 
     The emitted tree is validated once, before normalize_tree adds the
     dummies, whose tables are constant.  Projections and identities are
@@ -486,15 +560,13 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
             arr.flags.writeable = False
         return arr
 
-    def identity(k: int) -> np.ndarray:
-        arr = shared.get(("eye", k))
-        if arr is None:
-            arr = shared[("eye", k)] = np.eye(k)
-            arr.flags.writeable = False
-        return arr
+    identities: dict[int, Identity] = {}
+
+    def identity(k: int) -> Identity:
+        return identities.setdefault(k, Identity(k))
 
     nodes: list[Node] = []
-    factored: dict[str, FactoredMatrix] = {}
+    coeffs: dict[str, object] = {}
     clique_node: dict[str, str] = {}
     evidence_leaf: dict[str, str] = {}
 
@@ -515,24 +587,25 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
             R = _separator_conditional(pt, clique, separator, marginals,
                                        projection(clique, separator))
             node.cpt = J @ R
-            factored[node_id] = FactoredMatrix(J, R)
+            if factored_pays((J.shape, R.shape)):
+                coeffs[node_id] = FactoredMatrix(J, R)
         nodes.append(node)
         k_own = clique.domains[0]
-        J_own = projection(clique, cvar)
         nodes.append(Node(id=leaf_id, domain=k_own, parent=node_id,
-                          cpt=J_own, evidence=np.ones(k_own)))
-        factored[leaf_id] = FactoredMatrix(J_own, identity(k_own))
+                          cpt=projection(clique, cvar), evidence=np.ones(k_own)))
+        if clique.K == k_own:
+            coeffs[leaf_id] = identity(k_own)
         stack.extend(cv for cv, _ in reversed(jt.children[cvar]))
     # Preorder declares each clique's evidence leaf before its child cliques,
     # which come in join-tree order, so that is their sibling order.
     tree, _ = normalize_tree(CausalTree(nodes))
-    for node_id, node in tree.nodes.items():
-        if node.parent is None or node_id in factored:
-            continue
-        # normalization dummies (identity splitters, unit virtual leaves):
-        # their constant table, times an identity
-        factored[node_id] = FactoredMatrix(node.cpt, identity(node.domain))
-    return CompiledTree(tree=tree, coeffs=factored,
+    # normalize_tree declares its dummies after the emitted nodes; the
+    # splitters' tables are identities over their parent's domain
+    for node_id in islice(tree.nodes, len(nodes), None):
+        node = tree.nodes[node_id]
+        if node.domain == tree.nodes[node.parent].domain:
+            coeffs[node_id] = identity(node.domain)
+    return CompiledTree(tree=tree, coeffs=coeffs,
                         clique_node=clique_node, evidence_leaf=evidence_leaf)
 
 
@@ -570,7 +643,7 @@ def build_engine(pt: Polytree, root_var: str | None = None,
     jt = build_join_tree(cliques, pt, root_var=root_var)
     marginals = prior_marginals(pt)
     compiled = compile_join_tree(jt, pt, marginals, state_cap=state_cap)
-    index = contract(compiled.tree, coeffs=dict(compiled.coeffs))
+    index = contract(compiled.tree, coeffs=compiled.coeffs)
     return PolytreeEngine(polytree=pt, join_tree=jt, compiled=compiled, index=index)
 
 

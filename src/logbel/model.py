@@ -536,10 +536,11 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
     passing the rest down, with the identity over the parent's domain as
     edge matrix; the chain is emitted in one pass.  Nodes with exactly one
     child gain a virtual unit-domain evidence leaf (likelihood [1],
-    all-ones column edge matrix), and a childless root gains two; a lone
-    root's own evidence, if any, becomes the first one's edge column.
-    Original ids are preserved, so the id map is the identity on them;
-    beliefs of original nodes are unchanged.
+    all-ones column edge matrix).  A lone root stays a leaf, with its
+    evidence, under a new root that takes its prior through an identity
+    edge and has a unit leaf besides, so its evidence is updated as any
+    leaf's.  Original ids are preserved, so the id map is the identity on
+    them; beliefs of original nodes are unchanged.
 
     The dummies are declared after the original nodes, so every holder's
     kept child comes first.  tree is a validated CausalTree and the
@@ -581,14 +582,17 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
     nodes = [Node(id=node.id, domain=node.domain, parent=parent[node.id],
                   cpt=node.cpt, prior=node.prior, evidence=node.evidence)
              for node in tree.nodes.values()]
+    root = tree.root
     if tree.n == 1:
-        root = nodes[0]
-        lam = np.ones(root.domain) if root.evidence is None else root.evidence
-        root.evidence = None
-        for column in (lam, np.ones(root.domain)):
-            aux.append(Node(id=fresh("unit"), domain=1, parent=root.id,
-                            cpt=column[:, None], evidence=np.ones(1)))
-    return CausalTree.unchecked(nodes + aux, tree.root), {nid: nid for nid in tree.nodes}
+        lone = nodes[0]
+        root = fresh("root")
+        aux.append(Node(id=root, domain=lone.domain, prior=lone.prior))
+        aux.append(Node(id=fresh("unit"), domain=1, parent=root,
+                        cpt=np.ones((lone.domain, 1)), evidence=np.ones(1)))
+        lone.parent, lone.cpt, lone.prior = root, np.eye(lone.domain), None
+        if lone.evidence is None:
+            lone.evidence = np.ones(lone.domain)
+    return CausalTree.unchecked(nodes + aux, root), {nid: nid for nid in tree.nodes}
 
 
 # -- joint-enumeration oracle ------------------------------------------------------

@@ -114,6 +114,21 @@ class TestRun:
                          "--oracle", oracle]) == 0
             assert capsys.readouterr().out.startswith("PASS")
 
+    def test_one_node_network_takes_evidence_on_its_root(self, tmp_path, capsys):
+        """The lone root is a leaf, so every engine updates its evidence."""
+        net = write_json(tmp_path, "net.json",
+                         {"nodes": [{"id": "r", "domain": 2, "prior": [0.3, 0.7]}]})
+        ops = write_stream(tmp_path, "ops.txt", "U r 0\nQ r\nS r 0.5 1\nQ r\n")
+        for strategy in ("full", "lazy", "contract"):
+            assert main(["run", "--network", net, "--ops", ops,
+                         "--strategy", strategy]) == 0
+            assert capsys.readouterr().out == ("Q r 1.000000000000 0.000000000000\n"
+                                               "Q r 0.176470588235 0.823529411765\n")
+        for oracle in ("brute", "full"):
+            assert main(["verify", "--network", net, "--ops", ops,
+                         "--oracle", oracle]) == 0
+            assert capsys.readouterr().out.startswith("PASS 2 queries")
+
     def test_parse_failure(self, tmp_path, capsys):
         net = write_json(tmp_path, "net.json", IDENTITY_NET)
         ops = write_stream(tmp_path, "ops.txt", "X u 1\n")

@@ -103,7 +103,11 @@ DENSE_BUILD = (41, 41, 41, 819, 422)
 DENSE_CHAINS = [3, 7, 6, 7, 6, 5, 5, 5, 7, 5, 8, 7, 5, 3, 5, 0, 6, 7, 6, 6, 6, 0, 7, 7, 7, 5, 6, 0, 4,
                 6, 8, 5, 6, 5, 2, 0, 5, 7, 3, 3]
 DENSE_TOTALS = (3332, 242, 1787, 22881, 2530)
-POLYTREE_BUILD = (88, 88, 44, 1171861, 1155067)
+# The polytree numbers were re-recorded when every coefficient took its
+# cheapest form (identity edges free, unprofitable factored products
+# multiplied out): (88, 88, 44, 1171861, 1155067) and
+# (2626, 438, 766, 3833467, 3486101) before.
+POLYTREE_BUILD = (40, 44, 44, 36471, 26891)
 POLYTREE_CHAINS = [5, 5, 3, 3, 3, 6, 3, 0, 6, 5, 5, 4, 7, 4, 6, 6, 5, 5, 6, 5, 8, 6, 5, 3, 1, 5, 5, 3,
                    5, 2, 7, 5, 0, 5, 6, 3, 5, 1, 4, 4]
-POLYTREE_TOTALS = (2626, 438, 766, 3833467, 3486101)
+POLYTREE_TOTALS = (1353, 258, 766, 158982, 86677)

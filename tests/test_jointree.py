@@ -33,10 +33,10 @@ from logbel import (
     random_polytree,
     update_evidence,
 )
-from logbel.contraction import _rake_product, contract, materialize
+from logbel.contraction import _form, _rake_product, contract, materialize
 from logbel.counters import matvec_cost, rake_cost
 from logbel.generate import random_likelihood
-from logbel.jointree import FactoredMatrix, _family_weights, _separator_conditional
+from logbel.jointree import FactoredMatrix, Identity, _family_weights, _separator_conditional
 from logbel.model import TableBatch
 
 
@@ -360,6 +360,7 @@ class TestCompile:
         for node_id, fm in compiled.coeffs.items():
             np.testing.assert_allclose(fm.materialize(),
                                        compiled.tree.nodes[node_id].cpt, atol=1e-12)
+        assert {type(coeff) for coeff in compiled.coeffs.values()} <= {FactoredMatrix, Identity}
 
     def test_dimension_overflow(self):
         pt = vee_polytree()
@@ -432,9 +433,14 @@ class TestCompile:
                     if ours is not None:
                         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
             assert list(compiled.coeffs) == list(ref_coeffs)
-            for node_id, fm in compiled.coeffs.items():
+            for node_id, coeff in compiled.coeffs.items():
                 ref = ref_coeffs[node_id]
-                assert np.array_equal(fm.left, ref.left) and np.array_equal(fm.right, ref.right)
+                assert type(coeff) is type(ref)
+                if isinstance(ref, Identity):
+                    assert coeff.K == ref.K
+                else:
+                    assert np.array_equal(coeff.left, ref.left)
+                    assert np.array_equal(coeff.right, ref.right)
             index = contract(compiled.tree, coeffs=dict(compiled.coeffs))
             ref_index = contract(ref_tree, coeffs=ref_coeffs)
             for _ in range(6):
@@ -467,21 +473,22 @@ def _compile_through_description(jt, pt, marginals):
             R = _separator_conditional(pt, clique, separator, marginals,
                                        clique.projection(separator))
             entry["cpt"] = J @ R
-            coeffs[entry["id"]] = FactoredMatrix(J, R)
+            (rows, width), cols = J.shape, R.shape[1]
+            if rows * width + width * cols < rows * cols:  # factored is cheaper
+                coeffs[entry["id"]] = FactoredMatrix(J, R)
         nodes.append(entry)
         k = clique.domains[0]
         J_own = clique.projection(cvar)
         nodes.append({"id": f"E:{cvar}", "domain": k, "parent": entry["id"],
                       "cpt": J_own, "evidence": [1.0] * k})
-        coeffs[f"E:{cvar}"] = FactoredMatrix(J_own, np.eye(k))
+        if np.array_equal(J_own, np.eye(k)):
+            coeffs[f"E:{cvar}"] = Identity(k)
         stack.extend(cv for cv, _ in reversed(jt.children[cvar]))
-    tree, _ = normalize_tree(build_tree({"nodes": nodes}))
+    raw = build_tree({"nodes": nodes})
+    tree, _ = normalize_tree(raw)
     for node_id, node in tree.nodes.items():
-        if node.parent is None or node_id in coeffs:
-            continue
-        k_parent = tree.nodes[node.parent].domain
-        coeffs[node_id] = FactoredMatrix(np.eye(k_parent), np.eye(k_parent)) \
-            if node.domain == k_parent else FactoredMatrix(node.cpt, np.eye(node.domain))
+        if node_id not in raw.nodes and np.array_equal(node.cpt, np.eye(*node.cpt.shape)):
+            coeffs[node_id] = Identity(node.domain)
     return tree, coeffs
 
 
@@ -594,8 +601,12 @@ class TestFactoredMatrix:
             assert isinstance(left_product, np.ndarray) and left_product.dtype == np.float64
             np.testing.assert_allclose(left_product, dense.T @ w, rtol=1e-12)
             raked = (fm * diag) @ other
-            assert isinstance(raked, FactoredMatrix) and raked.width == fm.width
-            np.testing.assert_allclose(raked.materialize(),
+            # (K, L)(L, K) stays factored only if that is strictly cheaper
+            pays = K * L + L * K < K * K
+            assert isinstance(raked, FactoredMatrix) == pays
+            if pays:
+                assert raked.width == fm.width
+            np.testing.assert_allclose(materialize(raked),
                                        dense @ np.diag(diag) @ other.materialize(),
                                        rtol=1e-12)
 
@@ -609,28 +620,42 @@ class TestFactoredMatrix:
             counters = OpCounters()
             fused = parent.rake_product(diag, other, counters)
             dense = parent.materialize() @ np.diag(diag) @ other.materialize()
-            np.testing.assert_allclose(fused.materialize(), dense, rtol=1e-12)
-            assert fused.width == parent.width
-            assert counters.matmat_mult_adds == 2 * L * K * L
+            np.testing.assert_allclose(materialize(fused), dense, rtol=1e-12)
+            pays = 2 * K * L < K * K
+            assert isinstance(fused, FactoredMatrix) == pays
+            if pays:
+                assert fused.width == parent.width
+            assert counters.matmat_mult_adds == 2 * L * K * L + (0 if pays else K * L * K)
 
     def test_cost_rule_matches_closed_forms(self):
         """One product per factor for coeff @ vec; a rake scales the parent's
-        last factor, then multiplies it through each factor of the other."""
+        last factor (other's first, through an identity), then multiplies it
+        through each factor of the other; a (K, L)(L, K3) result that is not
+        strictly cheaper than dense is multiplied out, for K L K3 more."""
         rng = np.random.default_rng(15)
         for _ in range(50):
             K, L, K2, L2, K3 = (int(x) for x in rng.integers(1, 9, size=5))
             dense, factored = ((K, K2),), ((K, L), (L, K2))
             assert matvec_cost(dense) == (1, 0, 0, K * K2, 0)
             assert matvec_cost(factored) == (2, 0, 0, K * L + L * K2, 0)
+            assert matvec_cost(()) == (0, 0, 0, 0, 0)
             other_dense, other_factored = ((K2, K3),), ((K2, L2), (L2, K3))
             mm = K * K2 * K3
             assert rake_cost(dense, other_dense) == (0, 1, 0, K * K2 + mm, mm)
             mm = K * K2 * L2 + K * L2 * K3
             assert rake_cost(dense, other_factored) == (0, 2, 0, K * K2 + mm, mm)
-            mm = L * K2 * K3
-            assert rake_cost(factored, other_dense) == (0, 1, 0, L * K2 + mm, mm)
-            mm = L * K2 * L2 + L * L2 * K3
-            assert rake_cost(factored, other_factored) == (0, 2, 0, L * K2 + mm, mm)
+            out = 0 if K * L + L * K3 < K * K3 else K * L * K3
+            mm = L * K2 * K3 + out
+            assert rake_cost(factored, other_dense) == (0, 1 + (out > 0), 0, L * K2 + mm, mm)
+            mm = L * K2 * L2 + L * L2 * K3 + out
+            assert rake_cost(factored, other_factored) == (0, 2 + (out > 0), 0, L * K2 + mm, mm)
+            assert rake_cost((), ()) == (0, 0, 0, 0, 0)
+            assert rake_cost(dense, ()) == (0, 0, 0, K * K2, 0)
+            assert rake_cost((), other_dense) == (0, 0, 0, K2 * K3, 0)
+            out = 0 if K * L + L * K2 < K * K2 else K * L * K2
+            assert rake_cost(factored, ()) == (0, int(out > 0), 0, L * K2 + out, out)
+            out = 0 if K2 * L2 + L2 * K3 < K2 * K3 else K2 * L2 * K3
+            assert rake_cost((), other_factored) == (0, int(out > 0), 0, K2 * L2 + out, out)
 
     def test_mixed_rakes_count_the_work_done(self):
         """Dense over factored and factored over dense, K=6 and width 1."""
@@ -653,11 +678,19 @@ class TestFactoredMatrix:
                 counters.scalar_mult_adds) == (1, 36, 6 + 36)
 
     def test_identity_factors_stay_identity(self):
+        """Square factors never pay, so their product is multiplied out; a
+        rake through two Identity coefficients is its diagonal, uncounted."""
         eye = np.eye(3)
         parent = FactoredMatrix(eye.copy(), eye.copy())
         fused = parent.rake_product(np.ones(3), FactoredMatrix(eye.copy(), eye.copy()),
                                     OpCounters())
-        np.testing.assert_allclose(fused.materialize(), eye, atol=1e-15)
+        assert isinstance(fused, np.ndarray)
+        np.testing.assert_allclose(fused, eye, atol=1e-15)
+        diag = np.array([0.5, 2.0, 3.0])
+        counters = OpCounters()
+        fused = _rake_product(Identity(3), diag, Identity(3), counters)
+        np.testing.assert_array_equal(fused, np.diag(diag))
+        assert (*counters.snapshot(), counters.matmat_mult_adds) == (0, 0, 0, 0, 0)
 
     def test_matmat_work_ratio_at_k8_l2(self):
         rng = np.random.default_rng(12)
@@ -713,3 +746,35 @@ class TestFactoredAgainstDenseContraction:
             node = compiled.clique_node[str(rng.choice(list(pt.variables)))]
             np.testing.assert_allclose(belief_query(mixed_index, node).dist,
                                        belief_query(dense_index, node).dist, atol=1e-12)
+
+
+class TestCheapestForms:
+    def test_compiled_slots_hold_no_unprofitable_factors(self):
+        """No slot of a compiled polytree's index holds an identity factor,
+        and a slot holds two factors only where that is strictly cheaper
+        than dense; identity edges are Identity.  Forms, which fix every
+        count at build time, do not move under updates."""
+        rng = np.random.default_rng(31)
+        for pt in polytree_corpus(rng, count=12, max_vars=12, p=3):
+            engine = build_engine(pt)
+            slots = engine.index.all_slots()
+            forms = [_form(slot.coeff) for slot in slots]
+            for slot in slots:
+                coeff = slot.coeff
+                if isinstance(coeff, FactoredMatrix):
+                    (rows, width), cols = coeff.left.shape, coeff.right.shape[1]
+                    assert rows * width + width * cols < rows * cols
+                    for factor in (coeff.left, coeff.right):
+                        assert factor.shape[0] != factor.shape[1]  # so never an identity
+                elif slot.level == 0 and coeff.shape[0] == coeff.shape[1]:
+                    assert isinstance(coeff, Identity) or \
+                        not np.array_equal(coeff, np.eye(coeff.shape[0]))
+            self._storm(engine, pt, rng)
+            assert [_form(slot.coeff) for slot in engine.index.all_slots()] == forms
+
+    @staticmethod
+    def _storm(engine, pt, rng, ops=10):
+        ids = list(pt.variables)
+        for _ in range(ops):
+            vid = str(rng.choice(ids))
+            polytree_update(engine, vid, random_likelihood(pt.variables[vid].domain, rng))

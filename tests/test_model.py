@@ -329,7 +329,7 @@ class TestNormalizeTree:
         for leaf in unit_leaves:
             np.testing.assert_array_equal(leaf.evidence, [1.0])
 
-    def test_lone_root_gets_two_unit_leaves(self):
+    def test_lone_root_stays_a_leaf_under_a_new_root(self):
         for evidence in (None, [0.2, 0.9]):
             spec = {"id": "r", "domain": 2, "prior": [0.3, 0.7]}
             if evidence is not None:
@@ -338,7 +338,12 @@ class TestNormalizeTree:
             normalized, id_map = normalize_tree(tree)
             assert normalized.is_complete_binary() and normalized.n == 3
             assert id_map == {"r": "r"} and tree.nodes["r"].children == []
-            assert normalized.nodes["r"].evidence is None
+            assert tree.root == "r" and tree.nodes["r"].parent is None
+            lone = normalized.nodes["r"]
+            assert normalized.root != "r" and lone.parent == normalized.root
+            assert lone.children == [] and normalized.nodes[normalized.root].children[0] == "r"
+            np.testing.assert_array_equal(lone.evidence,
+                                          [1.0, 1.0] if evidence is None else evidence)
             np.testing.assert_allclose(brute_force_marginal(normalized, "r").dist,
                                        brute_force_marginal(tree, "r").dist, atol=1e-15)
 

@@ -18,30 +18,16 @@ import csv
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from .contraction import contract
 from .errors import FormatError, ImpossibleEvidence, LogbelError
 from .generate import balanced_tree, chain_tree, random_likelihood, random_tree
-from .jointree import (
-    Polytree,
-    build_engine,
-    build_join_tree,
-    build_polytree,
-    compile_join_tree,
-    extract_cliques,
-    prior_marginals,
-)
-from .model import (
-    BruteForceOracle,
-    CausalTree,
-    Evidence,
-    build_tree,
-    normalize_tree,
-    set_evidence,
-)
-from .propagate import FullState, LazyState, belief, full_propagate
+from .jointree import Polytree, build_engine, build_polytree
+from .model import BruteForceOracle, CausalTree, Evidence, build_tree, normalize_tree
+from .propagate import FullState, LazyState
 
 
 def load_problem(path) -> tuple[str, CausalTree | Polytree]:
@@ -84,26 +70,6 @@ def parse_stream(path) -> list[tuple]:
 # -- engines ------------------------------------------------------------------------
 
 
-class _FullPolytreeOracle:
-    """Independent slow path: full propagation over the compiled clique tree,
-    no contraction involved.  It propagates at each query, so evidence
-    that is jointly impossible only between two queries is not an error,
-    as for the subject."""
-
-    def __init__(self, pt: Polytree):
-        self.cliques = extract_cliques(pt)
-        jt = build_join_tree(self.cliques, pt)
-        self.compiled = compile_join_tree(jt, pt, prior_marginals(pt))
-
-    def update(self, var_id, vec):
-        set_evidence(self.compiled.tree, self.compiled.evidence_leaf[var_id], vec)
-
-    def query(self, var_id):
-        table = full_propagate(self.compiled.tree)
-        clique_bel = belief(table, self.compiled.clique_node[var_id])
-        return self.cliques[var_id].member_belief(var_id, clique_bel)
-
-
 def _contraction_engine(tree: CausalTree):
     """contract takes ownership of its tree, so a tree normalize_tree
     returns unchanged is copied first; the caller's tree stays as it is."""
@@ -112,9 +78,10 @@ def _contraction_engine(tree: CausalTree):
 
 
 # Every engine answers update(id, vec) and query(id) -> Belief; those that
-# count their work expose counters.  run replays a stream through one,
-# verify pits contract (or polytree) against brute or full, and bench
-# times full against contract.
+# count their work expose counters.  A polytree is compiled once and any
+# tree engine answers the compiled tree.  run replays a stream through one,
+# verify pits contract (or polytree) against brute or full, and bench times
+# full against contract.
 ENGINES = {
     "tree": {
         "full": FullState,
@@ -124,25 +91,26 @@ ENGINES = {
     },
     "polytree": {
         "polytree": build_engine,
-        "full": _FullPolytreeOracle,
+        "full": partial(build_engine, tree_engine=FullState),
+        "lazy": partial(build_engine, tree_engine=LazyState),
         "brute": BruteForceOracle,
     },
 }
 
 
 def _make_runner(kind: str, problem, strategy: str):
-    """The engine run replays through; a polytree's full and brute
-    entries are oracles for verify only."""
-    if kind == "tree" and strategy not in ("full", "lazy", "contract"):
-        raise FormatError(
-            f"strategy {strategy!r} needs a polytree network; "
-            "tree networks support full, lazy, contract")
-    if kind == "polytree" and strategy != "polytree":
-        raise FormatError("polytree networks support only the 'polytree' strategy")
+    """The engine run replays through; brute is an oracle for verify only."""
+    strategies = [name for name in ENGINES[kind] if name != "brute"]
+    if strategy not in strategies:
+        raise FormatError(f"strategy {strategy!r} does not run on a {kind} network; "
+                          f"{kind} networks support {', '.join(strategies)}")
     return ENGINES[kind][strategy](problem)
 
 
 def _domain_of(kind: str, problem, node_id: str) -> int:
+    """Domain of a node or variable of the loaded network.  Every op's id is
+    checked here, so ids the engines add themselves (normalize_tree's
+    dummies, a polytree's clique nodes and indicator leaves) are unknown."""
     if kind == "tree":
         return problem.node(node_id).domain
     if node_id not in problem.variables:
@@ -150,9 +118,9 @@ def _domain_of(kind: str, problem, node_id: str) -> int:
     return problem.variables[node_id].domain
 
 
-def _evidence_vec(kind: str, problem, op) -> np.ndarray:
+def _evidence_vec(op, domain: int) -> np.ndarray:
     if op[0] == "hard":
-        return Evidence.one_hot(_domain_of(kind, problem, op[1]), op[2]).likelihood
+        return Evidence.one_hot(domain, op[2]).likelihood
     return op[2]
 
 
@@ -170,10 +138,11 @@ def cmd_run(args) -> int:
         return 1
     for op in ops:
         try:
+            domain = _domain_of(kind, problem, op[1])
             if op[0] == "query":
                 print(_format_query(op[1], runner.query(op[1]).dist))
             else:
-                runner.update(op[1], _evidence_vec(kind, problem, op))
+                runner.update(op[1], _evidence_vec(op, domain))
         except ImpossibleEvidence as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -204,6 +173,7 @@ def cmd_verify(args, _corrupt=None) -> int:
     queries = 0
     try:
         for op in ops:
+            domain = _domain_of(kind, problem, op[1])
             if op[0] == "query":
                 queries += 1
                 got = subject.query(op[1]).dist
@@ -215,7 +185,7 @@ def cmd_verify(args, _corrupt=None) -> int:
                           f"> tol {args.tol:.3e}")
                     return 3
             else:
-                vec = _evidence_vec(kind, problem, op)
+                vec = _evidence_vec(op, domain)
                 subject.update(op[1], vec)
                 oracle.update(op[1], vec)
     except ImpossibleEvidence as exc:

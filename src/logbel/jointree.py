@@ -1,12 +1,15 @@
-"""Polytrees compiled into join trees backed by the contraction engine.
+"""Polytrees compiled into join trees that any tree engine answers.
 
 A polytree's moral graph is chordal and each of its maximal cliques is a
 family {v} union parents(v), so the join tree has one clique per variable,
 one edge per polytree edge, and singleton separators.  The join tree is
-itself a causal tree over clique-valued variables; an edge conditional is
-stored factored as (projection J) . (separator-conditional R) where that is
-the cheaper form, which keeps rake updates at O(K L^2) instead of O(K^3),
-and identity edges are stored as Identity, which costs nothing.
+itself a causal tree over clique-valued variables.  build_engine hands it
+to a tree engine, the contraction index by default, for which an edge
+conditional is stored factored as (projection J) . (separator-conditional R)
+where that is the cheaper form, which keeps rake updates at O(K L^2)
+instead of O(K^3), and identity edges are stored as Identity, which costs
+nothing.  Every polytree update and query is one call of that engine's
+update or query on the compiled tree.
 
 Clique states use mixed-radix indexing with the clique's own variable most
 significant, then its parents in declaration order.  CPT rows likewise run
@@ -17,12 +20,18 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
-from .contraction import ContractionIndex, _rake_product, belief_query, contract, update_evidence
+from .contraction import (
+    _rake_product,
+    belief_query,  # noqa: F401  (the traced benchmark wraps jointree.belief_query by name)
+    contract,
+    update_evidence,  # noqa: F401  (and jointree.update_evidence)
+)
 from .counters import OpCounters, factored_pays
 from .errors import (
     ConstructionError,
@@ -614,10 +623,14 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
 
 @dataclass
 class PolytreeEngine:
+    """A compiled polytree and the tree engine that answers its clique tree:
+    a ContractionIndex by default, or any engine with update(leaf, vec),
+    query(node) -> Belief, counters and its own tree."""
+
     polytree: Polytree
     join_tree: JoinTree
     compiled: CompiledTree
-    index: ContractionIndex
+    index: object  # the tree engine over compiled.tree
 
     @property
     def counters(self) -> OpCounters:
@@ -625,10 +638,10 @@ class PolytreeEngine:
 
     @property
     def evidence(self) -> dict[str, np.ndarray]:
-        """Likelihood in force per variable, read from the index's
+        """Likelihood in force per variable, read from the tree engine's
         indicator leaves (all ones until updated)."""
-        leaves = self.compiled.evidence_leaf
-        return {vid: self.index.evidence[leaf] for vid, leaf in leaves.items()}
+        nodes = self.index.tree.nodes
+        return {vid: nodes[leaf].evidence for vid, leaf in self.compiled.evidence_leaf.items()}
 
     def update(self, var_id: str, likelihood) -> None:
         polytree_update(self, var_id, likelihood)
@@ -638,12 +651,19 @@ class PolytreeEngine:
 
 
 def build_engine(pt: Polytree, root_var: str | None = None,
-                 state_cap: int = DEFAULT_CLIQUE_CAP) -> PolytreeEngine:
+                 state_cap: int = DEFAULT_CLIQUE_CAP,
+                 tree_engine: Callable[[CausalTree], object] | None = None) -> PolytreeEngine:
+    """Compile the polytree and build tree_engine (FullState, LazyState) over
+    the compiled tree; by default that tree is contracted with the cheapest
+    coefficient forms, compiled.coeffs."""
     cliques = extract_cliques(pt)
     jt = build_join_tree(cliques, pt, root_var=root_var)
     marginals = prior_marginals(pt)
     compiled = compile_join_tree(jt, pt, marginals, state_cap=state_cap)
-    index = contract(compiled.tree, coeffs=compiled.coeffs)
+    if tree_engine is None:
+        index = contract(compiled.tree, coeffs=compiled.coeffs)
+    else:
+        index = tree_engine(compiled.tree)
     return PolytreeEngine(polytree=pt, join_tree=jt, compiled=compiled, index=index)
 
 
@@ -652,7 +672,7 @@ def polytree_update(engine: PolytreeEngine, var_id: str, likelihood) -> Polytree
     its indicator leaf E:<var>; error messages name that leaf."""
     if var_id not in engine.polytree.variables:
         raise UnknownVariable(f"no variable {var_id!r}")
-    update_evidence(engine.index, engine.compiled.evidence_leaf[var_id], likelihood)
+    engine.index.update(engine.compiled.evidence_leaf[var_id], likelihood)
     return engine
 
 
@@ -670,7 +690,7 @@ def polytree_query(engine: PolytreeEngine, var_id: str, via: str | None = None) 
     if var_id not in clique.members:
         raise UnknownVariable(f"clique of {clique_var!r} does not contain {var_id!r}")
     return clique.member_belief(
-        var_id, belief_query(engine.index, engine.compiled.clique_node[clique_var]))
+        var_id, engine.index.query(engine.compiled.clique_node[clique_var]))
 
 
 def brute_polytree_marginal(pt: Polytree, evidence: dict[str, np.ndarray],

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from logbel import (
+    LogbelError,
     brute_polytree_marginal,
     build_polytree,
+    build_tree,
+    normalize_tree,
     random_polytree,
     random_tree,
     tree_to_spec,
@@ -148,13 +151,49 @@ class TestRun:
         assert main(["run", "--network", net, "--ops", ops]) == 1
 
     def test_strategy_network_mismatch(self, tmp_path, capsys):
-        tree_net = write_json(tmp_path, "t.json", IDENTITY_NET)
-        poly_net = write_json(tmp_path, "p.json", VEE_NET)
-        ops = write_stream(tmp_path, "ops.txt", "Q u\n")
-        assert main(["run", "--network", tree_net, "--ops", ops,
-                     "--strategy", "polytree"]) == 1
-        assert main(["run", "--network", poly_net, "--ops", ops,
-                     "--strategy", "full"]) == 1
+        """Rejected before any op runs, although every id in the streams exists."""
+        for net, text, strategy in ((IDENTITY_NET, "U e 0\nQ u\n", "polytree"),
+                                    (VEE_NET, "U c 1\nQ a\n", "contract")):
+            path = write_json(tmp_path, "net.json", net)
+            ops = write_stream(tmp_path, "ops.txt", text)
+            assert main(["run", "--network", path, "--ops", ops,
+                         "--strategy", strategy]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: strategy {strategy!r}")
+
+    def test_polytree_strategies_agree_byte_for_byte(self, tmp_path, capsys):
+        net = write_json(tmp_path, "net.json", VEE_NET)
+        ops = write_stream(tmp_path, "ops.txt",
+                           "U c 1\nQ a\nQ b\nS a 0.2 1.0\nQ c\nQ b\nU c 0\nQ a\n")
+        outputs = []
+        for strategy in ("polytree", "full", "lazy"):
+            assert main(["run", "--network", net, "--ops", ops,
+                         "--strategy", strategy]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].count("\n") == 5
+        assert outputs == [outputs[0]] * 3
+
+    def test_ids_normalize_tree_adds_are_unknown(self, tmp_path, capsys):
+        """A 3-child root gains a splitter and a 1-child node a unit leaf;
+        every engine rejects their ids as the loaded network does."""
+        spec = {"nodes": [
+            {"id": "r", "domain": 2, "prior": [0.5, 0.5]},
+            *({"id": leaf, "domain": 2, "parent": "r", "cpt": EYE, "evidence": [1.0, 1.0]}
+              for leaf in "ab"),
+            {"id": "c", "domain": 2, "parent": "r", "cpt": EYE},
+            {"id": "d", "domain": 2, "parent": "c", "cpt": EYE, "evidence": [1.0, 1.0]}]}
+        net = write_json(tmp_path, "net.json", spec)
+        tree = build_tree(spec)
+        normalized, _ = normalize_tree(tree)
+        dummies = [nid for nid in normalized.nodes if nid not in tree.nodes]
+        assert len(dummies) == 2
+        for dummy in dummies:
+            op = f"S {dummy} 1" if normalized.nodes[dummy].domain == 1 else f"Q {dummy}"
+            ops = write_stream(tmp_path, "ops.txt", f"U a 0\n{op}\n")
+            for command in (["run", "--strategy", "full"], ["run", "--strategy", "lazy"],
+                            ["run", "--strategy", "contract"], ["verify"]):
+                assert main([command[0], "--network", net, "--ops", ops, *command[1:]]) == 1
+                assert capsys.readouterr() == ("", f"error: no node {dummy!r}\n")
 
     def test_impossible_evidence_exit_code(self, tmp_path, capsys):
         net = write_json(tmp_path, "net.json", IDENTITY_NET)
@@ -315,7 +354,7 @@ class TestEngineRegistry:
             targets = list(domains)
         engines = {name: make(problem) for name, make in ENGINES[kind].items()}
         assert set(engines) == ({"full", "lazy", "contract", "brute"} if kind == "tree"
-                                else {"polytree", "full", "brute"})
+                                else {"polytree", "full", "lazy", "brute"})
         ids = list(domains)
         for _ in range(12):
             target = targets[int(rng.integers(len(targets)))]
@@ -326,6 +365,17 @@ class TestEngineRegistry:
             answers = {name: engine.query(node).dist for name, engine in engines.items()}
             for (a, got), (b, want) in itertools.combinations(answers.items(), 2):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=f"{a} vs {b}")
+
+    @pytest.mark.parametrize("kind", ["tree", "polytree"])
+    def test_unknown_ids_are_errors(self, kind):
+        rng = np.random.default_rng(3)
+        problem = random_tree(7, 2, rng) if kind == "tree" else random_polytree(5, 2, 2, rng)
+        for make in ENGINES[kind].values():
+            engine = make(problem)
+            with pytest.raises(LogbelError, match="ghost"):
+                engine.update("ghost", np.ones(2))
+            with pytest.raises(LogbelError, match="ghost"):
+                engine.query("ghost")
 
     def test_contract_entry_leaves_the_callers_tree_alone(self):
         tree = random_tree(7, 2, np.random.default_rng(4))  # already complete binary

@@ -38,6 +38,7 @@ from logbel.counters import matvec_cost, rake_cost
 from logbel.generate import random_likelihood
 from logbel.jointree import FactoredMatrix, Identity, _family_weights, _separator_conditional
 from logbel.model import TableBatch
+from logbel.propagate import FullState, LazyState
 
 
 def vee_polytree(prior_a=(0.4, 0.6)):
@@ -502,12 +503,14 @@ class TestEngine:
 
     def test_matches_brute_force_under_updates(self):
         # every root: a root with parents sends separators through the
-        # clique's own variable (the Bayes flip), a parentless one does not
+        # clique's own variable (the Bayes flip), a parentless one does not;
+        # every tree engine answers the compiled tree
         rng = np.random.default_rng(6)
         for pt in polytree_corpus(rng, count=10, max_vars=8):
             seed = int(rng.integers(1 << 31))
-            for root in pt.variables:
-                engine = build_engine(pt, root_var=root)
+            for root, tree_engine in itertools.product(pt.variables,
+                                                       (None, LazyState, FullState)):
+                engine = build_engine(pt, root_var=root, tree_engine=tree_engine)
                 self._storm(engine, pt, np.random.default_rng(seed))
                 for vid in pt.variables:
                     got = polytree_query(engine, vid)

@@ -79,9 +79,10 @@ def _contraction_engine(tree: CausalTree):
 
 # Every engine answers update(id, vec) and query(id) -> Belief; those that
 # count their work expose counters.  A polytree is compiled once and any
-# tree engine answers the compiled tree.  run replays a stream through one,
-# verify pits contract (or polytree) against brute or full, and bench times
-# full against contract.
+# tree engine answers the compiled tree.  run replays a stream through one
+# (by default the log-time engine of the network's kind, LOG_TIME), verify
+# pits the log-time engine against brute or full, and bench times full
+# against contract.
 ENGINES = {
     "tree": {
         "full": FullState,
@@ -96,6 +97,7 @@ ENGINES = {
         "brute": BruteForceOracle,
     },
 }
+LOG_TIME = {"tree": "contract", "polytree": "polytree"}
 
 
 def _make_runner(kind: str, problem, strategy: str):
@@ -132,7 +134,7 @@ def cmd_run(args) -> int:
     try:
         kind, problem = load_problem(args.network)
         ops = parse_stream(args.ops)
-        runner = _make_runner(kind, problem, args.strategy)
+        runner = _make_runner(kind, problem, args.strategy or LOG_TIME[kind])
     except (LogbelError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -162,7 +164,7 @@ def cmd_verify(args, _corrupt=None) -> int:
     try:
         kind, problem = load_problem(args.network)
         ops = parse_stream(args.ops)
-        subject = ENGINES[kind]["contract" if kind == "tree" else "polytree"](problem)
+        subject = ENGINES[kind][LOG_TIME[kind]](problem)
         oracle = ENGINES[kind][args.oracle](problem)
         if _corrupt is not None:
             _corrupt(subject if kind == "tree" else subject.index)
@@ -293,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="replay an update/query stream")
     run.add_argument("--network", required=True)
     run.add_argument("--ops", required=True)
-    run.add_argument("--strategy", default="contract",
-                     choices=["full", "lazy", "contract", "polytree"])
+    run.add_argument("--strategy", choices=["full", "lazy", "contract", "polytree"],
+                     help="default: contract for trees, polytree for polytrees")
     run.set_defaults(func=cmd_run)
 
     verify = sub.add_parser("verify", help="compare a strategy against an oracle")

@@ -14,16 +14,22 @@ of equation versions.  Both touch O(log N) equations on balanced rake
 schedules.
 
 Coefficients are dense ndarrays by default; any object with the same
-products (coeff @ vec, vec @ coeff, coeff * diag, coeff @ other), plus shape,
-form (its factor shapes) and materialize, can be substituted per edge
-through the coeffs argument of contract(), forms mixed freely.  The package
-has two: jointree.FactoredMatrix, form (left.shape, right.shape), and
+products (coeff.dot(x) for an ndarray x, coeff @ other for another
+coefficient, vec @ coeff, coeff * diag), plus shape, form (its factor
+shapes) and materialize, can be substituted per edge through the coeffs
+argument of contract(), forms mixed freely.  The package has two:
+jointree.FactoredMatrix, form (left.shape, right.shape), and
 jointree.Identity, form (), which every product passes through for free.
 Operation counts come from the forms alone, by the one rule in counters.py
 (matvec_cost and rake_cost), and a product's result takes the cheapest form
 that rule allows: a two-factor product whose matrix-vector product is not
 strictly cheaper than the dense one's is multiplied out
 (counters.factored_pays), and its counts include that product.
+
+Each rake keeps its diagonal, e_side_coeff . lambda(e), cached.  An update
+refreshes it only on the equations its chain enters through the leaf or
+the e-side slot, and a query walk reads it instead of recomputing it, so
+neither counts that product where it is reused.
 """
 
 from __future__ import annotations
@@ -50,12 +56,16 @@ LEFT, RIGHT = 0, 1
 
 # -- coefficient algebra (dense ndarray or a duck-typed form) ------------------
 #
-# Ops evaluate coefficients with plain operators, which ndarrays,
-# jointree.FactoredMatrix and jointree.Identity all support: coeff @ vec,
-# vec @ coeff (the transposed product) and (coeff * diag) @ other.  Their
-# operation counts depend only on coefficient forms (counters.matvec_cost
-# and rake_cost), so they are fixed once per stored equation when the index
-# is built (see _equation_cost and _rake_cost).
+# Ops evaluate coefficients with ndarray.dot, which every form implements
+# too: coeff.dot(vec), coeff.dot(matrix) and vec.dot(coeff), the last two
+# only where the right operand's type is np.ndarray.  ndarray.dot skips the
+# ufunc dispatch of @ (half the wall time of a 2 x 2 product), but it does
+# not defer to another operand, so a right operand of another type keeps @
+# and numpy defers to its __rmatmul__.  A slot's form, and so its type, is
+# fixed when the index is built.  Operation counts depend only on
+# coefficient forms (counters.matvec_cost and rake_cost), so they are fixed
+# once per stored equation when the index is built (see _equation_cost and
+# _rake_costs).
 
 def _form(coeff) -> tuple:
     """The factor shapes a coefficient's operation counts depend on."""
@@ -63,9 +73,11 @@ def _form(coeff) -> tuple:
 
 
 def _rake_product(parent_coeff, diag: np.ndarray, other_coeff, counters: OpCounters):
-    """parent_coeff . Diag(diag) . other_coeff, counted"""
+    """parent_coeff . Diag(diag) . other_coeff, counted, as _recompute
+    evaluates it"""
     counters.add(rake_cost(_form(parent_coeff), _form(other_coeff)))
-    return (parent_coeff * diag) @ other_coeff
+    scaled = parent_coeff * diag
+    return scaled.dot(other_coeff) if type(other_coeff) is np.ndarray else scaled @ other_coeff
 
 
 def materialize(coeff) -> np.ndarray:
@@ -88,17 +100,23 @@ def _equation_cost(index: "ContractionIndex", rec: "CoeffRecord") -> tuple:
     return cost
 
 
-def _rake_cost(index: "ContractionIndex", equation: "RakeEquation") -> tuple:
-    """Counts of evaluating one rake equation once."""
-    key = (_form(equation.e_side_input.coeff),
+def _rake_costs(index: "ContractionIndex", equation: "RakeEquation") -> tuple:
+    """Counts of evaluating one rake equation (e, x, u) once, refreshing its
+    diagonal (the e-side product, the rake product and the equation) and
+    reusing it (no e-side product), and of the walk step below the rake
+    that rebuilds lambda(x) from the cached diagonal (the z side's product
+    and the vector product)."""
+    e_side = equation.e_side_input.coeff
+    key = (e_side.shape[0], _form(e_side),
            _form(equation.parent_input.coeff), _form(equation.z_side_input.coeff))
-    cost = index._costs.get(key)
-    if cost is None:
-        e_side, parent, z_side = key
-        evaluation = (0, 0, 1, 0, 0)  # the equation itself
-        cost = sum_costs(sum_costs(matvec_cost(e_side), rake_cost(parent, z_side)), evaluation)
-        index._costs[key] = cost
-    return cost
+    costs = index._costs.get(key)
+    if costs is None:
+        K, e_side, parent, z_side = key
+        reuse = sum_costs(rake_cost(parent, z_side), (0, 0, 1, 0, 0))
+        costs = (sum_costs(matvec_cost(e_side), reuse), reuse,
+                 sum_costs(matvec_cost(z_side), (0, 0, 1, K, 0)))
+        index._costs[key] = costs
+    return costs
 
 
 # -- stored structure ------------------------------------------------------------
@@ -134,9 +152,13 @@ class RakeEquation:
     output = parent_input . Diag(e_side_input . lambda(leaf)) . z_side_input
 
     grandparent_pre is the version of u it rewrote (its above is the new
-    one).  cost counts one evaluation; chain_cost counts the whole consumer
-    chain an update starting here recomputes (filled in when contract()
-    ends).  The fields _recompute reads come first.
+    one).  diag caches e_side_input . lambda(leaf): rake() sets it, and
+    _recompute refreshes it when the leaf or the e-side slot changes.  cost
+    counts one evaluation that refreshes diag, reuse_cost one that reuses
+    it, and lambda_cost the walk step that rebuilds lambda(x) from it;
+    chain_cost counts the whole consumer chain an update starting here
+    recomputes (filled in when contract() ends).  The fields _recompute
+    reads come first.
     """
 
     e_side_input: Slot
@@ -150,7 +172,10 @@ class RakeEquation:
     leaf_side: int      # side of e within x
     parent_side: int    # side of x within u
     grandparent_pre: "CoeffRecord"
+    diag: np.ndarray | None = None
     cost: tuple = NO_COST
+    reuse_cost: tuple = NO_COST
+    lambda_cost: tuple = NO_COST
     chain_cost: tuple = NO_COST
 
 
@@ -389,17 +414,29 @@ def _total_costs(index: ContractionIndex) -> None:
     A version's walk climbs to the version above it, and an equation's
     output feeds one later equation; both are created by later rakes, so
     one pass over the rakes in reverse order sees every total it adds to.
+    Each output feeds a fixed slot, so whether a chain step refreshes its
+    diagonal is fixed too: only where the chain enters through the e-side
+    slot (the first step, whose leaf changed, always does, which a second
+    pass adds).  A walk step never does.
     """
     for rk in reversed(index.rake_log):
         pre = rk.grandparent_pre
         post = pre.above
         raked = index.records[rk.parent][-1]
-        # one step below post: the raked parent's lambda (through its own
-        # final equation) or its pi (through the grandparent's equation)
-        pre.walk_cost = sum_costs(post.walk_cost, raked.cost)
+        # one step below post: the raked parent's lambda (its cached
+        # diagonal times the z side's product) or its pi (through the
+        # grandparent's equation)
+        pre.walk_cost = sum_costs(post.walk_cost, rk.lambda_cost)
         raked.walk_cost = sum_costs(post.walk_cost, pre.cost)
+        # until the pass below, chain_cost counts the chain after rk's step
         consumer = rk.output.consumer
-        rk.chain_cost = rk.cost if consumer is None else sum_costs(rk.cost, consumer.chain_cost)
+        if consumer is None:
+            rk.chain_cost = NO_COST
+        else:
+            entry = consumer.cost if consumer.e_side_input is rk.output else consumer.reuse_cost
+            rk.chain_cost = sum_costs(entry, consumer.chain_cost)
+    for rk in index.rake_log:
+        rk.chain_cost = sum_costs(rk.cost, rk.chain_cost)
 
 
 def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
@@ -439,8 +476,8 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
         z_side_input=parent_rec.side_slot(1 - leaf_side),
         level=level, parent=parent, grandparent=grand,
         leaf_side=leaf_side, parent_side=parent_side, grandparent_pre=grand_pre)
-    _recompute(index.evidence, rk)  # no consumer yet: this equation only
-    rk.cost = _rake_cost(index, rk)
+    _recompute(index.evidence, rk)  # no consumer yet: this equation only; sets diag
+    rk.cost, rk.reuse_cost, rk.lambda_cost = _rake_costs(index, rk)
     index.counters.add(rk.cost)
     for slot in (rk.parent_input, rk.e_side_input, rk.z_side_input):
         assert slot.consumer is None, "a stored matrix may feed only one equation"
@@ -489,19 +526,29 @@ def _lambda_rec(index: ContractionIndex, node_id: str) -> np.ndarray:
     left = _lambda_rec(index, rec.left_child)
     right = _lambda_rec(index, rec.right_child)
     index.counters.add(rec.cost)
-    return (rec.left.coeff @ left) * (rec.right.coeff @ right)
+    return rec.left.coeff.dot(left) * rec.right.coeff.dot(right)
 
 
 def _recompute(evidence: dict[str, np.ndarray], equation: RakeEquation | None) -> list[Slot]:
     """Evaluate equation, then the equation its output feeds, and so on up
-    the consumer chain; return the rewritten slots in order."""
+    the consumer chain; return the rewritten slots in order.
+
+    The first equation's leaf changed, so its diagonal is refreshed; a
+    later one's only where the chain enters it through its e-side slot.
+    Entered through its parent or z-side slot, it reuses its diagonal.
+    """
     trace: list[Slot] = []
+    refresh = True
     while equation is not None:
-        diag = equation.e_side_input.coeff @ evidence[equation.leaf]
+        if refresh:
+            equation.diag = equation.e_side_input.coeff.dot(evidence[equation.leaf])
         out = equation.output
-        out.coeff = (equation.parent_input.coeff * diag) @ equation.z_side_input.coeff
+        scaled = equation.parent_input.coeff * equation.diag
+        z_side = equation.z_side_input.coeff
+        out.coeff = scaled.dot(z_side) if type(z_side) is np.ndarray else scaled @ z_side
         trace.append(out)
         equation = out.consumer
+        refresh = equation is not None and equation.e_side_input is out
     return trace
 
 
@@ -549,8 +596,9 @@ def _walk(index: ContractionIndex, rec: CoeffRecord):
     Climbs rec.above to the root's terminal version, whose triple is the
     prior and the extreme leaves' likelihoods, then comes back down one
     rake at a time.  Below a version created by rake (e, x, u), either u
-    keeps its pi and x's lambda is rebuilt from x's final equation, or the
-    walk enters x's final version, whose pi comes through u's equation.
+    keeps its pi and x's lambda is rebuilt from x's final equation, whose
+    e side the rake's cached diagonal already holds, or the walk enters
+    x's final version, whose pi comes through u's equation.
     Sets index.last_calc_depth to the number of versions climbed; pi may be
     the root's prior itself, so callers must not write to it.
     """
@@ -569,11 +617,12 @@ def _walk(index: ContractionIndex, rec: CoeffRecord):
         side = rk.parent_side
         lam_z = lam[side]
         if rec is rk.grandparent_pre:
-            lam[side] = (rk.e_side_input.coeff @ evidence[rk.leaf]) \
-                * (rk.z_side_input.coeff @ lam_z)
+            lam[side] = rk.diag * rk.z_side_input.coeff.dot(lam_z)
         else:
             sibling = post.right if side == LEFT else post.left
-            pi = (pi * (sibling.coeff @ lam[1 - side])) @ rk.parent_input.coeff
+            up = pi * sibling.coeff.dot(lam[1 - side])
+            down = rk.parent_input.coeff
+            pi = up.dot(down) if type(down) is np.ndarray else up @ down
             lam_e = evidence[rk.leaf]
             lam = [lam_e, lam_z] if rk.leaf_side == LEFT else [lam_z, lam_e]
     return pi, lam
@@ -587,8 +636,10 @@ def _leaf_pi(index: ContractionIndex, leaf_id: str) -> np.ndarray:
     pi, lam = _walk(index, rec)
     index.counters.add(rec.cost)
     if rec.left_child == leaf_id:
-        return (pi * (rec.right.coeff @ lam[RIGHT])) @ rec.left.coeff
-    return (pi * (rec.left.coeff @ lam[LEFT])) @ rec.right.coeff
+        up, down = pi * rec.right.coeff.dot(lam[RIGHT]), rec.left.coeff
+    else:
+        up, down = pi * rec.left.coeff.dot(lam[LEFT]), rec.right.coeff
+    return up.dot(down) if type(down) is np.ndarray else up @ down
 
 
 def pi_query(index: ContractionIndex, node_id: str) -> np.ndarray:
@@ -618,6 +669,6 @@ def belief_query(index: ContractionIndex, node_id: str) -> Belief:
         rec = index.records[node_id][-1]
         pi, (lam_left, lam_right) = _walk(index, rec)
         index.counters.add(rec.cost)
-        lam = (rec.left.coeff @ lam_left) * (rec.right.coeff @ lam_right)
+        lam = rec.left.coeff.dot(lam_left) * rec.right.coeff.dot(lam_right)
     index.counters.count_vector_op(lam.shape[0])
     return normalize_belief(lam * pi, node=node_id)

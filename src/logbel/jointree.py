@@ -39,6 +39,7 @@ from .errors import (
     DimensionOverflow,
     DuplicateId,
     FormatError,
+    ImpossibleEvidence,
     NotAPolytree,
     UnknownVariable,
     ZeroMarginalDivisor,
@@ -360,9 +361,13 @@ def prior_marginals(pt: Polytree) -> dict[str, np.ndarray]:
 #
 # Besides dense ndarrays, a stored coefficient may be a FactoredMatrix or an
 # Identity.  Both implement the coefficient protocol used by contraction:
-# the ndarray products, form and materialize.  counters.py counts every
-# product from forms alone, and every product keeps the cheapest form that
-# rule allows (_cheapest).
+# the ndarray products, form and materialize.  dot(x) is self @ x for an
+# ndarray x, which contraction calls instead of @ (ndarray.dot skips the
+# ufunc dispatch @ goes through); @ stays for operands of other types,
+# which numpy hands to __rmatmul__.  Products of two ndarrays inside the
+# forms are ndarray.dot too.  counters.py counts every product from forms
+# alone, and every product keeps the cheapest form that rule allows
+# (_cheapest).
 
 
 def _cheapest(left: np.ndarray, right: np.ndarray):
@@ -370,7 +375,7 @@ def _cheapest(left: np.ndarray, right: np.ndarray):
     multiplied out otherwise."""
     if factored_pays((left.shape, right.shape)):
         return FactoredMatrix(left, right)
-    return left @ right
+    return left.dot(right)
 
 
 class Identity:
@@ -388,6 +393,9 @@ class Identity:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.K, self.K)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        return x
 
     def __matmul__(self, other):
         return other
@@ -413,9 +421,12 @@ class _Diagonal:
     def __init__(self, diag: np.ndarray):
         self.diag = diag
 
+    def dot(self, matrix: np.ndarray) -> np.ndarray:
+        return self.diag[:, None] * matrix
+
     def __matmul__(self, other):
         if isinstance(other, np.ndarray):
-            return self.diag[:, None] * other
+            return self.dot(other)
         if isinstance(other, FactoredMatrix):
             return _cheapest(self.diag[:, None] * other.left, other.right)
         return np.diag(self.diag)  # Diag . Identity
@@ -447,24 +458,28 @@ class FactoredMatrix:
         """The factor shapes, which fix every operation count."""
         return (self.left.shape, self.right.shape)
 
-    # Plain products, as on an ndarray: self @ vec, vec @ self (the
-    # transposed product), self * diag (scales the columns) and self @ other
-    # for a dense, factored or identity matrix (keeps self's left factor and
-    # folds the rest into the right one, so a rake costs O(K L^2), unless
-    # the result is cheaper dense).  numpy defers vec @ self to __rmatmul__.
+    # Plain products, as on an ndarray: self @ vec and self.dot(vec), vec @
+    # self (the transposed product), self * diag (scales the columns) and
+    # self @ other for a dense, factored or identity matrix (keeps self's
+    # left factor and folds the rest into the right one, so a rake costs
+    # O(K L^2), unless the result is cheaper dense).  numpy defers vec @
+    # self to __rmatmul__.
     __array_ufunc__ = None
+
+    def dot(self, x: np.ndarray):
+        if x.ndim == 1:
+            return self.left.dot(self.right.dot(x))
+        return _cheapest(self.left, self.right.dot(x))
 
     def __matmul__(self, other):
         if isinstance(other, np.ndarray):
-            if other.ndim == 1:
-                return self.left @ (self.right @ other)
-            return _cheapest(self.left, self.right @ other)
+            return self.dot(other)
         if isinstance(other, FactoredMatrix):
-            return _cheapest(self.left, (self.right @ other.left) @ other.right)
+            return _cheapest(self.left, self.right.dot(other.left).dot(other.right))
         return _cheapest(self.left, self.right)  # self @ Identity
 
     def __rmatmul__(self, vec: np.ndarray) -> np.ndarray:
-        return (vec @ self.left) @ self.right
+        return vec.dot(self.left).dot(self.right)
 
     def __mul__(self, diag: np.ndarray) -> "FactoredMatrix":
         return FactoredMatrix(self.left, self.right * diag)
@@ -474,7 +489,7 @@ class FactoredMatrix:
         return _rake_product(self, diag, other, counters)
 
     def materialize(self) -> np.ndarray:
-        return self.left @ self.right
+        return self.left.dot(self.right)
 
     def __repr__(self):
         return f"<FactoredMatrix {self.shape} width={self.width}>"
@@ -680,7 +695,8 @@ def polytree_query(engine: PolytreeEngine, var_id: str, via: str | None = None) 
     """Posterior marginal of a variable: clique belief summed over the
     clique's other members (clique states are in numpy's C order).  via
     selects any clique containing the variable (defaults to the variable's
-    own)."""
+    own).  Impossible evidence is reported at var_id, not at the compiled
+    clique node the tree engine names."""
     if var_id not in engine.polytree.variables:
         raise UnknownVariable(f"no variable {var_id!r}")
     clique_var = var_id if via is None else via
@@ -689,8 +705,12 @@ def polytree_query(engine: PolytreeEngine, var_id: str, via: str | None = None) 
     clique = engine.join_tree.cliques[clique_var]
     if var_id not in clique.members:
         raise UnknownVariable(f"clique of {clique_var!r} does not contain {var_id!r}")
-    return clique.member_belief(
-        var_id, engine.index.query(engine.compiled.clique_node[clique_var]))
+    try:
+        clique_bel = engine.index.query(engine.compiled.clique_node[clique_var])
+    except ImpossibleEvidence:
+        raise ImpossibleEvidence(
+            f"total probability mass is zero at variable {var_id!r}") from None
+    return clique.member_belief(var_id, clique_bel)
 
 
 def brute_polytree_marginal(pt: Polytree, evidence: dict[str, np.ndarray],

@@ -8,6 +8,9 @@ LazyState keeps only the lambda vectors cached.  An evidence update
 recomputes the lambda equations of the leaf's ancestors (depth-many
 evaluations); a query recomputes pi along the root-to-node path on demand.
 pi is never cached, so updates stay cheap on deep trees.
+
+Products are ndarray.dot, as in the contraction engine, so that the
+baselines pay the same per-call cost for the same arithmetic.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def _lambda_at(tree: CausalTree, node_id: str, lambdas: dict[str, np.ndarray],
     for child in node.children:
         cpt = tree.nodes[child].cpt
         counters.count_matvec(*cpt.shape)
-        term = cpt @ lambdas[child]
+        term = cpt.dot(lambdas[child])
         if out is None:
             out = term
         else:
@@ -92,10 +95,10 @@ def _pi_at(tree: CausalTree, node_id: str, parent_pi: np.ndarray,
         cpt = tree.nodes[sibling].cpt
         counters.count_matvec(*cpt.shape)
         counters.count_vector_op(parent.domain)
-        acc = acc * (cpt @ lambdas[sibling])
+        acc = acc * cpt.dot(lambdas[sibling])
     counters.count_matvec(node.cpt.shape[1], node.cpt.shape[0])
     counters.count_equation()
-    return node.cpt.T @ acc
+    return acc.dot(node.cpt)
 
 
 def belief(table: PropagationTable, node_id: str) -> Belief:

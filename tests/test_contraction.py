@@ -13,6 +13,7 @@ from logbel import (
     TreeTooSmall,
     UnknownNode,
     belief_query,
+    build_engine,
     build_tree,
     calc_pi_lambda,
     chain_tree,
@@ -21,6 +22,7 @@ from logbel import (
     lambda_query,
     normalize_tree,
     pi_query,
+    random_polytree,
     rake,
     update_evidence,
 )
@@ -334,6 +336,49 @@ class TestQueries:
                 assert index.counters.delta(before)["equation_evals"] <= 2 * rounds + 2
                 belief_query(index, node_id)
                 assert index.last_calc_depth <= 2 * rounds
+
+
+class TestCachedDiagonal:
+    """Every rake's diag is e_side . lambda(leaf) under the evidence in
+    force, whichever slot each update's chain entered it through."""
+
+    @staticmethod
+    def _stream(index, leaves, rng, ops=60):
+        """Random updates that include both extreme leaves, which no rake
+        consumes."""
+        for i in range(ops):
+            leaf = leaves[i] if i < 2 else leaves[int(rng.integers(len(leaves)))]
+            update_evidence(index, leaf, random_likelihood(index.tree.nodes[leaf].domain, rng))
+
+    @staticmethod
+    def _assert_fresh(index, rebuilt):
+        assert len(index.rake_log) == len(rebuilt.rake_log)
+        for rk, fresh in zip(index.rake_log, rebuilt.rake_log):
+            assert (rk.leaf, rk.level) == (fresh.leaf, fresh.level)
+            want = materialize(rk.e_side_input.coeff) @ index.evidence[rk.leaf]
+            np.testing.assert_allclose(rk.diag, want, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(rk.diag, fresh.diag, rtol=1e-12, atol=1e-300)
+
+    def test_trees(self):
+        rng = np.random.default_rng(41)
+        trees = [chain_tree(61, 2, rng), balanced_tree(63, (2, 3), rng),
+                 normalize_tree(ragged_tree(50, rng))[0]]
+        trees += list(small_corpus(rng, count=4, hi=90))
+        for tree in trees:
+            index = contract(tree)
+            order = tree.leaf_order()
+            self._stream(index, [order[0], order[-1], *order], rng)
+            self._assert_fresh(index, contract(index.tree.copy()))
+
+    def test_compiled_polytrees(self):
+        rng = np.random.default_rng(42)
+        for _ in range(4):
+            engine = build_engine(random_polytree(int(rng.integers(6, 20)), 3, (2, 3), rng))
+            index, compiled = engine.index, engine.compiled
+            order = index.tree.leaf_order()
+            leaves = [order[0], order[-1], *compiled.evidence_leaf.values()]
+            self._stream(index, leaves, rng, ops=40)
+            self._assert_fresh(index, contract(index.tree.copy(), coeffs=compiled.coeffs))
 
 
 class TestWalkDepth:

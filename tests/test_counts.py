@@ -4,7 +4,9 @@ must leave the counters exactly where these pinned totals say.
 The counts are the package's deterministic cost signal, so any change to
 how an update or a query is evaluated must leave them byte for byte as
 they are.  One dense tree (wide and single-child nodes, normalized) and one
-compiled polytree (factored coefficients) are replayed.
+compiled polytree (factored coefficients) are replayed.  The counts are
+checked against the work numpy is asked to do on the dense tree, and
+against closed forms on a hand-built tree.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from logbel import (
     update_evidence,
 )
 from logbel.generate import random_likelihood
+from test_forms import counted, measured
 
 
 def ragged_tree(n_nodes, rng):
@@ -98,11 +101,83 @@ def test_polytree_counts_are_pinned():
     assert totals(index.counters) == POLYTREE_TOTALS
 
 
+def test_counts_equal_the_work_done():
+    """Build, updates and walks on the dense tree with every coefficient a
+    Counted array: the counters add up to the products numpy computed (the
+    equation evaluations aside, which numpy does not see)."""
+    rng = np.random.default_rng(5)
+    tree, _ = normalize_tree(ragged_tree(60, rng))
+    coeffs = {nid: counted(rng, node.cpt.shape) for nid, node in tree.nodes.items()
+              if node.parent is not None}
+    index, work = measured(lambda: contract(tree, coeffs=coeffs))
+    assert work == totals_without_equations(index.counters)
+    nodes, leaves = list(tree.nodes), tree.leaf_order()
+
+    def stream():
+        for _ in range(40):
+            leaf = leaves[int(rng.integers(len(leaves)))]
+            update_evidence(index, leaf, random_likelihood(tree.nodes[leaf].domain, rng))
+            pi_query(index, nodes[int(rng.integers(len(nodes)))])
+            lambda_query(index, nodes[int(rng.integers(len(nodes)))])
+
+    before = totals_without_equations(index.counters)
+    _, work = measured(stream)
+    after = totals_without_equations(index.counters)
+    assert work == tuple(a - b for a, b in zip(after, before))
+
+
+def totals_without_equations(counters):
+    mv, mm, _, adds, mm_adds = totals(counters)
+    return (mv, mm, 0, adds, mm_adds)
+
+
+def test_chain_steps_count_the_e_side_product_only_when_it_changed():
+    """u -> (y, e), y -> (x, d), x -> (a, p), p -> (b, c); domains below.
+    Level 1 rakes b (parent p into x) and d (parent y into u); level 2
+    rakes c (parent x into u), whose e side is b's output and whose parent
+    side is d's.  A rake (leaf, x, u) over z costs k_x k_leaf for its
+    e-side product when its diagonal is refreshed, k_u k_x to scale and
+    k_u k_x k_z to multiply through."""
+    k = {"u": 2, "y": 3, "x": 4, "p": 3, "a": 2, "b": 2, "c": 3, "d": 2, "e": 2}
+    parent = {"y": "u", "e": "u", "x": "y", "d": "y", "a": "x", "p": "x", "b": "p", "c": "p"}
+    rng = np.random.default_rng(8)
+    nodes = [{"id": "u", "domain": 2, "prior": [0.3, 0.7]}]
+    for nid, par in parent.items():
+        entry = {"id": nid, "domain": k[nid], "parent": par,
+                 "cpt": rng.dirichlet(np.ones(k[nid]), size=k[par]).tolist()}
+        if nid in "abcde":
+            entry["evidence"] = [1.0] * k[nid]
+        nodes.append(entry)
+    index = contract(build_tree({"nodes": nodes}))
+    assert [(rk.level, rk.leaf, rk.parent, rk.grandparent) for rk in index.rake_log] == [
+        (1, "b", "p", "x"), (1, "d", "y", "u"), (2, "c", "x", "u")]
+    rake_b, rake_d, rake_c = index.rake_log
+    assert rake_c.e_side_input is rake_b.output and rake_c.parent_input is rake_d.output
+
+    def adds_of_update(leaf):
+        before = index.counters.snapshot()
+        update_evidence(index, leaf, random_likelihood(k[leaf], rng))
+        return index.counters.delta(before)
+
+    # b's chain enters c through its e side: c refreshes its diagonal
+    delta = adds_of_update("b")
+    assert delta["scalar_mult_adds"] == (3 * 2 + 4 * 3 + 4 * 3 * 3) + (4 * 3 + 2 * 4 + 2 * 4 * 2)
+    assert (delta["matrix_vector_mults"], delta["matrix_matrix_mults"]) == (2, 2)
+    # d's chain enters c through its parent side: c reuses its diagonal
+    delta = adds_of_update("d")
+    assert delta["scalar_mult_adds"] == (3 * 2 + 2 * 3 + 2 * 3 * 4) + (2 * 4 + 2 * 4 * 2)
+    assert (delta["matrix_vector_mults"], delta["matrix_matrix_mults"]) == (1, 2)
+
+
 # Recorded by an implementation that counted every product as it computed it.
+# The totals were re-recorded when each rake kept its diagonal cached
+# (reused chain steps and walk steps below a rake do no e-side product;
+# builds and chains are unchanged): DENSE_TOTALS (3332, 242, 1787, 22881,
+# 2530) and POLYTREE_TOTALS (1353, 258, 766, 158982, 86677) before.
 DENSE_BUILD = (41, 41, 41, 819, 422)
 DENSE_CHAINS = [3, 7, 6, 7, 6, 5, 5, 5, 7, 5, 8, 7, 5, 3, 5, 0, 6, 7, 6, 6, 6, 0, 7, 7, 7, 5, 6, 0, 4,
                 6, 8, 5, 6, 5, 2, 0, 5, 7, 3, 3]
-DENSE_TOTALS = (3332, 242, 1787, 22881, 2530)
+DENSE_TOTALS = (2749, 242, 1787, 20608, 2530)
 # The polytree numbers were re-recorded when every coefficient took its
 # cheapest form (identity edges free, unprofitable factored products
 # multiplied out): (88, 88, 44, 1171861, 1155067) and
@@ -110,4 +185,4 @@ DENSE_TOTALS = (3332, 242, 1787, 22881, 2530)
 POLYTREE_BUILD = (40, 44, 44, 36471, 26891)
 POLYTREE_CHAINS = [5, 5, 3, 3, 3, 6, 3, 0, 6, 5, 5, 4, 7, 4, 6, 6, 5, 5, 6, 5, 8, 6, 5, 3, 1, 5, 5, 3,
                    5, 2, 7, 5, 0, 5, 6, 3, 5, 1, 4, 4]
-POLYTREE_TOTALS = (1353, 258, 766, 158982, 86677)
+POLYTREE_TOTALS = (1084, 258, 766, 152353, 86677)

@@ -3,7 +3,7 @@ operands of random shapes.  Every product matches the dense result, keeps
 the form counters.factored_pays allows, and costs exactly what the closed
 forms in counters.py say, which is checked against the work numpy is
 actually asked to do: the factors are Counted arrays, which log every
-multiply and matmul they take part in.
+multiply, matmul and dot they take part in.
 """
 
 import numpy as np
@@ -19,9 +19,10 @@ SIZES = st.integers(1, 7)
 
 
 class Counted(np.ndarray):
-    """An ndarray whose multiplies and matmuls, while measured() runs, add
-    their work to Counted.work as a cost tuple (matrix-vector products,
-    matrix-matrix products, 0, mult-adds, matmat mult-adds)."""
+    """An ndarray whose multiplies, matmuls and dots (ndarray.dot is not a
+    ufunc, so it is overridden), while measured() runs, add their work to
+    Counted.work as a cost tuple (matrix-vector products, matrix-matrix
+    products, 0, mult-adds, matmat mult-adds)."""
 
     work = None
 
@@ -31,20 +32,31 @@ class Counted(np.ndarray):
         if Counted.work is None:
             return out
         if ufunc is np.matmul:
-            a, b = (np.asarray(x) for x in plain)
-            if a.ndim == 2 and b.ndim == 2:
-                adds = a.shape[0] * a.shape[1] * b.shape[1]
-                Counted.work[1] += 1
-                Counted.work[4] += adds
-            else:
-                adds = a.size if a.ndim == 2 else b.size
-                Counted.work[0] += 1
-            Counted.work[3] += adds
+            count_product(*plain)
         elif ufunc is np.multiply:
             Counted.work[3] += out.size
         else:
             raise AssertionError(f"uncounted ufunc {ufunc.__name__}")
         return out.view(Counted)
+
+    def dot(self, other):
+        a, b = np.asarray(self), np.asarray(other)
+        if Counted.work is not None:
+            count_product(a, b)
+        return a.dot(b).view(Counted)
+
+
+def count_product(a, b):
+    """Add the work of the matrix product a @ b to Counted.work."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == 2 and b.ndim == 2:
+        adds = a.shape[0] * a.shape[1] * b.shape[1]
+        Counted.work[1] += 1
+        Counted.work[4] += adds
+    else:
+        adds = a.size if a.ndim == 2 else b.size
+        Counted.work[0] += 1
+    Counted.work[3] += adds
 
 
 def measured(thunk):
@@ -90,8 +102,9 @@ def test_products_match_dense_and_count_the_work_done(case):
     A, B = materialize(a), materialize(b)
     diag, right_vec, left_vec = (counted(rng, n) for n in (M, M, K))
 
-    # coeff @ vec and vec @ coeff
+    # coeff @ vec, coeff.dot(vec) and vec @ coeff
     for product, want in ((lambda: a @ right_vec, A @ right_vec),
+                          (lambda: a.dot(right_vec), A @ right_vec),
                           (lambda: left_vec @ a, left_vec @ A)):
         got, work = measured(product)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -23,7 +23,6 @@ from .errors import (
     MultipleRoots,
     NotALeaf,
     NotAPolytree,
-    NotRakeable,
     RowNotStochastic,
     StateSpaceTooLarge,
     TreeTooSmall,
@@ -61,7 +60,6 @@ from .contraction import (
     contract,
     lambda_query,
     pi_query,
-    rake,
     update_evidence,
 )
 from .jointree import (
@@ -94,7 +92,7 @@ __all__ = [
     "FormatError", "Identity", "ImpossibleEvidence", "InvalidProbability", "JoinTree",
     "LazyState", "LeafWithoutEvidence", "LevelOutOfRange", "LogbelError",
     "MissingRoot", "MultipleRoots", "Node", "NotALeaf", "NotAPolytree",
-    "NotRakeable", "OpCounters", "PiLambdaTriple", "Polytree",
+    "OpCounters", "PiLambdaTriple", "Polytree",
     "PolytreeEngine", "PropagationTable", "RowNotStochastic",
     "StateSpaceTooLarge", "TreeTooSmall", "UnknownNode", "UnknownVariable",
     "Variable", "ZeroMarginalDivisor", "balanced_tree", "belief",
@@ -104,6 +102,6 @@ __all__ = [
     "contract", "extract_cliques", "full_propagate", "lambda_query",
     "lazy_query", "lazy_update", "load_network", "load_polytree",
     "normalize_tree", "pi_query", "polytree_query", "polytree_update",
-    "prior_marginals", "random_polytree", "random_tree", "rake",
+    "prior_marginals", "random_polytree", "random_tree",
     "save_network", "set_evidence", "tree_to_spec", "update_evidence",
 ]

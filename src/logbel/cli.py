@@ -157,17 +157,14 @@ def cmd_run(args) -> int:
 # -- verify -------------------------------------------------------------------------
 
 
-def cmd_verify(args, _corrupt=None) -> int:
+def cmd_verify(args) -> int:
     """Replay the stream under the log-time strategy and an oracle; compare
-    every query.  _corrupt is a fault-injection hook used by tests: it
-    receives the ContractionIndex after construction."""
+    every query."""
     try:
         kind, problem = load_problem(args.network)
         ops = parse_stream(args.ops)
         subject = ENGINES[kind][LOG_TIME[kind]](problem)
         oracle = ENGINES[kind][args.oracle](problem)
-        if _corrupt is not None:
-            _corrupt(subject if kind == "tree" else subject.index)
     except (LogbelError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

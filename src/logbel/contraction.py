@@ -37,18 +37,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from operator import attrgetter
+from types import MappingProxyType
 
 import numpy as np
 
 from .counters import NO_COST, OpCounters, matvec_cost, rake_cost, sum_costs
-from .errors import (
-    ConstructionError,
-    LevelOutOfRange,
-    NotRakeable,
-    TreeTooSmall,
-    UnknownNode,
-)
+from .errors import ConstructionError, LevelOutOfRange, TreeTooSmall, UnknownNode
 from .model import Belief, CausalTree, normalize_belief, set_evidence
 
 LEFT, RIGHT = 0, 1
@@ -64,8 +60,9 @@ LEFT, RIGHT = 0, 1
 # and numpy defers to its __rmatmul__.  A slot's form, and so its type, is
 # fixed when the index is built.  Operation counts depend only on
 # coefficient forms (counters.matvec_cost and rake_cost), so they are fixed
-# once per stored equation when the index is built (see _equation_cost and
-# _rake_costs).
+# once per stored equation when the index is built, by _equation_cost and
+# _rake_costs, pure functions of forms.  Their caches stay small: results
+# are immutable tuples, and a network has a few hundred distinct keys.
 
 def _form(coeff) -> tuple:
     """The factor shapes a coefficient's operation counts depend on."""
@@ -84,39 +81,32 @@ def materialize(coeff) -> np.ndarray:
     return coeff if isinstance(coeff, np.ndarray) else coeff.materialize()
 
 
-def _equation_cost(index: "ContractionIndex", rec: "CoeffRecord") -> tuple:
-    """Counts of evaluating one version's equation once: its two sides times
-    child vectors, then their product.  A pi step through the version (one
-    side times the sibling's lambda, a product with pi, the other side
-    transposed) counts the same."""
-    K = rec.left.coeff.shape[0]
-    key = (K, _form(rec.left.coeff), _form(rec.right.coeff))
-    cost = index._costs.get(key)
-    if cost is None:
-        _, left, right = key
-        product = (0, 0, 1, K, 0)  # the equation and its vector product
-        cost = sum_costs(sum_costs(matvec_cost(left), matvec_cost(right)), product)
-        index._costs[key] = cost
-    return cost
+@cache
+def _equation_cost(K: int, left_form: tuple, right_form: tuple) -> tuple:
+    """Counts of evaluating once an equation over a K-state owner: its two
+    sides times child vectors, then their product.  A pi step through the
+    equation (one side times the sibling's lambda, a product with pi, the
+    other side transposed) counts the same."""
+    product = (0, 0, 1, K, 0)  # the equation and its vector product
+    return sum_costs(sum_costs(matvec_cost(left_form), matvec_cost(right_form)), product)
 
 
-def _rake_costs(index: "ContractionIndex", equation: "RakeEquation") -> tuple:
-    """Counts of evaluating one rake equation (e, x, u) once, refreshing its
-    diagonal (the e-side product, the rake product and the equation) and
-    reusing it (no e-side product), and of the walk step below the rake
-    that rebuilds lambda(x) from the cached diagonal (the z side's product
-    and the vector product)."""
-    e_side = equation.e_side_input.coeff
-    key = (e_side.shape[0], _form(e_side),
-           _form(equation.parent_input.coeff), _form(equation.z_side_input.coeff))
-    costs = index._costs.get(key)
-    if costs is None:
-        K, e_side, parent, z_side = key
-        reuse = sum_costs(rake_cost(parent, z_side), (0, 0, 1, 0, 0))
-        costs = (sum_costs(matvec_cost(e_side), reuse), reuse,
-                 sum_costs(matvec_cost(z_side), (0, 0, 1, K, 0)))
-        index._costs[key] = costs
-    return costs
+@cache
+def _rake_costs(K: int, e_form: tuple, parent_form: tuple, z_form: tuple) -> tuple:
+    """Counts of evaluating one rake equation (e, x, u) with a K-state x
+    once, refreshing its diagonal (the e-side product, the rake product and
+    the equation) and reusing it (no e-side product), and of the walk step
+    below the rake that rebuilds lambda(x) from the cached diagonal (the z
+    side's product and the vector product)."""
+    reuse = sum_costs(rake_cost(parent_form, z_form), (0, 0, 1, 0, 0))
+    return (sum_costs(matvec_cost(e_form), reuse), reuse,
+            sum_costs(matvec_cost(z_form), (0, 0, 1, K, 0)))
+
+
+def _record_cost(rec: "CoeffRecord") -> tuple:
+    """_equation_cost of an equation version."""
+    left, right = rec.left.coeff, rec.right.coeff
+    return _equation_cost(left.shape[0], _form(left), _form(right))
 
 
 # -- stored structure ------------------------------------------------------------
@@ -193,7 +183,7 @@ class CoeffRecord:
     above is the next version on the root-ward query walk: the owner's next
     version, or, for the last version of a raked node, the grandparent
     version that absorbed it; None only for the root's terminal version.
-    cost counts one evaluation of this equation (_equation_cost) and
+    cost counts one evaluation of this equation (_record_cost) and
     walk_cost the whole walk that builds this version's (pi, lambda, lambda)
     triple (filled in when contract() ends).
     """
@@ -226,54 +216,35 @@ class PiLambdaTriple:
 
 
 @dataclass(slots=True)
-class LevelNode:
-    record: CoeffRecord | None  # None for leaves
-
-
-@dataclass(slots=True)
 class Level:
     """The tree after one round of rakes: its left-to-right frontier, and
-    nodes, a read-only view of the nodes still present, each with its
-    latest equation version, computed on demand."""
+    nodes, a read-only map of the nodes still present to their latest
+    equation version (None for a leaf), built when read."""
 
     index: int
     leaves: list[str]
     _owner: "ContractionIndex"
 
     @property
-    def nodes(self) -> Mapping[str, LevelNode]:
-        return _LevelNodes(self._owner, self.index)
+    def nodes(self) -> Mapping[str, CoeffRecord | None]:
+        owner, level = self._owner, self.index
+        return MappingProxyType({nid: _record_at(owner, nid, level)
+                                 for nid in owner.tree.nodes if _present(owner, nid, level)})
 
 
-class _LevelNodes(Mapping):
-    """Nodes of one level, read from the index: a node is present until the
-    rake that removes it (removed_by), and its record is the last version
-    created at or before the level (CoeffRecord.level)."""
+def _present(index: "ContractionIndex", node_id: str, level: int) -> bool:
+    """A node is in the tree until the round of the rake that removes it."""
+    rk = index.removed_by.get(node_id)
+    return rk is None or rk.level > level
 
-    __slots__ = ("_owner", "_level")
 
-    def __init__(self, owner: "ContractionIndex", level: int):
-        self._owner = owner
-        self._level = level
-
-    def _present(self, node_id: str) -> bool:
-        rk = self._owner.removed_by.get(node_id)
-        return rk is None or rk.level > self._level
-
-    def __getitem__(self, node_id: str) -> LevelNode:
-        if node_id not in self._owner.tree.nodes or not self._present(node_id):
-            raise KeyError(node_id)
-        recs = self._owner.records.get(node_id)
-        if recs is None:
-            return LevelNode(record=None)
-        latest = bisect_right(recs, self._level, key=attrgetter("level")) - 1
-        return LevelNode(record=recs[latest])
-
-    def __iter__(self):
-        return (nid for nid in self._owner.tree.nodes if self._present(nid))
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
+def _record_at(index: "ContractionIndex", node_id: str, level: int) -> CoeffRecord | None:
+    """A node's last equation version created at or before a level; None
+    for a leaf."""
+    recs = index.records.get(node_id)
+    if recs is None:
+        return None
+    return recs[bisect_right(recs, level, key=attrgetter("level")) - 1]
 
 
 class ContractionIndex:
@@ -288,21 +259,15 @@ class ContractionIndex:
         self.rake_log: list[RakeEquation] = []
         self.removed_by: dict[str, RakeEquation] = {}  # raked leaf and parent -> rake
         self.root = tree.root
-        order = tree.leaf_order()
-        self.levels: list[Level] = [Level(0, order, self)]
-        # The leftmost and rightmost leaves are never raked, so the extremes
-        # of every frontier coincide with those of the base tree.
-        self.extreme_left: str = order[0]
-        self.extreme_right: str = order[-1]
+        self.levels: list[Level] = [Level(0, tree.leaf_order(), self)]
         self.base_matrix_count = 0
         self.stored_matrix_count = 0
         self.last_update_trace: list[Slot] = []
         # equation versions the last query's walk climbed (see _walk)
         self.last_calc_depth = 0
-        # live structure, only set while contract() is running
-        self._live_children: dict[str, list[str]] | None = None
+        # parent of each live node, only set while contract() is running;
+        # a live node's children are those of its last equation version
         self._live_parent: dict[str, str | None] | None = None
-        self._costs: dict | None = {}  # operation counts by coefficient forms
 
     @property
     def leaf_counts(self) -> list[int]:
@@ -314,20 +279,6 @@ class ContractionIndex:
         slot = Slot(self.stored_matrix_count, coeff, owner, side, level)
         self.stored_matrix_count += 1
         return slot
-
-    def _frontier(self) -> list[str]:
-        """Leaves of the live tree, left to right, while contract() runs; a
-        walk that checks the frontiers contract() derives."""
-        out = []
-        stack = [self.root]
-        while stack:
-            cur = stack.pop()
-            kids = self._live_children[cur]
-            if not kids:
-                out.append(cur)
-            else:
-                stack.extend(reversed(kids))
-        return out
 
     def all_slots(self) -> list[Slot]:
         seen: dict[int, Slot] = {}
@@ -344,9 +295,9 @@ class ContractionIndex:
         return belief_query(self, node_id)
 
 
-def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None,
-             _max_rounds: int | None = None) -> ContractionIndex:
-    """Build the full contraction hierarchy for a complete binary tree.
+def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None) -> ContractionIndex:
+    """Build the contraction hierarchy for a complete binary tree: rake
+    rounds run until only the root and the two extreme leaves remain.
 
     The index owns the tree it is given: it keeps it as index.tree, and
     update_evidence writes each new likelihood through to it, so copy the
@@ -357,9 +308,7 @@ def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None,
     coeffs optionally maps non-root node ids to the coefficient object for
     the edge entering each; an edge it does not list uses its node's
     conditional matrix.
-    Raises TreeTooSmall for trees under three nodes.  _max_rounds stops
-    early and leaves the index in its live, partially contracted state;
-    only rake() may be called on such an index.
+    Raises TreeTooSmall for trees under three nodes.
     """
     if tree.n < 3:
         raise TreeTooSmall(f"contraction needs at least 3 nodes, got {tree.n}")
@@ -368,7 +317,6 @@ def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None,
 
     coeffs = {} if coeffs is None else coeffs
     index = ContractionIndex(tree)
-    index._live_children = {nid: list(n.children) for nid, n in tree.nodes.items()}
     index._live_parent = {nid: n.parent for nid, n in tree.nodes.items()}
 
     for node_id in tree.nodes:
@@ -382,7 +330,7 @@ def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None,
                 left=index._new_slot(left_coeff, node_id, LEFT, 0),
                 right=index._new_slot(right_coeff, node_id, RIGHT, 0),
                 left_child=left, right_child=right)
-            rec.cost = _equation_cost(index, rec)
+            rec.cost = _record_cost(rec)
             index.records[node_id] = [rec]
         else:
             index.evidence[node_id] = node.evidence
@@ -391,8 +339,6 @@ def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None,
     frontier = index.levels[0].leaves
     level = 0
     while len(frontier) > 2:
-        if _max_rounds is not None and level >= _max_rounds:
-            return index
         level += 1
         interior = frontier[1:-1]
         for leaf in interior[::2]:
@@ -402,9 +348,7 @@ def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None,
         index.levels.append(Level(level, frontier, index))
 
     _total_costs(index)
-    index._live_children = None
     index._live_parent = None
-    index._costs = None
     return index
 
 
@@ -440,25 +384,16 @@ def _total_costs(index: ContractionIndex) -> None:
 
 
 def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
-    """Remove one leaf and its parent, rewriting the grandparent's equation.
+    """One step of contract(): remove a live leaf that is not extreme, and
+    its parent, splicing the parent's other child under the grandparent
+    and rewriting the grandparent's equation.
 
-    Internal step of contract(); exposed so tests can drive partial
-    contractions.  Returns the rake's record, which rake_log, removed_by,
-    leaf_consumer and created_by hold.  Raises NotRakeable for extreme
-    leaves or leaves whose parent is the root.
+    Returns the rake's record, which rake_log, removed_by, leaf_consumer
+    and created_by hold.  contract() calls it through this module's
+    global, so a wrapper installed here sees every rake.
     """
-    if index._live_children is None:
-        raise NotRakeable("index is fully contracted")
-    if leaf not in index.tree.nodes:
-        raise UnknownNode(f"no node {leaf!r}")
-    if index._live_children.get(leaf) is None or index._live_children[leaf]:
-        raise NotRakeable(f"{leaf!r} is not a live leaf")
-    if leaf in (index.extreme_left, index.extreme_right):
-        raise NotRakeable(f"{leaf!r} is an extreme leaf")
     parent = index._live_parent[leaf]
     grand = index._live_parent[parent]
-    if grand is None:
-        raise NotRakeable(f"parent of {leaf!r} is the root; tree is already terminal")
 
     parent_rec = index.records[parent][-1]
     grand_pre = index.records[grand][-1]
@@ -477,7 +412,9 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
         level=level, parent=parent, grandparent=grand,
         leaf_side=leaf_side, parent_side=parent_side, grandparent_pre=grand_pre)
     _recompute(index.evidence, rk)  # no consumer yet: this equation only; sets diag
-    rk.cost, rk.reuse_cost, rk.lambda_cost = _rake_costs(index, rk)
+    e_side = rk.e_side_input.coeff
+    rk.cost, rk.reuse_cost, rk.lambda_cost = _rake_costs(
+        e_side.shape[0], _form(e_side), _form(rk.parent_input.coeff), _form(rk.z_side_input.coeff))
     index.counters.add(rk.cost)
     for slot in (rk.parent_input, rk.e_side_input, rk.z_side_input):
         assert slot.consumer is None, "a stored matrix may feed only one equation"
@@ -493,7 +430,7 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
         left_child=survivor if parent_side == LEFT else sibling,
         right_child=survivor if parent_side == RIGHT else sibling,
         created_by=rk)
-    post.cost = _equation_cost(index, post)
+    post.cost = _record_cost(post)
     grand_pre.above = post
     parent_rec.above = post
     index.records[grand].append(post)
@@ -501,10 +438,7 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
     index.removed_by[leaf] = rk
     index.removed_by[parent] = rk
 
-    index._live_children[grand][parent_side] = survivor
     index._live_parent[survivor] = grand
-    del index._live_children[leaf], index._live_children[parent]
-    del index._live_parent[leaf], index._live_parent[parent]
     return rk
 
 
@@ -581,10 +515,10 @@ def calc_pi_lambda(index: ContractionIndex, node_id: str, level: int) -> PiLambd
         raise UnknownNode(f"no node {node_id!r}")
     if not 0 <= level < len(index.levels):
         raise LevelOutOfRange(f"level {level} outside 0..{len(index.levels) - 1}")
-    entry = index.levels[level].nodes.get(node_id)
-    if entry is None or entry.record is None:
+    rec = _record_at(index, node_id, level) if _present(index, node_id, level) else None
+    if rec is None:
         raise LevelOutOfRange(f"{node_id!r} has no equations at level {level}")
-    pi, (lam_left, lam_right) = _walk(index, entry.record)
+    pi, (lam_left, lam_right) = _walk(index, rec)
     return PiLambdaTriple(pi=pi.copy(), lambda_left=lam_left.copy(),
                           lambda_right=lam_right.copy())
 

@@ -74,10 +74,6 @@ class TreeTooSmall(LogbelError):
     pass
 
 
-class NotRakeable(LogbelError):
-    pass
-
-
 class LevelOutOfRange(LogbelError):
     pass
 

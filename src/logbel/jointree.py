@@ -49,7 +49,6 @@ from .model import (
     BruteForceOracle,
     CausalTree,
     Node,
-    _float_array,
     build_tree,  # noqa: F401  (the traced benchmark wraps jointree.build_tree by name)
     normalize_tree,
     validate_tables,
@@ -206,15 +205,19 @@ def build_polytree(spec: dict) -> Polytree:
             id=var_id,
             domain=raw["domain"],
             parents=list(parents),
-            cpt=_float_array(raw, "cpt", var_id),
-            prior=_float_array(raw, "prior", var_id),
+            cpt=raw.get("cpt"),
+            prior=raw.get("prior"),
         ))
     return Polytree(variables)
 
 
 def load_polytree(path) -> Polytree:
     with open(path, "r", encoding="utf-8") as fh:
-        return build_polytree(json.load(fh))
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON in {path}: {exc}") from exc
+    return build_polytree(spec)
 
 
 # -- cliques and join tree --------------------------------------------------------

@@ -49,9 +49,19 @@ CHUNK_ENTRIES = 1 << 16    # and at most this many entries, unless one table has
 _NODE_KEYS = {"id", "domain", "parent", "cpt", "prior", "evidence"}
 
 
+def _float_array(values, what: str, *, copy: bool = True) -> np.ndarray:
+    """values as a float64 array, a new one unless copy is false.  The one
+    conversion rule of every table and vector check: FormatError naming
+    what when an entry is not numeric (strings, objects, ragged lists)."""
+    try:
+        return np.array(values, dtype=np.float64) if copy else np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise FormatError(f"{what} is not a numeric array") from None
+
+
 def as_prob_vector(values, *, what: str = "vector") -> np.ndarray:
     """Copy into a new 1-D float64 array with finite, nonnegative entries."""
-    vec = np.array(values, dtype=np.float64)
+    vec = _float_array(values, what)
     if vec.ndim != 1:
         raise DimensionMismatch(f"{what} must be one-dimensional, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
@@ -73,7 +83,7 @@ def check_likelihood(evidence, domain: int | None = None, *,
     """
     if isinstance(evidence, Evidence):
         evidence = evidence.likelihood
-    vec = np.array(evidence, dtype=np.float64)
+    vec = _float_array(evidence, what)
     # One min and one max decide the valid case (NaN fails the min, inf the
     # max); the ordered checks below only run to name what is wrong.
     if vec.ndim == 1 and vec.shape[0] and (domain is None or vec.shape[0] == domain) \
@@ -107,10 +117,10 @@ def check_cpt(values, shape: tuple[int, int], owner: str) -> np.ndarray:
     sums' deviations and one min over the table decide the valid case; the
     first bad row is located only to report it.
     """
-    cpt = np.asarray(values, dtype=np.float64)
+    what = f"conditional table of {owner!r}"
+    cpt = _float_array(values, what, copy=False)
     if cpt.shape != shape:
-        raise DimensionMismatch(
-            f"conditional table of {owner!r} has shape {cpt.shape}, expected {shape}")
+        raise DimensionMismatch(f"{what} has shape {cpt.shape}, expected {shape}")
     deviation = np.abs(cpt.sum(axis=1) - 1.0)
     if not (deviation.max() <= STOCHASTIC_TOL and cpt.min() >= 0.0):
         bad = ~(deviation <= STOCHASTIC_TOL) | np.any(cpt < 0.0, axis=1)
@@ -463,22 +473,11 @@ def build_tree(spec: dict) -> CausalTree:
             id=node_id,
             domain=raw["domain"],
             parent=parent,
-            cpt=_float_array(raw, "cpt", node_id),
-            prior=_float_array(raw, "prior", node_id),
-            evidence=_float_array(raw, "evidence", node_id),
+            cpt=raw.get("cpt"),
+            prior=raw.get("prior"),
+            evidence=raw.get("evidence"),
         ))
     return CausalTree(nodes)
-
-
-def _float_array(raw: dict, key: str, owner: str) -> np.ndarray | None:
-    """raw[key] as a float64 array, or None when absent; FormatError when
-    the entry is not numeric (strings, objects, ragged lists)."""
-    if raw.get(key) is None:
-        return None
-    try:
-        return np.asarray(raw[key], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise FormatError(f"{key} of {owner!r} is not a numeric array") from None
 
 
 def tree_to_spec(tree: CausalTree) -> dict:

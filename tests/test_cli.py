@@ -308,37 +308,41 @@ class TestVerify:
                          "--oracle", oracle]) == 0
             assert capsys.readouterr().out.startswith("PASS")
 
-    def test_detects_injected_corruption(self, tmp_path, capsys):
-        net, tree = random_net(tmp_path, n=15, seed=3)
-        ops = write_stream(tmp_path, "ops.txt", f"Q {tree.root}\n")
+    @staticmethod
+    def _corrupt_contract(monkeypatch):
+        """Make verify's tree engine bend its last stored matrix after the
+        build."""
+        build = ENGINES["tree"]["contract"]
 
-        def corrupt(index):
+        def corrupted(tree):
+            index = build(tree)
             slot = index.all_slots()[-1]
             bent = materialize(slot.coeff).copy()
             bent[0, 0] += 0.25
             slot.coeff = bent
+            return index
 
+        monkeypatch.setitem(ENGINES["tree"], "contract", corrupted)
+
+    def test_detects_injected_corruption(self, tmp_path, capsys, monkeypatch):
+        net, tree = random_net(tmp_path, n=15, seed=3)
+        ops = write_stream(tmp_path, "ops.txt", f"Q {tree.root}\n")
+        self._corrupt_contract(monkeypatch)
         args = build_parser().parse_args(
             ["verify", "--network", net, "--ops", ops, "--oracle", "brute"])
-        assert cmd_verify(args, _corrupt=corrupt) == 3
+        assert cmd_verify(args) == 3
         out = capsys.readouterr().out
         assert out.startswith("FAIL query #1")
         assert repr(tree.root) in out
 
-    def test_corruption_within_tolerance_passes(self, tmp_path, capsys):
+    def test_corruption_within_tolerance_passes(self, tmp_path, capsys, monkeypatch):
         net, tree = random_net(tmp_path, n=15, seed=3)
         ops = write_stream(tmp_path, "ops.txt", f"Q {tree.root}\n")
-
-        def corrupt(index):
-            slot = index.all_slots()[-1]
-            bent = materialize(slot.coeff).copy()
-            bent[0, 0] += 0.25
-            slot.coeff = bent
-
+        self._corrupt_contract(monkeypatch)
         args = build_parser().parse_args(
             ["verify", "--network", net, "--ops", ops,
              "--oracle", "brute", "--tol", "10.0"])
-        assert cmd_verify(args, _corrupt=corrupt) == 0
+        assert cmd_verify(args) == 0
         assert capsys.readouterr().out.startswith("PASS")
 
     def test_impossible_evidence_exit_code(self, tmp_path, capsys):

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import logbel.contraction
 from logbel import (
     AllZeroLikelihood,
     ConstructionError,
     DimensionMismatch,
     LevelOutOfRange,
     NotALeaf,
-    NotRakeable,
     TreeTooSmall,
     UnknownNode,
     belief_query,
@@ -23,7 +23,6 @@ from logbel import (
     normalize_tree,
     pi_query,
     random_polytree,
-    rake,
     update_evidence,
 )
 from logbel.contraction import materialize
@@ -135,8 +134,6 @@ class TestSchedule:
         for tree in small_corpus(rng, count=8):
             index = contract(tree)
             order = tree.leaf_order()
-            assert index.extreme_left == order[0]
-            assert index.extreme_right == order[-1]
             assert index.levels[-1].leaves == [order[0], order[-1]]
             assert set(index.levels[-1].nodes) == {tree.root, order[0], order[-1]}
 
@@ -194,43 +191,59 @@ class TestStorage:
             np.testing.assert_allclose(materialize(slot.coeff), np.eye(2), atol=1e-15)
 
 
-def _version(index, rec):
-    """A record as owner, position among the owner's versions, level and
-    children; None for a leaf."""
-    if rec is None:
-        return None
-    position = next(i for i, r in enumerate(index.records[rec.owner]) if r is rec)
-    return (rec.owner, position, rec.level, rec.left_child, rec.right_child)
+def replay_schedule(tree):
+    """The rake schedule replayed from the tree alone: for each round, the
+    frontier and every present node's children (() for a leaf).  A round
+    rakes every other interior leaf of the frontier, from the second leaf
+    on, each in turn: the leaf and its parent go, and the leaf's sibling
+    takes the parent's place."""
+    children = {nid: tuple(node.children) for nid, node in tree.nodes.items()}
+    parent = {nid: node.parent for nid, node in tree.nodes.items()}
+
+    def frontier():
+        out, stack = [], [tree.root]
+        while stack:
+            node = stack.pop()
+            if children[node]:
+                stack.extend(reversed(children[node]))
+            else:
+                out.append(node)
+        return out
+
+    rounds = [(frontier(), dict(children))]
+    while len(rounds[-1][0]) > 2:
+        for leaf in rounds[-1][0][1:-1:2]:
+            x = parent[leaf]
+            u = parent[x]
+            z = next(c for c in children[x] if c != leaf)
+            children[u] = tuple(z if c == x else c for c in children[u])
+            parent[z] = u
+            del children[leaf], children[x]
+        rounds.append((frontier(), dict(children)))
+    return rounds
 
 
 class TestLevelViews:
-    """levels[L] is computed on demand; contract(tree, _max_rounds=L) stops
-    with the live tree of that level, which it must describe."""
+    """levels[L] is built when read from the stored equation versions; it
+    must describe the tree the replayed schedule reaches after round L."""
 
-    def test_views_match_partial_contractions(self):
+    def test_views_match_replayed_schedule(self):
         rng = np.random.default_rng(40)
         trees = list(small_corpus(rng, count=5, hi=120))
         trees += [normalize_tree(ragged_tree(n, rng))[0] for n in (9, 40, 150)]
         trees.append(chain_tree(41, k=2, rng=rng))
         for tree in trees:
-            full = contract(tree)
-            # the last level is the terminal form (TestSchedule checks it);
-            # a partial build asked to stop there finishes instead
-            for level in full.levels[:-1]:
-                part = contract(tree, _max_rounds=level.index)
+            index = contract(tree)
+            rounds = replay_schedule(tree)
+            assert len(index.levels) == len(rounds)
+            for level, (leaves, children) in zip(index.levels, rounds):
+                assert level.leaves == leaves
                 view = level.nodes
-                assert set(view) == set(part._live_children)
-                assert len(view) == len(part._live_children)
-                for node_id in part._live_children:
-                    recs = part.records.get(node_id)
-                    assert _version(full, view[node_id].record) == \
-                        _version(part, recs[-1] if recs else None)
-                assert part._frontier() == level.leaves
-                assert part.levels[-1].leaves == level.leaves
-                removed = next(iter(part.removed_by), None)
-                if removed is not None:
-                    assert removed not in view and view.get(removed) is None
-            assert full.leaf_counts == [len(level.leaves) for level in full.levels]
+                assert set(view) == set(children)
+                for node_id, kids in children.items():
+                    rec = view[node_id]
+                    assert (() if rec is None else (rec.left_child, rec.right_child)) == kids
+                    assert rec is None or rec.level <= level.index
 
     def test_view_is_read_only(self):
         index = contract(chain_tree(9, k=2, rng=np.random.default_rng(3)))
@@ -244,7 +257,7 @@ class TestLevelEquivalence:
     def _lambda_from_level(self, index, level, node_id):
         if node_id in index.evidence:
             return index.evidence[node_id]
-        rec = level.nodes[node_id].record
+        rec = level.nodes[node_id]
         left = self._lambda_from_level(index, level, rec.left_child)
         right = self._lambda_from_level(index, level, rec.right_child)
         return (materialize(rec.left.coeff) @ left) * (materialize(rec.right.coeff) @ right)
@@ -255,8 +268,8 @@ class TestLevelEquivalence:
             index = contract(tree)
             table = full_propagate(tree)
             for level in index.levels:
-                for node_id, entry in level.nodes.items():
-                    if entry.record is None:
+                for node_id, rec in level.nodes.items():
+                    if rec is None:
                         continue
                     got = self._lambda_from_level(index, level, node_id)
                     np.testing.assert_allclose(got, table.lambdas[node_id],
@@ -390,7 +403,7 @@ class TestWalkDepth:
             depths[node_id] = index.last_calc_depth
         deep = max(depths, key=depths.get)
         assert depths[deep] >= 8
-        shallow = [index.root, index.extreme_left, index.extreme_right]
+        shallow = [index.root, *index.levels[-1].leaves]
         for node_id in shallow:
             belief_query(index, deep)
             assert index.last_calc_depth == depths[deep]
@@ -426,17 +439,17 @@ class TestCalcPiLambda:
             index = contract(tree)
             table = full_propagate(tree)
             for level in index.levels:
-                for node_id, entry in level.nodes.items():
-                    if entry.record is None:
+                for node_id, rec in level.nodes.items():
+                    if rec is None:
                         continue
                     triple = calc_pi_lambda(index, node_id, level.index)
                     np.testing.assert_allclose(triple.pi, table.pis[node_id],
                                                rtol=1e-9, atol=1e-300)
                     np.testing.assert_allclose(triple.lambda_left,
-                                               table.lambdas[entry.record.left_child],
+                                               table.lambdas[rec.left_child],
                                                rtol=1e-9, atol=1e-300)
                     np.testing.assert_allclose(triple.lambda_right,
-                                               table.lambdas[entry.record.right_child],
+                                               table.lambdas[rec.right_child],
                                                rtol=1e-9, atol=1e-300)
 
     def test_results_own_their_arrays(self):
@@ -460,6 +473,27 @@ class TestCalcPiLambda:
             calc_pi_lambda(index, "nope", 0)
 
 
+def test_every_exported_name_resolves():
+    assert len(set(logbel.__all__)) == len(logbel.__all__)
+    for name in logbel.__all__:
+        assert hasattr(logbel, name), name
+
+
+def test_contract_rakes_through_the_module_attribute(monkeypatch):
+    """rake is not exported, but contract calls it through the module's
+    global, so a wrapper installed there sees every rake."""
+    assert "rake" not in logbel.__all__
+    real, seen = logbel.contraction.rake, []
+
+    def spy(index, level, leaf):
+        seen.append((level, leaf))
+        return real(index, level, leaf)
+
+    monkeypatch.setattr(logbel.contraction, "rake", spy)
+    index = contract(chain_tree(9, k=2, rng=np.random.default_rng(3)))
+    assert seen == [(rk.level, rk.leaf) for rk in index.rake_log] != []
+
+
 class TestErrors:
     def test_tree_too_small(self):
         lone = build_tree({"nodes": [{"id": "r", "domain": 2, "prior": [0.5, 0.5]}]})
@@ -473,28 +507,6 @@ class TestErrors:
                           "cpt": [[0.5, 0.5], [0.5, 0.5]], "evidence": [1.0, 1.0]})
         with pytest.raises(ConstructionError):
             contract(build_tree({"nodes": nodes}))
-
-    def test_rake_rejections(self):
-        tree = chain_tree(9, k=2, rng=np.random.default_rng(3))
-        finished = contract(tree)
-        with pytest.raises(NotRakeable):
-            rake(finished, 3, "e3")
-        live = contract(tree, _max_rounds=0)
-        with pytest.raises(NotRakeable):
-            rake(live, 1, "e1")  # extreme leaf
-        with pytest.raises(NotRakeable):
-            rake(live, 1, "x2")  # not a leaf
-        with pytest.raises(UnknownNode):
-            rake(live, 1, "nope")
-        partial = contract(tree, _max_rounds=1)
-        with pytest.raises(NotRakeable):
-            rake(partial, 2, "e2")  # already removed at level 1
-
-    def test_partial_contraction_can_be_finished_by_hand(self):
-        tree = chain_tree(9, k=2, rng=np.random.default_rng(3))
-        live = contract(tree, _max_rounds=1)
-        event = rake(live, 2, "e3")
-        assert (event.leaf, event.parent, event.grandparent) == ("e3", "x3", "x1")
 
     def test_update_rejections(self):
         index = contract(chain_tree(9, k=2, rng=np.random.default_rng(3)))

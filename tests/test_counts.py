@@ -71,8 +71,8 @@ def test_dense_tree_counts_are_pinned():
         pi_query(index, node)
         lambda_query(index, node)
     for level in index.levels:
-        for node_id, entry in level.nodes.items():
-            if entry.record is not None:
+        for node_id, rec in level.nodes.items():
+            if rec is not None:
                 calc_pi_lambda(index, node_id, level.index)
     assert chains == DENSE_CHAINS
     assert totals(index.counters) == DENSE_TOTALS

@@ -6,10 +6,15 @@ import pytest
 import logbel.model
 from logbel import (
     AllZeroLikelihood,
+    CausalTree,
     DimensionMismatch,
     Evidence,
+    FormatError,
     InvalidProbability,
     LazyState,
+    Node,
+    Polytree,
+    Variable,
     belief_query,
     build_engine,
     build_polytree,
@@ -18,6 +23,8 @@ from logbel import (
     full_propagate,
     lazy_query,
     lazy_update,
+    load_network,
+    load_polytree,
     polytree_query,
     polytree_update,
     set_evidence,
@@ -66,6 +73,9 @@ BAD_LIKELIHOODS = {
     "two-dimensional": ([[0.5, 0.5]], DimensionMismatch),
     "wrong-length": ([0.5, 0.5, 0.5], DimensionMismatch),
     "all-zero": ([0.0, 0.0], AllZeroLikelihood),
+    "non-numeric": (["a", "b"], FormatError),
+    # an object array, since np.array refuses a ragged list
+    "ragged": (np.array([[1.0], [1.0, 2.0]], dtype=object), FormatError),
 }
 
 
@@ -76,6 +86,27 @@ def test_every_entry_point_rejects_alike(entry, bad):
     vec, error = BAD_LIKELIHOODS[bad]
     with pytest.raises(error):
         install(np.array(vec))
+
+
+@pytest.mark.parametrize("table", ["cpt", "prior"])
+def test_constructors_name_a_string_table(table):
+    tables = {"prior": [0.4, 0.6], "cpt": [[0.9, 0.1], [0.2, 0.8]]}
+    tables[table] = [["x", "y"], ["z", "w"]] if table == "cpt" else ["x", "y"]
+    named = "conditional table of 'c'" if table == "cpt" else "prior of 'a'"
+    with pytest.raises(FormatError, match=f"{named} is not a numeric array"):
+        CausalTree([Node("a", 2, prior=tables["prior"]),
+                    Node("c", 2, parent="a", cpt=tables["cpt"], evidence=[1.0, 1.0])])
+    with pytest.raises(FormatError, match=f"{named} is not a numeric array"):
+        Polytree([Variable("a", 2, [], None, tables["prior"]),
+                  Variable("c", 2, ["a"], tables["cpt"], None)])
+
+
+@pytest.mark.parametrize("load", [load_network, load_polytree])
+def test_loaders_wrap_malformed_json(load, tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text('{"nodes": [', encoding="utf-8")
+    with pytest.raises(FormatError, match="invalid JSON"):
+        load(path)
 
 
 def _tree_engines(tree):

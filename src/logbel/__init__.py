@@ -54,6 +54,8 @@ from .propagate import (
 )
 from .contraction import (
     ContractionIndex,
+    FactoredMatrix,
+    Identity,
     PiLambdaTriple,
     belief_query,
     calc_pi_lambda,
@@ -65,8 +67,6 @@ from .contraction import (
 from .jointree import (
     Clique,
     CompiledTree,
-    FactoredMatrix,
-    Identity,
     JoinTree,
     Polytree,
     PolytreeEngine,

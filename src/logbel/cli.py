@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 from functools import partial
@@ -26,13 +25,12 @@ from .contraction import contract
 from .errors import FormatError, ImpossibleEvidence, LogbelError
 from .generate import balanced_tree, chain_tree, random_likelihood, random_tree
 from .jointree import Polytree, build_engine, build_polytree
-from .model import BruteForceOracle, CausalTree, Evidence, build_tree, normalize_tree
+from .model import BruteForceOracle, CausalTree, Evidence, build_tree, normalize_tree, read_json
 from .propagate import FullState, LazyState
 
 
 def load_problem(path) -> tuple[str, CausalTree | Polytree]:
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = read_json(path)
     if not isinstance(spec, dict):
         raise FormatError("network file must contain a JSON object")
     if "nodes" in spec:
@@ -135,7 +133,7 @@ def cmd_run(args) -> int:
         kind, problem = load_problem(args.network)
         ops = parse_stream(args.ops)
         runner = _make_runner(kind, problem, args.strategy or LOG_TIME[kind])
-    except (LogbelError, OSError, json.JSONDecodeError) as exc:
+    except (LogbelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for op in ops:
@@ -165,7 +163,7 @@ def cmd_verify(args) -> int:
         ops = parse_stream(args.ops)
         subject = ENGINES[kind][LOG_TIME[kind]](problem)
         oracle = ENGINES[kind][args.oracle](problem)
-    except (LogbelError, OSError, json.JSONDecodeError) as exc:
+    except (LogbelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     max_dev = 0.0

@@ -13,18 +13,19 @@ walks a single chain of equations; a belief query walks one root-ward path
 of equation versions.  Both touch O(log N) equations on balanced rake
 schedules.
 
-Coefficients are dense ndarrays by default; any object with the same
-products (coeff.dot(x) for an ndarray x, coeff @ other for another
-coefficient, vec @ coeff, coeff * diag), plus shape, form (its factor
-shapes) and materialize, can be substituted per edge through the coeffs
-argument of contract(), forms mixed freely.  The package has two:
-jointree.FactoredMatrix, form (left.shape, right.shape), and
-jointree.Identity, form (), which every product passes through for free.
-Operation counts come from the forms alone, by the one rule in counters.py
-(matvec_cost and rake_cost), and a product's result takes the cheapest form
-that rule allows: a two-factor product whose matrix-vector product is not
-strictly cheaper than the dense one's is multiplied out
-(counters.factored_pays), and its counts include that product.
+Coefficient forms.  This module owns how a stored coefficient is kept,
+what its products cost and which form a product keeps.  A coefficient is a
+dense ndarray, a FactoredMatrix (left . right) or an Identity; any object
+with the same products (coeff.dot(x) for an ndarray x, coeff @ other for
+another coefficient, vec @ coeff, coeff * diag) plus shape, form and
+materialize can be given per edge through the coeffs argument of
+contract(), forms mixed freely.  A form is the tuple of factor shapes:
+(M.shape,) dense, (left.shape, right.shape) factored, () for the identity,
+which every product passes through for free.  Operation counts come from
+forms alone, by one rule: matvec_cost charges one matrix-vector product per
+factor, rake_cost the rake product.  Every product keeps the cheapest form
+that rule allows (_cheapest): two factors only while factored_pays, else
+the product is multiplied out, and counted.
 
 Each rake keeps its diagonal, e_side_coeff . lambda(e), cached.  An update
 refreshes it only on the equations its chain enters through the leaf or
@@ -43,26 +44,173 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .counters import NO_COST, OpCounters, matvec_cost, rake_cost, sum_costs
-from .errors import ConstructionError, LevelOutOfRange, TreeTooSmall, UnknownNode
+from .counters import NO_COST, OpCounters, sum_costs
+from .errors import ConstructionError, DimensionMismatch, LevelOutOfRange, TreeTooSmall, UnknownNode
 from .model import Belief, CausalTree, normalize_belief, set_evidence
 
 LEFT, RIGHT = 0, 1
 
 
-# -- coefficient algebra (dense ndarray or a duck-typed form) ------------------
+# -- coefficient forms, their products and their counts -----------------------
 #
-# Ops evaluate coefficients with ndarray.dot, which every form implements
-# too: coeff.dot(vec), coeff.dot(matrix) and vec.dot(coeff), the last two
-# only where the right operand's type is np.ndarray.  ndarray.dot skips the
-# ufunc dispatch of @ (half the wall time of a 2 x 2 product), but it does
-# not defer to another operand, so a right operand of another type keeps @
-# and numpy defers to its __rmatmul__.  A slot's form, and so its type, is
-# fixed when the index is built.  Operation counts depend only on
-# coefficient forms (counters.matvec_cost and rake_cost), so they are fixed
-# once per stored equation when the index is built, by _equation_cost and
-# _rake_costs, pure functions of forms.  Their caches stay small: results
-# are immutable tuples, and a network has a few hundred distinct keys.
+# Products use ndarray.dot, which skips the ufunc dispatch of @ (half the wall
+# time of a 2 x 2 product) but does not defer to another operand: a right
+# operand that is not an ndarray keeps @, and numpy defers to its
+# __rmatmul__ (the forms set __array_ufunc__ = None).  contract() fixes each
+# stored equation's counts once, from forms (_equation_cost, _rake_costs);
+# the caches hold immutable tuples, a few hundred keys per network.
+
+def matvec_cost(form: tuple) -> tuple:
+    """coeff @ vec or vec @ coeff: one matrix-vector product per factor."""
+    return (len(form), 0, 0, sum(rows * cols for rows, cols in form), 0)
+
+
+def factored_pays(form: tuple) -> bool:
+    """Whether a two-factor form's matrix-vector product is strictly cheaper
+    than that of the dense matrix it stands for."""
+    (rows, inner), (_, cols) = form
+    return rows * inner + inner * cols < rows * cols
+
+
+def rake_cost(parent_form: tuple, other_form: tuple) -> tuple:
+    """(parent * diag) @ other: the diagonal scales the parent's last factor,
+    which is then multiplied through each factor of other in turn.  Through
+    an identity parent the diagonal scales other's first factor instead
+    (nothing at all if other is an identity too: the result is the
+    diagonal).  A two-factor result that does not pay is multiplied out."""
+    if parent_form:
+        rows, cols = parent_form[-1]
+        matmats = len(other_form)
+        matmat = sum(rows * inner * out for inner, out in other_form)
+        form = parent_form[:-1] + ((rows, other_form[-1][1]),) if other_form else parent_form
+    elif other_form:
+        (rows, cols), matmats, matmat, form = other_form[0], 0, 0, other_form
+    else:
+        return NO_COST
+    if len(form) == 2 and not factored_pays(form):
+        (out_rows, inner), (_, out_cols) = form
+        matmats += 1
+        matmat += out_rows * inner * out_cols
+    return (0, matmats, 0, rows * cols + matmat, matmat)
+
+
+def _cheapest(left: np.ndarray, right: np.ndarray):
+    """left @ right, factored while that pays, multiplied out otherwise."""
+    if factored_pays((left.shape, right.shape)):
+        return FactoredMatrix(left, right)
+    return left.dot(right)
+
+
+class Identity:
+    """The K x K identity: form (), and every product passes through it
+    uncounted.  Identity * diag is Diag(diag), which scales the rows of what
+    it multiplies (a diagonal, if that is an identity too)."""
+
+    __slots__ = ("K",)
+    form = ()
+    __array_ufunc__ = None
+
+    def __init__(self, K: int):
+        self.K = K
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.K, self.K)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def __matmul__(self, other):
+        return other
+
+    def __rmatmul__(self, vec: np.ndarray) -> np.ndarray:
+        return vec
+
+    def __mul__(self, diag: np.ndarray) -> "_Diagonal":
+        return _Diagonal(diag)
+
+    def materialize(self) -> np.ndarray:
+        return np.eye(self.K)
+
+    def __repr__(self):
+        return f"<Identity {self.K}>"
+
+
+class _Diagonal:
+    """Diag(diag), the left side of a rake through an identity parent."""
+
+    __slots__ = ("diag",)
+
+    def __init__(self, diag: np.ndarray):
+        self.diag = diag
+
+    def dot(self, matrix: np.ndarray) -> np.ndarray:
+        return self.diag[:, None] * matrix
+
+    def __matmul__(self, other):
+        if isinstance(other, np.ndarray):
+            return self.dot(other)
+        if isinstance(other, FactoredMatrix):
+            return _cheapest(self.diag[:, None] * other.left, other.right)
+        return np.diag(self.diag)  # Diag . Identity
+
+
+class FactoredMatrix:
+    """K_parent x K_child matrix stored as left (K_parent x L) times right
+    (L x K_child).  self * diag scales the columns, and self @ other keeps
+    self's left factor and folds the rest into the right one, so a rake
+    costs O(K L^2), unless the result is cheaper dense."""
+
+    __slots__ = ("left", "right")
+    __array_ufunc__ = None
+
+    def __init__(self, left: np.ndarray, right: np.ndarray):
+        if left.shape[1] != right.shape[0]:
+            raise DimensionMismatch(
+                f"factored parts do not chain: {left.shape} x {right.shape}")
+        self.left = left
+        self.right = right
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.left.shape[0], self.right.shape[1])
+
+    @property
+    def width(self) -> int:
+        return self.left.shape[1]
+
+    @property
+    def form(self) -> tuple:
+        return (self.left.shape, self.right.shape)
+
+    def dot(self, x: np.ndarray):
+        if x.ndim == 1:
+            return self.left.dot(self.right.dot(x))
+        return _cheapest(self.left, self.right.dot(x))
+
+    def __matmul__(self, other):
+        if isinstance(other, np.ndarray):
+            return self.dot(other)
+        if isinstance(other, FactoredMatrix):
+            return _cheapest(self.left, self.right.dot(other.left).dot(other.right))
+        return _cheapest(self.left, self.right)  # self @ Identity
+
+    def __rmatmul__(self, vec: np.ndarray) -> np.ndarray:
+        return vec.dot(self.left).dot(self.right)
+
+    def __mul__(self, diag: np.ndarray) -> "FactoredMatrix":
+        return FactoredMatrix(self.left, self.right * diag)
+
+    def rake_product(self, diag: np.ndarray, other, counters: OpCounters) -> "FactoredMatrix":
+        """self . Diag(diag) . other, counted."""
+        return _rake_product(self, diag, other, counters)
+
+    def materialize(self) -> np.ndarray:
+        return self.left.dot(self.right)
+
+    def __repr__(self):
+        return f"<FactoredMatrix {self.shape} width={self.width}>"
+
 
 def _form(coeff) -> tuple:
     """The factor shapes a coefficient's operation counts depend on."""

@@ -8,18 +8,10 @@ of an r x c matrix counts as r*c multiply-adds; an (r x m) @ (m x c) product
 counts r*m*c; rescaling a matrix by a diagonal counts r*c.
 
 Those counts depend only on the shapes involved, so the contraction index
-fixes the cost of each of its operations when it is built and adds it in
-one step.  A cost is a tuple (matrix_vector_mults, matrix_matrix_mults,
-equation_evals, scalar_mult_adds, matmat_mult_adds).
-
-The cost of a product with a stored coefficient follows from its form, the
-tuple of its factor shapes: (M.shape,) for a dense matrix, (left.shape,
-right.shape) for a factored one, () for the identity, which every product
-passes through for free.  matvec_cost and rake_cost are the one rule every
-coefficient is counted by, and factored_pays the one rule that decides
-which form a product keeps: two factors only while their matrix-vector
-product is strictly cheaper than the dense one, else the product is
-multiplied out (and rake_cost counts that product too).
+fixes the cost of each of its operations when it is built, from its
+coefficients' forms (see contraction.py), and adds it in one step.  A cost
+is a tuple (matrix_vector_mults, matrix_matrix_mults, equation_evals,
+scalar_mult_adds, matmat_mult_adds).
 """
 
 from __future__ import annotations
@@ -32,40 +24,6 @@ NO_COST = (0, 0, 0, 0, 0)
 def sum_costs(a: tuple, b: tuple) -> tuple:
     """The cost of doing a's work and then b's."""
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4])
-
-
-def matvec_cost(form: tuple) -> tuple:
-    """coeff @ vec or vec @ coeff: one matrix-vector product per factor."""
-    return (len(form), 0, 0, sum(rows * cols for rows, cols in form), 0)
-
-
-def factored_pays(form: tuple) -> bool:
-    """Whether a two-factor form's matrix-vector product is strictly cheaper
-    than that of the dense matrix it stands for."""
-    (rows, inner), (_, cols) = form
-    return rows * inner + inner * cols < rows * cols
-
-
-def rake_cost(parent_form: tuple, other_form: tuple) -> tuple:
-    """(parent * diag) @ other: the diagonal scales the parent's last factor,
-    which is then multiplied through each factor of other in turn.  Through
-    an identity parent the diagonal scales other's first factor instead
-    (nothing at all if other is an identity too: the result is the
-    diagonal).  A two-factor result that does not pay is multiplied out."""
-    if parent_form:
-        rows, cols = parent_form[-1]
-        matmats = len(other_form)
-        matmat = sum(rows * inner * out for inner, out in other_form)
-        form = parent_form[:-1] + ((rows, other_form[-1][1]),) if other_form else parent_form
-    elif other_form:
-        (rows, cols), matmats, matmat, form = other_form[0], 0, 0, other_form
-    else:
-        return NO_COST
-    if len(form) == 2 and not factored_pays(form):
-        (out_rows, inner), (_, out_cols) = form
-        matmats += 1
-        matmat += out_rows * inner * out_cols
-    return (0, matmats, 0, rows * cols + matmat, matmat)
 
 
 @dataclass

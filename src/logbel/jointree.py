@@ -4,12 +4,12 @@ A polytree's moral graph is chordal and each of its maximal cliques is a
 family {v} union parents(v), so the join tree has one clique per variable,
 one edge per polytree edge, and singleton separators.  The join tree is
 itself a causal tree over clique-valued variables.  build_engine hands it
-to a tree engine, the contraction index by default, for which an edge
-conditional is stored factored as (projection J) . (separator-conditional R)
-where that is the cheaper form, which keeps rake updates at O(K L^2)
-instead of O(K^3), and identity edges are stored as Identity, which costs
-nothing.  Every polytree update and query is one call of that engine's
-update or query on the compiled tree.
+to a tree engine, the contraction index by default, with each edge in the
+cheapest of the coefficient forms contraction.py defines: an edge
+conditional factored as (projection J) . (separator-conditional R) where
+that pays, which keeps rake updates at O(K L^2) instead of O(K^3), and
+identity edges as Identity, which costs nothing.  Every polytree update and
+query is one call of that engine's update or query on the compiled tree.
 
 Clique states use mixed-radix indexing with the clique's own variable most
 significant, then its parents in declaration order.  CPT rows likewise run
@@ -18,7 +18,6 @@ over joint parent assignments with the first parent most significant.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -27,19 +26,21 @@ from itertools import islice
 import numpy as np
 
 from .contraction import (
-    _rake_product,
+    FactoredMatrix,
+    Identity,
     belief_query,  # noqa: F401  (the traced benchmark wraps jointree.belief_query by name)
     contract,
+    factored_pays,
     update_evidence,  # noqa: F401  (and jointree.update_evidence)
 )
-from .counters import OpCounters, factored_pays
+from .counters import OpCounters
 from .errors import (
     ConstructionError,
-    DimensionMismatch,
     DimensionOverflow,
     DuplicateId,
     FormatError,
     ImpossibleEvidence,
+    LogbelError,
     NotAPolytree,
     UnknownVariable,
     ZeroMarginalDivisor,
@@ -50,7 +51,9 @@ from .model import (
     CausalTree,
     Node,
     build_tree,  # noqa: F401  (the traced benchmark wraps jointree.build_tree by name)
+    check_likelihood,
     normalize_tree,
+    read_json,
     validate_tables,
 )
 
@@ -212,12 +215,7 @@ def build_polytree(spec: dict) -> Polytree:
 
 
 def load_polytree(path) -> Polytree:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON in {path}: {exc}") from exc
-    return build_polytree(spec)
+    return build_polytree(read_json(path))
 
 
 # -- cliques and join tree --------------------------------------------------------
@@ -237,7 +235,7 @@ class Clique:
     strides: list[int] = field(init=False)
 
     def __post_init__(self):
-        self.K = int(np.prod(self.domains))
+        self.K = math.prod(self.domains)
         strides = []
         acc = 1
         for d in reversed(self.domains):
@@ -360,144 +358,6 @@ def prior_marginals(pt: Polytree) -> dict[str, np.ndarray]:
     return marginals
 
 
-# -- coefficient forms -------------------------------------------------------------
-#
-# Besides dense ndarrays, a stored coefficient may be a FactoredMatrix or an
-# Identity.  Both implement the coefficient protocol used by contraction:
-# the ndarray products, form and materialize.  dot(x) is self @ x for an
-# ndarray x, which contraction calls instead of @ (ndarray.dot skips the
-# ufunc dispatch @ goes through); @ stays for operands of other types,
-# which numpy hands to __rmatmul__.  Products of two ndarrays inside the
-# forms are ndarray.dot too.  counters.py counts every product from forms
-# alone, and every product keeps the cheapest form that rule allows
-# (_cheapest).
-
-
-def _cheapest(left: np.ndarray, right: np.ndarray):
-    """left @ right, factored while that pays (counters.factored_pays),
-    multiplied out otherwise."""
-    if factored_pays((left.shape, right.shape)):
-        return FactoredMatrix(left, right)
-    return left.dot(right)
-
-
-class Identity:
-    """The K x K identity: form (), and every product passes through it
-    uncounted.  Identity * diag is Diag(diag), which scales the rows of what
-    it multiplies (a diagonal, if that is an identity too)."""
-
-    __slots__ = ("K",)
-    form = ()
-    __array_ufunc__ = None  # numpy defers vec @ self to __rmatmul__
-
-    def __init__(self, K: int):
-        self.K = K
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.K, self.K)
-
-    def dot(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def __matmul__(self, other):
-        return other
-
-    def __rmatmul__(self, vec: np.ndarray) -> np.ndarray:
-        return vec
-
-    def __mul__(self, diag: np.ndarray) -> "_Diagonal":
-        return _Diagonal(diag)
-
-    def materialize(self) -> np.ndarray:
-        return np.eye(self.K)
-
-    def __repr__(self):
-        return f"<Identity {self.K}>"
-
-
-class _Diagonal:
-    """Diag(diag), the left side of a rake through an identity parent."""
-
-    __slots__ = ("diag",)
-
-    def __init__(self, diag: np.ndarray):
-        self.diag = diag
-
-    def dot(self, matrix: np.ndarray) -> np.ndarray:
-        return self.diag[:, None] * matrix
-
-    def __matmul__(self, other):
-        if isinstance(other, np.ndarray):
-            return self.dot(other)
-        if isinstance(other, FactoredMatrix):
-            return _cheapest(self.diag[:, None] * other.left, other.right)
-        return np.diag(self.diag)  # Diag . Identity
-
-
-class FactoredMatrix:
-    """K_parent x K_child matrix stored as left (K_parent x L) times right
-    (L x K_child).  Its products stay factored while that pays."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: np.ndarray, right: np.ndarray):
-        if left.shape[1] != right.shape[0]:
-            raise DimensionMismatch(
-                f"factored parts do not chain: {left.shape} x {right.shape}")
-        self.left = left
-        self.right = right
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.left.shape[0], self.right.shape[1])
-
-    @property
-    def width(self) -> int:
-        return self.left.shape[1]
-
-    @property
-    def form(self) -> tuple:
-        """The factor shapes, which fix every operation count."""
-        return (self.left.shape, self.right.shape)
-
-    # Plain products, as on an ndarray: self @ vec and self.dot(vec), vec @
-    # self (the transposed product), self * diag (scales the columns) and
-    # self @ other for a dense, factored or identity matrix (keeps self's
-    # left factor and folds the rest into the right one, so a rake costs
-    # O(K L^2), unless the result is cheaper dense).  numpy defers vec @
-    # self to __rmatmul__.
-    __array_ufunc__ = None
-
-    def dot(self, x: np.ndarray):
-        if x.ndim == 1:
-            return self.left.dot(self.right.dot(x))
-        return _cheapest(self.left, self.right.dot(x))
-
-    def __matmul__(self, other):
-        if isinstance(other, np.ndarray):
-            return self.dot(other)
-        if isinstance(other, FactoredMatrix):
-            return _cheapest(self.left, self.right.dot(other.left).dot(other.right))
-        return _cheapest(self.left, self.right)  # self @ Identity
-
-    def __rmatmul__(self, vec: np.ndarray) -> np.ndarray:
-        return vec.dot(self.left).dot(self.right)
-
-    def __mul__(self, diag: np.ndarray) -> "FactoredMatrix":
-        return FactoredMatrix(self.left, self.right * diag)
-
-    def rake_product(self, diag: np.ndarray, other, counters: OpCounters) -> "FactoredMatrix":
-        """self . Diag(diag) . other, counted."""
-        return _rake_product(self, diag, other, counters)
-
-    def materialize(self) -> np.ndarray:
-        return self.left.dot(self.right)
-
-    def __repr__(self):
-        return f"<FactoredMatrix {self.shape} width={self.width}>"
-
-
 # -- compilation to a causal tree --------------------------------------------------
 
 
@@ -553,11 +413,11 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
     conditionals, one indicator evidence leaf per variable, then normalize
     to complete binary form.
 
-    Each edge's coefficient takes its cheapest form, known from shapes by
-    construction and never by comparing arrays.  coeffs lists the edges
-    whose form is not their node's dense cpt:
-    - a clique edge J . R is stored factored when counters.factored_pays
-      says so (never when J is square, as for a parentless parent clique);
+    Each edge's coefficient takes its cheapest form (contraction.py), known
+    from shapes by construction and never by comparing arrays.  coeffs lists
+    the edges whose form is not their node's dense cpt:
+    - a clique edge J . R is a FactoredMatrix when factored_pays says so
+      (never when J is square, as for a parentless parent clique);
     - the identity splitters normalize_tree adds (domain equal to their
       parent's) and the evidence leaf of a clique with as many states as
       its variable (a parentless one's: its projection is the identity)
@@ -687,10 +547,17 @@ def build_engine(pt: Polytree, root_var: str | None = None,
 
 def polytree_update(engine: PolytreeEngine, var_id: str, likelihood) -> PolytreeEngine:
     """Install a likelihood (an Evidence or an array) on a variable through
-    its indicator leaf E:<var>; error messages name that leaf."""
+    its indicator leaf E:<var>.  A likelihood the tree engine rejects is
+    checked again against the variable, so the error names var_id, not the
+    leaf."""
     if var_id not in engine.polytree.variables:
         raise UnknownVariable(f"no variable {var_id!r}")
-    engine.index.update(engine.compiled.evidence_leaf[var_id], likelihood)
+    try:
+        engine.index.update(engine.compiled.evidence_leaf[var_id], likelihood)
+    except LogbelError:
+        check_likelihood(likelihood, engine.polytree.variables[var_id].domain,
+                         what=f"evidence of {var_id!r}")
+        raise
     return engine
 
 
@@ -746,8 +613,8 @@ def random_polytree(n_vars: int, p: int, k, rng) -> Polytree:
             parents[new].append(other)
     variables = []
     for vid in ids:
-        rows = int(np.prod([domains[q] for q in parents[vid]])) if parents[vid] else 0
         if parents[vid]:
+            rows = math.prod(domains[q] for q in parents[vid])
             cpt = np.stack([rng.dirichlet(np.ones(domains[vid])) for _ in range(rows)])
             variables.append(Variable(vid, domains[vid], parents[vid], cpt, None))
         else:

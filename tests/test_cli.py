@@ -187,6 +187,24 @@ class TestRun:
             assert capsys.readouterr() == (
                 "", "error: total probability mass is zero at variable 'a'\n")
 
+    def test_bad_polytree_likelihood_names_the_variable(self, tmp_path, capsys):
+        """Not the compiled indicator leaf E:a the tree engine checks."""
+        net = write_json(tmp_path, "net.json", VEE_NET)
+        ops = write_stream(tmp_path, "ops.txt", "S a 1 1 1\nQ a\n")
+        for command in (["run", "--strategy", "polytree"], ["run", "--strategy", "full"],
+                        ["run", "--strategy", "lazy"], ["verify"]):
+            assert main([command[0], "--network", net, "--ops", ops, *command[1:]]) == 1
+            assert capsys.readouterr() == (
+                "", "error: evidence of 'a' has length 3, domain is 2\n")
+
+    def test_malformed_json_is_named(self, tmp_path, capsys):
+        bad = write_stream(tmp_path, "net.json", '{"nodes": [')
+        ops = write_stream(tmp_path, "ops.txt", "Q u\n")
+        for command in ("run", "verify"):
+            assert main([command, "--network", bad, "--ops", ops]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: invalid JSON in {bad}")
+
     def test_polytree_strategies_agree_byte_for_byte(self, tmp_path, capsys):
         net = write_json(tmp_path, "net.json", VEE_NET)
         ops = write_stream(tmp_path, "ops.txt",

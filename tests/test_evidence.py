@@ -30,6 +30,7 @@ from logbel import (
     set_evidence,
     update_evidence,
 )
+from logbel.cli import load_problem
 
 VEE = {"variables": [
     {"id": "a", "domain": 2, "prior": [0.4, 0.6]},
@@ -84,8 +85,10 @@ BAD_LIKELIHOODS = {
 def test_every_entry_point_rejects_alike(entry, bad):
     install = installer(entry)
     vec, error = BAD_LIKELIHOODS[bad]
-    with pytest.raises(error):
+    with pytest.raises(error) as info:
         install(np.array(vec))
+    if entry != "Evidence":  # an Evidence is checked before it meets a leaf
+        assert repr("c" if entry == "polytree_update" else "e2") in str(info.value)
 
 
 @pytest.mark.parametrize("table", ["cpt", "prior"])
@@ -101,7 +104,7 @@ def test_constructors_name_a_string_table(table):
                   Variable("c", 2, ["a"], tables["cpt"], None)])
 
 
-@pytest.mark.parametrize("load", [load_network, load_polytree])
+@pytest.mark.parametrize("load", [load_network, load_polytree, load_problem])
 def test_loaders_wrap_malformed_json(load, tmp_path):
     path = tmp_path / "net.json"
     path.write_text('{"nodes": [', encoding="utf-8")

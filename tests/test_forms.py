@@ -1,7 +1,7 @@
 """Property test of the coefficient forms: identity, dense and factored
 operands of random shapes.  Every product matches the dense result, keeps
-the form counters.factored_pays allows, and costs exactly what the closed
-forms in counters.py say, which is checked against the work numpy is
+the form contraction.factored_pays allows, and costs exactly what the closed
+forms in contraction.py say, which is checked against the work numpy is
 actually asked to do: the factors are Counted arrays, which log every
 multiply, matmul and dot they take part in.
 """
@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logbel import FactoredMatrix, Identity, OpCounters
-from logbel.contraction import _form, _rake_product, materialize
-from logbel.counters import factored_pays, matvec_cost
+from logbel.contraction import _form, _rake_product, factored_pays, materialize, matvec_cost
 
 KINDS = st.sampled_from(["identity", "dense", "factored"])
 SIZES = st.integers(1, 7)
@@ -112,7 +111,7 @@ def test_products_match_dense_and_count_the_work_done(case):
     if kind_a == "identity":
         assert matvec_cost(_form(a)) == (0, 0, 0, 0, 0)
 
-    # the rake product (a * diag) @ b, counted by counters.rake_cost
+    # the rake product (a * diag) @ b, counted by contraction.rake_cost
     counters = OpCounters()
     got, work = measured(lambda: _rake_product(a, diag, b, counters))
     np.testing.assert_allclose(materialize(got), A @ np.diag(diag) @ B,

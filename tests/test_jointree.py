@@ -33,8 +33,8 @@ from logbel import (
     random_polytree,
     update_evidence,
 )
-from logbel.contraction import _form, _rake_product, contract, materialize
-from logbel.counters import matvec_cost, rake_cost
+from logbel.contraction import (_form, _rake_product, contract, materialize, matvec_cost,
+                                rake_cost)
 from logbel.generate import random_likelihood
 from logbel.jointree import FactoredMatrix, Identity, _family_weights, _separator_conditional
 from logbel.model import TableBatch

@@ -24,7 +24,7 @@ contract(), forms mixed freely.  A form is the tuple of factor shapes:
 which every product passes through for free.  Operation counts come from
 forms alone, by one rule: matvec_cost charges one matrix-vector product per
 factor, rake_cost the rake product.  Every product keeps the cheapest form
-that rule allows (_cheapest): two factors only while factored_pays, else
+that rule allows (cheapest): two factors only while factored_pays, else
 the product is multiplied out, and counted.
 
 Each rake keeps its diagonal, e_side_coeff . lambda(e), cached.  An update
@@ -94,7 +94,7 @@ def rake_cost(parent_form: tuple, other_form: tuple) -> tuple:
     return (0, matmats, 0, rows * cols + matmat, matmat)
 
 
-def _cheapest(left: np.ndarray, right: np.ndarray):
+def cheapest(left: np.ndarray, right: np.ndarray):
     """left @ right, factored while that pays, multiplied out otherwise."""
     if factored_pays((left.shape, right.shape)):
         return FactoredMatrix(left, right)
@@ -151,7 +151,7 @@ class _Diagonal:
         if isinstance(other, np.ndarray):
             return self.dot(other)
         if isinstance(other, FactoredMatrix):
-            return _cheapest(self.diag[:, None] * other.left, other.right)
+            return cheapest(self.diag[:, None] * other.left, other.right)
         return np.diag(self.diag)  # Diag . Identity
 
 
@@ -186,14 +186,14 @@ class FactoredMatrix:
     def dot(self, x: np.ndarray):
         if x.ndim == 1:
             return self.left.dot(self.right.dot(x))
-        return _cheapest(self.left, self.right.dot(x))
+        return cheapest(self.left, self.right.dot(x))
 
     def __matmul__(self, other):
         if isinstance(other, np.ndarray):
             return self.dot(other)
         if isinstance(other, FactoredMatrix):
-            return _cheapest(self.left, self.right.dot(other.left).dot(other.right))
-        return _cheapest(self.left, self.right)  # self @ Identity
+            return cheapest(self.left, self.right.dot(other.left).dot(other.right))
+        return cheapest(self.left, self.right)  # self @ Identity
 
     def __rmatmul__(self, vec: np.ndarray) -> np.ndarray:
         return vec.dot(self.left).dot(self.right)

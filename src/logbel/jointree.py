@@ -29,8 +29,9 @@ from .contraction import (
     FactoredMatrix,
     Identity,
     belief_query,  # noqa: F401  (the traced benchmark wraps jointree.belief_query by name)
+    cheapest,
     contract,
-    factored_pays,
+    materialize,
     update_evidence,  # noqa: F401  (and jointree.update_evidence)
 )
 from .counters import OpCounters
@@ -416,8 +417,9 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
     Each edge's coefficient takes its cheapest form (contraction.py), known
     from shapes by construction and never by comparing arrays.  coeffs lists
     the edges whose form is not their node's dense cpt:
-    - a clique edge J . R is a FactoredMatrix when factored_pays says so
-      (never when J is square, as for a parentless parent clique);
+    - a clique edge J . R keeps the form cheapest gives it: a
+      FactoredMatrix where that pays (never when J is square, as for a
+      parentless parent clique), its dense cpt otherwise;
     - the identity splitters normalize_tree adds (domain equal to their
       parent's) and the evidence leaf of a clique with as many states as
       its variable (a parentless one's: its projection is the identity)
@@ -473,9 +475,10 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
             J = projection(jt.cliques[parent_cvar], separator)
             R = _separator_conditional(pt, clique, separator, marginals,
                                        projection(clique, separator))
-            node.cpt = J @ R
-            if factored_pays((J.shape, R.shape)):
-                coeffs[node_id] = FactoredMatrix(J, R)
+            coeff = cheapest(J, R)
+            node.cpt = materialize(coeff)
+            if isinstance(coeff, FactoredMatrix):
+                coeffs[node_id] = coeff
         nodes.append(node)
         k_own = clique.domains[0]
         nodes.append(Node(id=leaf_id, domain=k_own, parent=node_id,

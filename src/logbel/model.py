@@ -72,21 +72,11 @@ def as_prob_vector(values, *, what: str = "vector") -> np.ndarray:
 
 
 def _rows_stochastic(rows: np.ndarray) -> bool:
-    """The valid case of check_cpt and check_prior, for a table, a prior or a
-    stacked chunk: every row nonnegative and summing to 1 within
-    STOCHASTIC_TOL (NaN and +-inf make their row sum non-finite)."""
+    """check_cpt's valid case, for a table or a stacked chunk of tables:
+    every row nonnegative and summing to 1 within STOCHASTIC_TOL (NaN and
+    +-inf make their row sum non-finite)."""
     return bool(np.abs(rows.sum(axis=-1) - 1.0).max() <= STOCHASTIC_TOL
                 and rows.min() >= 0.0)
-
-
-def _rows_positive(rows: np.ndarray) -> bool:
-    """The valid case of check_likelihood, for a vector or a stacked chunk:
-    no entry negative or NaN (the min), none infinite (the max), and a
-    positive one in every row.  A vector is decided by its min and max
-    alone, which keeps each update's check at two reductions."""
-    lo, hi = rows.min(), rows.max()
-    return bool(lo >= 0.0 and 0.0 < hi < np.inf
-                and (rows.ndim == 1 or rows.max(axis=-1).min() > 0.0))
 
 
 def check_likelihood(evidence, domain: int | None = None, *,
@@ -102,28 +92,29 @@ def check_likelihood(evidence, domain: int | None = None, *,
     if isinstance(evidence, Evidence):
         evidence = evidence.likelihood
     vec = _float_array(evidence, what)
+    # One min and one max decide the valid case (NaN fails the min, inf the
+    # max); the ordered checks below only run to name what is wrong.
     if vec.ndim == 1 and vec.shape[0] and (domain is None or vec.shape[0] == domain) \
-            and _rows_positive(vec):
+            and vec.min() >= 0.0 and 0.0 < vec.max() < np.inf:
         return vec
-    # invalid: the ordered checks name why, and past them no entry is positive
     vec = as_prob_vector(vec, what=what)
     if domain is not None and vec.shape[0] != domain:
         raise DimensionMismatch(f"{what} has length {vec.shape[0]}, domain is {domain}")
-    raise AllZeroLikelihood(f"{what} has no positive entry")
+    if not np.any(vec > 0.0):
+        raise AllZeroLikelihood(f"{what} has no positive entry")
+    return vec
 
 
 def check_prior(values, domain: int, owner: str) -> np.ndarray:
     """Return a prior as a new float64 vector: finite, nonnegative, of
     length domain and summing to 1 within STOCHASTIC_TOL."""
     what = f"prior of {owner!r}"
-    prior = _float_array(values, what)
-    if prior.shape == (domain,) and _rows_stochastic(prior):
-        return prior
-    # invalid: the ordered checks name why, and past them the sum is off
-    prior = as_prob_vector(prior, what=what)
+    prior = as_prob_vector(values, what=what)
     if prior.shape[0] != domain:
         raise DimensionMismatch(f"{what} has length {prior.shape[0]}, domain is {domain}")
-    raise RowNotStochastic(owner, "prior", f"{what} does not sum to 1")
+    if abs(prior.sum() - 1.0) > STOCHASTIC_TOL:
+        raise RowNotStochastic(owner, "prior", f"{what} does not sum to 1")
+    return prior
 
 
 def check_cpt(values, shape: tuple[int, int], owner: str) -> np.ndarray:
@@ -150,9 +141,8 @@ class TableBatch:
     shape at once (raising DimensionMismatch), and valid() then decides
     their value checks together.  Tables of one shape are stacked at most
     TABLE_CHUNK at a time (fewer when large, to bound the scratch copy),
-    and the single checks' own predicates, _rows_stochastic and
-    _rows_positive, decide a whole chunk.  A failure is named by rerunning
-    the single checks.
+    and the single checks' reductions, taken along the last axis, decide a
+    whole chunk.  A failure is named by rerunning the single checks.
     """
 
     def __init__(self):
@@ -192,6 +182,12 @@ def _shaped(arr: np.ndarray, shape: tuple, owner: str) -> np.ndarray:
     if arr.shape != shape:
         raise DimensionMismatch(f"table of {owner!r} has shape {arr.shape}, expected {shape}")
     return arr
+
+
+def _rows_positive(chunk: np.ndarray) -> bool:
+    """check_likelihood's valid case, for every row of the chunk."""
+    peak = chunk.max(axis=-1)
+    return bool(chunk.min() >= 0.0 and peak.min() > 0.0 and peak.max() < np.inf)
 
 
 _SINGLE_CHECKS = SimpleNamespace(cpt=check_cpt, prior=check_prior, likelihood=check_likelihood)

@@ -24,8 +24,9 @@ contract(), forms mixed freely.  A form is the tuple of factor shapes:
 which every product passes through for free.  Operation counts come from
 forms alone, by one rule: matvec_cost charges one matrix-vector product per
 factor, rake_cost the rake product.  Every product keeps the cheapest form
-that rule allows (cheapest): two factors only while factored_pays, else
-the product is multiplied out, and counted.
+that rule allows (_cheapest): two factors only while factored_pays, else
+the product is multiplied out, and counted.  A table built from two
+factors (a compiled clique edge) is stored factored only while saves_a_call.
 
 Each rake keeps its diagonal, e_side_coeff . lambda(e), cached.  An update
 refreshes it only on the equations its chain enters through the leaf or
@@ -72,6 +73,18 @@ def factored_pays(form: tuple) -> bool:
     return rows * inner + inner * cols < rows * cols
 
 
+# One numpy call costs about as much wall time as this many multiply-adds
+# (A.dot(v): 0.6 us on a 2 x 2, 3.7 us on a 128 x 128; numpy 2.4.6).
+CALL_MULT_ADDS = 3000
+
+
+def saves_a_call(form: tuple) -> bool:
+    """Whether a table given as two factors is stored so: the factored
+    matrix-vector product must save more than CALL_MULT_ADDS."""
+    (rows, inner), (_, cols) = form
+    return rows * cols - (rows + cols) * inner > CALL_MULT_ADDS
+
+
 def rake_cost(parent_form: tuple, other_form: tuple) -> tuple:
     """(parent * diag) @ other: the diagonal scales the parent's last factor,
     which is then multiplied through each factor of other in turn.  Through
@@ -94,7 +107,7 @@ def rake_cost(parent_form: tuple, other_form: tuple) -> tuple:
     return (0, matmats, 0, rows * cols + matmat, matmat)
 
 
-def cheapest(left: np.ndarray, right: np.ndarray):
+def _cheapest(left: np.ndarray, right: np.ndarray):
     """left @ right, factored while that pays, multiplied out otherwise."""
     if factored_pays((left.shape, right.shape)):
         return FactoredMatrix(left, right)
@@ -151,7 +164,7 @@ class _Diagonal:
         if isinstance(other, np.ndarray):
             return self.dot(other)
         if isinstance(other, FactoredMatrix):
-            return cheapest(self.diag[:, None] * other.left, other.right)
+            return _cheapest(self.diag[:, None] * other.left, other.right)
         return np.diag(self.diag)  # Diag . Identity
 
 
@@ -186,14 +199,14 @@ class FactoredMatrix:
     def dot(self, x: np.ndarray):
         if x.ndim == 1:
             return self.left.dot(self.right.dot(x))
-        return cheapest(self.left, self.right.dot(x))
+        return _cheapest(self.left, self.right.dot(x))
 
     def __matmul__(self, other):
         if isinstance(other, np.ndarray):
             return self.dot(other)
         if isinstance(other, FactoredMatrix):
-            return cheapest(self.left, self.right.dot(other.left).dot(other.right))
-        return cheapest(self.left, self.right)  # self @ Identity
+            return _cheapest(self.left, self.right.dot(other.left).dot(other.right))
+        return _cheapest(self.left, self.right)  # self @ Identity
 
     def __rmatmul__(self, vec: np.ndarray) -> np.ndarray:
         return vec.dot(self.left).dot(self.right)

@@ -4,12 +4,13 @@ A polytree's moral graph is chordal and each of its maximal cliques is a
 family {v} union parents(v), so the join tree has one clique per variable,
 one edge per polytree edge, and singleton separators.  The join tree is
 itself a causal tree over clique-valued variables.  build_engine hands it
-to a tree engine, the contraction index by default, with each edge in the
-cheapest of the coefficient forms contraction.py defines: an edge
-conditional factored as (projection J) . (separator-conditional R) where
-that pays, which keeps rake updates at O(K L^2) instead of O(K^3), and
-identity edges as Identity, which costs nothing.  Every polytree update and
-query is one call of that engine's update or query on the compiled tree.
+to a tree engine, the contraction index by default, with each edge in a
+coefficient form contraction.py defines: an edge conditional factored as
+(projection J) . (separator-conditional R) on cliques large enough that
+factoring saves a call (saves_a_call), which keeps their rake updates at
+O(K L^2) instead of O(K^3), and identity edges as Identity, which costs
+nothing.  Every polytree update and query is one call of that engine's
+update or query on the compiled tree.
 
 Clique states use mixed-radix indexing with the clique's own variable most
 significant, then its parents in declaration order.  CPT rows likewise run
@@ -21,17 +22,18 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 
 from .contraction import (
+    CALL_MULT_ADDS,
     FactoredMatrix,
     Identity,
     belief_query,  # noqa: F401  (the traced benchmark wraps jointree.belief_query by name)
-    cheapest,
     contract,
-    materialize,
+    saves_a_call,
     update_evidence,  # noqa: F401  (and jointree.update_evidence)
 )
 from .counters import OpCounters
@@ -237,12 +239,7 @@ class Clique:
 
     def __post_init__(self):
         self.K = math.prod(self.domains)
-        strides = []
-        acc = 1
-        for d in reversed(self.domains):
-            strides.append(acc)
-            acc *= d
-        self.strides = list(reversed(strides))
+        self.strides = [math.prod(self.domains[i + 1:]) for i in range(len(self.domains))]
 
     def digit(self, state: int, member: str) -> int:
         i = self.members.index(member)
@@ -250,19 +247,31 @@ class Clique:
 
     def projection(self, member: str) -> np.ndarray:
         """K x k_member 0/1 matrix picking the member's coordinate; exactly
-        one 1 per row."""
+        one 1 per row.  Read-only.  One per clique shape and member position
+        is kept for the process if it has at most CALL_MULT_ADDS entries."""
         i = self.members.index(member)
-        out = np.zeros((self.K, self.domains[i]))
-        states = np.arange(self.K)
-        out[states, (states // self.strides[i]) % self.domains[i]] = 1.0
-        return out
+        small = self.K * self.domains[i] <= CALL_MULT_ADDS
+        return (_projection if small else _projection.__wrapped__)(tuple(self.domains), i)
 
     def member_belief(self, member: str, clique_bel: Belief) -> Belief:
-        """A member's marginal from a belief over the clique's states: the
-        sum over the other members (clique states are in numpy's C order)."""
-        others = tuple(i for i, m in enumerate(self.members) if m != member)
-        dist = clique_bel.dist.reshape(self.domains).sum(axis=others)
+        """A member's marginal from a clique belief: the sum over the other
+        members, one product with its projection where that is kept."""
+        i = self.members.index(member)
+        if self.K * self.domains[i] <= CALL_MULT_ADDS:
+            dist = clique_bel.dist.dot(_projection(tuple(self.domains), i))
+        else:  # clique states are in numpy's C order
+            dist = clique_bel.dist.reshape(self.domains).sum(
+                axis=tuple(j for j in range(len(self.domains)) if j != i))
         return Belief(dist=dist, normalizer=clique_bel.normalizer)
+
+
+@lru_cache(maxsize=256)
+def _projection(domains: tuple[int, ...], i: int) -> np.ndarray:
+    states = np.arange(math.prod(domains))
+    out = np.zeros((states.shape[0], domains[i]))
+    out[states, (states // math.prod(domains[i + 1:])) % domains[i]] = 1.0
+    out.flags.writeable = False
+    return out
 
 
 def extract_cliques(pt: Polytree) -> dict[str, Clique]:
@@ -414,12 +423,12 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
     conditionals, one indicator evidence leaf per variable, then normalize
     to complete binary form.
 
-    Each edge's coefficient takes its cheapest form (contraction.py), known
-    from shapes by construction and never by comparing arrays.  coeffs lists
-    the edges whose form is not their node's dense cpt:
-    - a clique edge J . R keeps the form cheapest gives it: a
-      FactoredMatrix where that pays (never when J is square, as for a
-      parentless parent clique), its dense cpt otherwise;
+    Each edge's coefficient form (contraction.py) is known from shapes by
+    construction and never by comparing arrays.  coeffs lists the edges
+    whose form is not their node's dense cpt:
+    - a clique edge J . R is a FactoredMatrix where saves_a_call (never
+      when J is square, as for a parentless parent clique), its dense cpt
+      otherwise;
     - the identity splitters normalize_tree adds (domain equal to their
       parent's) and the evidence leaf of a clique with as many states as
       its variable (a parentless one's: its projection is the identity)
@@ -428,9 +437,8 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
       all-ones column) keep their dense tables.
 
     The emitted tree is validated once, before normalize_tree adds the
-    dummies, whose tables are constant.  Projections and identities are
-    built once per shape and shared, read-only, by every edge of this tree
-    that needs them.
+    dummies, whose tables are constant.  Small projections are built once
+    per clique shape and shared, read-only (Clique.projection).
     """
     if marginals is None:
         marginals = prior_marginals(pt)
@@ -438,21 +446,6 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
         if clique.K > state_cap:
             raise DimensionOverflow(
                 f"clique of {clique.variable!r} has {clique.K} states, cap is {state_cap}")
-
-    shared: dict[tuple, np.ndarray] = {}
-
-    def projection(clique: Clique, member: str) -> np.ndarray:
-        key = (tuple(clique.domains), clique.members.index(member))
-        arr = shared.get(key)
-        if arr is None:
-            arr = shared[key] = clique.projection(member)
-            arr.flags.writeable = False
-        return arr
-
-    identities: dict[int, Identity] = {}
-
-    def identity(k: int) -> Identity:
-        return identities.setdefault(k, Identity(k))
 
     nodes: list[Node] = []
     coeffs: dict[str, object] = {}
@@ -472,19 +465,18 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
         else:
             parent_cvar, separator = jt.parent[cvar]
             node.parent = f"C:{parent_cvar}"
-            J = projection(jt.cliques[parent_cvar], separator)
+            J = jt.cliques[parent_cvar].projection(separator)
             R = _separator_conditional(pt, clique, separator, marginals,
-                                       projection(clique, separator))
-            coeff = cheapest(J, R)
-            node.cpt = materialize(coeff)
-            if isinstance(coeff, FactoredMatrix):
-                coeffs[node_id] = coeff
+                                       clique.projection(separator))
+            node.cpt = J.dot(R)
+            if saves_a_call((J.shape, R.shape)):
+                coeffs[node_id] = FactoredMatrix(J, R)
         nodes.append(node)
         k_own = clique.domains[0]
         nodes.append(Node(id=leaf_id, domain=k_own, parent=node_id,
-                          cpt=projection(clique, cvar), evidence=np.ones(k_own)))
+                          cpt=clique.projection(cvar), evidence=np.ones(k_own)))
         if clique.K == k_own:
-            coeffs[leaf_id] = identity(k_own)
+            coeffs[leaf_id] = Identity(k_own)
         stack.extend(cv for cv, _ in reversed(jt.children[cvar]))
     # Preorder declares each clique's evidence leaf before its child cliques,
     # which come in join-tree order, so that is their sibling order.
@@ -494,7 +486,7 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
     for node_id in islice(tree.nodes, len(nodes), None):
         node = tree.nodes[node_id]
         if node.domain == tree.nodes[node.parent].domain:
-            coeffs[node_id] = identity(node.domain)
+            coeffs[node_id] = Identity(node.domain)
     return CompiledTree(tree=tree, coeffs=coeffs,
                         clique_node=clique_node, evidence_leaf=evidence_leaf)
 

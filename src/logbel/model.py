@@ -45,6 +45,7 @@ STOCHASTIC_TOL = 1e-9
 DEFAULT_STATE_CAP = 1 << 24
 TABLE_CHUNK = 256          # tables stacked per batched check (TableBatch)
 CHUNK_ENTRIES = 1 << 16    # and at most this many entries, unless one table has more
+SHORT_LIKELIHOOD = 16      # up to this length Python's all/max beat numpy's min/max
 
 _NODE_KEYS = {"id", "domain", "parent", "cpt", "prior", "evidence"}
 
@@ -92,11 +93,15 @@ def check_likelihood(evidence, domain: int | None = None, *,
     if isinstance(evidence, Evidence):
         evidence = evidence.likelihood
     vec = _float_array(evidence, what)
-    # One min and one max decide the valid case (NaN fails the min, inf the
-    # max); the ordered checks below only run to name what is wrong.
-    if vec.ndim == 1 and vec.shape[0] and (domain is None or vec.shape[0] == domain) \
-            and vec.min() >= 0.0 and 0.0 < vec.max() < np.inf:
-        return vec
+    # One min and one max, or one pass over a short vector, decide the valid
+    # case (NaN fails every comparison); the ordered checks name the fault.
+    if vec.ndim == 1 and vec.shape[0] and (domain is None or vec.shape[0] == domain):
+        if vec.shape[0] <= SHORT_LIKELIHOOD:
+            vals = vec.tolist()
+            if all(0.0 <= x < math.inf for x in vals) and max(vals) > 0.0:
+                return vec
+        elif vec.min() >= 0.0 and 0.0 < vec.max() < np.inf:
+            return vec
     vec = as_prob_vector(vec, what=what)
     if domain is not None and vec.shape[0] != domain:
         raise DimensionMismatch(f"{what} has length {vec.shape[0]}, domain is {domain}")

@@ -4,9 +4,9 @@ must leave the counters exactly where these pinned totals say.
 The counts are the package's deterministic cost signal, so any change to
 how an update or a query is evaluated must leave them byte for byte as
 they are.  One dense tree (wide and single-child nodes, normalized) and one
-compiled polytree (factored coefficients) are replayed.  The counts are
-checked against the work numpy is asked to do on the dense tree, and
-against closed forms on a hand-built tree.
+compiled polytree (identity and dense coefficients) are replayed.  The
+counts are checked against the work numpy is asked to do on the dense
+tree, and against closed forms on a hand-built tree.
 """
 
 import numpy as np
@@ -181,8 +181,13 @@ DENSE_TOTALS = (2749, 242, 1787, 20608, 2530)
 # The polytree numbers were re-recorded when every coefficient took its
 # cheapest form (identity edges free, unprofitable factored products
 # multiplied out): (88, 88, 44, 1171861, 1155067) and
-# (2626, 438, 766, 3833467, 3486101) before.
-POLYTREE_BUILD = (40, 44, 44, 36471, 26891)
+# (2626, 438, 766, 3833467, 3486101) before.  They were re-recorded again
+# when clique edges were kept factored only where that saves a numpy call
+# (contraction.saves_a_call; every clique edge of this network is now
+# dense, so mult-adds rise while wall time falls): (40, 44, 44, 36471,
+# 26891) and (1084, 258, 766, 152353, 86677) before; the chains did not
+# move.
+POLYTREE_BUILD = (39, 29, 44, 87798, 74203)
 POLYTREE_CHAINS = [5, 5, 3, 3, 3, 6, 3, 0, 6, 5, 5, 4, 7, 4, 6, 6, 5, 5, 6, 5, 8, 6, 5, 3, 1, 5, 5, 3,
                    5, 2, 7, 5, 0, 5, 6, 3, 5, 1, 4, 4]
-POLYTREE_TOTALS = (1084, 258, 766, 152353, 86677)
+POLYTREE_TOTALS = (840, 169, 766, 330878, 236503)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logbel.model
 from logbel import (
@@ -31,6 +33,7 @@ from logbel import (
     update_evidence,
 )
 from logbel.cli import load_problem
+from logbel.model import SHORT_LIKELIHOOD, _float_array, as_prob_vector, check_likelihood
 
 VEE = {"variables": [
     {"id": "a", "domain": 2, "prior": [0.4, 0.6]},
@@ -70,6 +73,9 @@ def installer(entry):
 BAD_LIKELIHOODS = {
     "nan": ([np.nan, 1.0], InvalidProbability),
     "inf": ([np.inf, 1.0], InvalidProbability),
+    # after a positive entry, where Python's min and max pass them over
+    "nan-after-positive": ([1.0, np.nan], InvalidProbability),
+    "inf-after-positive": ([1.0, np.inf], InvalidProbability),
     "negative": ([0.5, -0.1], InvalidProbability),
     "two-dimensional": ([[0.5, 0.5]], DimensionMismatch),
     "wrong-length": ([0.5, 0.5, 0.5], DimensionMismatch),
@@ -89,6 +95,54 @@ def test_every_entry_point_rejects_alike(entry, bad):
         install(np.array(vec))
     if entry != "Evidence":  # an Evidence is checked before it meets a leaf
         assert repr("c" if entry == "polytree_update" else "e2") in str(info.value)
+
+
+def numpy_check_likelihood(vec, domain):
+    """check_likelihood without its short-vector path: one numpy min and max
+    decide the valid case, then the same ordered checks name the fault."""
+    vec = _float_array(vec, "likelihood")
+    if vec.ndim == 1 and vec.shape[0] and (domain is None or vec.shape[0] == domain) \
+            and vec.min() >= 0.0 and 0.0 < vec.max() < np.inf:
+        return vec
+    vec = as_prob_vector(vec, what="likelihood")
+    if domain is not None and vec.shape[0] != domain:
+        raise DimensionMismatch(f"likelihood has length {vec.shape[0]}, domain is {domain}")
+    if not np.any(vec > 0.0):
+        raise AllZeroLikelihood("likelihood has no positive entry")
+    return vec
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-310, -1.0]),
+    st.floats())
+
+
+@st.composite
+def likelihoods(draw):
+    """Vectors of 0 to 2 SHORT_LIKELIHOOD entries in [0, 1], up to two of
+    them replaced by NaN, +-inf, -0.0, a subnormal, a negative or any
+    float."""
+    n = draw(st.integers(0, 2 * SHORT_LIKELIHOOD))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        values[draw(st.integers(0, n - 1))] = draw(EDGE_FLOATS)
+    return values
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(likelihoods(), st.sampled_from([None, 0, 1]))
+def test_short_vector_check_decides_as_numpy(values, domain_shift):
+    """On both sides of SHORT_LIKELIHOOD, check_likelihood accepts exactly
+    the vectors the numpy check accepts and otherwise raises the same error
+    with the same message."""
+    domain = None if domain_shift is None else len(values) + domain_shift
+    outcomes = []
+    for check in (check_likelihood, numpy_check_likelihood):
+        try:
+            outcomes.append(check(np.array(values), domain).tolist())
+        except (InvalidProbability, DimensionMismatch, AllZeroLikelihood) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("table", ["cpt", "prior"])

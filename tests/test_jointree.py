@@ -16,7 +16,9 @@ from logbel import (
     StateSpaceTooLarge,
     UnknownVariable,
     ZeroMarginalDivisor,
+    Belief,
     CausalTree,
+    Clique,
     belief_query,
     brute_force_marginal,
     brute_polytree_marginal,
@@ -33,8 +35,8 @@ from logbel import (
     random_polytree,
     update_evidence,
 )
-from logbel.contraction import (_form, _rake_product, contract, materialize, matvec_cost,
-                                rake_cost)
+from logbel.contraction import (CALL_MULT_ADDS, _form, _rake_product, contract, materialize,
+                                matvec_cost, rake_cost, saves_a_call)
 from logbel.generate import random_likelihood
 from logbel.jointree import FactoredMatrix, Identity, _family_weights, _separator_conditional
 from logbel.model import TableBatch
@@ -181,6 +183,31 @@ class TestCliques:
             np.testing.assert_array_equal(proj.sum(axis=1), np.ones(8))
             for state in range(clique.K):
                 assert proj[state, clique.digit(state, member)] == 1.0
+
+    def test_member_belief_sums_out_the_other_members(self):
+        """Small cliques take the product with the projection, large ones
+        (over CALL_MULT_ADDS for that product) the sum over the other
+        members' axes: both give every member's marginal."""
+        rng = np.random.default_rng(2)
+        for domains in ([2], [2, 3], [3, 2, 2, 4], [8, 8, 8], [64, 64], [512, 8], [4096]):
+            clique = Clique("a", [f"m{i}" for i in range(len(domains))], domains)
+            belief = Belief(dist=rng.random(clique.K), normalizer=0.5)
+            for i, member in enumerate(clique.members):
+                got = clique.member_belief(member, belief)
+                want = np.moveaxis(belief.dist.reshape(domains), i, 0).reshape(
+                    domains[i], -1).sum(axis=1)
+                np.testing.assert_allclose(got.dist, want, rtol=1e-12)
+                assert got.normalizer == 0.5
+        assert 3 * 2 * 2 * 4 * 4 <= CALL_MULT_ADDS < 8 * 8 * 8 * 8
+
+    def test_only_small_projections_outlive_their_network(self):
+        """Projections are read-only; a small one is shared by shape and
+        member position across networks, a large one is built per call."""
+        small = Clique("a", ["a", "b"], [2, 3]).projection("b")
+        assert small is Clique("x", ["x", "y"], [2, 3]).projection("y")
+        large = Clique("a", ["a", "b"], [64, 64])
+        assert large.projection("b") is not large.projection("b")
+        assert not small.flags.writeable and not large.projection("a").flags.writeable
 
     def test_every_maximal_clique_is_a_family(self):
         """The theorem extract_cliques relies on, checked by enumeration."""
@@ -474,8 +501,7 @@ def _compile_through_description(jt, pt, marginals):
             R = _separator_conditional(pt, clique, separator, marginals,
                                        clique.projection(separator))
             entry["cpt"] = J @ R
-            (rows, width), cols = J.shape, R.shape[1]
-            if rows * width + width * cols < rows * cols:  # factored is cheaper
+            if saves_a_call((J.shape, R.shape)):
                 coeffs[entry["id"]] = FactoredMatrix(J, R)
         nodes.append(entry)
         k = clique.domains[0]
@@ -571,6 +597,25 @@ class TestEngine:
                         got.dist, clique.projection(member).T @ clique_bel.dist,
                         rtol=0, atol=1e-15)
                     assert got.normalizer == clique_bel.normalizer
+
+    def test_networks_sharing_variable_names_answer_apart(self):
+        """Two networks with the same variable ids but other domains and
+        parents, updated and queried in turn: no clique of one borrows a
+        projection of the other's."""
+        pts = [random_polytree(6, 3, (2, 4), np.random.default_rng(seed)) for seed in (3, 4)]
+        assert list(pts[0].variables) == list(pts[1].variables)
+        assert any((a.domain, a.parents) != (b.domain, b.parents) for a, b in
+                   zip(pts[0].variables.values(), pts[1].variables.values()))
+        engines = [build_engine(pt) for pt in pts]
+        rng = np.random.default_rng(10)
+        for _ in range(6):
+            for pt, engine in zip(pts, engines):
+                self._storm(engine, pt, rng, ops=1)
+                for cvar, clique in engine.join_tree.cliques.items():
+                    for member in clique.members:
+                        got = polytree_query(engine, member, via=cvar)
+                        expected = brute_polytree_marginal(pt, engine.evidence, member)
+                        np.testing.assert_allclose(got.dist, expected.dist, atol=1e-9)
 
     def test_update_and_query_rejections(self):
         engine = build_engine(vee_polytree())
@@ -781,3 +826,35 @@ class TestCheapestForms:
         for _ in range(ops):
             vid = str(rng.choice(ids))
             polytree_update(engine, vid, random_likelihood(pt.variables[vid].domain, rng))
+
+
+class TestFactoredEdgesOnLargeCliques:
+    def test_factored_edges_save_a_call_and_match_dense(self):
+        """Three parents of 3 or 4 states make cliques of up to 256 states.
+        An edge between two large cliques stays factored, and only where
+        its matrix-vector product saves more than CALL_MULT_ADDS
+        multiply-adds; after updates every slot equals the same tree
+        contracted with every edge dense."""
+        nets, rng = np.random.default_rng(43), np.random.default_rng(44)
+        factored = 0
+        for k in (4, (3, 4), 4, (3, 4)):
+            pt = random_polytree(9, 3, k, nets)
+            engine = build_engine(pt)
+            compiled = engine.compiled
+            for coeff in compiled.coeffs.values():
+                if isinstance(coeff, FactoredMatrix):
+                    factored += 1
+                    (rows, width), cols = coeff.left.shape, coeff.right.shape[1]
+                    assert rows * cols - (rows * width + width * cols) > CALL_MULT_ADDS
+            dense_coeffs = {nid: coeff.materialize() for nid, coeff in compiled.coeffs.items()}
+            dense_index = contract(compiled.tree.copy(), coeffs=dense_coeffs)
+            for _ in range(6):
+                vid = str(rng.choice(list(pt.variables)))
+                vec = random_likelihood(pt.variables[vid].domain, rng)
+                polytree_update(engine, vid, vec)
+                update_evidence(dense_index, compiled.evidence_leaf[vid], vec)
+            for fs, ds in zip(engine.index.all_slots(), dense_index.all_slots(), strict=True):
+                assert fs.describe() == ds.describe()
+                np.testing.assert_allclose(materialize(fs.coeff), materialize(ds.coeff),
+                                           rtol=0, atol=1e-12)
+        assert factored >= 4

@@ -79,8 +79,7 @@ CALL_MULT_ADDS = 3000
 
 
 def saves_a_call(form: tuple) -> bool:
-    """Whether a table given as two factors is stored so: the factored
-    matrix-vector product must save more than CALL_MULT_ADDS."""
+    """Whether a two-factor table is stored so: its product saves > CALL_MULT_ADDS."""
     (rows, inner), (_, cols) = form
     return rows * cols - (rows + cols) * inner > CALL_MULT_ADDS
 

@@ -6,11 +6,10 @@ one edge per polytree edge, and singleton separators.  The join tree is
 itself a causal tree over clique-valued variables.  build_engine hands it
 to a tree engine, the contraction index by default, with each edge in a
 coefficient form contraction.py defines: an edge conditional factored as
-(projection J) . (separator-conditional R) on cliques large enough that
-factoring saves a call (saves_a_call), which keeps their rake updates at
-O(K L^2) instead of O(K^3), and identity edges as Identity, which costs
-nothing.  Every polytree update and query is one call of that engine's
-update or query on the compiled tree.
+(projection J) . (separator-conditional R) on cliques where that saves a
+numpy call, keeping their rake updates O(K L^2) instead of O(K^3), and
+identity edges as Identity, which cost nothing.  Every polytree update and
+query is one call of that engine's update or query on the compiled tree.
 
 Clique states use mixed-radix indexing with the clique's own variable most
 significant, then its parents in declaration order.  CPT rows likewise run
@@ -22,13 +21,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 
 from .contraction import (
-    CALL_MULT_ADDS,
     FactoredMatrix,
     Identity,
     belief_query,  # noqa: F401  (the traced benchmark wraps jointree.belief_query by name)
@@ -239,7 +236,12 @@ class Clique:
 
     def __post_init__(self):
         self.K = math.prod(self.domains)
-        self.strides = [math.prod(self.domains[i + 1:]) for i in range(len(self.domains))]
+        strides = []
+        acc = 1
+        for d in reversed(self.domains):
+            strides.append(acc)
+            acc *= d
+        self.strides = list(reversed(strides))
 
     def digit(self, state: int, member: str) -> int:
         i = self.members.index(member)
@@ -247,31 +249,19 @@ class Clique:
 
     def projection(self, member: str) -> np.ndarray:
         """K x k_member 0/1 matrix picking the member's coordinate; exactly
-        one 1 per row.  Read-only.  One per clique shape and member position
-        is kept for the process if it has at most CALL_MULT_ADDS entries."""
+        one 1 per row."""
         i = self.members.index(member)
-        small = self.K * self.domains[i] <= CALL_MULT_ADDS
-        return (_projection if small else _projection.__wrapped__)(tuple(self.domains), i)
+        out = np.zeros((self.K, self.domains[i]))
+        states = np.arange(self.K)
+        out[states, (states // self.strides[i]) % self.domains[i]] = 1.0
+        return out
 
     def member_belief(self, member: str, clique_bel: Belief) -> Belief:
-        """A member's marginal from a clique belief: the sum over the other
-        members, one product with its projection where that is kept."""
-        i = self.members.index(member)
-        if self.K * self.domains[i] <= CALL_MULT_ADDS:
-            dist = clique_bel.dist.dot(_projection(tuple(self.domains), i))
-        else:  # clique states are in numpy's C order
-            dist = clique_bel.dist.reshape(self.domains).sum(
-                axis=tuple(j for j in range(len(self.domains)) if j != i))
+        """A member's marginal from a belief over the clique's states: the
+        sum over the other members (clique states are in numpy's C order)."""
+        others = tuple(i for i, m in enumerate(self.members) if m != member)
+        dist = clique_bel.dist.reshape(self.domains).sum(axis=others)
         return Belief(dist=dist, normalizer=clique_bel.normalizer)
-
-
-@lru_cache(maxsize=256)
-def _projection(domains: tuple[int, ...], i: int) -> np.ndarray:
-    states = np.arange(math.prod(domains))
-    out = np.zeros((states.shape[0], domains[i]))
-    out[states, (states // math.prod(domains[i + 1:])) % domains[i]] = 1.0
-    out.flags.writeable = False
-    return out
 
 
 def extract_cliques(pt: Polytree) -> dict[str, Clique]:
@@ -437,8 +427,9 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
       all-ones column) keep their dense tables.
 
     The emitted tree is validated once, before normalize_tree adds the
-    dummies, whose tables are constant.  Small projections are built once
-    per clique shape and shared, read-only (Clique.projection).
+    dummies, whose tables are constant.  Projections are built once per
+    clique shape and member position and shared, read-only, by every edge
+    and leaf of this tree that needs them.
     """
     if marginals is None:
         marginals = prior_marginals(pt)
@@ -446,6 +437,16 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
         if clique.K > state_cap:
             raise DimensionOverflow(
                 f"clique of {clique.variable!r} has {clique.K} states, cap is {state_cap}")
+
+    shared: dict[tuple, np.ndarray] = {}
+
+    def projection(clique: Clique, member: str) -> np.ndarray:
+        key = (tuple(clique.domains), clique.members.index(member))
+        arr = shared.get(key)
+        if arr is None:
+            arr = shared[key] = clique.projection(member)
+            arr.flags.writeable = False
+        return arr
 
     nodes: list[Node] = []
     coeffs: dict[str, object] = {}
@@ -465,16 +466,16 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
         else:
             parent_cvar, separator = jt.parent[cvar]
             node.parent = f"C:{parent_cvar}"
-            J = jt.cliques[parent_cvar].projection(separator)
+            J = projection(jt.cliques[parent_cvar], separator)
             R = _separator_conditional(pt, clique, separator, marginals,
-                                       clique.projection(separator))
+                                       projection(clique, separator))
             node.cpt = J.dot(R)
             if saves_a_call((J.shape, R.shape)):
                 coeffs[node_id] = FactoredMatrix(J, R)
         nodes.append(node)
         k_own = clique.domains[0]
         nodes.append(Node(id=leaf_id, domain=k_own, parent=node_id,
-                          cpt=clique.projection(cvar), evidence=np.ones(k_own)))
+                          cpt=projection(clique, cvar), evidence=np.ones(k_own)))
         if clique.K == k_own:
             coeffs[leaf_id] = Identity(k_own)
         stack.extend(cv for cv, _ in reversed(jt.children[cvar]))

@@ -45,7 +45,7 @@ STOCHASTIC_TOL = 1e-9
 DEFAULT_STATE_CAP = 1 << 24
 TABLE_CHUNK = 256          # tables stacked per batched check (TableBatch)
 CHUNK_ENTRIES = 1 << 16    # and at most this many entries, unless one table has more
-SHORT_LIKELIHOOD = 16      # up to this length Python's all/max beat numpy's min/max
+SHORT_LIKELIHOOD = 24      # all/max over a list beat numpy min/max to here (timeit, numpy 2.4.6)
 
 _NODE_KEYS = {"id", "domain", "parent", "cpt", "prior", "evidence"}
 

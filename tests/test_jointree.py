@@ -16,9 +16,7 @@ from logbel import (
     StateSpaceTooLarge,
     UnknownVariable,
     ZeroMarginalDivisor,
-    Belief,
     CausalTree,
-    Clique,
     belief_query,
     brute_force_marginal,
     brute_polytree_marginal,
@@ -184,31 +182,6 @@ class TestCliques:
             for state in range(clique.K):
                 assert proj[state, clique.digit(state, member)] == 1.0
 
-    def test_member_belief_sums_out_the_other_members(self):
-        """Small cliques take the product with the projection, large ones
-        (over CALL_MULT_ADDS for that product) the sum over the other
-        members' axes: both give every member's marginal."""
-        rng = np.random.default_rng(2)
-        for domains in ([2], [2, 3], [3, 2, 2, 4], [8, 8, 8], [64, 64], [512, 8], [4096]):
-            clique = Clique("a", [f"m{i}" for i in range(len(domains))], domains)
-            belief = Belief(dist=rng.random(clique.K), normalizer=0.5)
-            for i, member in enumerate(clique.members):
-                got = clique.member_belief(member, belief)
-                want = np.moveaxis(belief.dist.reshape(domains), i, 0).reshape(
-                    domains[i], -1).sum(axis=1)
-                np.testing.assert_allclose(got.dist, want, rtol=1e-12)
-                assert got.normalizer == 0.5
-        assert 3 * 2 * 2 * 4 * 4 <= CALL_MULT_ADDS < 8 * 8 * 8 * 8
-
-    def test_only_small_projections_outlive_their_network(self):
-        """Projections are read-only; a small one is shared by shape and
-        member position across networks, a large one is built per call."""
-        small = Clique("a", ["a", "b"], [2, 3]).projection("b")
-        assert small is Clique("x", ["x", "y"], [2, 3]).projection("y")
-        large = Clique("a", ["a", "b"], [64, 64])
-        assert large.projection("b") is not large.projection("b")
-        assert not small.flags.writeable and not large.projection("a").flags.writeable
-
     def test_every_maximal_clique_is_a_family(self):
         """The theorem extract_cliques relies on, checked by enumeration."""
         rng = np.random.default_rng(1)
@@ -372,6 +345,23 @@ class TestCompile:
         for vid in pt.variables:
             cnode = compiled.tree.nodes[compiled.clique_node[vid]]
             assert cnode.children[0] == compiled.evidence_leaf[vid]
+
+    def test_projections_are_shared_within_a_network(self):
+        """Two parentless 32-state parents: the indicator leaves of their
+        same-shape cliques hold one read-only identity projection, and a
+        second compile builds its own."""
+        uniform = [1 / 32] * 32
+        pt = build_polytree({"variables": [
+            {"id": "a", "domain": 32, "prior": uniform},
+            {"id": "b", "domain": 32, "prior": uniform},
+            {"id": "c", "domain": 2, "parents": ["a", "b"], "cpt": [[0.5, 0.5]] * 1024},
+        ]})
+        jt = build_join_tree(extract_cliques(pt), pt)
+        nodes = compile_join_tree(jt, pt).tree.nodes
+        leaf_a, leaf_b = nodes["E:a"].cpt, nodes["E:b"].cpt
+        assert leaf_a is leaf_b and not leaf_a.flags.writeable
+        np.testing.assert_array_equal(leaf_a, np.eye(32))
+        assert compile_join_tree(jt, pt).tree.nodes["E:a"].cpt is not leaf_a
 
     def test_dense_edges_are_row_stochastic(self):
         pt = vee_polytree()

@@ -21,11 +21,11 @@ from functools import partial
 
 import numpy as np
 
-from .contraction import contract
+from .contraction import Identity, contract
 from .errors import FormatError, ImpossibleEvidence, LogbelError
 from .generate import balanced_tree, chain_tree, random_likelihood, random_tree
 from .jointree import Polytree, build_engine, build_polytree
-from .model import BruteForceOracle, CausalTree, Evidence, build_tree, normalize_tree, read_json
+from .model import BruteForceOracle, CausalTree, Evidence, _owned_normal_form, build_tree, read_json
 from .propagate import FullState, LazyState
 
 
@@ -69,10 +69,11 @@ def parse_stream(path) -> list[tuple]:
 
 
 def _contraction_engine(tree: CausalTree):
-    """contract takes ownership of its tree, so a tree normalize_tree
-    returns unchanged is copied first; the caller's tree stays as it is."""
-    normalized, _ = normalize_tree(tree)
-    return contract(normalized.copy() if normalized is tree else normalized)
+    """contract over the tree's owned normal form, each identity edge
+    normalize_tree names stored as Identity."""
+    normalized, identity_ids = _owned_normal_form(tree)
+    return contract(normalized, coeffs={nid: Identity(normalized.nodes[nid].domain)
+                                        for nid in identity_ids})
 
 
 # Every engine answers update(id, vec) and query(id) -> Belief; those that

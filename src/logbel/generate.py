@@ -38,14 +38,7 @@ def random_likelihood(domain: int, rng, floor: float = 0.05) -> np.ndarray:
     return v / v.max()
 
 
-def _likelihood(domain: int, rng, soft: bool, floor: float) -> list[float]:
-    if not soft:
-        return [1.0] * domain
-    return random_likelihood(domain, rng, floor).tolist()
-
-
-def _tree_from_splits(n_nodes: int, k, rng, split, soft_evidence: bool,
-                      evidence_floor: float) -> CausalTree:
+def _tree_from_splits(n_nodes: int, k, rng, split, evidence_floor: float) -> CausalTree:
     """Build a complete binary tree with ~n_nodes nodes; split(m) picks how
     many of m leaves go to the left subtree."""
     n_nodes = max(3, n_nodes)
@@ -68,7 +61,7 @@ def _tree_from_splits(n_nodes: int, k, rng, split, soft_evidence: bool,
             entry["cpt"] = _rows(parent_domain, domain, rng)
         nodes.append(entry)
         if leaves == 1:
-            entry["evidence"] = _likelihood(domain, rng, soft_evidence, evidence_floor)
+            entry["evidence"] = random_likelihood(domain, rng, evidence_floor)
             return
         left = split(leaves)
         emit(left, node_id, domain)
@@ -83,28 +76,23 @@ def _tree_from_splits(n_nodes: int, k, rng, split, soft_evidence: bool,
     return build_tree({"nodes": nodes})
 
 
-def random_tree(n_nodes: int, k, rng, *, soft_evidence: bool = True,
-                evidence_floor: float = 0.05) -> CausalTree:
+def random_tree(n_nodes: int, k, rng, *, evidence_floor: float = 0.05) -> CausalTree:
     """Random complete binary tree shape via recursive uniform leaf splits.
 
     k is either a fixed domain size or an inclusive (lo, hi) range sampled
     per node.  Conditional rows and priors are Dirichlet(1); leaves get
-    strictly positive soft evidence unless soft_evidence is False.
+    strictly positive soft evidence (random_likelihood).
     """
     return _tree_from_splits(n_nodes, k, rng,
-                             lambda m: int(rng.integers(1, m)), soft_evidence,
-                             evidence_floor)
+                             lambda m: int(rng.integers(1, m)), evidence_floor)
 
 
-def balanced_tree(n_nodes: int, k, rng, *, soft_evidence: bool = True,
-                  evidence_floor: float = 0.05) -> CausalTree:
+def balanced_tree(n_nodes: int, k, rng, *, evidence_floor: float = 0.05) -> CausalTree:
     """Near-perfectly balanced complete binary tree."""
-    return _tree_from_splits(n_nodes, k, rng, lambda m: m // 2, soft_evidence,
-                             evidence_floor)
+    return _tree_from_splits(n_nodes, k, rng, lambda m: m // 2, evidence_floor)
 
 
-def chain_tree(n_nodes: int, k, rng, *, soft_evidence: bool = True,
-               evidence_floor: float = 0.05) -> CausalTree:
+def chain_tree(n_nodes: int, k, rng, *, evidence_floor: float = 0.05) -> CausalTree:
     """Caterpillar chain: spine x1..xL, each xi with an evidence leaf ei on
     the left and x_{i+1} on the right; xL carries leaves eL and e{L+1}.
 
@@ -125,10 +113,10 @@ def chain_tree(n_nodes: int, k, rng, *, soft_evidence: bool = True,
         leaf_domain = _domain_of(k, rng)
         nodes.append({"id": f"e{i}", "domain": leaf_domain, "parent": f"x{i}",
                       "cpt": _rows(domain, leaf_domain, rng),
-                      "evidence": _likelihood(leaf_domain, rng, soft_evidence, evidence_floor)})
+                      "evidence": random_likelihood(leaf_domain, rng, evidence_floor)})
         prev_domain = domain
     last_domain = _domain_of(k, rng)
     nodes.append({"id": f"e{length+1}", "domain": last_domain, "parent": f"x{length}",
                   "cpt": _rows(prev_domain, last_domain, rng),
-                  "evidence": _likelihood(last_domain, rng, soft_evidence, evidence_floor)})
+                  "evidence": random_likelihood(last_domain, rng, evidence_floor)})
     return build_tree({"nodes": nodes})

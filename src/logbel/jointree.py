@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -419,10 +418,9 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
     - a clique edge J . R is a FactoredMatrix where saves_a_call (never
       when J is square, as for a parentless parent clique), its dense cpt
       otherwise;
-    - the identity splitters normalize_tree adds (domain equal to their
-      parent's) and the evidence leaf of a clique with as many states as
-      its variable (a parentless one's: its projection is the identity)
-      get Identity;
+    - the identity edges normalize_tree names (its splitters) and the
+      evidence leaf of a clique with as many states as its variable (a
+      parentless one's: its projection is the identity) get Identity;
     - the other evidence leaves (a projection) and the unit leaves (an
       all-ones column) keep their dense tables.
 
@@ -481,13 +479,9 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
         stack.extend(cv for cv, _ in reversed(jt.children[cvar]))
     # Preorder declares each clique's evidence leaf before its child cliques,
     # which come in join-tree order, so that is their sibling order.
-    tree, _ = normalize_tree(CausalTree(nodes))
-    # normalize_tree declares its dummies after the emitted nodes; the
-    # splitters' tables are identities over their parent's domain
-    for node_id in islice(tree.nodes, len(nodes), None):
-        node = tree.nodes[node_id]
-        if node.domain == tree.nodes[node.parent].domain:
-            coeffs[node_id] = Identity(node.domain)
+    tree, identity_ids = normalize_tree(CausalTree(nodes))
+    for node_id in identity_ids:
+        coeffs[node_id] = Identity(tree.nodes[node_id].domain)
     return CompiledTree(tree=tree, coeffs=coeffs,
                         clique_node=clique_node, evidence_leaf=evidence_leaf)
 

@@ -535,8 +535,9 @@ def set_evidence(tree: CausalTree, leaf_id: str, evidence) -> CausalTree:
 
 # -- normalization to complete binary form ---------------------------------------
 
-def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
-    """Return an equivalent complete binary tree and an id map.
+def normalize_tree(tree: CausalTree) -> tuple[CausalTree, list[str]]:
+    """Return an equivalent complete binary tree and the ids of its identity
+    edges: the one form every tree engine runs on.
 
     A node with m > 2 children keeps its first child and hands the rest to
     a caterpillar of m - 2 dummy splitters, each keeping one child and
@@ -546,8 +547,9 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
     all-ones column edge matrix).  A lone root stays a leaf, with its
     evidence, under a new root that takes its prior through an identity
     edge and has a unit leaf besides, so its evidence is updated as any
-    leaf's.  Original ids are preserved, so the id map is the identity on
-    them; beliefs of original nodes are unchanged.
+    leaf's.  Original ids are preserved and their beliefs are unchanged.
+    The identity ids are the splitters and the lone root, in the order
+    they were made; a tree that is already complete binary has none.
 
     The dummies are declared after the original nodes, so every holder's
     kept child comes first.  tree is a validated CausalTree and the
@@ -555,10 +557,11 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
     nodes share tree's tables, which nothing writes in place.
     """
     if tree.is_complete_binary() and tree.n > 1:
-        return tree, {nid: nid for nid in tree.nodes}
+        return tree, []
 
     parent = {nid: n.parent for nid, n in tree.nodes.items()}
     aux: list[Node] = []
+    identity_ids: list[str] = []
 
     counter = 0
 
@@ -582,6 +585,7 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
             for kid in kids[1:-1]:
                 split = fresh("split")
                 aux.append(Node(id=split, domain=k, parent=holder, cpt=eye))
+                identity_ids.append(split)
                 parent[kid] = split
                 holder = split
             parent[kids[-1]] = holder
@@ -597,9 +601,18 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, dict[str, str]]:
         aux.append(Node(id=fresh("unit"), domain=1, parent=root,
                         cpt=np.ones((lone.domain, 1)), evidence=np.ones(1)))
         lone.parent, lone.cpt, lone.prior = root, np.eye(lone.domain), None
+        identity_ids.append(lone.id)
         if lone.evidence is None:
             lone.evidence = np.ones(lone.domain)
-    return CausalTree.unchecked(nodes + aux, root), {nid: nid for nid in tree.nodes}
+    return CausalTree.unchecked(nodes + aux, root), identity_ids
+
+
+def _owned_normal_form(tree: CausalTree) -> tuple[CausalTree, list[str]]:
+    """normalize_tree's output for an engine that writes evidence into its
+    tree: a tree normalize_tree returns unchanged is copied, so the
+    caller's tree stays as it is."""
+    normalized, identity_ids = normalize_tree(tree)
+    return (normalized.copy() if normalized is tree else normalized), identity_ids
 
 
 # -- joint-enumeration oracle ------------------------------------------------------

@@ -1,8 +1,17 @@
 """Classical message propagation on causal trees.
 
+Every engine here runs on normalize_tree's complete binary form, as the
+contraction engine does, so each lambda equation multiplies two child
+messages and each pi equation one sibling message: the equations contract
+evaluates, with linear work in the fan-out.  On a wide tree the counts are
+those of the normalized tree, and the dummy ids it adds are answered too.
+
 full_propagate runs the two-pass algorithm: a bottom-up likelihood pass
 (lambda vectors) and a top-down prior pass (pi vectors), then combines them
-into beliefs.  Linear work per run.  FullState reruns it after every update.
+into beliefs.  Linear work per run.  FullState is the paper's conventional
+algorithm: an update only stores the evidence, and the first query after
+it runs full_propagate once, whose table answers every query until the
+next update.
 
 LazyState keeps only the lambda vectors cached.  An evidence update
 recomputes the lambda equations of the leaf's ancestors (depth-many
@@ -20,8 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counters import OpCounters
-from .errors import ImpossibleEvidence, UnknownNode
-from .model import Belief, CausalTree, normalize_belief, set_evidence
+from .errors import UnknownNode
+from .model import (
+    Belief,
+    CausalTree,
+    _owned_normal_form,
+    normalize_belief,
+    normalize_tree,
+    set_evidence,
+)
 
 
 @dataclass
@@ -36,34 +52,30 @@ class PropagationTable:
 
 def _lambda_at(tree: CausalTree, node_id: str, lambdas: dict[str, np.ndarray],
                counters: OpCounters) -> np.ndarray:
-    """Evaluate one lambda equation from the children's cached lambdas."""
+    """Evaluate one lambda equation, left.cpt . lambda_left * right.cpt .
+    lambda_right, from the children's cached lambdas."""
     node = tree.nodes[node_id]
-    out = None
-    for child in node.children:
-        cpt = tree.nodes[child].cpt
-        counters.count_matvec(*cpt.shape)
-        term = cpt.dot(lambdas[child])
-        if out is None:
-            out = term
-        else:
-            counters.count_vector_op(node.domain)
-            out = out * term
+    left, right = (tree.nodes[child] for child in node.children)
+    counters.count_matvec(*left.cpt.shape)
+    counters.count_matvec(*right.cpt.shape)
+    counters.count_vector_op(node.domain)
     counters.count_equation()
-    return out
+    return left.cpt.dot(lambdas[left.id]) * right.cpt.dot(lambdas[right.id])
 
 
 def full_propagate(tree: CausalTree, counters: OpCounters | None = None) -> PropagationTable:
-    """Evaluate every lambda and pi equation and combine them into beliefs.
+    """Evaluate every lambda and pi equation of normalize_tree(tree) and
+    combine them into beliefs; tree is not written.
 
     Raises ImpossibleEvidence if the evidence in force has zero mass.
     """
+    tree, _ = normalize_tree(tree)
     counters = counters if counters is not None else OpCounters()
     lambdas: dict[str, np.ndarray] = {}
     for node_id in tree.post_order():
         node = tree.nodes[node_id]
         if not node.children:
-            lambdas[node_id] = node.evidence.copy() if node.evidence is not None \
-                else np.ones(node.domain)
+            lambdas[node_id] = node.evidence.copy()
         else:
             lambdas[node_id] = _lambda_at(tree, node_id, lambdas, counters)
 
@@ -71,8 +83,7 @@ def full_propagate(tree: CausalTree, counters: OpCounters | None = None) -> Prop
     stack = [tree.root]
     while stack:
         parent_id = stack.pop()
-        parent = tree.nodes[parent_id]
-        for child_id in parent.children:
+        for child_id in tree.nodes[parent_id].children:
             pis[child_id] = _pi_at(tree, child_id, pis[parent_id], lambdas, counters)
             stack.append(child_id)
 
@@ -85,20 +96,17 @@ def full_propagate(tree: CausalTree, counters: OpCounters | None = None) -> Prop
 
 def _pi_at(tree: CausalTree, node_id: str, parent_pi: np.ndarray,
            lambdas: dict[str, np.ndarray], counters: OpCounters) -> np.ndarray:
-    """Evaluate one pi equation given the parent's pi and sibling lambdas."""
+    """Evaluate one pi equation, (pi_parent * sibling.cpt . lambda_sibling)
+    . cpt, given the parent's pi and the sibling's lambda."""
     node = tree.nodes[node_id]
     parent = tree.nodes[node.parent]
-    acc = parent_pi
-    for sibling in parent.children:
-        if sibling == node_id:
-            continue
-        cpt = tree.nodes[sibling].cpt
-        counters.count_matvec(*cpt.shape)
-        counters.count_vector_op(parent.domain)
-        acc = acc * cpt.dot(lambdas[sibling])
+    left, right = parent.children
+    sibling = tree.nodes[right if left == node_id else left]
+    counters.count_matvec(*sibling.cpt.shape)
+    counters.count_vector_op(parent.domain)
     counters.count_matvec(node.cpt.shape[1], node.cpt.shape[0])
     counters.count_equation()
-    return acc.dot(node.cpt)
+    return (parent_pi * sibling.cpt.dot(lambdas[sibling.id])).dot(node.cpt)
 
 
 def belief(table: PropagationTable, node_id: str) -> Belief:
@@ -111,30 +119,23 @@ def belief(table: PropagationTable, node_id: str) -> Belief:
 
 
 class FullState:
-    """Inference state that absorbs every update with a full propagation
-    pass; queries are table lookups.
-
-    While the evidence in force is jointly impossible there is no table
-    (None); a query then propagates again and raises ImpossibleEvidence
-    only if the evidence is still impossible.
-    """
+    """The conventional algorithm: an update stores the evidence and drops
+    the propagation table in O(1); the first query after it runs one
+    full_propagate, and that table answers every query until the next
+    update.  Jointly impossible evidence raises ImpossibleEvidence at a
+    query, and only while it is in force."""
 
     def __init__(self, tree: CausalTree):
-        self.tree = tree.copy()
+        self.tree, _ = _owned_normal_form(tree)
         self.counters = OpCounters()
-        self._propagate()
-
-    def _propagate(self) -> None:
-        try:
-            self.table = full_propagate(self.tree, self.counters)
-        except ImpossibleEvidence:
-            self.table = None
+        self.table: PropagationTable | None = None
 
     def update(self, leaf_id: str, evidence) -> None:
         set_evidence(self.tree, leaf_id, evidence)
-        self._propagate()
+        self.table = None
 
     def query(self, node_id: str) -> Belief:
+        self.tree.node(node_id)
         if self.table is None:
             self.table = full_propagate(self.tree, self.counters)
         return belief(self.table, node_id)
@@ -144,14 +145,13 @@ class LazyState:
     """Cached-lambda inference state with depth-bounded updates and queries."""
 
     def __init__(self, tree: CausalTree):
-        self.tree = tree.copy()
+        self.tree, _ = _owned_normal_form(tree)
         self.counters = OpCounters()
         self.lambdas: dict[str, np.ndarray] = {}
         for node_id in self.tree.post_order():
             node = self.tree.nodes[node_id]
-            if not node.children:  # self.tree is a private copy: share its vectors
-                self.lambdas[node_id] = node.evidence if node.evidence is not None \
-                    else np.ones(node.domain)
+            if not node.children:  # nothing writes a likelihood in place: share it
+                self.lambdas[node_id] = node.evidence
             else:
                 self.lambdas[node_id] = _lambda_at(self.tree, node_id, self.lambdas, self.counters)
 

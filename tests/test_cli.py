@@ -11,14 +11,16 @@ from logbel import (
     brute_polytree_marginal,
     build_polytree,
     build_tree,
+    contract,
     normalize_tree,
     random_polytree,
     random_tree,
     tree_to_spec,
 )
 from logbel.cli import ENGINES, build_parser, cmd_verify, main
-from logbel.contraction import materialize
+from logbel.contraction import Identity, materialize
 from logbel.generate import random_likelihood
+from test_counts import star_tree
 
 EYE = [[1.0, 0.0], [0.0, 1.0]]
 
@@ -430,6 +432,27 @@ class TestEngineRegistry:
         ENGINES["tree"]["contract"](tree).update(leaf, np.array([0.0, 1.0]))
         np.testing.assert_array_equal(tree.nodes[leaf].evidence, before)
 
+    def test_contract_entry_stores_identity_edges_as_identity(self):
+        """Each splitter normalize_tree names is stored as Identity, which
+        costs nothing: fewer mult-adds than the dense normalized tree, and
+        the same beliefs on every original node."""
+        rng = np.random.default_rng(5)
+        tree = star_tree(40, rng)
+        normalized, identity_ids = normalize_tree(tree)
+        assert len(identity_ids) == 38
+        engine = ENGINES["tree"]["contract"](tree)
+        dense = contract(normalized)
+        for split in identity_ids:
+            rec = engine.records[normalized.nodes[split].parent][0]
+            assert isinstance((rec.left if rec.left_child == split else rec.right).coeff, Identity)
+        for leaf in ("c0", "c17", "c39"):
+            vec = random_likelihood(2, rng)
+            engine.update(leaf, vec)
+            dense.update(leaf, vec)
+        for node_id in tree.nodes:
+            np.testing.assert_array_equal(engine.query(node_id).dist, dense.query(node_id).dist)
+        assert engine.counters.scalar_mult_adds < dense.counters.scalar_mult_adds
+
 
 class TestBench:
     def test_csv_format_and_summary(self, tmp_path, capsys):
@@ -499,16 +522,20 @@ class TestBench:
 # recorded with one adapter class per engine, before the engine registry.
 # contract's update and query mult-adds were re-recorded when each rake kept
 # its diagonal cached (128 and 156 for n = 31, 64 and 146 for n = 63 before).
+# full's rows were re-recorded when FullState stopped propagating at build
+# and at each update: the one pass per cycle moved from update to query, so
+# the per-cycle totals are unchanged (build was 512, 45 for n = 31 and
+# 1056, 93 for n = 63; update was what query is now, and query 0, 0).
 BENCH_COUNTS = [
-    ["full", "build", "1", "512", "45"],
-    ["full", "update", "3", "1536", "135"],
-    ["full", "query", "3", "0", "0"],
+    ["full", "build", "1", "0", "0"],
+    ["full", "update", "3", "0", "0"],
+    ["full", "query", "3", "1536", "135"],
     ["contract", "build", "1", "224", "14"],
     ["contract", "update", "3", "112", "8"],
     ["contract", "query", "3", "148", "15"],
-    ["full", "build", "1", "1056", "93"],
-    ["full", "update", "3", "3168", "279"],
-    ["full", "query", "3", "0", "0"],
+    ["full", "build", "1", "0", "0"],
+    ["full", "update", "3", "0", "0"],
+    ["full", "query", "3", "3168", "279"],
     ["contract", "build", "1", "480", "30"],
     ["contract", "update", "3", "56", "4"],
     ["contract", "query", "3", "130", "14"],

@@ -18,6 +18,7 @@ from logbel import (
     build_tree,
     calc_pi_lambda,
     contract,
+    full_propagate,
     lambda_query,
     normalize_tree,
     pi_query,
@@ -46,6 +47,15 @@ def ragged_tree(n_nodes, rng):
         if i not in has_child:
             entry["evidence"] = random_likelihood(domain, rng).tolist()
         nodes.append(entry)
+    return build_tree({"nodes": nodes})
+
+
+def star_tree(fanout, rng):
+    """A binary root with fanout children, each a leaf with soft evidence."""
+    nodes = [{"id": "r", "domain": 2, "prior": [0.4, 0.6]}]
+    nodes += [{"id": f"c{i}", "domain": 2, "parent": "r",
+               "cpt": rng.dirichlet(np.ones(2), size=2).tolist(),
+               "evidence": random_likelihood(2, rng).tolist()} for i in range(fanout)]
     return build_tree({"nodes": nodes})
 
 
@@ -99,6 +109,20 @@ def test_polytree_counts_are_pinned():
             pass
     assert chains == POLYTREE_CHAINS
     assert totals(index.counters) == POLYTREE_TOTALS
+
+
+def test_full_propagate_is_linear_in_the_fan_out():
+    """full_propagate does the work of normalize_tree's complete binary
+    tree: on a star with m children, 2 products per lambda equation at its
+    m - 1 internal nodes and 2 per pi equation at its 2m - 2 others.  A
+    per-sibling pi loop on the raw star would take m^2 + m."""
+    rng = np.random.default_rng(9)
+    star = star_tree(64, rng)
+    mults = full_propagate(star).counters.matrix_vector_mults
+    assert mults == full_propagate(normalize_tree(star)[0]).counters.matrix_vector_mults
+    for fanout in (16, 64, 256):
+        assert full_propagate(star_tree(fanout, rng)).counters.matrix_vector_mults \
+            == 6 * (fanout - 1)
 
 
 def test_counts_equal_the_work_done():

@@ -1,6 +1,6 @@
 """Differential property test: on random trees of any arity, the contraction
-index (on the normalized tree), the lazy engine and the joint enumerator
-answer every query of a random update/query stream alike, or all raise
+index (on the normalized tree), the full and lazy engines and the joint
+enumerator answer every query of a random update/query stream alike, or all raise
 ImpossibleEvidence.
 
 Tables and likelihoods draw their entries from a small set that includes
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logbel import ImpossibleEvidence, LazyState, build_tree, contract, normalize_tree
+from logbel.propagate import FullState
 from logbel.model import BruteForceOracle
 
 MAX_NODES = 12
@@ -81,7 +82,8 @@ def _answer(engine, node_id):
 @given(scenarios())
 def test_engines_agree_on_random_streams(scenario):
     tree, ops = scenario
-    engines = [BruteForceOracle(tree), LazyState(tree), contract(normalize_tree(tree)[0])]
+    engines = [BruteForceOracle(tree), FullState(tree), LazyState(tree),
+               contract(normalize_tree(tree)[0])]
     for kind, target, vec in ops:
         if kind == "U":
             for engine in engines:

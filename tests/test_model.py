@@ -278,9 +278,9 @@ class TestCopy:
 class TestNormalizeTree:
     def test_already_binary_unchanged(self):
         tree = identity_tree()
-        normalized, id_map = normalize_tree(tree)
+        normalized, identity_ids = normalize_tree(tree)
         assert normalized is tree
-        assert id_map == {"u": "u", "e": "e", "f": "f"}
+        assert identity_ids == []
 
     def _wide_tree(self, fanout):
         rng = np.random.default_rng(fanout)
@@ -293,14 +293,15 @@ class TestNormalizeTree:
 
     def test_three_children_one_dummy(self):
         tree = self._wide_tree(3)
-        normalized, id_map = normalize_tree(tree)
+        normalized, identity_ids = normalize_tree(tree)
         assert normalized.is_complete_binary()
         assert normalized.n == 5
         assert normalized.n <= 2 * tree.n
-        assert set(id_map) == set(tree.nodes)
+        assert identity_ids == ["split0"]
 
     def test_splitter_chain_is_pinned(self):
-        normalized, _ = normalize_tree(self._wide_tree(5))
+        normalized, identity_ids = normalize_tree(self._wide_tree(5))
+        assert identity_ids == ["split0", "split1", "split2"]
         assert list(normalized.nodes) == ["r", "c0", "c1", "c2", "c3", "c4",
                                           "split0", "split1", "split2"]
         shape = {nid: (n.parent, n.children) for nid, n in normalized.nodes.items()}
@@ -335,9 +336,9 @@ class TestNormalizeTree:
             if evidence is not None:
                 spec["evidence"] = evidence
             tree = build_tree({"nodes": [spec]})
-            normalized, id_map = normalize_tree(tree)
+            normalized, identity_ids = normalize_tree(tree)
             assert normalized.is_complete_binary() and normalized.n == 3
-            assert id_map == {"r": "r"} and tree.nodes["r"].children == []
+            assert identity_ids == ["r"] and tree.nodes["r"].children == []
             assert tree.root == "r" and tree.nodes["r"].parent is None
             lone = normalized.nodes["r"]
             assert normalized.root != "r" and lone.parent == normalized.root
@@ -351,10 +352,10 @@ class TestNormalizeTree:
         rng = np.random.default_rng(42)
         for fanout in (3, 4, 5):
             tree = self._wide_tree(fanout)
-            normalized, id_map = normalize_tree(tree)
+            normalized, _ = normalize_tree(tree)
             for node_id in tree.nodes:
                 before = brute_force_marginal(tree, node_id)
-                after = brute_force_marginal(normalized, id_map[node_id])
+                after = brute_force_marginal(normalized, node_id)
                 np.testing.assert_allclose(after.dist, before.dist, atol=1e-12)
 
     def test_node_count_bound(self):

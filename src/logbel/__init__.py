@@ -28,7 +28,6 @@ from .errors import (
     TreeTooSmall,
     UnknownNode,
     UnknownVariable,
-    ZeroMarginalDivisor,
 )
 from .model import (
     Belief,
@@ -95,7 +94,7 @@ __all__ = [
     "OpCounters", "PiLambdaTriple", "Polytree",
     "PolytreeEngine", "PropagationTable", "RowNotStochastic",
     "StateSpaceTooLarge", "TreeTooSmall", "UnknownNode", "UnknownVariable",
-    "Variable", "ZeroMarginalDivisor", "balanced_tree", "belief",
+    "Variable", "balanced_tree", "belief",
     "belief_query", "brute_force_marginal", "brute_polytree_marginal",
     "build_engine", "build_join_tree", "build_polytree", "build_tree",
     "calc_pi_lambda", "chain_tree", "check_likelihood", "compile_join_tree",

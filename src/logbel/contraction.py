@@ -58,8 +58,9 @@ LEFT, RIGHT = 0, 1
 # time of a 2 x 2 product) but does not defer to another operand: a right
 # operand that is not an ndarray keeps @, and numpy defers to its
 # __rmatmul__ (the forms set __array_ufunc__ = None).  contract() fixes each
-# stored equation's counts once, from forms (_equation_cost, _rake_costs);
-# the caches hold immutable tuples, a few hundred keys per network.
+# stored equation's counts once, from forms (equation_cost, _rake_costs),
+# and the full and lazy engines count each equation by equation_cost; the
+# caches hold immutable tuples, a few hundred keys per network.
 
 def matvec_cost(form: tuple) -> tuple:
     """coeff @ vec or vec @ coeff: one matrix-vector product per factor."""
@@ -242,7 +243,7 @@ def materialize(coeff) -> np.ndarray:
 
 
 @cache
-def _equation_cost(K: int, left_form: tuple, right_form: tuple) -> tuple:
+def equation_cost(K: int, left_form: tuple, right_form: tuple) -> tuple:
     """Counts of evaluating once an equation over a K-state owner: its two
     sides times child vectors, then their product.  A pi step through the
     equation (one side times the sibling's lambda, a product with pi, the
@@ -264,9 +265,9 @@ def _rake_costs(K: int, e_form: tuple, parent_form: tuple, z_form: tuple) -> tup
 
 
 def _record_cost(rec: "CoeffRecord") -> tuple:
-    """_equation_cost of an equation version."""
+    """equation_cost of an equation version."""
     left, right = rec.left.coeff, rec.right.coeff
-    return _equation_cost(left.shape[0], _form(left), _form(right))
+    return equation_cost(left.shape[0], _form(left), _form(right))
 
 
 # -- stored structure ------------------------------------------------------------

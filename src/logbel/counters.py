@@ -1,16 +1,14 @@
 """Operation counters used as the portable cost signal.
 
 Wall-clock time is noisy, so every engine in this package reports its work
-through an OpCounters instance: how many matrix-vector products, how many
-matrix-matrix products, how many equation evaluations, and the total number
-of scalar multiply-adds those operations amount to.  A matrix-vector product
-of an r x c matrix counts as r*c multiply-adds; an (r x m) @ (m x c) product
-counts r*m*c; rescaling a matrix by a diagonal counts r*c.
-
-Those counts depend only on the shapes involved, so the contraction index
-fixes the cost of each of its operations when it is built, from its
-coefficients' forms (see contraction.py), and adds it in one step.  A cost
-is a tuple (matrix_vector_mults, matrix_matrix_mults, equation_evals,
+through an OpCounters instance: matrix-vector products, matrix-matrix
+products, equation evaluations, and the scalar multiply-adds they amount to
+(of which matmat_mult_adds come from matrix-matrix products).  Those counts
+depend only on shapes, so one rule fixes them, from coefficient forms: the
+form rule of contraction.py (matvec_cost, rake_cost, equation_cost).  Every
+engine adds a cost from it in one step; only a belief's final vector
+product, K multiply-adds, is counted apart.  A cost is a tuple
+(matrix_vector_mults, matrix_matrix_mults, equation_evals,
 scalar_mult_adds, matmat_mult_adds).
 """
 
@@ -36,15 +34,8 @@ class OpCounters:
     # This isolates the O(K^3)-vs-O(K*L^2) comparison for factored pipelines.
     matmat_mult_adds: int = 0
 
-    def count_matvec(self, rows: int, cols: int) -> None:
-        self.matrix_vector_mults += 1
-        self.scalar_mult_adds += rows * cols
-
     def count_vector_op(self, n: int) -> None:
         self.scalar_mult_adds += n
-
-    def count_equation(self) -> None:
-        self.equation_evals += 1
 
     def add(self, cost: tuple) -> None:
         """Add a precomputed cost (see the module docstring)."""

@@ -88,10 +88,6 @@ class ConstructionError(LogbelError):
     """A join-tree structural guarantee failed verification."""
 
 
-class ZeroMarginalDivisor(LogbelError):
-    pass
-
-
 class DimensionOverflow(LogbelError):
     pass
 

@@ -42,7 +42,6 @@ from .errors import (
     LogbelError,
     NotAPolytree,
     UnknownVariable,
-    ZeroMarginalDivisor,
 )
 from .model import (
     Belief,
@@ -383,14 +382,18 @@ def _separator_conditional(pt: Polytree, clique: Clique, separator: str,
     For separator s among the parents: rows combine the child CPT with the
     marginals of the other parents.  For s equal to the clique's own
     variable the parent marginals enter in full and the variable's own
-    marginal divides out (Bayes flip), which requires it to be positive.
+    marginal divides out (Bayes flip).  A value of zero prior mass is
+    reached only through parent-clique states of zero prior mass, so any
+    stochastic row is exact there: its row is uniform over the clique
+    states with that value.
     """
     R = projection.T * _family_weights(pt, clique, marginals, separator)
     if separator == clique.variable:
         own = marginals[separator]
         if np.any(own == 0.0):
-            raise ZeroMarginalDivisor(
-                f"marginal of {separator!r} has a zero entry; cannot root the join tree there")
+            zero = own == 0.0
+            R[zero] = projection.T[zero]
+            own = np.where(zero, projection.sum(axis=0), own)
         R /= own[:, None]
     return R
 

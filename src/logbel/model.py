@@ -15,7 +15,6 @@ tested against.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -438,8 +437,12 @@ class CausalTree:
                 for nid, n in self.nodes.items()]
 
     def copy(self) -> "CausalTree":
-        """Independent clone; the source was validated when it was built."""
-        return copy.deepcopy(self)
+        """A clone with nodes of its own over this tree's tables, which
+        nothing writes in place: set_evidence replaces a leaf's vector."""
+        return CausalTree.unchecked(
+            [Node(id=node.id, domain=node.domain, parent=node.parent, cpt=node.cpt,
+                  prior=node.prior, evidence=node.evidence) for node in self.nodes.values()],
+            self.root)
 
 
 # -- construction from a network description -----------------------------------

@@ -13,13 +13,17 @@ algorithm: an update only stores the evidence, and the first query after
 it runs full_propagate once, whose table answers every query until the
 next update.
 
-LazyState keeps only the lambda vectors cached.  An evidence update
-recomputes the lambda equations of the leaf's ancestors (depth-many
-evaluations); a query recomputes pi along the root-to-node path on demand.
-pi is never cached, so updates stay cheap on deep trees.
+LazyState keeps only the lambda vectors cached, from the same bottom-up
+pass as full_propagate's.  An evidence update recomputes the lambda
+equations of the leaf's ancestors (depth-many evaluations); a query
+recomputes pi along the root-to-node path on demand.  pi is never cached,
+so updates stay cheap on deep trees.
 
 Products are ndarray.dot, as in the contraction engine, so that the
-baselines pay the same per-call cost for the same arithmetic.
+baselines pay the same per-call cost for the same arithmetic, and each
+equation is counted by the contraction engine's rule too (equation_cost,
+over its two edge tables' forms), so both sides of a comparison are
+counted alike.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contraction import equation_cost
 from .counters import OpCounters
 from .errors import UnknownNode
 from .model import (
@@ -56,11 +61,19 @@ def _lambda_at(tree: CausalTree, node_id: str, lambdas: dict[str, np.ndarray],
     lambda_right, from the children's cached lambdas."""
     node = tree.nodes[node_id]
     left, right = (tree.nodes[child] for child in node.children)
-    counters.count_matvec(*left.cpt.shape)
-    counters.count_matvec(*right.cpt.shape)
-    counters.count_vector_op(node.domain)
-    counters.count_equation()
+    counters.add(equation_cost(node.domain, (left.cpt.shape,), (right.cpt.shape,)))
     return left.cpt.dot(lambdas[left.id]) * right.cpt.dot(lambdas[right.id])
+
+
+def _lambda_pass(tree: CausalTree, counters: OpCounters) -> dict[str, np.ndarray]:
+    """Every lambda of tree, bottom-up: a copy of each leaf's evidence and
+    each internal node's equation."""
+    lambdas: dict[str, np.ndarray] = {}
+    for node_id in tree.post_order():
+        node = tree.nodes[node_id]
+        lambdas[node_id] = (_lambda_at(tree, node_id, lambdas, counters) if node.children
+                            else node.evidence.copy())
+    return lambdas
 
 
 def full_propagate(tree: CausalTree, counters: OpCounters | None = None) -> PropagationTable:
@@ -71,14 +84,7 @@ def full_propagate(tree: CausalTree, counters: OpCounters | None = None) -> Prop
     """
     tree, _ = normalize_tree(tree)
     counters = counters if counters is not None else OpCounters()
-    lambdas: dict[str, np.ndarray] = {}
-    for node_id in tree.post_order():
-        node = tree.nodes[node_id]
-        if not node.children:
-            lambdas[node_id] = node.evidence.copy()
-        else:
-            lambdas[node_id] = _lambda_at(tree, node_id, lambdas, counters)
-
+    lambdas = _lambda_pass(tree, counters)
     pis: dict[str, np.ndarray] = {tree.root: tree.nodes[tree.root].prior.copy()}
     stack = [tree.root]
     while stack:
@@ -102,10 +108,7 @@ def _pi_at(tree: CausalTree, node_id: str, parent_pi: np.ndarray,
     parent = tree.nodes[node.parent]
     left, right = parent.children
     sibling = tree.nodes[right if left == node_id else left]
-    counters.count_matvec(*sibling.cpt.shape)
-    counters.count_vector_op(parent.domain)
-    counters.count_matvec(node.cpt.shape[1], node.cpt.shape[0])
-    counters.count_equation()
+    counters.add(equation_cost(parent.domain, (sibling.cpt.shape,), (node.cpt.shape,)))
     return (parent_pi * sibling.cpt.dot(lambdas[sibling.id])).dot(node.cpt)
 
 
@@ -147,13 +150,7 @@ class LazyState:
     def __init__(self, tree: CausalTree):
         self.tree, _ = _owned_normal_form(tree)
         self.counters = OpCounters()
-        self.lambdas: dict[str, np.ndarray] = {}
-        for node_id in self.tree.post_order():
-            node = self.tree.nodes[node_id]
-            if not node.children:  # nothing writes a likelihood in place: share it
-                self.lambdas[node_id] = node.evidence
-            else:
-                self.lambdas[node_id] = _lambda_at(self.tree, node_id, self.lambdas, self.counters)
+        self.lambdas = _lambda_pass(self.tree, self.counters)
 
     def update(self, leaf_id: str, evidence) -> None:
         lazy_update(self, leaf_id, evidence)

@@ -1,25 +1,33 @@
-"""Differential property test: on random trees of any arity, the contraction
-index (on the normalized tree), the full and lazy engines and the joint
-enumerator answer every query of a random update/query stream alike, or all raise
-ImpossibleEvidence.
+"""Differential property tests.  On random trees of any arity, the
+contraction index (on the normalized tree), the full and lazy engines and
+the joint enumerator answer every query of a random update/query stream
+alike, or all raise ImpossibleEvidence.  On random polytrees (at most 3
+parents) every polytree strategy of the command line does the same against
+the joint enumerator.
 
 Tables and likelihoods draw their entries from a small set that includes
-exact zeros, so evidence that is jointly impossible, zero prior states and
-zero conditional entries all occur.  Every entry is either zero or at least
-0.5 before normalization, so no mass underflows at this size: a query's
-mass is zero exactly when the evidence is impossible.
+exact zeros, so evidence that is jointly impossible, zero prior states
+(zero prior marginals among them) and zero conditional entries all occur.
+Every entry is either zero or at least 0.5 before normalization, so no
+mass underflows at this size: a query's mass is zero exactly when the
+evidence is impossible.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logbel import ImpossibleEvidence, LazyState, build_tree, contract, normalize_tree
+from logbel import ImpossibleEvidence, LazyState, build_polytree, build_tree, contract, normalize_tree
+from logbel.cli import ENGINES
 from logbel.propagate import FullState
 from logbel.model import BruteForceOracle
 
 MAX_NODES = 12
 MAX_FANOUT = 4
+MAX_VARIABLES = 6
+MAX_PARENTS = 3
 MAX_OPS = 8
 ENTRIES = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.0])
 
@@ -57,18 +65,58 @@ def trees(draw):
 
 
 @st.composite
-def scenarios(draw):
-    tree = draw(trees())
-    leaves, ids = tree.leaf_order(), list(tree.nodes)
+def polytrees(draw):
+    """A connected polytree: each new variable is joined to an earlier one,
+    as its parent or its child, without passing MAX_PARENTS anywhere."""
+    n = draw(st.integers(2, MAX_VARIABLES))
+    domains = [draw(st.integers(1, 3)) for _ in range(n)]
+    parents: list[list[int]] = [[] for _ in range(n)]
+    for i in range(1, n):
+        other = draw(st.integers(0, i - 1))
+        if len(parents[other]) < MAX_PARENTS and draw(st.booleans()):
+            parents[other].append(i)
+        else:
+            parents[i].append(other)
+    variables = []
+    for i, (domain, among) in enumerate(zip(domains, parents)):
+        entry = {"id": f"v{i}", "domain": domain, "parents": [f"v{p}" for p in among]}
+        if among:
+            rows = math.prod(domains[p] for p in among)
+            entry["cpt"] = [draw(distribution(domain)) for _ in range(rows)]
+        else:
+            entry["prior"] = draw(distribution(domain))
+        variables.append(entry)
+    return build_polytree({"variables": variables})
+
+
+@st.composite
+def streams(draw, domains: dict, updatable: list):
+    """U/Q ops over the ids of domains, updates only on updatable, ending
+    with a query."""
+    ids = list(domains)
     ops = []
     for _ in range(draw(st.integers(1, MAX_OPS))):
         if draw(st.booleans()):
-            leaf = draw(st.sampled_from(leaves))
-            ops.append(("U", leaf, draw(weights(tree.nodes[leaf].domain))))
+            target = draw(st.sampled_from(updatable))
+            ops.append(("U", target, draw(weights(domains[target]))))
         else:
             ops.append(("Q", draw(st.sampled_from(ids)), None))
     ops.append(("Q", draw(st.sampled_from(ids)), None))
-    return tree, ops
+    return ops
+
+
+@st.composite
+def scenarios(draw):
+    tree = draw(trees())
+    domains = {nid: node.domain for nid, node in tree.nodes.items()}
+    return tree, draw(streams(domains, tree.leaf_order()))
+
+
+@st.composite
+def polytree_scenarios(draw):
+    pt = draw(polytrees())
+    domains = {vid: var.domain for vid, var in pt.variables.items()}
+    return pt, draw(streams(domains, list(domains)))
 
 
 def _answer(engine, node_id):
@@ -78,12 +126,8 @@ def _answer(engine, node_id):
         return None
 
 
-@settings(max_examples=350, derandomize=True, deadline=None)
-@given(scenarios())
-def test_engines_agree_on_random_streams(scenario):
-    tree, ops = scenario
-    engines = [BruteForceOracle(tree), FullState(tree), LazyState(tree),
-               contract(normalize_tree(tree)[0])]
+def _replay(engines, ops):
+    """Run ops on every engine; the first one's answers are the reference."""
     for kind, target, vec in ops:
         if kind == "U":
             for engine in engines:
@@ -96,3 +140,20 @@ def test_engines_agree_on_random_streams(scenario):
             for got in others:
                 assert got is not None
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=350, derandomize=True, deadline=None)
+@given(scenarios())
+def test_engines_agree_on_random_streams(scenario):
+    tree, ops = scenario
+    _replay([BruteForceOracle(tree), FullState(tree), LazyState(tree),
+             contract(normalize_tree(tree)[0])], ops)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(polytree_scenarios())
+def test_polytree_strategies_agree_on_random_streams(scenario):
+    pt, ops = scenario
+    strategies = ENGINES["polytree"]
+    _replay([strategies["brute"](pt)]
+            + [make(pt) for name, make in strategies.items() if name != "brute"], ops)

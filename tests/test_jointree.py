@@ -15,7 +15,6 @@ from logbel import (
     RowNotStochastic,
     StateSpaceTooLarge,
     UnknownVariable,
-    ZeroMarginalDivisor,
     CausalTree,
     belief_query,
     brute_force_marginal,
@@ -389,16 +388,22 @@ class TestCompile:
             build_engine(pt, state_cap=4)
 
     def test_zero_marginal_divisor(self):
+        """Rooted at v1, v0's clique edge divides by v0's marginal, which has
+        a zero entry; that row is never reached, so the answers are exact."""
         pt = build_polytree({"variables": [
             {"id": "v0", "domain": 2, "prior": [1.0, 0.0]},
             {"id": "v1", "domain": 2, "parents": ["v0"],
              "cpt": [[0.7, 0.3], [0.2, 0.8]]},
         ]})
-        with pytest.raises(ZeroMarginalDivisor):
-            build_engine(pt, root_var="v1")
-        engine = build_engine(pt)  # rooting at v0 needs no division
-        np.testing.assert_allclose(polytree_query(engine, "v1").dist, [0.7, 0.3],
-                                   atol=1e-12)
+        for root_var in (None, "v1"):
+            engine = build_engine(pt, root_var=root_var)
+            for evidence in ({}, {"v1": np.array([0.2, 0.9])}):
+                for vid, vec in evidence.items():
+                    polytree_update(engine, vid, vec)
+                for vid in pt.variables:
+                    np.testing.assert_allclose(polytree_query(engine, vid).dist,
+                                               brute_polytree_marginal(pt, evidence, vid).dist,
+                                               rtol=0, atol=1e-12)
 
 
     def test_one_table_validation_per_build(self, monkeypatch):

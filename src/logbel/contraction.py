@@ -28,10 +28,14 @@ that rule allows (_cheapest): two factors only while factored_pays, else
 the product is multiplied out, and counted.  A table built from two
 factors (a compiled clique edge) is stored factored only while saves_a_call.
 
-Each rake keeps its diagonal, e_side_coeff . lambda(e), cached.  An update
-refreshes it only on the equations its chain enters through the leaf or
-the e-side slot, and a query walk reads it instead of recomputing it, so
-neither counts that product where it is reused.
+Each rake keeps its diagonal, e_side_coeff . lambda(e), and the left half
+of its product, old_coeff * diagonal, cached.  An update refreshes both on
+the equations its chain enters through the leaf or the e-side slot, only
+the left half on those it enters through the parent slot, and neither on
+those it enters through the z-side slot, which take one product
+(scaled_cost, where the others take rake_cost); a query walk reads the
+diagonal instead of recomputing it.  No count includes a product whose
+cached result is reused.
 """
 
 from __future__ import annotations
@@ -86,25 +90,34 @@ def saves_a_call(form: tuple) -> bool:
 
 
 def rake_cost(parent_form: tuple, other_form: tuple) -> tuple:
-    """(parent * diag) @ other: the diagonal scales the parent's last factor,
-    which is then multiplied through each factor of other in turn.  Through
-    an identity parent the diagonal scales other's first factor instead
-    (nothing at all if other is an identity too: the result is the
-    diagonal).  A two-factor result that does not pay is multiplied out."""
+    """(parent * diag) @ other: the diagonal scales the parent's last factor
+    (nothing through an identity parent), then scaled_cost."""
+    scale = (0, 0, 0, parent_form[-1][0] * parent_form[-1][1], 0) if parent_form else NO_COST
+    return sum_costs(scale, scaled_cost(parent_form, other_form))
+
+
+def scaled_cost(parent_form: tuple, other_form: tuple) -> tuple:
+    """scaled @ other, where scaled = parent * diag is already computed:
+    scaled's last factor is multiplied through each factor of other in
+    turn.  Through an identity parent, scaled is Diag(diag), which scales
+    other's first factor (nothing at all if other is an identity too: the
+    result is the diagonal).  A two-factor result that does not pay is
+    multiplied out."""
     if parent_form:
-        rows, cols = parent_form[-1]
-        matmats = len(other_form)
+        rows = parent_form[-1][0]
+        scale, matmats = 0, len(other_form)
         matmat = sum(rows * inner * out for inner, out in other_form)
         form = parent_form[:-1] + ((rows, other_form[-1][1]),) if other_form else parent_form
     elif other_form:
         (rows, cols), matmats, matmat, form = other_form[0], 0, 0, other_form
+        scale = rows * cols
     else:
         return NO_COST
     if len(form) == 2 and not factored_pays(form):
         (out_rows, inner), (_, out_cols) = form
         matmats += 1
         matmat += out_rows * inner * out_cols
-    return (0, matmats, 0, rows * cols + matmat, matmat)
+    return (0, matmats, 0, scale + matmat, matmat)
 
 
 def _cheapest(left: np.ndarray, right: np.ndarray):
@@ -255,12 +268,16 @@ def equation_cost(K: int, left_form: tuple, right_form: tuple) -> tuple:
 @cache
 def _rake_costs(K: int, e_form: tuple, parent_form: tuple, z_form: tuple) -> tuple:
     """Counts of evaluating one rake equation (e, x, u) with a K-state x
-    once, refreshing its diagonal (the e-side product, the rake product and
-    the equation) and reusing it (no e-side product), and of the walk step
+    once, by the slot it is entered through: the leaf or the e side
+    refreshes diag and scaled (the e-side product, the rake product and
+    the equation), the parent side scaled only (no e-side product), the z
+    side neither (scaled times the z side alone); and of the walk step
     below the rake that rebuilds lambda(x) from the cached diagonal (the z
     side's product and the vector product)."""
-    reuse = sum_costs(rake_cost(parent_form, z_form), (0, 0, 1, 0, 0))
-    return (sum_costs(matvec_cost(e_form), reuse), reuse,
+    equation = (0, 0, 1, 0, 0)
+    parent_entry = sum_costs(rake_cost(parent_form, z_form), equation)
+    return (sum_costs(matvec_cost(e_form), parent_entry), parent_entry,
+            sum_costs(scaled_cost(parent_form, z_form), equation),
             sum_costs(matvec_cost(z_form), (0, 0, 1, K, 0)))
 
 
@@ -303,13 +320,16 @@ class RakeEquation:
     output = parent_input . Diag(e_side_input . lambda(leaf)) . z_side_input
 
     grandparent_pre is the version of u it rewrote (its above is the new
-    one).  diag caches e_side_input . lambda(leaf): rake() sets it, and
-    _recompute refreshes it when the leaf or the e-side slot changes.  cost
-    counts one evaluation that refreshes diag, reuse_cost one that reuses
-    it, and lambda_cost the walk step that rebuilds lambda(x) from it;
-    chain_cost counts the whole consumer chain an update starting here
-    recomputes (filled in when contract() ends).  The fields _recompute
-    reads come first.
+    one).  diag caches e_side_input . lambda(leaf) and scaled the left half
+    of the product, parent_input * diag (an ndarray, a FactoredMatrix or,
+    through an identity parent, a _Diagonal): rake() sets both, and
+    _recompute refreshes diag when the leaf or the e-side slot changes and
+    scaled when diag or the parent slot does.  cost counts one evaluation
+    that refreshes both, reuse_cost one that refreshes scaled only,
+    z_entry_cost one that reuses both, and lambda_cost the walk step that
+    rebuilds lambda(x) from diag; chain_cost counts the whole consumer
+    chain an update starting here recomputes (filled in when contract()
+    ends).  The inputs _recompute reads come first.
     """
 
     e_side_input: Slot
@@ -324,8 +344,10 @@ class RakeEquation:
     parent_side: int    # side of x within u
     grandparent_pre: "CoeffRecord"
     diag: np.ndarray | None = None
+    scaled: object = None
     cost: tuple = NO_COST
     reuse_cost: tuple = NO_COST
+    z_entry_cost: tuple = NO_COST
     lambda_cost: tuple = NO_COST
     chain_cost: tuple = NO_COST
 
@@ -519,10 +541,11 @@ def _total_costs(index: ContractionIndex) -> None:
     A version's walk climbs to the version above it, and an equation's
     output feeds one later equation; both are created by later rakes, so
     one pass over the rakes in reverse order sees every total it adds to.
-    Each output feeds a fixed slot, so whether a chain step refreshes its
-    diagonal is fixed too: only where the chain enters through the e-side
+    Each output feeds a fixed slot, so what a chain step refreshes is
+    fixed too: diag and scaled where the chain enters through the e-side
     slot (the first step, whose leaf changed, always does, which a second
-    pass adds).  A walk step never does.
+    pass adds), scaled only through the parent slot, nothing through the
+    z-side slot.  A walk step never refreshes diag.
     """
     for rk in reversed(index.rake_log):
         pre = rk.grandparent_pre
@@ -538,7 +561,9 @@ def _total_costs(index: ContractionIndex) -> None:
         if consumer is None:
             rk.chain_cost = NO_COST
         else:
-            entry = consumer.cost if consumer.e_side_input is rk.output else consumer.reuse_cost
+            entry = (consumer.cost if consumer.e_side_input is rk.output
+                     else consumer.reuse_cost if consumer.parent_input is rk.output
+                     else consumer.z_entry_cost)
             rk.chain_cost = sum_costs(entry, consumer.chain_cost)
     for rk in index.rake_log:
         rk.chain_cost = sum_costs(rk.cost, rk.chain_cost)
@@ -572,9 +597,9 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
         z_side_input=parent_rec.side_slot(1 - leaf_side),
         level=level, parent=parent, grandparent=grand,
         leaf_side=leaf_side, parent_side=parent_side, grandparent_pre=grand_pre)
-    _recompute(index.evidence, rk)  # no consumer yet: this equation only; sets diag
+    _recompute(index.evidence, rk)  # no consumer yet: this equation only; sets diag, scaled
     e_side = rk.e_side_input.coeff
-    rk.cost, rk.reuse_cost, rk.lambda_cost = _rake_costs(
+    rk.cost, rk.reuse_cost, rk.z_entry_cost, rk.lambda_cost = _rake_costs(
         e_side.shape[0], _form(e_side), _form(rk.parent_input.coeff), _form(rk.z_side_input.coeff))
     index.counters.add(rk.cost)
     for slot in (rk.parent_input, rk.e_side_input, rk.z_side_input):
@@ -628,22 +653,23 @@ def _recompute(evidence: dict[str, np.ndarray], equation: RakeEquation | None) -
     """Evaluate equation, then the equation its output feeds, and so on up
     the consumer chain; return the rewritten slots in order.
 
-    The first equation's leaf changed, so its diagonal is refreshed; a
-    later one's only where the chain enters it through its e-side slot.
-    Entered through its parent or z-side slot, it reuses its diagonal.
+    The first equation's leaf changed, so its diag and scaled are
+    refreshed, and so are a later one's where the chain enters it through
+    its e-side slot.  Entered through its parent slot, it refreshes scaled
+    only; through its z-side slot, nothing, and the step is one product.
     """
     trace: list[Slot] = []
-    refresh = True
+    entry = None  # the slot the chain entered through; None for the leaf
     while equation is not None:
-        if refresh:
-            equation.diag = equation.e_side_input.coeff.dot(evidence[equation.leaf])
+        if entry is not equation.z_side_input:
+            if entry is not equation.parent_input:
+                equation.diag = equation.e_side_input.coeff.dot(evidence[equation.leaf])
+            equation.scaled = equation.parent_input.coeff * equation.diag
         out = equation.output
-        scaled = equation.parent_input.coeff * equation.diag
-        z_side = equation.z_side_input.coeff
+        scaled, z_side = equation.scaled, equation.z_side_input.coeff
         out.coeff = scaled.dot(z_side) if type(z_side) is np.ndarray else scaled @ z_side
         trace.append(out)
-        equation = out.consumer
-        refresh = equation is not None and equation.e_side_input is out
+        entry, equation = out, out.consumer
     return trace
 
 

@@ -8,6 +8,8 @@ from logbel import (
     AllZeroLikelihood,
     ConstructionError,
     DimensionMismatch,
+    FactoredMatrix,
+    Identity,
     LevelOutOfRange,
     NotALeaf,
     TreeTooSmall,
@@ -25,7 +27,7 @@ from logbel import (
     random_polytree,
     update_evidence,
 )
-from logbel.contraction import materialize
+from logbel.contraction import _Diagonal, materialize
 from logbel.generate import balanced_tree, random_likelihood, random_tree
 from test_counts import ragged_tree
 
@@ -351,17 +353,32 @@ class TestQueries:
                 assert index.last_calc_depth <= 2 * rounds
 
 
+def _dense(scaled):
+    """A rake's cached scaled parent as a dense matrix."""
+    return np.diag(scaled.diag) if isinstance(scaled, _Diagonal) else materialize(scaled)
+
+
 class TestCachedDiagonal:
-    """Every rake's diag is e_side . lambda(leaf) under the evidence in
-    force, whichever slot each update's chain entered it through."""
+    """Every rake's diag is e_side . lambda(leaf), and its scaled is
+    parent_input * diag, under the evidence in force, whichever slot each
+    update's chain entered it through."""
+
+    ENTRY_SLOTS = {"e_side", "parent", "z_side"}
 
     @staticmethod
     def _stream(index, leaves, rng, ops=60):
         """Random updates that include both extreme leaves, which no rake
-        consumes."""
+        consumes; returns the slots the chains entered rakes through after
+        their first step."""
+        entered = set()
         for i in range(ops):
             leaf = leaves[i] if i < 2 else leaves[int(rng.integers(len(leaves)))]
             update_evidence(index, leaf, random_likelihood(index.tree.nodes[leaf].domain, rng))
+            for slot in index.last_update_trace[:-1]:
+                rk = slot.consumer
+                entered.add("e_side" if slot is rk.e_side_input
+                            else "parent" if slot is rk.parent_input else "z_side")
+        return entered
 
     @staticmethod
     def _assert_fresh(index, rebuilt):
@@ -371,27 +388,57 @@ class TestCachedDiagonal:
             want = materialize(rk.e_side_input.coeff) @ index.evidence[rk.leaf]
             np.testing.assert_allclose(rk.diag, want, rtol=1e-12, atol=1e-300)
             np.testing.assert_allclose(rk.diag, fresh.diag, rtol=1e-12, atol=1e-300)
+            scaled = _dense(rk.scaled)
+            np.testing.assert_allclose(scaled, materialize(rk.parent_input.coeff) * rk.diag,
+                                       rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(scaled, _dense(fresh.scaled), rtol=1e-12, atol=1e-300)
 
     def test_trees(self):
         rng = np.random.default_rng(41)
         trees = [chain_tree(61, 2, rng), balanced_tree(63, (2, 3), rng),
                  normalize_tree(ragged_tree(50, rng))[0]]
         trees += list(small_corpus(rng, count=4, hi=90))
+        entered = set()
         for tree in trees:
             index = contract(tree)
             order = tree.leaf_order()
-            self._stream(index, [order[0], order[-1], *order], rng)
+            entered |= self._stream(index, [order[0], order[-1], *order], rng)
             self._assert_fresh(index, contract(index.tree.copy()))
+        assert entered == self.ENTRY_SLOTS
 
     def test_compiled_polytrees(self):
         rng = np.random.default_rng(42)
+        entered = set()
         for _ in range(4):
             engine = build_engine(random_polytree(int(rng.integers(6, 20)), 3, (2, 3), rng))
             index, compiled = engine.index, engine.compiled
             order = index.tree.leaf_order()
             leaves = [order[0], order[-1], *compiled.evidence_leaf.values()]
-            self._stream(index, leaves, rng, ops=40)
+            entered |= self._stream(index, leaves, rng, ops=40)
             self._assert_fresh(index, contract(index.tree.copy(), coeffs=compiled.coeffs))
+        assert entered == self.ENTRY_SLOTS
+
+    def test_coefficient_forms(self):
+        """Dense, identity and factored edges given through coeffs: a rake
+        through an identity parent caches a _Diagonal, one through a
+        factored parent a FactoredMatrix."""
+        rng = np.random.default_rng(43)
+        entered, kinds = set(), set()
+        for _ in range(3):
+            tree = random_tree(61, k=3, rng=rng)
+            coeffs = {}
+            for nid in tree.nodes:
+                form = int(rng.integers(3))  # 0 keeps the dense table
+                if nid != tree.root and form:
+                    coeffs[nid] = Identity(3) if form == 1 else FactoredMatrix(
+                        rng.random((3, 1)), rng.random((1, 3)))
+            index = contract(tree, coeffs=coeffs)
+            order = tree.leaf_order()
+            entered |= self._stream(index, [order[0], order[-1], *order], rng)
+            kinds |= {type(rk.scaled) for rk in index.rake_log}
+            self._assert_fresh(index, contract(index.tree.copy(), coeffs=coeffs))
+        assert entered == self.ENTRY_SLOTS
+        assert kinds == {np.ndarray, FactoredMatrix, _Diagonal}
 
 
 class TestWalkDepth:

@@ -6,7 +6,7 @@ how an update or a query is evaluated must leave them byte for byte as
 they are.  One dense tree (wide and single-child nodes, normalized) and one
 compiled polytree (identity and dense coefficients) are replayed.  The
 counts are checked against the work numpy is asked to do on the dense
-tree, and against closed forms on a hand-built tree.
+tree, and against closed forms on hand-built trees.
 """
 
 import numpy as np
@@ -155,6 +155,19 @@ def totals_without_equations(counters):
     return (mv, mm, 0, adds, mm_adds)
 
 
+def hand_built(k, parent, rng):
+    """contract() over a tree with a binary root u, domains k and parent
+    links: random tables, unit evidence on the leaves."""
+    nodes = [{"id": "u", "domain": 2, "prior": [0.3, 0.7]}]
+    for nid, par in parent.items():
+        entry = {"id": nid, "domain": k[nid], "parent": par,
+                 "cpt": rng.dirichlet(np.ones(k[nid]), size=k[par]).tolist()}
+        if nid not in parent.values():
+            entry["evidence"] = [1.0] * k[nid]
+        nodes.append(entry)
+    return contract(build_tree({"nodes": nodes}))
+
+
 def test_chain_steps_count_the_e_side_product_only_when_it_changed():
     """u -> (y, e), y -> (x, d), x -> (a, p), p -> (b, c); domains below.
     Level 1 rakes b (parent p into x) and d (parent y into u); level 2
@@ -165,14 +178,7 @@ def test_chain_steps_count_the_e_side_product_only_when_it_changed():
     k = {"u": 2, "y": 3, "x": 4, "p": 3, "a": 2, "b": 2, "c": 3, "d": 2, "e": 2}
     parent = {"y": "u", "e": "u", "x": "y", "d": "y", "a": "x", "p": "x", "b": "p", "c": "p"}
     rng = np.random.default_rng(8)
-    nodes = [{"id": "u", "domain": 2, "prior": [0.3, 0.7]}]
-    for nid, par in parent.items():
-        entry = {"id": nid, "domain": k[nid], "parent": par,
-                 "cpt": rng.dirichlet(np.ones(k[nid]), size=k[par]).tolist()}
-        if nid in "abcde":
-            entry["evidence"] = [1.0] * k[nid]
-        nodes.append(entry)
-    index = contract(build_tree({"nodes": nodes}))
+    index = hand_built(k, parent, rng)
     assert [(rk.level, rk.leaf, rk.parent, rk.grandparent) for rk in index.rake_log] == [
         (1, "b", "p", "x"), (1, "d", "y", "u"), (2, "c", "x", "u")]
     rake_b, rake_d, rake_c = index.rake_log
@@ -193,15 +199,43 @@ def test_chain_steps_count_the_e_side_product_only_when_it_changed():
     assert (delta["matrix_vector_mults"], delta["matrix_matrix_mults"]) == (1, 2)
 
 
+def test_a_chain_step_entered_through_the_z_side_is_one_product():
+    """u -> (x, g), x -> (y, e), y -> (a, b); domains below.  Level 1 rakes
+    b (parent y into x), level 2 rakes e (parent x into u), whose z side is
+    b's output.  An update of b refreshes b's rake (k_y k_b for the e side,
+    k_x k_y to scale, k_x k_y k_a to multiply through), then enters e's
+    through its z side, which neither refreshes its diagonal nor scales its
+    parent: k_u k_x k_a multiply-adds only."""
+    k = {"u": 2, "x": 3, "y": 4, "a": 2, "b": 3, "e": 2, "g": 2}
+    parent = {"x": "u", "g": "u", "y": "x", "e": "x", "a": "y", "b": "y"}
+    rng = np.random.default_rng(10)
+    index = hand_built(k, parent, rng)
+    assert [(rk.level, rk.leaf, rk.parent, rk.grandparent) for rk in index.rake_log] == [
+        (1, "b", "y", "x"), (2, "e", "x", "u")]
+    rake_b, rake_e = index.rake_log
+    assert rake_e.z_side_input is rake_b.output
+
+    before = index.counters.snapshot()
+    update_evidence(index, "b", random_likelihood(k["b"], rng))
+    delta = index.counters.delta(before)
+    assert delta["scalar_mult_adds"] == (4 * 3 + 3 * 4 + 3 * 4 * 2) + 2 * 3 * 2
+    assert (delta["matrix_vector_mults"], delta["matrix_matrix_mults"]) == (1, 2)
+    assert delta["equation_evals"] == 2
+
+
 # Recorded by an implementation that counted every product as it computed it.
 # The totals were re-recorded when each rake kept its diagonal cached
 # (reused chain steps and walk steps below a rake do no e-side product;
 # builds and chains are unchanged): DENSE_TOTALS (3332, 242, 1787, 22881,
-# 2530) and POLYTREE_TOTALS (1353, 258, 766, 158982, 86677) before.
+# 2530) and POLYTREE_TOTALS (1353, 258, 766, 158982, 86677) before.  They
+# were re-recorded again when each rake also kept its scaled parent cached
+# (chain steps that enter through the z-side slot do not scale the parent;
+# builds, chains and walks are unchanged): DENSE_TOTALS (2749, 242, 1787,
+# 20608, 2530) and POLYTREE_TOTALS (840, 169, 766, 330878, 236503) before.
 DENSE_BUILD = (41, 41, 41, 819, 422)
 DENSE_CHAINS = [3, 7, 6, 7, 6, 5, 5, 5, 7, 5, 8, 7, 5, 3, 5, 0, 6, 7, 6, 6, 6, 0, 7, 7, 7, 5, 6, 0, 4,
                 6, 8, 5, 6, 5, 2, 0, 5, 7, 3, 3]
-DENSE_TOTALS = (2749, 242, 1787, 20608, 2530)
+DENSE_TOTALS = (2749, 242, 1787, 20285, 2530)
 # The polytree numbers were re-recorded when every coefficient took its
 # cheapest form (identity edges free, unprofitable factored products
 # multiplied out): (88, 88, 44, 1171861, 1155067) and
@@ -214,4 +248,4 @@ DENSE_TOTALS = (2749, 242, 1787, 20608, 2530)
 POLYTREE_BUILD = (39, 29, 44, 87798, 74203)
 POLYTREE_CHAINS = [5, 5, 3, 3, 3, 6, 3, 0, 6, 5, 5, 4, 7, 4, 6, 6, 5, 5, 6, 5, 8, 6, 5, 3, 1, 5, 5, 3,
                    5, 2, 7, 5, 0, 5, 6, 3, 5, 1, 4, 4]
-POLYTREE_TOTALS = (840, 169, 766, 330878, 236503)
+POLYTREE_TOTALS = (840, 169, 766, 326546, 236503)

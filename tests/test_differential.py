@@ -1,9 +1,10 @@
-"""Differential property tests.  On random trees of any arity, the
-contraction index (on the normalized tree), the full and lazy engines and
-the joint enumerator answer every query of a random update/query stream
-alike, or all raise ImpossibleEvidence.  On random polytrees (at most 3
-parents) every polytree strategy of the command line does the same against
-the joint enumerator.
+"""Differential property tests.  On random trees of any arity, every tree
+strategy of the command line (full, lazy, and contract with normalize_tree's
+identity edges stored as Identity) and the contraction index over the
+dense normalized tree answer every query of a random update/query stream
+like the joint enumerator, or all raise ImpossibleEvidence.  On random
+polytrees (at most 3 parents) every polytree strategy of the command line
+does the same.
 
 Tables and likelihoods draw their entries from a small set that includes
 exact zeros, so evidence that is jointly impossible, zero prior states
@@ -19,10 +20,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logbel import ImpossibleEvidence, LazyState, build_polytree, build_tree, contract, normalize_tree
+from logbel import ImpossibleEvidence, build_polytree, build_tree, contract, normalize_tree
 from logbel.cli import ENGINES
-from logbel.propagate import FullState
-from logbel.model import BruteForceOracle
 
 MAX_NODES = 12
 MAX_FANOUT = 4
@@ -146,8 +145,10 @@ def _replay(engines, ops):
 @given(scenarios())
 def test_engines_agree_on_random_streams(scenario):
     tree, ops = scenario
-    _replay([BruteForceOracle(tree), FullState(tree), LazyState(tree),
-             contract(normalize_tree(tree)[0])], ops)
+    strategies = ENGINES["tree"]
+    _replay([strategies["brute"](tree)]
+            + [make(tree) for name, make in strategies.items() if name != "brute"]
+            + [contract(normalize_tree(tree)[0])], ops)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

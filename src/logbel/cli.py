@@ -119,14 +119,34 @@ def _domain_of(kind: str, problem, node_id: str) -> int:
     return problem.variables[node_id].domain
 
 
-def _evidence_vec(op, domain: int) -> np.ndarray:
-    if op[0] == "hard":
-        return Evidence.one_hot(domain, op[2]).likelihood
-    return op[2]
-
-
 def _format_query(node_id: str, dist: np.ndarray) -> str:
     return f"Q {node_id} " + " ".join(f"{p:.12f}" for p in dist)
+
+
+def _replay(kind: str, problem, ops: list[tuple], engines: list, answer) -> int:
+    """Replay ops through every engine and return the exit code.  Each op's
+    id is checked against the loaded network; an update goes to every
+    engine, and a query's beliefs, one per engine, go to answer(id, dists),
+    which returns an exit code to stop with, or None to go on.
+    ImpossibleEvidence exits 2 and any other LogbelError 1, printed."""
+    try:
+        for op in ops:
+            domain = _domain_of(kind, problem, op[1])
+            if op[0] == "query":
+                code = answer(op[1], [engine.query(op[1]).dist for engine in engines])
+                if code is not None:
+                    return code
+            else:
+                vec = Evidence.one_hot(domain, op[2]).likelihood if op[0] == "hard" else op[2]
+                for engine in engines:
+                    engine.update(op[1], vec)
+    except ImpossibleEvidence as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except LogbelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_run(args) -> int:
@@ -137,20 +157,8 @@ def cmd_run(args) -> int:
     except (LogbelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for op in ops:
-        try:
-            domain = _domain_of(kind, problem, op[1])
-            if op[0] == "query":
-                print(_format_query(op[1], runner.query(op[1]).dist))
-            else:
-                runner.update(op[1], _evidence_vec(op, domain))
-        except ImpossibleEvidence as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except LogbelError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    return 0
+    return _replay(kind, problem, ops, [runner],
+                   lambda node_id, dists: print(_format_query(node_id, dists[0])))
 
 
 # -- verify -------------------------------------------------------------------------
@@ -167,33 +175,22 @@ def cmd_verify(args) -> int:
     except (LogbelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    max_dev = 0.0
-    queries = 0
-    try:
-        for op in ops:
-            domain = _domain_of(kind, problem, op[1])
-            if op[0] == "query":
-                queries += 1
-                got = subject.query(op[1]).dist
-                want = oracle.query(op[1]).dist
-                dev = float(np.max(np.abs(got - want)))
-                max_dev = max(max_dev, dev)
-                if dev > args.tol:
-                    print(f"FAIL query #{queries} {op[1]!r}: deviation {dev:.3e} "
-                          f"> tol {args.tol:.3e}")
-                    return 3
-            else:
-                vec = _evidence_vec(op, domain)
-                subject.update(op[1], vec)
-                oracle.update(op[1], vec)
-    except ImpossibleEvidence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LogbelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"PASS {queries} queries, max deviation {max_dev:.3e} (tol {args.tol:.3e})")
-    return 0
+    devs: list[float] = []
+
+    def compare(node_id: str, dists: list[np.ndarray]) -> int | None:
+        got, want = dists
+        devs.append(float(np.max(np.abs(got - want))))
+        if devs[-1] > args.tol:
+            print(f"FAIL query #{len(devs)} {node_id!r}: deviation {devs[-1]:.3e} "
+                  f"> tol {args.tol:.3e}")
+            return 3
+        return None
+
+    code = _replay(kind, problem, ops, [subject, oracle], compare)
+    if code == 0:
+        print(f"PASS {len(devs)} queries, max deviation {max(devs, default=0.0):.3e} "
+              f"(tol {args.tol:.3e})")
+    return code
 
 
 # -- bench --------------------------------------------------------------------------

@@ -6,12 +6,13 @@ child z under u, and rewrites u's coefficient on that side as
 
     new_coeff = old_coeff . Diag(e_side_coeff . lambda(e)) . z_side_coeff
 
-so the likelihood equation of u stays correct for the smaller tree.  Each
-rake stores exactly one new matrix, and every stored matrix (and every leaf
-likelihood) feeds at most one higher equation.  An evidence update therefore
-walks a single chain of equations; a belief query walks one root-ward path
-of equation versions.  Both touch O(log N) equations on balanced rake
-schedules.
+so the likelihood equation of u stays correct for the smaller tree.  A
+rake is one record, the version of u's equation it writes (RakeEquation,
+a CoeffRecord).  It stores exactly one new matrix, and every stored
+matrix (and every leaf likelihood) feeds at most one higher equation.  An
+evidence update therefore walks a single chain of equations; a belief
+query walks one root-ward path of equation versions.  Both touch O(log N)
+equations on balanced rake schedules.
 
 Coefficient forms.  This module owns how a stored coefficient is kept,
 what its products cost and which form a product keeps.  A coefficient is a
@@ -267,12 +268,12 @@ def equation_cost(K: int, left_form: tuple, right_form: tuple) -> tuple:
 
 @cache
 def _rake_costs(K: int, e_form: tuple, parent_form: tuple, z_form: tuple) -> tuple:
-    """Counts of evaluating one rake equation (e, x, u) with a K-state x
-    once, by the slot it is entered through: the leaf or the e side
-    refreshes diag and scaled (the e-side product, the rake product and
-    the equation), the parent side scaled only (no e-side product), the z
-    side neither (scaled times the z side alone); and of the walk step
-    below the rake that rebuilds lambda(x) from the cached diagonal (the z
+    """A rake (e, x, u) with a K-state x: its entry costs, one evaluation
+    of its product by the slot it is entered through (the leaf or the e
+    side refreshes diag and scaled: the e-side product, the rake product
+    and the equation; the parent side scaled only, no e-side product; the
+    z side neither, scaled times the z side alone), and its lambda_cost,
+    the walk step that rebuilds lambda(x) from the cached diagonal (the z
     side's product and the vector product)."""
     equation = (0, 0, 1, 0, 0)
     parent_entry = sum_costs(rake_cost(parent_form, z_form), equation)
@@ -315,60 +316,22 @@ class Slot:
 
 
 @dataclass(slots=True)
-class RakeEquation:
-    """One rake (e, x, u) and the equation it stores on u's side of x:
-    output = parent_input . Diag(e_side_input . lambda(leaf)) . z_side_input
-
-    grandparent_pre is the version of u it rewrote (its above is the new
-    one).  diag caches e_side_input . lambda(leaf) and scaled the left half
-    of the product, parent_input * diag (an ndarray, a FactoredMatrix or,
-    through an identity parent, a _Diagonal): rake() sets both, and
-    _recompute refreshes diag when the leaf or the e-side slot changes and
-    scaled when diag or the parent slot does.  cost counts one evaluation
-    that refreshes both, reuse_cost one that refreshes scaled only,
-    z_entry_cost one that reuses both, and lambda_cost the walk step that
-    rebuilds lambda(x) from diag; chain_cost counts the whole consumer
-    chain an update starting here recomputes (filled in when contract()
-    ends).  The inputs _recompute reads come first.
-    """
-
-    e_side_input: Slot
-    leaf: str           # raked leaf e
-    output: Slot
-    parent_input: Slot
-    z_side_input: Slot
-    level: int
-    parent: str         # raked parent x
-    grandparent: str    # u
-    leaf_side: int      # side of e within x
-    parent_side: int    # side of x within u
-    grandparent_pre: "CoeffRecord"
-    diag: np.ndarray | None = None
-    scaled: object = None
-    cost: tuple = NO_COST
-    reuse_cost: tuple = NO_COST
-    z_entry_cost: tuple = NO_COST
-    lambda_cost: tuple = NO_COST
-    chain_cost: tuple = NO_COST
-
-
-@dataclass(slots=True)
 class CoeffRecord:
     """One version of a node's two-sided likelihood equation.
 
     lambda(owner) = left.coeff . lambda(left_child) * right.coeff . lambda(right_child)
 
     index.records[owner] lists the versions in order.  The first holds the
-    base-tree conditional matrices; each later version is created by one
-    rake below the owner and shares the untouched side's slot with its
+    base-tree conditional matrices; each later one is the RakeEquation of
+    one rake below the owner, and shares the untouched side's slot with its
     predecessor.
 
     above is the next version on the root-ward query walk: the owner's next
-    version, or, for the last version of a raked node, the grandparent
-    version that absorbed it; None only for the root's terminal version.
-    cost counts one evaluation of this equation (_record_cost) and
-    walk_cost the whole walk that builds this version's (pi, lambda, lambda)
-    triple (filled in when contract() ends).
+    version, or, for the last version of a raked node, the rake that
+    absorbed it; None only for the root's terminal version.  cost counts
+    one evaluation of this equation (_record_cost) and walk_cost the whole
+    walk that builds this version's (pi, lambda, lambda) triple (filled in
+    when contract() ends).
     """
 
     owner: str
@@ -377,7 +340,6 @@ class CoeffRecord:
     right: Slot
     left_child: str
     right_child: str
-    created_by: RakeEquation | None = None
     above: "CoeffRecord | None" = None
     cost: tuple = NO_COST
     walk_cost: tuple = NO_COST
@@ -387,6 +349,44 @@ class CoeffRecord:
 
     def child(self, side: int) -> str:
         return self.left_child if side == LEFT else self.right_child
+
+
+@dataclass(slots=True, kw_only=True)
+class RakeEquation(CoeffRecord):
+    """One rake (e, x, u): the version of u's equation it writes, whose
+    owner is u and whose slot on x's side, output, holds
+    output = parent_input . Diag(e_side_input . lambda(leaf)) . z_side_input
+
+    grandparent_pre is the version of u it rewrote; its above, and that of
+    x's last version, is this rake.  diag caches e_side_input . lambda(leaf)
+    and scaled the left half of the product, parent_input * diag (an
+    ndarray, a FactoredMatrix or, through an identity parent, a _Diagonal):
+    rake() sets both, and _recompute refreshes diag when the leaf or the
+    e-side slot changes and scaled when diag or the parent slot does.  The
+    entry costs count one evaluation of the rake product entered through
+    each slot: e_entry_cost (the leaf or the e side) refreshes both,
+    parent_entry_cost scaled only, z_entry_cost neither; lambda_cost counts
+    the walk step that rebuilds lambda(x) from diag, and chain_cost the
+    whole consumer chain an update starting here recomputes (filled in when
+    contract() ends).
+    """
+
+    e_side_input: Slot
+    leaf: str           # raked leaf e
+    output: Slot
+    parent_input: Slot
+    z_side_input: Slot
+    parent: str         # raked parent x
+    leaf_side: int      # side of e within x
+    parent_side: int    # side of x within u
+    grandparent_pre: CoeffRecord
+    diag: np.ndarray | None = None
+    scaled: object = None
+    e_entry_cost: tuple = NO_COST
+    parent_entry_cost: tuple = NO_COST
+    z_entry_cost: tuple = NO_COST
+    lambda_cost: tuple = NO_COST
+    chain_cost: tuple = NO_COST
 
 
 @dataclass
@@ -416,8 +416,10 @@ class Level:
 
 
 def _present(index: "ContractionIndex", node_id: str, level: int) -> bool:
-    """A node is in the tree until the round of the rake that removes it."""
-    rk = index.removed_by.get(node_id)
+    """A node is in the tree until the round of the rake that removes it:
+    a leaf's rake consumes it, a raked parent's is its last version's above."""
+    recs = index.records.get(node_id)
+    rk = index.leaf_consumer.get(node_id) if recs is None else recs[-1].above
     return rk is None or rk.level > level
 
 
@@ -438,9 +440,7 @@ class ContractionIndex:
         self.counters = OpCounters()
         self.records: dict[str, list[CoeffRecord]] = {}
         self.evidence: dict[str, np.ndarray] = {}
-        self.leaf_consumer: dict[str, RakeEquation] = {}
-        self.rake_log: list[RakeEquation] = []
-        self.removed_by: dict[str, RakeEquation] = {}  # raked leaf and parent -> rake
+        self.leaf_consumer: dict[str, RakeEquation] = {}  # every rake, in build order
         self.root = tree.root
         self.levels: list[Level] = [Level(0, tree.leaf_order(), self)]
         self.base_matrix_count = 0
@@ -539,34 +539,33 @@ def _total_costs(index: ContractionIndex) -> None:
     """Fix the counts of every update chain and query walk.
 
     A version's walk climbs to the version above it, and an equation's
-    output feeds one later equation; both are created by later rakes, so
-    one pass over the rakes in reverse order sees every total it adds to.
-    Each output feeds a fixed slot, so what a chain step refreshes is
-    fixed too: diag and scaled where the chain enters through the e-side
-    slot (the first step, whose leaf changed, always does, which a second
-    pass adds), scaled only through the parent slot, nothing through the
-    z-side slot.  A walk step never refreshes diag.
+    output feeds one later equation; both are later rakes, so one pass over
+    the rakes (leaf_consumer's values, in build order) in reverse sees every
+    total it adds to.  Each output feeds a fixed slot, so a chain step's
+    entry cost is fixed too: e_entry_cost where the chain enters through
+    the e-side slot (the first step, whose leaf changed, always does, which
+    a second pass adds), parent_entry_cost through the parent slot,
+    z_entry_cost through the z-side slot.  A walk step never refreshes diag.
     """
-    for rk in reversed(index.rake_log):
+    rakes = index.leaf_consumer.values()
+    for rk in reversed(rakes):
         pre = rk.grandparent_pre
-        post = pre.above
-        raked = index.records[rk.parent][-1]
-        # one step below post: the raked parent's lambda (its cached
-        # diagonal times the z side's product) or its pi (through the
-        # grandparent's equation)
-        pre.walk_cost = sum_costs(post.walk_cost, rk.lambda_cost)
-        raked.walk_cost = sum_costs(post.walk_cost, pre.cost)
+        # one step below rk: the raked parent's lambda (its cached diagonal
+        # times the z side's product) or its pi (through the grandparent's
+        # equation)
+        pre.walk_cost = sum_costs(rk.walk_cost, rk.lambda_cost)
+        index.records[rk.parent][-1].walk_cost = sum_costs(rk.walk_cost, pre.cost)
         # until the pass below, chain_cost counts the chain after rk's step
         consumer = rk.output.consumer
         if consumer is None:
             rk.chain_cost = NO_COST
         else:
-            entry = (consumer.cost if consumer.e_side_input is rk.output
-                     else consumer.reuse_cost if consumer.parent_input is rk.output
+            entry = (consumer.e_entry_cost if consumer.e_side_input is rk.output
+                     else consumer.parent_entry_cost if consumer.parent_input is rk.output
                      else consumer.z_entry_cost)
             rk.chain_cost = sum_costs(entry, consumer.chain_cost)
-    for rk in index.rake_log:
-        rk.chain_cost = sum_costs(rk.cost, rk.chain_cost)
+    for rk in rakes:
+        rk.chain_cost = sum_costs(rk.e_entry_cost, rk.chain_cost)
 
 
 def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
@@ -574,9 +573,10 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
     its parent, splicing the parent's other child under the grandparent
     and rewriting the grandparent's equation.
 
-    Returns the rake's record, which rake_log, removed_by, leaf_consumer
-    and created_by hold.  contract() calls it through this module's
-    global, so a wrapper installed here sees every rake.
+    Returns the rake, the grandparent's new equation version, which
+    leaf_consumer and the grandparent's records hold.  contract() calls it
+    through this module's global, so a wrapper installed here sees every
+    rake.
     """
     parent = index._live_parent[leaf]
     grand = index._live_parent[parent]
@@ -588,41 +588,33 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
     parent_side = LEFT if grand_pre.left_child == parent else RIGHT
     sibling = grand_pre.child(1 - parent_side)
 
-    new_slot = index._new_slot(None, grand, parent_side, level)
+    output = index._new_slot(None, grand, parent_side, level)
+    shared = grand_pre.side_slot(1 - parent_side)
     rk = RakeEquation(
+        owner=grand, level=level,
+        left=output if parent_side == LEFT else shared,
+        right=output if parent_side == RIGHT else shared,
+        left_child=survivor if parent_side == LEFT else sibling,
+        right_child=survivor if parent_side == RIGHT else sibling,
         e_side_input=parent_rec.side_slot(leaf_side),
         leaf=leaf,
-        output=new_slot,
+        output=output,
         parent_input=grand_pre.side_slot(parent_side),
         z_side_input=parent_rec.side_slot(1 - leaf_side),
-        level=level, parent=parent, grandparent=grand,
-        leaf_side=leaf_side, parent_side=parent_side, grandparent_pre=grand_pre)
+        parent=parent, leaf_side=leaf_side, parent_side=parent_side, grandparent_pre=grand_pre)
     _recompute(index.evidence, rk)  # no consumer yet: this equation only; sets diag, scaled
+    rk.cost = _record_cost(rk)
     e_side = rk.e_side_input.coeff
-    rk.cost, rk.reuse_cost, rk.z_entry_cost, rk.lambda_cost = _rake_costs(
+    rk.e_entry_cost, rk.parent_entry_cost, rk.z_entry_cost, rk.lambda_cost = _rake_costs(
         e_side.shape[0], _form(e_side), _form(rk.parent_input.coeff), _form(rk.z_side_input.coeff))
-    index.counters.add(rk.cost)
+    index.counters.add(rk.e_entry_cost)
     for slot in (rk.parent_input, rk.e_side_input, rk.z_side_input):
         assert slot.consumer is None, "a stored matrix may feed only one equation"
         slot.consumer = rk
     assert leaf not in index.leaf_consumer
     index.leaf_consumer[leaf] = rk
-
-    shared = grand_pre.side_slot(1 - parent_side)
-    post = CoeffRecord(
-        owner=grand, level=level,
-        left=new_slot if parent_side == LEFT else shared,
-        right=new_slot if parent_side == RIGHT else shared,
-        left_child=survivor if parent_side == LEFT else sibling,
-        right_child=survivor if parent_side == RIGHT else sibling,
-        created_by=rk)
-    post.cost = _record_cost(post)
-    grand_pre.above = post
-    parent_rec.above = post
-    index.records[grand].append(post)
-    index.rake_log.append(rk)
-    index.removed_by[leaf] = rk
-    index.removed_by[parent] = rk
+    grand_pre.above = parent_rec.above = rk
+    index.records[grand].append(rk)
 
     index._live_parent[survivor] = grand
     return rk
@@ -657,6 +649,11 @@ def _recompute(evidence: dict[str, np.ndarray], equation: RakeEquation | None) -
     refreshed, and so are a later one's where the chain enters it through
     its e-side slot.  Entered through its parent slot, it refreshes scaled
     only; through its z-side slot, nothing, and the step is one product.
+
+    Nothing here writes an array in place, and nothing may: out.coeff is
+    the rake's own scaled when a dense parent meets an identity z side
+    (Identity.__rmatmul__ returns its operand), so rescaling an output
+    must build a new array, or it rewrites that cache too.
     """
     trace: list[Slot] = []
     entry = None  # the slot the chain entered through; None for the leaf
@@ -716,7 +713,7 @@ def _walk(index: ContractionIndex, rec: CoeffRecord):
 
     Climbs rec.above to the root's terminal version, whose triple is the
     prior and the extreme leaves' likelihoods, then comes back down one
-    rake at a time.  Below a version created by rake (e, x, u), either u
+    rake at a time.  Below the version of rake (e, x, u), either u
     keeps its pi and x's lambda is rebuilt from x's final equation, whose
     e side the rake's cached diagonal already holds, or the walk enters
     x's final version, whose pi comes through u's equation.
@@ -733,14 +730,13 @@ def _walk(index: ContractionIndex, rec: CoeffRecord):
     pi = index.tree.nodes[index.root].prior
     lam = [evidence[rec.left_child], evidence[rec.right_child]]
     for rec in reversed(path):
-        post = rec.above
-        rk = post.created_by
+        rk = rec.above
         side = rk.parent_side
         lam_z = lam[side]
         if rec is rk.grandparent_pre:
             lam[side] = rk.diag * rk.z_side_input.coeff.dot(lam_z)
         else:
-            sibling = post.right if side == LEFT else post.left
+            sibling = rk.right if side == LEFT else rk.left
             up = pi * sibling.coeff.dot(lam[1 - side])
             down = rk.parent_input.coeff
             pi = up.dot(down) if type(down) is np.ndarray else up @ down
@@ -752,7 +748,7 @@ def _walk(index: ContractionIndex, rec: CoeffRecord):
 def _leaf_pi(index: ContractionIndex, leaf_id: str) -> np.ndarray:
     """pi of a leaf, through the final version of its parent: the raked
     parent's, or the root's for the two extreme leaves."""
-    rk = index.removed_by.get(leaf_id)
+    rk = index.leaf_consumer.get(leaf_id)
     rec = index.records[index.root if rk is None else rk.parent][-1]
     pi, lam = _walk(index, rec)
     index.counters.add(rec.cost)

@@ -581,8 +581,6 @@ def brute_polytree_marginal(pt: Polytree, evidence: dict[str, np.ndarray],
     """Exact marginal by enumerating the joint of all variables
     (BruteForceOracle, capped at DEFAULT_STATE_CAP states); each evidence
     vector is checked against its variable's domain."""
-    if var_id not in pt.variables:
-        raise UnknownVariable(f"no variable {var_id!r}")
     oracle = BruteForceOracle(pt)
     for vid, vec in evidence.items():
         oracle.update(vid, vec)

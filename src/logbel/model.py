@@ -38,6 +38,7 @@ from .errors import (
     RowNotStochastic,
     StateSpaceTooLarge,
     UnknownNode,
+    UnknownVariable,
 )
 
 STOCHASTIC_TOL = 1e-9
@@ -629,6 +630,8 @@ class BruteForceOracle:
     parent, then the variable's own.  update stores a checked likelihood
     for any variable; query folds each likelihood into its own table and
     broadcasts that table once over the joint, which grows from a scalar.
+    An unknown id raises what the engines of the network's kind raise:
+    UnknownNode on a tree, UnknownVariable on a polytree.
     """
 
     def __init__(self, network, *, state_cap: int = DEFAULT_STATE_CAP):
@@ -636,12 +639,15 @@ class BruteForceOracle:
         self.domains = {fam[0]: fam[1] for fam in self.families}
         self.evidence = {fam[0]: fam[4] for fam in self.families if fam[4] is not None}
         self.state_cap = state_cap
+        self._unknown = (UnknownNode, "node") if isinstance(network, CausalTree) else (
+            UnknownVariable, "variable")
 
     def _domain(self, var_id: str) -> int:
         try:
             return self.domains[var_id]
         except KeyError:
-            raise UnknownNode(f"no node {var_id!r}") from None
+            error, noun = self._unknown
+            raise error(f"no {noun} {var_id!r}") from None
 
     def update(self, var_id: str, evidence) -> None:
         self.evidence[var_id] = check_likelihood(
@@ -677,5 +683,4 @@ def brute_force_marginal(tree: CausalTree, node_id: str, *,
     at the root, one conditional factor per edge, one likelihood factor per
     leaf with evidence.  Works on any valid tree, normalized or not.
     """
-    tree.node(node_id)
     return BruteForceOracle(tree, state_cap=state_cap).query(node_id)

@@ -29,6 +29,7 @@ from logbel import (
 )
 from logbel.contraction import _Diagonal, materialize
 from logbel.generate import balanced_tree, random_likelihood, random_tree
+from logbel.model import BruteForceOracle
 from test_counts import ragged_tree
 
 
@@ -56,9 +57,9 @@ class TestChainFixture:
     def _index(self, seed=3):
         return contract(chain_tree(9, k=2, rng=np.random.default_rng(seed)))
 
-    def test_rake_log(self):
+    def test_rakes_in_build_order(self):
         index = self._index()
-        log = [(ev.level, ev.leaf, ev.parent, ev.grandparent) for ev in index.rake_log]
+        log = [(rk.level, rk.leaf, rk.parent, rk.owner) for rk in index.leaf_consumer.values()]
         assert log == [
             (1, "e2", "x2", "x1"),
             (1, "e4", "x4", "x3"),
@@ -169,11 +170,13 @@ class TestStorage:
         trees += [normalize_tree(ragged_tree(n, rng))[0] for n in (9, 40, 150)]
         for tree in trees:
             index = contract(tree)
-            assert len(index.rake_log) == len(index.leaf_consumer) == len(index.removed_by) // 2
-            for r in index.rake_log:
-                assert index.removed_by[r.leaf] is index.removed_by[r.parent] is r
-                assert r.grandparent_pre.above.created_by is r
-                assert r.grandparent_pre.owner == r.grandparent
+            rakes = index.leaf_consumer.values()
+            assert sum(len(recs) - 1 for recs in index.records.values()) == len(rakes)
+            for r in rakes:
+                assert r.grandparent_pre.above is r
+                assert index.records[r.parent][-1].above is r
+                assert any(rec is r for rec in index.records[r.owner])
+                assert r.grandparent_pre.owner == r.owner
                 assert index.leaf_consumer[r.leaf] is r
                 assert r.output.level == r.level
 
@@ -382,8 +385,8 @@ class TestCachedDiagonal:
 
     @staticmethod
     def _assert_fresh(index, rebuilt):
-        assert len(index.rake_log) == len(rebuilt.rake_log)
-        for rk, fresh in zip(index.rake_log, rebuilt.rake_log):
+        assert len(index.leaf_consumer) == len(rebuilt.leaf_consumer)
+        for rk, fresh in zip(index.leaf_consumer.values(), rebuilt.leaf_consumer.values()):
             assert (rk.leaf, rk.level) == (fresh.leaf, fresh.level)
             want = materialize(rk.e_side_input.coeff) @ index.evidence[rk.leaf]
             np.testing.assert_allclose(rk.diag, want, rtol=1e-12, atol=1e-300)
@@ -435,10 +438,56 @@ class TestCachedDiagonal:
             index = contract(tree, coeffs=coeffs)
             order = tree.leaf_order()
             entered |= self._stream(index, [order[0], order[-1], *order], rng)
-            kinds |= {type(rk.scaled) for rk in index.rake_log}
+            kinds |= {type(rk.scaled) for rk in index.leaf_consumer.values()}
             self._assert_fresh(index, contract(index.tree.copy(), coeffs=coeffs))
         assert entered == self.ENTRY_SLOTS
         assert kinds == {np.ndarray, FactoredMatrix, _Diagonal}
+
+
+def _arrays(coeff):
+    """The arrays a stored coefficient or a cached scaled parent holds."""
+    if isinstance(coeff, np.ndarray):
+        return [coeff]
+    if isinstance(coeff, FactoredMatrix):
+        return [coeff.left, coeff.right]
+    return [coeff.diag] if isinstance(coeff, _Diagonal) else []  # Identity: none
+
+
+def test_no_stored_coefficient_is_written_in_place():
+    """After every op, every stored coefficient (both factors of a factored
+    one), every rake's diag and every rake's scaled are made read-only; the
+    stream goes on and answers like brute force.  A rake's output may be
+    its own cached scaled (a dense parent over an identity z side), so an
+    update that wrote an output in place would also rewrite that cache."""
+    rng = np.random.default_rng(44)
+    kinds = set()
+    for _ in range(4):
+        tree = random_tree(15, k=2, rng=rng)
+        coeffs = {}
+        for nid in tree.nodes:
+            form = int(rng.integers(3))  # 0 keeps the dense table
+            if nid != tree.root and form:
+                coeffs[nid] = Identity(2) if form == 1 else FactoredMatrix(
+                    np.ones((2, 1)), rng.dirichlet(np.ones(2))[None, :])
+                tree.nodes[nid].cpt = materialize(coeffs[nid])
+        index, oracle = contract(tree, coeffs=coeffs), BruteForceOracle(tree)
+        leaves, ids = tree.leaf_order(), list(tree.nodes)
+        kinds |= {type(rk.scaled) for rk in index.leaf_consumer.values()}
+        for step in range(40):
+            for arr in [arr for slot in index.all_slots() for arr in _arrays(slot.coeff)] + [
+                    arr for rk in index.leaf_consumer.values()
+                    for arr in [rk.diag, *_arrays(rk.scaled)]]:
+                arr.flags.writeable = False
+            if step % 2:
+                node_id = ids[int(rng.integers(len(ids)))]
+                np.testing.assert_allclose(belief_query(index, node_id).dist,
+                                           oracle.query(node_id).dist, rtol=0, atol=1e-9)
+            else:
+                leaf = leaves[int(rng.integers(len(leaves)))]
+                vec = random_likelihood(2, rng)
+                update_evidence(index, leaf, vec)
+                oracle.update(leaf, vec)
+    assert kinds == {np.ndarray, FactoredMatrix, _Diagonal}
 
 
 class TestWalkDepth:
@@ -468,7 +517,7 @@ class TestWalkDepth:
             index = contract(tree)
             for node_id in tree.nodes:
                 if node_id in index.evidence:
-                    event = index.removed_by.get(node_id)
+                    event = index.leaf_consumer.get(node_id)
                     owner = index.root if event is None else event.parent
                 else:
                     owner = node_id
@@ -538,7 +587,7 @@ def test_contract_rakes_through_the_module_attribute(monkeypatch):
 
     monkeypatch.setattr(logbel.contraction, "rake", spy)
     index = contract(chain_tree(9, k=2, rng=np.random.default_rng(3)))
-    assert seen == [(rk.level, rk.leaf) for rk in index.rake_log] != []
+    assert seen == [(rk.level, rk.leaf) for rk in index.leaf_consumer.values()] != []
 
 
 class TestErrors:

@@ -179,9 +179,9 @@ def test_chain_steps_count_the_e_side_product_only_when_it_changed():
     parent = {"y": "u", "e": "u", "x": "y", "d": "y", "a": "x", "p": "x", "b": "p", "c": "p"}
     rng = np.random.default_rng(8)
     index = hand_built(k, parent, rng)
-    assert [(rk.level, rk.leaf, rk.parent, rk.grandparent) for rk in index.rake_log] == [
+    assert [(rk.level, rk.leaf, rk.parent, rk.owner) for rk in index.leaf_consumer.values()] == [
         (1, "b", "p", "x"), (1, "d", "y", "u"), (2, "c", "x", "u")]
-    rake_b, rake_d, rake_c = index.rake_log
+    rake_b, rake_d, rake_c = index.leaf_consumer.values()
     assert rake_c.e_side_input is rake_b.output and rake_c.parent_input is rake_d.output
 
     def adds_of_update(leaf):
@@ -210,9 +210,9 @@ def test_a_chain_step_entered_through_the_z_side_is_one_product():
     parent = {"x": "u", "g": "u", "y": "x", "e": "x", "a": "y", "b": "y"}
     rng = np.random.default_rng(10)
     index = hand_built(k, parent, rng)
-    assert [(rk.level, rk.leaf, rk.parent, rk.grandparent) for rk in index.rake_log] == [
+    assert [(rk.level, rk.leaf, rk.parent, rk.owner) for rk in index.leaf_consumer.values()] == [
         (1, "b", "y", "x"), (2, "e", "x", "u")]
-    rake_b, rake_e = index.rake_log
+    rake_b, rake_e = index.leaf_consumer.values()
     assert rake_e.z_side_input is rake_b.output
 
     before = index.counters.snapshot()

@@ -36,7 +36,7 @@ from logbel.contraction import (CALL_MULT_ADDS, _form, _rake_product, contract, 
                                 matvec_cost, rake_cost, saves_a_call)
 from logbel.generate import random_likelihood
 from logbel.jointree import FactoredMatrix, Identity, _family_weights, _separator_conditional
-from logbel.model import TableBatch
+from logbel.model import BruteForceOracle, TableBatch
 from logbel.propagate import FullState, LazyState
 
 
@@ -299,6 +299,16 @@ class TestBruteForce:
     def test_evidence_is_checked(self, vec, error):
         with pytest.raises(error, match="evidence of 'c'"):
             brute_polytree_marginal(vee_polytree(), {"c": np.array(vec)}, "a")
+
+    def test_unknown_variable_is_named_as_the_engines_name_it(self):
+        pt = random_polytree(4, 2, 2, np.random.default_rng(0))
+        for engine in (BruteForceOracle(pt), build_engine(pt)):
+            with pytest.raises(UnknownVariable, match="^no variable 'zz'$"):
+                engine.update("zz", np.ones(2))
+            with pytest.raises(UnknownVariable, match="^no variable 'zz'$"):
+                engine.query("zz")
+        with pytest.raises(UnknownVariable, match="^no variable 'zz'$"):
+            brute_polytree_marginal(pt, {}, "zz")
 
     def test_trees_and_polytrees_enumerate_alike(self):
         """A tree written as a polytree, one parent per variable and the

@@ -80,9 +80,8 @@ from .jointree import (
     polytree_query,
     polytree_update,
     prior_marginals,
-    random_polytree,
 )
-from .generate import balanced_tree, chain_tree, random_tree
+from .generate import balanced_tree, chain_tree, random_polytree, random_tree
 
 __all__ = [
     "AllZeroLikelihood", "Belief", "CausalTree", "Clique", "CompiledTree",

@@ -52,7 +52,7 @@ import numpy as np
 
 from .counters import NO_COST, OpCounters, sum_costs
 from .errors import ConstructionError, DimensionMismatch, LevelOutOfRange, TreeTooSmall, UnknownNode
-from .model import Belief, CausalTree, normalize_belief, set_evidence
+from .model import Belief, CausalTree, collector_paused, normalize_belief, set_evidence
 
 LEFT, RIGHT = 0, 1
 
@@ -239,9 +239,16 @@ class FactoredMatrix:
         return f"<FactoredMatrix {self.shape} width={self.width}>"
 
 
+@cache
+def _interned(form: tuple) -> tuple:
+    """The first tuple seen equal to form, which every later one maps to."""
+    return form
+
+
 def _form(coeff) -> tuple:
-    """The factor shapes a coefficient's operation counts depend on."""
-    return (coeff.shape,) if isinstance(coeff, np.ndarray) else coeff.form
+    """The factor shapes a coefficient's operation counts depend on; equal
+    forms are one tuple object."""
+    return _interned((coeff.shape,) if isinstance(coeff, np.ndarray) else coeff.form)
 
 
 def _rake_product(parent_coeff, diag: np.ndarray, other_coeff, counters: OpCounters):
@@ -284,8 +291,7 @@ def _rake_costs(K: int, e_form: tuple, parent_form: tuple, z_form: tuple) -> tup
 
 def _record_cost(rec: "CoeffRecord") -> tuple:
     """equation_cost of an equation version."""
-    left, right = rec.left.coeff, rec.right.coeff
-    return equation_cost(left.shape[0], _form(left), _form(right))
+    return equation_cost(rec.left.coeff.shape[0], rec.left.form, rec.right.form)
 
 
 # -- stored structure ------------------------------------------------------------
@@ -293,15 +299,19 @@ def _record_cost(rec: "CoeffRecord") -> tuple:
 class Slot:
     """Mutable holder for one stored coefficient matrix.
 
-    consumer is the at-most-one rake equation this matrix feeds; it is the
-    hook the update walk follows.
+    form is the coefficient's form, set with its first coefficient (a rake's
+    output slot gets both from rake()); every product keeps the form its
+    operands' shapes decide, so no update changes it.  consumer is the
+    at-most-one rake equation this matrix feeds; it is the hook the update
+    walk follows.
     """
 
-    __slots__ = ("uid", "coeff", "consumer", "owner", "side", "level")
+    __slots__ = ("uid", "coeff", "form", "consumer", "owner", "side", "level")
 
     def __init__(self, uid: int, coeff, owner: str, side: int, level: int):
         self.uid = uid
         self.coeff = coeff
+        self.form = None if coeff is None else _form(coeff)
         self.consumer: RakeEquation | None = None
         self.owner = owner
         self.side = side
@@ -315,7 +325,6 @@ class Slot:
         return f"<Slot #{self.uid} {self.owner}.{side} level={self.level}>"
 
 
-@dataclass(slots=True)
 class CoeffRecord:
     """One version of a node's two-sided likelihood equation.
 
@@ -334,15 +343,20 @@ class CoeffRecord:
     when contract() ends).
     """
 
-    owner: str
-    level: int
-    left: Slot
-    right: Slot
-    left_child: str
-    right_child: str
-    above: "CoeffRecord | None" = None
-    cost: tuple = NO_COST
-    walk_cost: tuple = NO_COST
+    __slots__ = ("owner", "level", "left", "right", "left_child", "right_child",
+                 "above", "cost", "walk_cost")
+
+    def __init__(self, owner: str, level: int, left: Slot, right: Slot,
+                 left_child: str, right_child: str):
+        self.owner = owner
+        self.level = level
+        self.left = left
+        self.right = right
+        self.left_child = left_child
+        self.right_child = right_child
+        self.above: CoeffRecord | None = None
+        self.cost = NO_COST
+        self.walk_cost = NO_COST
 
     def side_slot(self, side: int) -> Slot:
         return self.left if side == LEFT else self.right
@@ -351,19 +365,20 @@ class CoeffRecord:
         return self.left_child if side == LEFT else self.right_child
 
 
-@dataclass(slots=True, kw_only=True)
 class RakeEquation(CoeffRecord):
     """One rake (e, x, u): the version of u's equation it writes, whose
     owner is u and whose slot on x's side, output, holds
     output = parent_input . Diag(e_side_input . lambda(leaf)) . z_side_input
 
-    grandparent_pre is the version of u it rewrote; its above, and that of
-    x's last version, is this rake.  diag caches e_side_input . lambda(leaf)
-    and scaled the left half of the product, parent_input * diag (an
-    ndarray, a FactoredMatrix or, through an identity parent, a _Diagonal):
-    rake() sets both, and _recompute refreshes diag when the leaf or the
-    e-side slot changes and scaled when diag or the parent slot does.  The
-    entry costs count one evaluation of the rake product entered through
+    Built from the leaf e, x's last version parent_rec and u's,
+    grandparent_pre, which it rewrites: it keeps grandparent_pre's slot on
+    the other side, and its above, and that of parent_rec, is this rake.
+    diag caches e_side_input . lambda(leaf) and scaled the left half of the
+    product, parent_input * diag (an ndarray, a FactoredMatrix or, through
+    an identity parent, a _Diagonal): rake() sets both, and _recompute
+    refreshes diag when the leaf or the e-side slot changes and scaled when
+    diag or the parent slot does.  The entry costs, fixed here from the
+    input forms, count one evaluation of the rake product entered through
     each slot: e_entry_cost (the leaf or the e side) refreshes both,
     parent_entry_cost scaled only, z_entry_cost neither; lambda_cost counts
     the walk step that rebuilds lambda(x) from diag, and chain_cost the
@@ -371,22 +386,34 @@ class RakeEquation(CoeffRecord):
     contract() ends).
     """
 
-    e_side_input: Slot
-    leaf: str           # raked leaf e
-    output: Slot
-    parent_input: Slot
-    z_side_input: Slot
-    parent: str         # raked parent x
-    leaf_side: int      # side of e within x
-    parent_side: int    # side of x within u
-    grandparent_pre: CoeffRecord
-    diag: np.ndarray | None = None
-    scaled: object = None
-    e_entry_cost: tuple = NO_COST
-    parent_entry_cost: tuple = NO_COST
-    z_entry_cost: tuple = NO_COST
-    lambda_cost: tuple = NO_COST
-    chain_cost: tuple = NO_COST
+    __slots__ = ("e_side_input", "leaf", "output", "parent_input", "z_side_input", "parent",
+                 "leaf_side", "parent_side", "grandparent_pre", "diag", "scaled",
+                 "e_entry_cost", "parent_entry_cost", "z_entry_cost", "lambda_cost",
+                 "chain_cost")
+
+    def __init__(self, level: int, leaf: str, leaf_side: int, parent_rec: CoeffRecord,
+                 parent_side: int, grandparent_pre: CoeffRecord, output: Slot):
+        shared = grandparent_pre.side_slot(1 - parent_side)
+        survivor = parent_rec.child(1 - leaf_side)
+        sibling = grandparent_pre.child(1 - parent_side)
+        if parent_side == LEFT:
+            super().__init__(grandparent_pre.owner, level, output, shared, survivor, sibling)
+        else:
+            super().__init__(grandparent_pre.owner, level, shared, output, sibling, survivor)
+        self.e_side_input = e_side = parent_rec.side_slot(leaf_side)
+        self.leaf = leaf                  # raked leaf e
+        self.output = output
+        self.parent_input = grandparent_pre.side_slot(parent_side)
+        self.z_side_input = parent_rec.side_slot(1 - leaf_side)
+        self.parent = parent_rec.owner    # raked parent x
+        self.leaf_side = leaf_side        # side of e within x
+        self.parent_side = parent_side    # side of x within u
+        self.grandparent_pre = grandparent_pre
+        self.diag = self.scaled = None
+        self.e_entry_cost, self.parent_entry_cost, self.z_entry_cost, self.lambda_cost = \
+            _rake_costs(e_side.coeff.shape[0], e_side.form, self.parent_input.form,
+                        self.z_side_input.form)
+        self.chain_cost = NO_COST
 
 
 @dataclass
@@ -444,7 +471,6 @@ class ContractionIndex:
         self.root = tree.root
         self.levels: list[Level] = [Level(0, tree.leaf_order(), self)]
         self.base_matrix_count = 0
-        self.stored_matrix_count = 0
         self.last_update_trace: list[Slot] = []
         # equation versions the last query's walk climbed (see _walk)
         self.last_calc_depth = 0
@@ -457,11 +483,11 @@ class ContractionIndex:
         """Frontier size of every level."""
         return [len(level.leaves) for level in self.levels]
 
-    def _new_slot(self, coeff, owner: str, side: int, level: int) -> Slot:
-        """A stored matrix; its uid is its rank in storage order."""
-        slot = Slot(self.stored_matrix_count, coeff, owner, side, level)
-        self.stored_matrix_count += 1
-        return slot
+    @property
+    def stored_matrix_count(self) -> int:
+        """Stored matrices: two per base equation, one per rake.  A slot's
+        uid is its rank in storage order."""
+        return self.base_matrix_count + len(self.leaf_consumer)
 
     def all_slots(self) -> list[Slot]:
         seen: dict[int, Slot] = {}
@@ -478,6 +504,7 @@ class ContractionIndex:
         return belief_query(self, node_id)
 
 
+@collector_paused
 def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None) -> ContractionIndex:
     """Build the contraction hierarchy for a complete binary tree: rake
     rounds run until only the root and the two extreme leaves remain.
@@ -491,7 +518,10 @@ def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None) -> Co
     coeffs optionally maps non-root node ids to the coefficient object for
     the edge entering each; an edge it does not list uses its node's
     conditional matrix.
-    Raises TreeTooSmall for trees under three nodes.
+    Raises TreeTooSmall for trees under three nodes, UnknownNode for a
+    coeffs id that is not a non-root node, and DimensionMismatch for a
+    coefficient whose shape is not its edge's (parent domain, own domain).
+    The build runs with the cyclic garbage collector paused.
     """
     if tree.n < 3:
         raise TreeTooSmall(f"contraction needs at least 3 nodes, got {tree.n}")
@@ -499,25 +529,31 @@ def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None) -> Co
         raise ConstructionError("contraction requires a complete binary tree; run normalize_tree first")
 
     coeffs = {} if coeffs is None else coeffs
+    for node_id, coeff in coeffs.items():
+        node = tree.nodes.get(node_id)
+        if node is None or node.parent is None:
+            raise UnknownNode(f"coeffs names {node_id!r}, which is not a non-root node")
+        shape = (tree.nodes[node.parent].domain, node.domain)
+        if coeff.shape != shape:
+            raise DimensionMismatch(
+                f"coefficient of {node_id!r} has shape {coeff.shape}, its edge is {shape}")
     index = ContractionIndex(tree)
     index._live_parent = {nid: n.parent for nid, n in tree.nodes.items()}
 
-    for node_id in tree.nodes:
-        node = tree.nodes[node_id]
+    for node_id, node in tree.nodes.items():
         if node.children:
             left, right = node.children
-            left_coeff = coeffs.get(left, tree.nodes[left].cpt)
-            right_coeff = coeffs.get(right, tree.nodes[right].cpt)
+            uid = 2 * len(index.records)
             rec = CoeffRecord(
-                owner=node_id, level=0,
-                left=index._new_slot(left_coeff, node_id, LEFT, 0),
-                right=index._new_slot(right_coeff, node_id, RIGHT, 0),
-                left_child=left, right_child=right)
+                node_id, 0,
+                Slot(uid, coeffs.get(left, tree.nodes[left].cpt), node_id, LEFT, 0),
+                Slot(uid + 1, coeffs.get(right, tree.nodes[right].cpt), node_id, RIGHT, 0),
+                left, right)
             rec.cost = _record_cost(rec)
             index.records[node_id] = [rec]
         else:
             index.evidence[node_id] = node.evidence
-    index.base_matrix_count = index.stored_matrix_count
+    index.base_matrix_count = 2 * len(index.records)
 
     frontier = index.levels[0].leaves
     level = 0
@@ -584,29 +620,13 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
     parent_rec = index.records[parent][-1]
     grand_pre = index.records[grand][-1]
     leaf_side = LEFT if parent_rec.left_child == leaf else RIGHT
-    survivor = parent_rec.child(1 - leaf_side)
     parent_side = LEFT if grand_pre.left_child == parent else RIGHT
-    sibling = grand_pre.child(1 - parent_side)
 
-    output = index._new_slot(None, grand, parent_side, level)
-    shared = grand_pre.side_slot(1 - parent_side)
-    rk = RakeEquation(
-        owner=grand, level=level,
-        left=output if parent_side == LEFT else shared,
-        right=output if parent_side == RIGHT else shared,
-        left_child=survivor if parent_side == LEFT else sibling,
-        right_child=survivor if parent_side == RIGHT else sibling,
-        e_side_input=parent_rec.side_slot(leaf_side),
-        leaf=leaf,
-        output=output,
-        parent_input=grand_pre.side_slot(parent_side),
-        z_side_input=parent_rec.side_slot(1 - leaf_side),
-        parent=parent, leaf_side=leaf_side, parent_side=parent_side, grandparent_pre=grand_pre)
+    output = Slot(index.stored_matrix_count, None, grand, parent_side, level)
+    rk = RakeEquation(level, leaf, leaf_side, parent_rec, parent_side, grand_pre, output)
     _recompute(index.evidence, rk)  # no consumer yet: this equation only; sets diag, scaled
+    output.form = _form(output.coeff)
     rk.cost = _record_cost(rk)
-    e_side = rk.e_side_input.coeff
-    rk.e_entry_cost, rk.parent_entry_cost, rk.z_entry_cost, rk.lambda_cost = _rake_costs(
-        e_side.shape[0], _form(e_side), _form(rk.parent_input.coeff), _form(rk.z_side_input.coeff))
     index.counters.add(rk.e_entry_cost)
     for slot in (rk.parent_input, rk.e_side_input, rk.z_side_input):
         assert slot.consumer is None, "a stored matrix may feed only one equation"
@@ -616,7 +636,7 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
     grand_pre.above = parent_rec.above = rk
     index.records[grand].append(rk)
 
-    index._live_parent[survivor] = grand
+    index._live_parent[rk.child(parent_side)] = grand
     return rk
 
 

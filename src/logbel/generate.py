@@ -1,17 +1,20 @@
 """Deterministic generators for test corpora and benchmarks.
 
-All shapes are complete binary (every internal node has exactly two
-children), so no normalization pass is needed before contraction.  Given the
-same numpy Generator state the output is identical, which keeps corpora and
-benchmark runs reproducible.
+The tree generators emit complete binary trees (every internal node has
+exactly two children), so no normalization pass is needed before
+contraction; random_polytree emits singly connected networks for the
+join-tree engine.  Given the same numpy Generator state the output is
+identical, which keeps corpora and benchmark runs reproducible.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
 
+from .jointree import Polytree, Variable
 from .model import CausalTree, build_tree
 
 
@@ -120,3 +123,30 @@ def chain_tree(n_nodes: int, k, rng, *, evidence_floor: float = 0.05) -> CausalT
                   "cpt": _rows(prev_domain, last_domain, rng),
                   "evidence": random_likelihood(last_domain, rng, evidence_floor)})
     return build_tree({"nodes": nodes})
+
+
+def random_polytree(n_vars: int, p: int, k, rng) -> Polytree:
+    """Random singly connected network with at most p parents per variable."""
+    n_vars = max(1, n_vars)
+    ids = [f"v{i}" for i in range(n_vars)]
+    domains = {vid: (k if isinstance(k, int) else int(rng.integers(k[0], k[1] + 1)))
+               for vid in ids}
+    parents: dict[str, list[str]] = {vid: [] for vid in ids}
+    for i in range(1, n_vars):
+        other = ids[int(rng.integers(i))]
+        new = ids[i]
+        # orient the attachment edge without exceeding p parents anywhere
+        if len(parents[other]) < p and (len(parents[new]) >= p or rng.random() < 0.5):
+            parents[other].append(new)
+        else:
+            parents[new].append(other)
+    variables = []
+    for vid in ids:
+        if parents[vid]:
+            rows = math.prod(domains[q] for q in parents[vid])
+            cpt = np.stack([rng.dirichlet(np.ones(domains[vid])) for _ in range(rows)])
+            variables.append(Variable(vid, domains[vid], parents[vid], cpt, None))
+        else:
+            variables.append(Variable(vid, domains[vid], [], None,
+                                      rng.dirichlet(np.ones(domains[vid]))))
+    return Polytree(variables)

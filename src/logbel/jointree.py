@@ -50,6 +50,7 @@ from .model import (
     Node,
     build_tree,  # noqa: F401  (the traced benchmark wraps jointree.build_tree by name)
     check_likelihood,
+    collector_paused,
     normalize_tree,
     read_json,
     validate_tables,
@@ -181,6 +182,7 @@ class Polytree:
         return out
 
 
+@collector_paused
 def build_polytree(spec: dict) -> Polytree:
     if not isinstance(spec, dict) or "variables" not in spec:
         raise FormatError("polytree spec must be a mapping with a 'variables' list")
@@ -521,6 +523,7 @@ class PolytreeEngine:
         return polytree_query(self, var_id)
 
 
+@collector_paused
 def build_engine(pt: Polytree, root_var: str | None = None,
                  state_cap: int = DEFAULT_CLIQUE_CAP,
                  tree_engine: Callable[[CausalTree], object] | None = None) -> PolytreeEngine:
@@ -585,30 +588,3 @@ def brute_polytree_marginal(pt: Polytree, evidence: dict[str, np.ndarray],
     for vid, vec in evidence.items():
         oracle.update(vid, vec)
     return oracle.query(var_id)
-
-
-def random_polytree(n_vars: int, p: int, k, rng) -> Polytree:
-    """Random singly connected network with at most p parents per variable."""
-    n_vars = max(1, n_vars)
-    ids = [f"v{i}" for i in range(n_vars)]
-    domains = {vid: (k if isinstance(k, int) else int(rng.integers(k[0], k[1] + 1)))
-               for vid in ids}
-    parents: dict[str, list[str]] = {vid: [] for vid in ids}
-    for i in range(1, n_vars):
-        other = ids[int(rng.integers(i))]
-        new = ids[i]
-        # orient the attachment edge without exceeding p parents anywhere
-        if len(parents[other]) < p and (len(parents[new]) >= p or rng.random() < 0.5):
-            parents[other].append(new)
-        else:
-            parents[new].append(other)
-    variables = []
-    for vid in ids:
-        if parents[vid]:
-            rows = math.prod(domains[q] for q in parents[vid])
-            cpt = np.stack([rng.dirichlet(np.ones(domains[vid])) for _ in range(rows)])
-            variables.append(Variable(vid, domains[vid], parents[vid], cpt, None))
-        else:
-            variables.append(Variable(vid, domains[vid], [], None,
-                                      rng.dirichlet(np.ones(domains[vid]))))
-    return Polytree(variables)

@@ -15,6 +15,8 @@ tested against.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -48,6 +50,27 @@ CHUNK_ENTRIES = 1 << 16    # and at most this many entries, unless one table has
 SHORT_LIKELIHOOD = 24      # all/max over a list beat numpy min/max to here (timeit, numpy 2.4.6)
 
 _NODE_KEYS = {"id", "domain", "parent", "cpt", "prior", "evidence"}
+
+
+def collector_paused(build):
+    """Run build with CPython's cyclic garbage collector paused.
+
+    A build allocates many small objects and frees none of them in cycles,
+    so every collection pass it would trigger scans the growing network for
+    nothing.  The collector is disabled only if it was enabled, and only
+    what was disabled is re-enabled, in a finally: nested and raising
+    builds leave the collector as they found it.
+    """
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 def _float_array(values, what: str, *, copy: bool = True) -> np.ndarray:
@@ -448,6 +471,7 @@ class CausalTree:
 
 # -- construction from a network description -----------------------------------
 
+@collector_paused
 def build_tree(spec: dict) -> CausalTree:
     """Build and validate a tree from a {"nodes": [...]} description.
 
@@ -539,6 +563,7 @@ def set_evidence(tree: CausalTree, leaf_id: str, evidence) -> CausalTree:
 
 # -- normalization to complete binary form ---------------------------------------
 
+@collector_paused
 def normalize_tree(tree: CausalTree) -> tuple[CausalTree, list[str]]:
     """Return an equivalent complete binary tree and the ids of its identity
     edges: the one form every tree engine runs on.

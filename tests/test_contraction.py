@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logbel.contraction
 from logbel import (
@@ -27,7 +29,7 @@ from logbel import (
     random_polytree,
     update_evidence,
 )
-from logbel.contraction import _Diagonal, materialize
+from logbel.contraction import _Diagonal, _form, materialize
 from logbel.generate import balanced_tree, random_likelihood, random_tree
 from logbel.model import BruteForceOracle
 from test_counts import ragged_tree
@@ -444,6 +446,32 @@ class TestCachedDiagonal:
         assert kinds == {np.ndarray, FactoredMatrix, _Diagonal}
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_slot_forms_are_fixed_and_interned(seed):
+    """Dense, factored (widths that pay and that do not) and identity edges
+    on a random tree: after an update stream, every slot's form is still
+    that of its coefficient, and equal forms are one tuple object."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(int(rng.integers(5, 60)), k=3, rng=rng)
+    coeffs = {}
+    for nid in tree.nodes:
+        form = int(rng.integers(3))  # 0 keeps the dense table
+        if nid != tree.root and form:
+            width = int(rng.integers(1, 4))
+            coeffs[nid] = Identity(3) if form == 1 else FactoredMatrix(
+                rng.random((3, width)), rng.random((width, 3)))
+    index = contract(tree, coeffs=coeffs)
+    leaves = tree.leaf_order()
+    for _ in range(20):
+        leaf = leaves[int(rng.integers(len(leaves)))]
+        update_evidence(index, leaf, random_likelihood(3, rng))
+    slots = index.all_slots()
+    for slot in slots:
+        assert slot.form is _form(slot.coeff)
+    assert len({id(slot.form) for slot in slots}) == len({slot.form for slot in slots})
+
+
 def _arrays(coeff):
     """The arrays a stored coefficient or a cached scaled parent holds."""
     if isinstance(coeff, np.ndarray):
@@ -620,3 +648,24 @@ class TestErrors:
         for fn in (lambda_query, pi_query, belief_query):
             with pytest.raises(UnknownNode):
                 fn(index, "nope")
+
+    @staticmethod
+    def _balanced():
+        return balanced_tree(7, 2, np.random.default_rng(0))
+
+    def test_coeffs_identity_of_another_domain(self):
+        with pytest.raises(DimensionMismatch):
+            contract(self._balanced(), coeffs={"n1": Identity(3)})
+
+    def test_coeffs_array_of_another_shape(self):
+        with pytest.raises(DimensionMismatch):
+            contract(self._balanced(), coeffs={"n1": np.full((3, 3), 1 / 3)})
+
+    def test_coeffs_unknown_id(self):
+        with pytest.raises(UnknownNode):
+            contract(self._balanced(), coeffs={"nope": Identity(2)})
+
+    def test_coeffs_root_id(self):
+        tree = self._balanced()
+        with pytest.raises(UnknownNode):
+            contract(tree, coeffs={tree.root: Identity(2)})

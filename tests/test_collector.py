@@ -26,6 +26,8 @@ from logbel import (
     tree_to_spec,
 )
 from logbel.generate import balanced_tree
+from test_counts import star_tree
+from test_model import _polytree_spec as polytree_spec
 
 
 @pytest.fixture(autouse=True)
@@ -39,27 +41,10 @@ def collector():
         gc.disable()
 
 
-def star_spec(children=300, rng=None):
-    """A naive-Bayes star: a K=2 root with children leaves."""
-    rng = rng or np.random.default_rng(0)
-    nodes = [{"id": "r", "domain": 2, "prior": [0.4, 0.6]}]
-    nodes += [{"id": f"c{i}", "domain": 2, "parent": "r",
-               "cpt": rng.dirichlet(np.ones(2), size=2).tolist(),
-               "evidence": (0.5 + 0.5 * rng.random(2)).tolist()} for i in range(children)]
-    return {"nodes": nodes}
-
-
-def polytree_spec(pt):
-    return {"variables": [
-        {"id": v.id, "domain": v.domain, "parents": list(v.parents),
-         **({"cpt": v.cpt.tolist()} if v.parents else {"prior": v.prior.tolist()})}
-        for v in pt.variables.values()]}
-
-
 def builders():
     """(name, thunk) for each builder, over inputs made beforehand."""
-    spec = star_spec()
-    star = build_tree(spec)
+    star = star_tree(300, np.random.default_rng(0))
+    spec = tree_to_spec(star)
     normalized, _ = normalize_tree(star)
     pt = random_polytree(120, 3, (2, 3), np.random.default_rng(1))
     pt_spec = polytree_spec(pt)
@@ -156,7 +141,7 @@ def polytree_build(spec):
 
 
 @pytest.mark.parametrize("build, make_spec", [
-    (tree_build, lambda rng: star_spec(400, rng)),
+    (tree_build, lambda rng: tree_to_spec(star_tree(400, rng))),
     (tree_build, lambda rng: tree_to_spec(balanced_tree(255, 3, rng))),
     (polytree_build, lambda rng: polytree_spec(random_polytree(150, 3, (2, 3), rng))),
 ], ids=["star", "balanced", "polytree"])

@@ -275,13 +275,11 @@ def equation_cost(K: int, left_form: tuple, right_form: tuple) -> tuple:
 
 @cache
 def _rake_costs(K: int, e_form: tuple, parent_form: tuple, z_form: tuple) -> tuple:
-    """A rake (e, x, u) with a K-state x: its entry costs, one evaluation
-    of its product by the slot it is entered through (the leaf or the e
-    side refreshes diag and scaled: the e-side product, the rake product
-    and the equation; the parent side scaled only, no e-side product; the
-    z side neither, scaled times the z side alone), and its lambda_cost,
-    the walk step that rebuilds lambda(x) from the cached diagonal (the z
-    side's product and the vector product)."""
+    """A rake (e, x, u) with a K-state x: one evaluation of its product by
+    each slot it is entered through, e side (or the leaf), parent side and
+    z side (see RakeEquation), then the walk step that rebuilds lambda(x)
+    from the cached diagonal (the z side's product and the vector
+    product)."""
     equation = (0, 0, 1, 0, 0)
     parent_entry = sum_costs(rake_cost(parent_form, z_form), equation)
     return (sum_costs(matvec_cost(e_form), parent_entry), parent_entry,
@@ -303,26 +301,28 @@ class Slot:
     output slot gets both from rake()); every product keeps the form its
     operands' shapes decide, so no update changes it.  consumer is the
     at-most-one rake equation this matrix feeds; it is the hook the update
-    walk follows.
+    walk follows.  chain_cost counts the consumer chain an update that
+    changes this matrix recomputes: rake() sets the consumer's step, entered
+    through this slot, and contract() adds the rest when it ends.
     """
 
-    __slots__ = ("uid", "coeff", "form", "consumer", "owner", "side", "level")
+    __slots__ = ("coeff", "form", "consumer", "owner", "side", "level", "chain_cost")
 
-    def __init__(self, uid: int, coeff, owner: str, side: int, level: int):
-        self.uid = uid
+    def __init__(self, coeff, owner: str, side: int, level: int):
         self.coeff = coeff
         self.form = None if coeff is None else _form(coeff)
         self.consumer: RakeEquation | None = None
         self.owner = owner
         self.side = side
         self.level = level
+        self.chain_cost = NO_COST
 
     def describe(self) -> tuple[str, str, int]:
         return (self.owner, "left" if self.side == LEFT else "right", self.level)
 
     def __repr__(self):
-        side = "left" if self.side == LEFT else "right"
-        return f"<Slot #{self.uid} {self.owner}.{side} level={self.level}>"
+        owner, side, level = self.describe()
+        return f"<Slot {owner}.{side} level={level}>"
 
 
 class CoeffRecord:
@@ -339,8 +339,9 @@ class CoeffRecord:
     version, or, for the last version of a raked node, the rake that
     absorbed it; None only for the root's terminal version.  cost counts
     one evaluation of this equation (_record_cost) and walk_cost the whole
-    walk that builds this version's (pi, lambda, lambda) triple (filled in
-    when contract() ends).
+    walk that builds this version's (pi, lambda, lambda) triple: the rake
+    that sets above sets the step below it, and contract() adds the rest
+    when it ends.
     """
 
     __slots__ = ("owner", "level", "left", "right", "left_child", "right_child",
@@ -370,50 +371,38 @@ class RakeEquation(CoeffRecord):
     owner is u and whose slot on x's side, output, holds
     output = parent_input . Diag(e_side_input . lambda(leaf)) . z_side_input
 
-    Built from the leaf e, x's last version parent_rec and u's,
-    grandparent_pre, which it rewrites: it keeps grandparent_pre's slot on
-    the other side, and its above, and that of parent_rec, is this rake.
-    diag caches e_side_input . lambda(leaf) and scaled the left half of the
-    product, parent_input * diag (an ndarray, a FactoredMatrix or, through
-    an identity parent, a _Diagonal): rake() sets both, and _recompute
-    refreshes diag when the leaf or the e-side slot changes and scaled when
-    diag or the parent slot does.  The entry costs, fixed here from the
-    input forms, count one evaluation of the rake product entered through
-    each slot: e_entry_cost (the leaf or the e side) refreshes both,
-    parent_entry_cost scaled only, z_entry_cost neither; lambda_cost counts
-    the walk step that rebuilds lambda(x) from diag, and chain_cost the
-    whole consumer chain an update starting here recomputes (filled in when
-    contract() ends).
+    Built from the leaf e, x's last version parent_rec and u's, grand_pre,
+    which it rewrites: it keeps grand_pre's slot on the other side, and the
+    above of both is this rake.  diag caches e_side_input . lambda(leaf)
+    and scaled the left half of the product, parent_input * diag (an
+    ndarray, a FactoredMatrix or, through an identity parent, a
+    _Diagonal): rake() sets both, and _recompute refreshes diag when the
+    leaf or the e-side slot changes and scaled when diag or the parent slot
+    does.  So a step entered through the leaf or the e side refreshes both,
+    through the parent side scaled only, through the z side neither.
     """
 
     __slots__ = ("e_side_input", "leaf", "output", "parent_input", "z_side_input", "parent",
-                 "leaf_side", "parent_side", "grandparent_pre", "diag", "scaled",
-                 "e_entry_cost", "parent_entry_cost", "z_entry_cost", "lambda_cost",
-                 "chain_cost")
+                 "leaf_side", "parent_side", "diag", "scaled")
 
     def __init__(self, level: int, leaf: str, leaf_side: int, parent_rec: CoeffRecord,
-                 parent_side: int, grandparent_pre: CoeffRecord, output: Slot):
-        shared = grandparent_pre.side_slot(1 - parent_side)
+                 parent_side: int, grand_pre: CoeffRecord, output: Slot):
+        shared = grand_pre.side_slot(1 - parent_side)
         survivor = parent_rec.child(1 - leaf_side)
-        sibling = grandparent_pre.child(1 - parent_side)
+        sibling = grand_pre.child(1 - parent_side)
         if parent_side == LEFT:
-            super().__init__(grandparent_pre.owner, level, output, shared, survivor, sibling)
+            super().__init__(grand_pre.owner, level, output, shared, survivor, sibling)
         else:
-            super().__init__(grandparent_pre.owner, level, shared, output, sibling, survivor)
-        self.e_side_input = e_side = parent_rec.side_slot(leaf_side)
+            super().__init__(grand_pre.owner, level, shared, output, sibling, survivor)
+        self.e_side_input = parent_rec.side_slot(leaf_side)
         self.leaf = leaf                  # raked leaf e
         self.output = output
-        self.parent_input = grandparent_pre.side_slot(parent_side)
+        self.parent_input = grand_pre.side_slot(parent_side)
         self.z_side_input = parent_rec.side_slot(1 - leaf_side)
         self.parent = parent_rec.owner    # raked parent x
         self.leaf_side = leaf_side        # side of e within x
         self.parent_side = parent_side    # side of x within u
-        self.grandparent_pre = grandparent_pre
         self.diag = self.scaled = None
-        self.e_entry_cost, self.parent_entry_cost, self.z_entry_cost, self.lambda_cost = \
-            _rake_costs(e_side.coeff.shape[0], e_side.form, self.parent_input.form,
-                        self.z_side_input.form)
-        self.chain_cost = NO_COST
 
 
 @dataclass
@@ -485,17 +474,14 @@ class ContractionIndex:
 
     @property
     def stored_matrix_count(self) -> int:
-        """Stored matrices: two per base equation, one per rake.  A slot's
-        uid is its rank in storage order."""
+        """Stored matrices: two per base equation, one per rake."""
         return self.base_matrix_count + len(self.leaf_consumer)
 
     def all_slots(self) -> list[Slot]:
-        seen: dict[int, Slot] = {}
-        for recs in self.records.values():
-            for rec in recs:
-                seen[rec.left.uid] = rec.left
-                seen[rec.right.uid] = rec.right
-        return [seen[uid] for uid in sorted(seen)]
+        """Every stored matrix in storage order: the base equations' pairs,
+        then the rakes' outputs in build order."""
+        slots = [slot for recs in self.records.values() for slot in (recs[0].left, recs[0].right)]
+        return slots + [rk.output for rk in self.leaf_consumer.values()]
 
     def update(self, leaf_id: str, evidence) -> None:
         update_evidence(self, leaf_id, evidence)
@@ -543,11 +529,10 @@ def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None) -> Co
     for node_id, node in tree.nodes.items():
         if node.children:
             left, right = node.children
-            uid = 2 * len(index.records)
             rec = CoeffRecord(
                 node_id, 0,
-                Slot(uid, coeffs.get(left, tree.nodes[left].cpt), node_id, LEFT, 0),
-                Slot(uid + 1, coeffs.get(right, tree.nodes[right].cpt), node_id, RIGHT, 0),
+                Slot(coeffs.get(left, tree.nodes[left].cpt), node_id, LEFT, 0),
+                Slot(coeffs.get(right, tree.nodes[right].cpt), node_id, RIGHT, 0),
                 left, right)
             rec.cost = _record_cost(rec)
             index.records[node_id] = [rec]
@@ -574,34 +559,19 @@ def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None) -> Co
 def _total_costs(index: ContractionIndex) -> None:
     """Fix the counts of every update chain and query walk.
 
-    A version's walk climbs to the version above it, and an equation's
-    output feeds one later equation; both are later rakes, so one pass over
-    the rakes (leaf_consumer's values, in build order) in reverse sees every
-    total it adds to.  Each output feeds a fixed slot, so a chain step's
-    entry cost is fixed too: e_entry_cost where the chain enters through
-    the e-side slot (the first step, whose leaf changed, always does, which
-    a second pass adds), parent_entry_cost through the parent slot,
-    z_entry_cost through the z-side slot.  A walk step never refreshes diag.
+    rake() has set each one-step count: a slot's chain_cost its consumer's
+    step, a version's walk_cost the step below its above.  A slot's
+    consumer writes a later slot, and a version's above is a later version,
+    so one reverse pass in storage order adds each chain's rest, and one
+    each walk's.
     """
-    rakes = index.leaf_consumer.values()
-    for rk in reversed(rakes):
-        pre = rk.grandparent_pre
-        # one step below rk: the raked parent's lambda (its cached diagonal
-        # times the z side's product) or its pi (through the grandparent's
-        # equation)
-        pre.walk_cost = sum_costs(rk.walk_cost, rk.lambda_cost)
-        index.records[rk.parent][-1].walk_cost = sum_costs(rk.walk_cost, pre.cost)
-        # until the pass below, chain_cost counts the chain after rk's step
-        consumer = rk.output.consumer
-        if consumer is None:
-            rk.chain_cost = NO_COST
-        else:
-            entry = (consumer.e_entry_cost if consumer.e_side_input is rk.output
-                     else consumer.parent_entry_cost if consumer.parent_input is rk.output
-                     else consumer.z_entry_cost)
-            rk.chain_cost = sum_costs(entry, consumer.chain_cost)
-    for rk in rakes:
-        rk.chain_cost = sum_costs(rk.e_entry_cost, rk.chain_cost)
+    for slot in reversed(index.all_slots()):
+        if slot.consumer is not None:
+            slot.chain_cost = sum_costs(slot.chain_cost, slot.consumer.output.chain_cost)
+    bases = [recs[0] for recs in index.records.values()]
+    for rec in reversed([*bases, *index.leaf_consumer.values()]):
+        if rec.above is not None:
+            rec.walk_cost = sum_costs(rec.walk_cost, rec.above.walk_cost)
 
 
 def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
@@ -622,15 +592,24 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
     leaf_side = LEFT if parent_rec.left_child == leaf else RIGHT
     parent_side = LEFT if grand_pre.left_child == parent else RIGHT
 
-    output = Slot(index.stored_matrix_count, None, grand, parent_side, level)
+    output = Slot(None, grand, parent_side, level)
     rk = RakeEquation(level, leaf, leaf_side, parent_rec, parent_side, grand_pre, output)
     _recompute(index.evidence, rk)  # no consumer yet: this equation only; sets diag, scaled
     output.form = _form(output.coeff)
     rk.cost = _record_cost(rk)
-    index.counters.add(rk.e_entry_cost)
-    for slot in (rk.parent_input, rk.e_side_input, rk.z_side_input):
+    e_side = rk.e_side_input
+    e_entry, parent_entry, z_entry, lambda_step = _rake_costs(
+        e_side.coeff.shape[0], e_side.form, rk.parent_input.form, rk.z_side_input.form)
+    index.counters.add(e_entry)
+    for slot, entry in ((e_side, e_entry), (rk.parent_input, parent_entry),
+                        (rk.z_side_input, z_entry)):
         assert slot.consumer is None, "a stored matrix may feed only one equation"
         slot.consumer = rk
+        slot.chain_cost = entry
+    # the walk step below rk: u's lambda(x) from the cached diagonal, or x's
+    # pi through u's previous equation
+    grand_pre.walk_cost = lambda_step
+    parent_rec.walk_cost = grand_pre.cost
     assert leaf not in index.leaf_consumer
     index.leaf_consumer[leaf] = rk
     grand_pre.above = parent_rec.above = rk
@@ -704,7 +683,8 @@ def update_evidence(index: ContractionIndex, leaf_id: str, evidence) -> Contract
     index.evidence[leaf_id] = index.tree.nodes[leaf_id].evidence
     equation = index.leaf_consumer.get(leaf_id)
     if equation is not None:
-        index.counters.add(equation.chain_cost)
+        # the leaf enters its rake as the e-side slot does
+        index.counters.add(equation.e_side_input.chain_cost)
     index.last_update_trace = _recompute(index.evidence, equation)
     return index
 
@@ -733,10 +713,11 @@ def _walk(index: ContractionIndex, rec: CoeffRecord):
 
     Climbs rec.above to the root's terminal version, whose triple is the
     prior and the extreme leaves' likelihoods, then comes back down one
-    rake at a time.  Below the version of rake (e, x, u), either u
-    keeps its pi and x's lambda is rebuilt from x's final equation, whose
-    e side the rake's cached diagonal already holds, or the walk enters
-    x's final version, whose pi comes through u's equation.
+    rake at a time.  Below the version of rake (e, x, u), either the walk
+    enters u's previous version, which keeps u's pi, and x's lambda is
+    rebuilt from x's final equation, whose e side the rake's cached
+    diagonal already holds, or it enters x's final version, whose pi comes
+    through u's equation; the owner tells which.
     Sets index.last_calc_depth to the number of versions climbed; pi may be
     the root's prior itself, so callers must not write to it.
     """
@@ -753,7 +734,7 @@ def _walk(index: ContractionIndex, rec: CoeffRecord):
         rk = rec.above
         side = rk.parent_side
         lam_z = lam[side]
-        if rec is rk.grandparent_pre:
+        if rec.owner == rk.owner:
             lam[side] = rk.diag * rk.z_side_input.coeff.dot(lam_z)
         else:
             sibling = rk.right if side == LEFT else rk.left

@@ -10,7 +10,6 @@ identical, which keeps corpora and benchmark runs reproducible.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -50,12 +49,12 @@ def _tree_from_splits(n_nodes: int, k, rng, split, evidence_floor: float) -> Cau
     n_leaves = (n_nodes + 1) // 2
 
     nodes: list[dict] = []
-    counter = 0
-
-    def emit(leaves: int, parent: str | None, parent_domain: int | None) -> None:
-        nonlocal counter
-        node_id = f"n{counter}"
-        counter += 1
+    # (leaves below, parent id, parent domain); the left subtree is pushed
+    # last, so nodes are emitted, and rng drawn, in preorder
+    stack: list[tuple[int, str | None, int | None]] = [(n_leaves, None, None)]
+    while stack:
+        leaves, parent, parent_domain = stack.pop()
+        node_id = f"n{len(nodes)}"
         domain = _domain_of(k, rng)
         entry: dict = {"id": node_id, "domain": domain, "parent": parent}
         if parent is None:
@@ -65,17 +64,10 @@ def _tree_from_splits(n_nodes: int, k, rng, split, evidence_floor: float) -> Cau
         nodes.append(entry)
         if leaves == 1:
             entry["evidence"] = random_likelihood(domain, rng, evidence_floor)
-            return
+            continue
         left = split(leaves)
-        emit(left, node_id, domain)
-        emit(leaves - left, node_id, domain)
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * n_leaves + 100))
-    try:
-        emit(n_leaves, None, None)
-    finally:
-        sys.setrecursionlimit(old_limit)
+        stack.append((leaves - left, node_id, domain))
+        stack.append((left, node_id, domain))
     return build_tree({"nodes": nodes})
 
 
@@ -129,8 +121,7 @@ def random_polytree(n_vars: int, p: int, k, rng) -> Polytree:
     """Random singly connected network with at most p parents per variable."""
     n_vars = max(1, n_vars)
     ids = [f"v{i}" for i in range(n_vars)]
-    domains = {vid: (k if isinstance(k, int) else int(rng.integers(k[0], k[1] + 1)))
-               for vid in ids}
+    domains = {vid: _domain_of(k, rng) for vid in ids}
     parents: dict[str, list[str]] = {vid: [] for vid in ids}
     for i in range(1, n_vars):
         other = ids[int(rng.integers(i))]

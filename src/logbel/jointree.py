@@ -342,8 +342,7 @@ def prior_marginals(pt: Polytree) -> dict[str, np.ndarray]:
     """Evidence-free marginal of every variable, one topological pass.
 
     Parents of a polytree node are marginally independent, so the joint
-    parent distribution is the Kronecker product of parent marginals (built
-    as flattened outer products, which is faster on short vectors).
+    parent distribution is the Kronecker product of parent marginals.
     """
     marginals: dict[str, np.ndarray] = {}
     for vid in pt.topological_order():
@@ -351,11 +350,20 @@ def prior_marginals(pt: Polytree) -> dict[str, np.ndarray]:
         if not var.parents:
             marginals[vid] = var.prior.copy()
             continue
-        joint = np.ones(1)
-        for p in var.parents:
-            joint = np.outer(joint, marginals[p]).ravel()
-        marginals[vid] = var.cpt.T @ joint
+        marginals[vid] = var.cpt.T @ _parent_joint(pt, var, marginals)
     return marginals
+
+
+def _parent_joint(pt: Polytree, var: Variable, marginals: dict[str, np.ndarray],
+                  given: str | None = None) -> np.ndarray:
+    """Kronecker product of the marginals of var's parents, in their order,
+    with all ones in place of given's; built as flattened outer products,
+    which is faster on short vectors."""
+    joint = np.ones(1)
+    for p in var.parents:
+        joint = np.outer(joint, np.ones(pt.variables[p].domain) if p == given
+                         else marginals[p]).ravel()
+    return joint
 
 
 # -- compilation to a causal tree --------------------------------------------------
@@ -367,12 +375,8 @@ def _family_weights(pt: Polytree, clique: Clique, marginals: dict[str, np.ndarra
     given, one weight per clique state (own variable most significant, as
     Clique.strides).  With given=None this is the clique's prior."""
     var = pt.variables[clique.variable]
-    joint = np.ones(1)
-    for p in var.parents:
-        joint = np.outer(joint, np.ones(pt.variables[p].domain) if p == given
-                         else marginals[p]).ravel()
     table = var.cpt.T if var.parents else var.prior[:, None]
-    return (table * joint).ravel()
+    return (table * _parent_joint(pt, var, marginals, given)).ravel()
 
 
 def _separator_conditional(pt: Polytree, clique: Clique, separator: str,

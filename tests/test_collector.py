@@ -25,7 +25,7 @@ from logbel import (
     random_polytree,
     tree_to_spec,
 )
-from logbel.generate import balanced_tree
+from logbel.generate import balanced_tree, random_tree
 from test_counts import star_tree
 from test_model import _polytree_spec as polytree_spec
 
@@ -144,10 +144,13 @@ def polytree_build(spec):
     (tree_build, lambda rng: tree_to_spec(star_tree(400, rng))),
     (tree_build, lambda rng: tree_to_spec(balanced_tree(255, 3, rng))),
     (polytree_build, lambda rng: polytree_spec(random_polytree(150, 3, (2, 3), rng))),
-], ids=["star", "balanced", "polytree"])
+    (lambda rng: balanced_tree(255, 3, rng), lambda rng: rng),
+    (lambda rng: random_tree(255, 3, rng), lambda rng: rng),
+], ids=["star", "balanced", "polytree", "balanced_tree", "random_tree"])
 def test_builds_create_no_cyclic_garbage(build, make_spec):
     """The premise of the pause: with the collector off, a collection right
-    after a build finds nothing to free."""
+    after a build finds nothing to free.  The tree generators, which build
+    through build_tree, leave none either."""
     spec = make_spec(np.random.default_rng(4))
     gc.disable()
     gc.collect()

@@ -159,11 +159,11 @@ class TestStorage:
             outputs = set()
             for slot in index.all_slots():
                 if slot.consumer is not None:
-                    assert slot.consumer.output.uid != slot.uid
-                    outputs.add(slot.consumer.output.uid)
+                    assert slot.consumer.output is not slot
+                    outputs.add(id(slot.consumer.output))
             for leaf, equation in index.leaf_consumer.items():
                 assert equation.leaf == leaf
-            stored = {slot.uid for slot in index.all_slots()}
+            stored = {id(slot) for slot in index.all_slots()}
             assert outputs <= stored
 
     def test_one_record_per_rake(self):
@@ -175,10 +175,10 @@ class TestStorage:
             rakes = index.leaf_consumer.values()
             assert sum(len(recs) - 1 for recs in index.records.values()) == len(rakes)
             for r in rakes:
-                assert r.grandparent_pre.above is r
+                versions = index.records[r.owner]
+                at = next(i for i, rec in enumerate(versions) if rec is r)
+                assert at > 0 and versions[at - 1].above is r
                 assert index.records[r.parent][-1].above is r
-                assert any(rec is r for rec in index.records[r.owner])
-                assert r.grandparent_pre.owner == r.owner
                 assert index.leaf_consumer[r.leaf] is r
                 assert r.output.level == r.level
 

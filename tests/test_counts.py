@@ -11,6 +11,7 @@ tree, and against closed forms on hand-built trees.
 
 import numpy as np
 
+import logbel.contraction
 from logbel import (
     ImpossibleEvidence,
     belief_query,
@@ -28,6 +29,7 @@ from logbel import (
     update_evidence,
 )
 from logbel.generate import random_likelihood
+from logbel.model import normalize_belief
 from test_forms import counted, measured
 
 
@@ -125,15 +127,23 @@ def test_full_propagate_is_linear_in_the_fan_out():
             == 6 * (fanout - 1)
 
 
+def counted_index(rng):
+    """(tree, index, the build's work) for the dense tree with every
+    coefficient a Counted array.  The build runs under measured(), so every
+    product it stores is a Counted array too."""
+    tree, _ = normalize_tree(ragged_tree(60, rng))
+    coeffs = {nid: counted(rng, node.cpt.shape) for nid, node in tree.nodes.items()
+              if node.parent is not None}
+    index, work = measured(lambda: contract(tree, coeffs=coeffs))
+    return tree, index, work
+
+
 def test_counts_equal_the_work_done():
     """Build, updates and walks on the dense tree with every coefficient a
     Counted array: the counters add up to the products numpy computed (the
     equation evaluations aside, which numpy does not see)."""
     rng = np.random.default_rng(5)
-    tree, _ = normalize_tree(ragged_tree(60, rng))
-    coeffs = {nid: counted(rng, node.cpt.shape) for nid, node in tree.nodes.items()
-              if node.parent is not None}
-    index, work = measured(lambda: contract(tree, coeffs=coeffs))
+    tree, index, work = counted_index(rng)
     assert work == totals_without_equations(index.counters)
     nodes, leaves = list(tree.nodes), tree.leaf_order()
 
@@ -148,6 +158,32 @@ def test_counts_equal_the_work_done():
     _, work = measured(stream)
     after = totals_without_equations(index.counters)
     assert work == tuple(a - b for a, b in zip(after, before))
+
+
+def test_each_update_and_query_counts_the_work_it_does(monkeypatch):
+    """The dense tree with every coefficient a Counted array: each leaf's
+    update, then each node's belief query, measured alone, adds to the
+    counters exactly the products numpy computed (the equation evaluations
+    aside), whatever slot its chain or walk enters through."""
+    # normalizing a belief (a sum and a division) is outside the count rule
+    monkeypatch.setattr(logbel.contraction, "normalize_belief",
+                        lambda raw, node: normalize_belief(np.asarray(raw), node=node))
+    rng = np.random.default_rng(5)
+    tree, index, _ = counted_index(rng)
+
+    def counted_alone(op, *args):
+        before = totals_without_equations(index.counters)
+        _, work = measured(lambda: op(index, *args))
+        after = totals_without_equations(index.counters)
+        return work, tuple(a - b for a, b in zip(after, before))
+
+    for leaf in tree.leaf_order():
+        work, delta = counted_alone(update_evidence, leaf,
+                                    random_likelihood(tree.nodes[leaf].domain, rng))
+        assert work == delta, leaf
+    for node in tree.nodes:
+        work, delta = counted_alone(belief_query, node)
+        assert work == delta, node
 
 
 def totals_without_equations(counters):

@@ -49,7 +49,7 @@ TABLE_CHUNK = 256          # tables stacked per batched check (TableBatch)
 CHUNK_ENTRIES = 1 << 16    # and at most this many entries, unless one table has more
 SHORT_LIKELIHOOD = 24      # all/max over a list beat numpy min/max to here (timeit, numpy 2.4.6)
 
-_NODE_KEYS = {"id", "domain", "parent", "cpt", "prior", "evidence"}
+_NODE_KEYS = frozenset({"id", "domain", "parent", "cpt", "prior", "evidence"})
 
 
 def collector_paused(build):
@@ -293,15 +293,12 @@ class CausalTree:
     set_evidence."""
 
     def __init__(self, nodes: list[Node]):
-        self.nodes: dict[str, Node] = {}
-        for node in nodes:
-            if node.id in self.nodes:
-                raise DuplicateId(f"node id {node.id!r} declared twice")
-            self.nodes[node.id] = node
+        self.nodes: dict[str, Node] = index_by_id(nodes)
         self._derive_children(nodes)
         self.root = self._find_root()
         self._check_reachable()
-        self._check_tables()
+        check_domains(nodes)
+        validate_tables(self._store_tables)
 
     @classmethod
     def unchecked(cls, nodes: list[Node], root: str) -> "CausalTree":
@@ -349,31 +346,11 @@ class CausalTree:
             missing = sorted(set(self.nodes) - seen)
             raise Cycle(f"nodes unreachable from root (cycle or orphan): {missing}")
 
-    def _check_tables(self) -> None:
-        for node in self.nodes.values():  # every domain, before tables use them
-            if isinstance(node.domain, bool) or not isinstance(node.domain, int) \
-                    or node.domain < 1:
-                raise FormatError(f"node {node.id!r}: domain must be a positive integer")
-        validate_tables(self._store_tables)
-
     def _store_tables(self, checks) -> None:
         for node in self.nodes.values():
             is_root = node.parent is None
-            is_leaf = not node.children
-            if is_root:
-                if node.cpt is not None:
-                    raise FormatError(f"root {node.id!r} must not carry a conditional table")
-                if node.prior is None:
-                    raise FormatError(f"root {node.id!r} must carry a prior")
-                node.prior = checks.prior(node.prior, node.domain, node.id)
-            else:
-                if node.prior is not None:
-                    raise FormatError(f"non-root {node.id!r} must not carry a prior")
-                if node.cpt is None:
-                    raise FormatError(f"non-root {node.id!r} must carry a conditional table")
-                node.cpt = checks.cpt(
-                    node.cpt, (self.nodes[node.parent].domain, node.domain), node.id)
-            if is_leaf:
+            store_family_table(node, checks, None if is_root else self.nodes[node.parent].domain)
+            if not node.children:
                 if node.evidence is None:
                     if is_root:
                         continue  # a bare single-node tree carries only its prior
@@ -471,44 +448,89 @@ class CausalTree:
 
 # -- construction from a network description -----------------------------------
 
+def read_entries(spec, key: str, keys: frozenset):
+    """The entries of a {key: [...]} network description, each checked as
+    it is read: the one reader behind build_tree and build_polytree.
+
+    spec has no top-level key but key, and each entry is a dict with no key
+    outside keys (so that silent typos in network files cannot change
+    semantics), a non-empty string "id" and a "domain".  Each builder
+    checks its own link field; domains and tables are checked once the
+    whole network is known (check_domains, store_family_table).
+    """
+    if not isinstance(spec, dict) or key not in spec:
+        raise FormatError(f'network description must be a dict with a "{key}" list')
+    extra = set(spec) - {key}
+    if extra:
+        raise FormatError(f"unknown top-level keys: {sorted(extra)}")
+    if not isinstance(spec[key], list):
+        raise FormatError(f'"{key}" must be a list')
+    for raw in spec[key]:
+        if not isinstance(raw, dict):
+            raise FormatError(f'each entry of "{key}" must be an object')
+        if not keys.issuperset(raw):
+            raise FormatError(f"entry {raw.get('id')!r} has unknown keys: "
+                              f"{sorted(set(raw) - keys)}")
+        if "id" not in raw or "domain" not in raw:
+            raise FormatError(f"entry {raw.get('id')!r} needs \"id\" and \"domain\"")
+        if not isinstance(raw["id"], str) or not raw["id"]:
+            raise FormatError(f"id {raw['id']!r} is not a non-empty string")
+        yield raw
+
+
+def index_by_id(entries: list) -> dict:
+    """Nodes or variables by id, in declaration order; DuplicateId names
+    the first id declared twice."""
+    by_id = {}
+    for entry in entries:
+        if entry.id in by_id:
+            raise DuplicateId(f"id {entry.id!r} declared twice")
+        by_id[entry.id] = entry
+    return by_id
+
+
+def check_domains(entries) -> None:
+    """Every domain a positive integer (True is not 1), checked before any
+    table uses one."""
+    for entry in entries:
+        if isinstance(entry.domain, bool) or not isinstance(entry.domain, int) \
+                or entry.domain < 1:
+            raise FormatError(f"{entry.id!r}: domain must be a positive integer, "
+                              f"got {entry.domain!r}")
+
+
+def store_family_table(entry, checks, rows: int | None) -> None:
+    """Convert and store a node's or variable's own table through checks
+    (validate_tables' stand-ins).  A parentless entry (rows None) carries a
+    prior and no conditional table; any other carries a (rows, domain)
+    conditional table and no prior."""
+    if rows is None:
+        if entry.cpt is not None or entry.prior is None:
+            raise FormatError(f"parentless {entry.id!r} must carry a prior and no "
+                              "conditional table")
+        entry.prior = checks.prior(entry.prior, entry.domain, entry.id)
+    else:
+        if entry.prior is not None or entry.cpt is None:
+            raise FormatError(f"{entry.id!r} has parents, so it must carry a conditional "
+                              "table and no prior")
+        entry.cpt = checks.cpt(entry.cpt, (rows, entry.domain), entry.id)
+
+
 @collector_paused
 def build_tree(spec: dict) -> CausalTree:
-    """Build and validate a tree from a {"nodes": [...]} description.
+    """Build and validate a tree from a {"nodes": [...]} description
+    (read_entries); a node's "parent" is a node id or absent.
 
-    Child order is the declaration order of the child nodes.  Unknown keys
-    are rejected so that silent typos in network files cannot change
-    semantics.
+    Child order is the declaration order of the child nodes.
     """
-    if not isinstance(spec, dict) or "nodes" not in spec:
-        raise FormatError('network description must be a dict with a "nodes" list')
-    extra_top = set(spec) - {"nodes"}
-    if extra_top:
-        raise FormatError(f"unknown top-level keys: {sorted(extra_top)}")
-    if not isinstance(spec["nodes"], list):
-        raise FormatError('"nodes" must be a list')
     nodes = []
-    for raw in spec["nodes"]:
-        if not isinstance(raw, dict):
-            raise FormatError("each node must be an object")
-        extra = set(raw) - _NODE_KEYS
-        if extra:
-            raise FormatError(f"unknown node keys: {sorted(extra)}")
-        if "id" not in raw or "domain" not in raw:
-            raise FormatError('every node needs "id" and "domain"')
-        node_id = raw["id"]
-        if not isinstance(node_id, str) or not node_id:
-            raise FormatError("node id must be a non-empty string")
+    for raw in read_entries(spec, "nodes", _NODE_KEYS):
         parent = raw.get("parent")
         if parent is not None and not isinstance(parent, str):
-            raise FormatError(f"parent of {node_id!r} must be a node id string")
-        nodes.append(Node(
-            id=node_id,
-            domain=raw["domain"],
-            parent=parent,
-            cpt=raw.get("cpt"),
-            prior=raw.get("prior"),
-            evidence=raw.get("evidence"),
-        ))
+            raise FormatError(f"parent of {raw['id']!r} must be a node id string")
+        nodes.append(Node(id=raw["id"], domain=raw["domain"], parent=parent,
+                          cpt=raw.get("cpt"), prior=raw.get("prior"),
+                          evidence=raw.get("evidence")))
     return CausalTree(nodes)
 
 

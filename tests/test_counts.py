@@ -127,15 +127,28 @@ def test_full_propagate_is_linear_in_the_fan_out():
             == 6 * (fanout - 1)
 
 
+def counted_tree(rng):
+    """The dense tree, normalized, and a Counted array for each of its edges."""
+    tree, _ = normalize_tree(ragged_tree(60, rng))
+    return tree, {nid: counted(rng, node.cpt.shape) for nid, node in tree.nodes.items()
+                  if node.parent is not None}
+
+
 def counted_index(rng):
     """(tree, index, the build's work) for the dense tree with every
-    coefficient a Counted array.  The build runs under measured(), so every
-    product it stores is a Counted array too."""
-    tree, _ = normalize_tree(ragged_tree(60, rng))
-    coeffs = {nid: counted(rng, node.cpt.shape) for nid, node in tree.nodes.items()
-              if node.parent is not None}
+    coefficient a Counted array, built under measured()."""
+    tree, coeffs = counted_tree(rng)
     index, work = measured(lambda: contract(tree, coeffs=coeffs))
     return tree, index, work
+
+
+def work_and_delta(index, thunk):
+    """The work numpy logged while thunk ran under measured(), and what it
+    added to index's counters, the equation evaluations aside."""
+    before = totals_without_equations(index.counters)
+    _, work = measured(thunk)
+    after = totals_without_equations(index.counters)
+    return work, tuple(a - b for a, b in zip(after, before))
 
 
 def test_counts_equal_the_work_done():
@@ -154,10 +167,8 @@ def test_counts_equal_the_work_done():
             pi_query(index, nodes[int(rng.integers(len(nodes)))])
             lambda_query(index, nodes[int(rng.integers(len(nodes)))])
 
-    before = totals_without_equations(index.counters)
-    _, work = measured(stream)
-    after = totals_without_equations(index.counters)
-    assert work == tuple(a - b for a, b in zip(after, before))
+    work, delta = work_and_delta(index, stream)
+    assert work == delta
 
 
 def test_each_update_and_query_counts_the_work_it_does(monkeypatch):
@@ -170,20 +181,25 @@ def test_each_update_and_query_counts_the_work_it_does(monkeypatch):
                         lambda raw, node: normalize_belief(np.asarray(raw), node=node))
     rng = np.random.default_rng(5)
     tree, index, _ = counted_index(rng)
-
-    def counted_alone(op, *args):
-        before = totals_without_equations(index.counters)
-        _, work = measured(lambda: op(index, *args))
-        after = totals_without_equations(index.counters)
-        return work, tuple(a - b for a, b in zip(after, before))
-
     for leaf in tree.leaf_order():
-        work, delta = counted_alone(update_evidence, leaf,
-                                    random_likelihood(tree.nodes[leaf].domain, rng))
+        vec = random_likelihood(tree.nodes[leaf].domain, rng)
+        work, delta = work_and_delta(index, lambda: update_evidence(index, leaf, vec))
         assert work == delta, leaf
     for node in tree.nodes:
-        work, delta = counted_alone(belief_query, node)
+        work, delta = work_and_delta(index, lambda: belief_query(index, node))
         assert work == delta, node
+
+
+def test_an_index_built_unmeasured_logs_an_update_in_full():
+    """Counted products made outside measured() stay Counted: with the
+    index built unmeasured, leaf v16's update, whose chain multiplies a
+    stored rake output, logs all the work it adds to the counters."""
+    rng = np.random.default_rng(5)
+    tree, coeffs = counted_tree(rng)
+    index = contract(tree, coeffs=coeffs)
+    vec = random_likelihood(tree.nodes["v16"].domain, rng)
+    work, delta = work_and_delta(index, lambda: update_evidence(index, "v16", vec))
+    assert work == delta
 
 
 def totals_without_equations(counters):

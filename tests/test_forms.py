@@ -19,23 +19,26 @@ SIZES = st.integers(1, 7)
 
 class Counted(np.ndarray):
     """An ndarray whose multiplies, matmuls and dots (ndarray.dot is not a
-    ufunc, so it is overridden), while measured() runs, add their work to
-    Counted.work as a cost tuple (matrix-vector products, matrix-matrix
-    products, 0, mult-adds, matmat mult-adds)."""
+    ufunc, so it is overridden) are Counted arrays too, and, while
+    measured() runs, add their work to Counted.work as a cost tuple
+    (matrix-vector products, matrix-matrix products, 0, mult-adds, matmat
+    mult-adds).  Any other ufunc gives a plain array, and fails while
+    measured() runs."""
 
     work = None
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         plain = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
         out = getattr(ufunc, method)(*plain, **kwargs)
-        if Counted.work is None:
+        if ufunc not in (np.matmul, np.multiply):
+            if Counted.work is not None:
+                raise AssertionError(f"uncounted ufunc {ufunc.__name__}")
             return out
-        if ufunc is np.matmul:
-            count_product(*plain)
-        elif ufunc is np.multiply:
-            Counted.work[3] += out.size
-        else:
-            raise AssertionError(f"uncounted ufunc {ufunc.__name__}")
+        if Counted.work is not None:
+            if ufunc is np.matmul:
+                count_product(*plain)
+            else:
+                Counted.work[3] += out.size
         return out.view(Counted)
 
     def dot(self, other):

@@ -19,6 +19,7 @@ from logbel import (
     MultipleRoots,
     Node,
     NotALeaf,
+    NotAPolytree,
     RowNotStochastic,
     StateSpaceTooLarge,
     UnknownNode,
@@ -500,6 +501,71 @@ class TestRoundTrip:
 def test_boolean_domain_rejected(builder, spec, name):
     with pytest.raises(FormatError, match=name):
         builder(spec)
+
+
+# -- one input rule for both kinds ---------------------------------------------------
+
+ROOT = {"id": "u", "domain": 2, "prior": [0.5, 0.5]}
+LEAF = {"id": "e", "domain": 2, "parent": "u", "cpt": [[0.9, 0.1], [0.2, 0.8]],
+        "evidence": [1.0, 1.0]}
+
+
+def _with(entry, **changes):
+    """entry with changes; a change to None drops the key."""
+    return {k: v for k, v in {**entry, **changes}.items() if v is not None}
+
+
+def _as_polytree(spec):
+    """A tree description as a polytree one: "variables", a "parents" list
+    for each "parent", no evidence.  What is not a node passes unchanged."""
+    if not isinstance(spec, dict):
+        return spec
+    out = {("variables" if key == "nodes" else key): value for key, value in spec.items()}
+    if isinstance(out.get("variables"), list):
+        out["variables"] = [
+            {**{k: v for k, v in e.items() if k not in ("parent", "evidence")},
+             **({"parents": [e["parent"]]} if "parent" in e else {})}
+            if isinstance(e, dict) else e for e in out["variables"]]
+    return out
+
+
+# fault: (tree description, error, text the message must contain or None).
+# The detached directed cycle is the one fault whose error depends on the
+# kind: each keeps its own structural error, Cycle and NotAPolytree.
+INPUT_FAULTS = {
+    "not-a-dict": ([ROOT, LEAF], FormatError, None),
+    "extra-top-level-key": ({"nodes": [ROOT, LEAF], "edges": []}, FormatError, "edges"),
+    "entries-not-a-list": ({"nodes": {"u": ROOT}}, FormatError, None),
+    "entry-not-a-dict": ({"nodes": [ROOT, "e"]}, FormatError, None),
+    "unknown-entry-key": ({"nodes": [ROOT, _with(LEAF, colour="red")]}, FormatError, "colour"),
+    "no-id": ({"nodes": [ROOT, _with(LEAF, id=None)]}, FormatError, None),
+    "no-domain": ({"nodes": [ROOT, _with(LEAF, domain=None)]}, FormatError, "'e'"),
+    "empty-id": ({"nodes": [_with(ROOT, id="")]}, FormatError, "''"),
+    "non-string-id": ({"nodes": [ROOT, _with(LEAF, id=7)]}, FormatError, "7"),
+    "duplicate-id": ({"nodes": [ROOT, LEAF, LEAF]}, DuplicateId, "'e'"),
+    "true-domain": ({"nodes": [_with(ROOT, domain=True, prior=[1.0])]}, FormatError, "'u'"),
+    "zero-domain": ({"nodes": [_with(ROOT, domain=0, prior=[])]}, FormatError, "'u'"),
+    "string-domain": ({"nodes": [_with(ROOT, domain="2")]}, FormatError, "'u'"),
+    "parentless-with-cpt": ({"nodes": [_with(ROOT, cpt=LEAF["cpt"])]}, FormatError, "'u'"),
+    "parentless-without-prior": ({"nodes": [_with(ROOT, prior=None)]}, FormatError, "'u'"),
+    "two-cycle-beside-an-isolated-variable": ({"nodes": [
+        ROOT,
+        _with(LEAF, id="a", parent="b", evidence=None),
+        _with(LEAF, id="b", parent="a", evidence=None),
+    ]}, (Cycle, NotAPolytree), "'a'"),
+}
+
+
+@pytest.mark.parametrize("fault", list(INPUT_FAULTS))
+def test_each_input_fault_is_reported_alike_by_both_builders(fault):
+    spec, error, named = INPUT_FAULTS[fault]
+    errors = error if isinstance(error, tuple) else (error, error)
+    for builder, description, want in ((build_tree, spec, errors[0]),
+                                       (build_polytree, _as_polytree(spec), errors[1])):
+        with pytest.raises(LogbelError) as info:
+            builder(copy.deepcopy(description))
+        assert type(info.value) is want, builder.__name__
+        assert named is None or named in str(info.value), (builder.__name__, str(info.value))
 
 
 # -- the batched table check against the ordered one ------------------------------

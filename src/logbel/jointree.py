@@ -54,6 +54,7 @@ from .model import (
     normalize_tree,
     read_entries,
     read_json,
+    shared_table,
     store_family_table,
     validate_tables,
 )
@@ -219,11 +220,7 @@ class Clique:
     def projection(self, member: str) -> np.ndarray:
         """K x k_member 0/1 matrix picking the member's coordinate; exactly
         one 1 per row."""
-        i = self.members.index(member)
-        out = np.zeros((self.K, self.domains[i]))
-        states = np.arange(self.K)
-        out[states, (states // self.strides[i]) % self.domains[i]] = 1.0
-        return out
+        return _projection(tuple(self.domains), self.members.index(member))
 
     def member_belief(self, member: str, clique_bel: Belief) -> Belief:
         """A member's marginal from a belief over the clique's states: the
@@ -231,6 +228,14 @@ class Clique:
         others = tuple(i for i, m in enumerate(self.members) if m != member)
         dist = clique_bel.dist.reshape(self.domains).sum(axis=others)
         return Belief(dist=dist, normalizer=clique_bel.normalizer)
+
+
+def _projection(domains: tuple, i: int) -> np.ndarray:
+    """Clique.projection of member i of a clique over domains."""
+    states = np.arange(math.prod(domains))
+    out = np.zeros((len(states), domains[i]))
+    out[states, (states // math.prod(domains[i + 1:])) % domains[i]] = 1.0
+    return out
 
 
 def extract_cliques(pt: Polytree) -> dict[str, Clique]:
@@ -317,54 +322,72 @@ def prior_marginals(pt: Polytree) -> dict[str, np.ndarray]:
     return marginals
 
 
-def _parent_joint(pt: Polytree, var: Variable, marginals: dict[str, np.ndarray],
-                  given: str | None = None) -> np.ndarray:
+def _parent_joint(pt: Polytree, var: Variable, marginals: dict[str, np.ndarray]) -> np.ndarray:
     """Kronecker product of the marginals of var's parents, in their order,
-    with all ones in place of given's; built as flattened outer products,
-    which is faster on short vectors."""
-    joint = np.ones(1)
-    for p in var.parents:
-        joint = np.outer(joint, np.ones(pt.variables[p].domain) if p == given
-                         else marginals[p]).ravel()
+    from the first; built as flattened outer products, which is faster on
+    short vectors."""
+    joint = marginals[var.parents[0]]
+    for p in var.parents[1:]:
+        joint = np.outer(joint, marginals[p]).ravel()
     return joint
 
 
 # -- compilation to a causal tree --------------------------------------------------
 
 
-def _family_weights(pt: Polytree, clique: Clique, marginals: dict[str, np.ndarray],
-                    given: str | None = None) -> np.ndarray:
-    """p(variable | parents) times the marginals of every parent except
-    given, one weight per clique state (own variable most significant, as
-    Clique.strides).  With given=None this is the clique's prior."""
+def _family_weights(pt: Polytree, clique: Clique, marginals: dict[str, np.ndarray]) -> np.ndarray:
+    """The clique's prior: p(variable | parents) times the marginals of its
+    parents, one weight per clique state (own variable most significant,
+    as Clique.strides)."""
     var = pt.variables[clique.variable]
-    table = var.cpt.T if var.parents else var.prior[:, None]
-    return (table * _parent_joint(pt, var, marginals, given)).ravel()
+    if not var.parents:
+        return var.prior.copy()
+    return (var.cpt.T * _parent_joint(pt, var, marginals)).ravel()
 
 
-def _separator_conditional(pt: Polytree, clique: Clique, separator: str,
-                           marginals: dict[str, np.ndarray],
-                           projection: np.ndarray) -> np.ndarray:
-    """R[s_value, clique_state] = p(clique state | separator = s_value);
-    projection is clique.projection(separator).
+def _separator_conditionals(jt: JoinTree, pt: Polytree, marginals: dict[str, np.ndarray],
+                            projection: Callable[[Clique, str], np.ndarray]
+                            ) -> dict[str, np.ndarray]:
+    """R[s_value, clique_state] = p(clique state | separator = s_value) for
+    every clique but the root's, by clique variable; projection(clique,
+    member) is the shared clique.projection(member).
 
-    For separator s among the parents: rows combine the child CPT with the
-    marginals of the other parents.  For s equal to the clique's own
-    variable the parent marginals enter in full and the variable's own
-    marginal divides out (Bayes flip).  A value of zero prior mass is
-    reached only through parent-clique states of zero prior mass, so any
-    stochastic row is exact there: its row is uniform over the clique
-    states with that value.
+    The cliques are stacked by shape and separator position, and each
+    stack is computed in a few numpy calls.  A clique's weights are its
+    family table times the Kronecker product of its parents' marginals,
+    all ones in place of the separator's, broadcast over the stack; R
+    spreads them over the separator's values.  For a separator equal to
+    the clique's own variable the parent marginals enter in full and the
+    variable's own marginal divides out (Bayes flip).  A value of zero
+    prior mass is reached only through parent-clique states of zero prior
+    mass, so any stochastic row is exact there: its row is uniform over
+    the clique states with that value.
     """
-    R = projection.T * _family_weights(pt, clique, marginals, separator)
-    if separator == clique.variable:
-        own = marginals[separator]
-        if np.any(own == 0.0):
+    stacks: dict[tuple, list[Clique]] = {}
+    for cvar, up in jt.parent.items():
+        if up is not None:
+            clique = jt.cliques[cvar]
+            key = (tuple(clique.domains), clique.members.index(up[1]))
+            stacks.setdefault(key, []).append(clique)
+    out: dict[str, np.ndarray] = {}
+    for (domains, pos), cliques in stacks.items():
+        joint = np.ones((len(cliques), 1))  # (stack, parent states so far)
+        for i, d in enumerate(domains[1:], 1):
+            factor = np.ones((len(cliques), d)) if i == pos else \
+                np.stack([marginals[c.members[i]] for c in cliques])
+            joint = (joint[:, :, None] * factor[:, None, :]).reshape(len(cliques), -1)
+        variables = [pt.variables[c.variable] for c in cliques]
+        tables = np.stack([v.cpt.T if v.parents else v.prior[:, None] for v in variables])
+        weights = (tables * joint[:, None, :]).reshape(len(cliques), -1)
+        spread = projection(cliques[0], cliques[0].members[pos]).T
+        R = spread * weights[:, None, :]
+        if pos == 0:
+            own = np.stack([marginals[c.variable] for c in cliques])
             zero = own == 0.0
-            R[zero] = projection.T[zero]
-            own = np.where(zero, projection.sum(axis=0), own)
-        R /= own[:, None]
-    return R
+            R = np.where(zero[:, :, None], spread, R)
+            R /= np.where(zero, spread.sum(axis=1), own)[:, :, None]
+        out.update(zip((c.variable for c in cliques), R))
+    return out
 
 
 @dataclass
@@ -396,10 +419,14 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
     - the other evidence leaves (a projection) and the unit leaves (an
       all-ones column) keep their dense tables.
 
-    The emitted tree is validated once, before normalize_tree adds the
-    dummies, whose tables are constant.  Projections are built once per
-    clique shape and member position and shared, read-only, by every edge
-    and leaf of this tree that needs them.
+    The separator conditionals R are computed in stacks, one per clique
+    shape and separator position (_separator_conditionals).  Every table
+    is derived from the validated Polytree, so the emitted tree is not
+    validated again (CausalTree.unchecked); the test suite compares it,
+    bit for bit, with the same tree read back and validated by
+    build_tree.  Constant tables are built once per shape and shared,
+    read-only, by every edge and leaf of this tree that needs them: the
+    projections and the indicator leaves' initial all-ones likelihood.
     """
     if marginals is None:
         marginals = prior_marginals(pt)
@@ -411,13 +438,10 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
     shared: dict[tuple, np.ndarray] = {}
 
     def projection(clique: Clique, member: str) -> np.ndarray:
-        key = (tuple(clique.domains), clique.members.index(member))
-        arr = shared.get(key)
-        if arr is None:
-            arr = shared[key] = clique.projection(member)
-            arr.flags.writeable = False
-        return arr
+        return shared_table(shared, _projection, tuple(clique.domains),
+                            clique.members.index(member))
 
+    conditionals = _separator_conditionals(jt, pt, marginals, projection)
     nodes: list[Node] = []
     coeffs: dict[str, object] = {}
     clique_node: dict[str, str] = {}
@@ -437,21 +461,21 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
             parent_cvar, separator = jt.parent[cvar]
             node.parent = f"C:{parent_cvar}"
             J = projection(jt.cliques[parent_cvar], separator)
-            R = _separator_conditional(pt, clique, separator, marginals,
-                                       projection(clique, separator))
+            R = conditionals[cvar]
             node.cpt = J.dot(R)
             if saves_a_call((J.shape, R.shape)):
                 coeffs[node_id] = FactoredMatrix(J, R)
         nodes.append(node)
         k_own = clique.domains[0]
         nodes.append(Node(id=leaf_id, domain=k_own, parent=node_id,
-                          cpt=projection(clique, cvar), evidence=np.ones(k_own)))
+                          cpt=projection(clique, cvar),
+                          evidence=shared_table(shared, np.ones, k_own)))
         if clique.K == k_own:
             coeffs[leaf_id] = Identity(k_own)
         stack.extend(cv for cv, _ in reversed(jt.children[cvar]))
     # Preorder declares each clique's evidence leaf before its child cliques,
     # which come in join-tree order, so that is their sibling order.
-    tree, identity_ids = normalize_tree(CausalTree(nodes))
+    tree, identity_ids = normalize_tree(CausalTree.unchecked(nodes, f"C:{jt.root}"))
     for node_id in identity_ids:
         coeffs[node_id] = Identity(tree.nodes[node_id].domain)
     return CompiledTree(tree=tree, coeffs=coeffs,

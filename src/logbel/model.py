@@ -303,8 +303,11 @@ class CausalTree:
     @classmethod
     def unchecked(cls, nodes: list[Node], root: str) -> "CausalTree":
         """A tree over nodes, children derived from parent links, checking
-        nothing else: for normalize_tree, whose output holds a validated
-        tree's tables and the dummies' constant ones."""
+        nothing else: for builders whose tables are valid by construction.
+        normalize_tree's output holds a validated tree's tables and the
+        dummies' constant ones; compile_join_tree's clique tree holds
+        tables derived from a validated Polytree, which the test suite
+        validates through build_tree and compares bit for bit."""
         tree = cls.__new__(cls)
         tree.nodes = {node.id: node for node in nodes}
         tree.root = root
@@ -454,9 +457,9 @@ def read_entries(spec, key: str, keys: frozenset):
 
     spec has no top-level key but key, and each entry is a dict with no key
     outside keys (so that silent typos in network files cannot change
-    semantics), a non-empty string "id" and a "domain".  Each builder
-    checks its own link field; domains and tables are checked once the
-    whole network is known (check_domains, store_family_table).
+    semantics), an "id" and a "domain".  Each builder checks its own link
+    field; ids, domains and tables are checked once the whole network is
+    known (index_by_id, check_domains, store_family_table).
     """
     if not isinstance(spec, dict) or key not in spec:
         raise FormatError(f'network description must be a dict with a "{key}" list')
@@ -473,16 +476,17 @@ def read_entries(spec, key: str, keys: frozenset):
                               f"{sorted(set(raw) - keys)}")
         if "id" not in raw or "domain" not in raw:
             raise FormatError(f"entry {raw.get('id')!r} needs \"id\" and \"domain\"")
-        if not isinstance(raw["id"], str) or not raw["id"]:
-            raise FormatError(f"id {raw['id']!r} is not a non-empty string")
         yield raw
 
 
 def index_by_id(entries: list) -> dict:
-    """Nodes or variables by id, in declaration order; DuplicateId names
-    the first id declared twice."""
+    """Nodes or variables by id, in declaration order: the id rule of
+    CausalTree and Polytree.  Every id is a non-empty string, and
+    DuplicateId names the first id declared twice."""
     by_id = {}
     for entry in entries:
+        if not isinstance(entry.id, str) or not entry.id:
+            raise FormatError(f"id {entry.id!r} is not a non-empty string")
         if entry.id in by_id:
             raise DuplicateId(f"id {entry.id!r} declared twice")
         by_id[entry.id] = entry
@@ -585,6 +589,18 @@ def set_evidence(tree: CausalTree, leaf_id: str, evidence) -> CausalTree:
 
 # -- normalization to complete binary form ---------------------------------------
 
+def shared_table(tables: dict, make, *args) -> np.ndarray:
+    """make(*args), made once per (make, args) in tables and read-only:
+    one constant table per shape within a build, shared by every node that
+    needs it."""
+    key = (make, args)
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = make(*args)
+        table.flags.writeable = False
+    return table
+
+
 @collector_paused
 def normalize_tree(tree: CausalTree) -> tuple[CausalTree, list[str]]:
     """Return an equivalent complete binary tree and the ids of its identity
@@ -605,7 +621,9 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, list[str]]:
     The dummies are declared after the original nodes, so every holder's
     kept child comes first.  tree is a validated CausalTree and the
     dummies' tables are constant, so the result is not checked again.  Its
-    nodes share tree's tables, which nothing writes in place.
+    nodes share tree's tables, which nothing writes in place, and the
+    dummies share one read-only table per shape: the unit leaves' column
+    and likelihood, and the splitters' identity.
     """
     if tree.is_complete_binary() and tree.n > 1:
         return tree, []
@@ -613,6 +631,7 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, list[str]]:
     parent = {nid: n.parent for nid, n in tree.nodes.items()}
     aux: list[Node] = []
     identity_ids: list[str] = []
+    constants: dict[tuple, np.ndarray] = {}
 
     counter = 0
 
@@ -629,10 +648,11 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, list[str]]:
         k = tree.nodes[cur].domain
         if len(kids) == 1:
             aux.append(Node(id=fresh("unit"), domain=1, parent=cur,
-                            cpt=np.ones((k, 1)), evidence=np.ones(1)))
+                            cpt=shared_table(constants, np.ones, (k, 1)),
+                            evidence=shared_table(constants, np.ones, 1)))
         elif len(kids) > 2:
             holder = cur  # keeps the previous kid, passes the rest to a splitter
-            eye = np.eye(k)  # one table for the whole chain
+            eye = shared_table(constants, np.eye, k)
             for kid in kids[1:-1]:
                 split = fresh("split")
                 aux.append(Node(id=split, domain=k, parent=holder, cpt=eye))
@@ -650,7 +670,8 @@ def normalize_tree(tree: CausalTree) -> tuple[CausalTree, list[str]]:
         root = fresh("root")
         aux.append(Node(id=root, domain=lone.domain, prior=lone.prior))
         aux.append(Node(id=fresh("unit"), domain=1, parent=root,
-                        cpt=np.ones((lone.domain, 1)), evidence=np.ones(1)))
+                        cpt=shared_table(constants, np.ones, (lone.domain, 1)),
+                        evidence=shared_table(constants, np.ones, 1)))
         lone.parent, lone.cpt, lone.prior = root, np.eye(lone.domain), None
         identity_ids.append(lone.id)
         if lone.evidence is None:

@@ -12,9 +12,11 @@ from logbel import (
     InvalidProbability,
     NotAPolytree,
     OpCounters,
+    Polytree,
     RowNotStochastic,
     StateSpaceTooLarge,
     UnknownVariable,
+    Variable,
     CausalTree,
     belief_query,
     brute_force_marginal,
@@ -35,7 +37,7 @@ from logbel import (
 from logbel.contraction import (CALL_MULT_ADDS, _form, _rake_product, contract, materialize,
                                 matvec_cost, rake_cost, saves_a_call)
 from logbel.generate import random_likelihood
-from logbel.jointree import FactoredMatrix, Identity, _family_weights, _separator_conditional
+from logbel.jointree import FactoredMatrix, Identity
 from logbel.model import BruteForceOracle, TableBatch
 from logbel.propagate import FullState, LazyState
 
@@ -416,10 +418,11 @@ class TestCompile:
                                                rtol=0, atol=1e-12)
 
 
-    def test_one_table_validation_per_build(self, monkeypatch):
-        """normalize_tree checks nothing; build_engine validates the clique
-        tree of 2n nodes it emits once, each of its tables once, and never
-        needs the ordered pass."""
+    def test_builds_run_no_table_validation(self, monkeypatch):
+        """normalize_tree checks nothing, and build_engine does not validate
+        the clique tree it derives from a validated Polytree either:
+        test_matches_compiling_through_a_network_description validates
+        those tables through build_tree instead."""
         passes, batches = [], []
         store, decide = CausalTree._store_tables, TableBatch.valid
 
@@ -434,24 +437,52 @@ class TestCompile:
         wide = build_tree({"nodes": [{"id": "r", "domain": 2, "prior": [0.5, 0.5]}] + [
             {"id": f"c{i}", "domain": 2, "parent": "r", "cpt": [[0.9, 0.1], [0.2, 0.8]],
              "evidence": [1.0, 0.5]} for i in range(5)]})
-        corpus = polytree_corpus(np.random.default_rng(21), count=4, max_vars=12)
+        corpus = list(polytree_corpus(np.random.default_rng(21), count=4, max_vars=12))
         monkeypatch.setattr(CausalTree, "_store_tables", store_spy)
         monkeypatch.setattr(TableBatch, "valid", decide_spy)
         assert normalize_tree(wide)[0].n == 9  # rebuilt with three splitters
-        assert passes == [] and batches == []
         for pt in corpus:
-            passes.clear()
-            batches.clear()
             build_engine(pt)
-            assert passes == [2 * pt.n]
-            assert batches == [(2 * pt.n, pt.n)]  # 2n - 1 cpts and the prior; n likelihoods
+        assert passes == [] and batches == []
+
+    def test_constant_tables_are_shared_and_read_only(self):
+        """Within one build, every constant table of one shape is one
+        read-only array: the indicator leaves' initial likelihood and
+        normalize_tree's unit-leaf column, unit likelihood and splitter
+        identity."""
+        pt = random_polytree(40, 3, (2, 3), np.random.default_rng(23))
+        nodes = build_engine(pt).compiled.tree.nodes
+        leaves = [nodes[f"E:{vid}"].evidence for vid in pt.variables]
+        units = [node for node in nodes.values() if node.domain == 1]
+        splits = [node.cpt for node_id, node in nodes.items() if node_id.startswith("split")]
+        groups = [(leaves, np.ones), ([n.cpt for n in units], np.ones),
+                  ([n.evidence for n in units], np.ones), (splits, lambda shape: np.eye(*shape))]
+        for tables, make in groups:
+            assert tables
+            by_shape = {}
+            for table in tables:
+                assert by_shape.setdefault(table.shape, table) is table
+                assert not table.flags.writeable
+            for shape, table in by_shape.items():
+                np.testing.assert_array_equal(table, make(shape))
+        assert {len(table) for table in leaves} == {2, 3}
+        assert build_engine(pt).compiled.tree.nodes["E:v0"].evidence is not leaves[0]
 
     def test_matches_compiling_through_a_network_description(self):
-        """One-pass compilation is bit-identical to emitting the clique tree
-        as a description, reading it back with build_tree and normalizing."""
+        """One-pass compilation, which validates nothing, is bit-identical
+        to emitting the clique tree as a description, reading it back with
+        build_tree, which validates every table, and normalizing.  The
+        corpus covers domains 2-4 under three parents, and exact zeros in
+        priors and tables compiled under every root, so that clique edges
+        divide by marginals with zero entries."""
         rng = np.random.default_rng(22)
-        for pt in polytree_corpus(rng, count=10):
-            jt = build_join_tree(extract_cliques(pt), pt)
+        cases = [(pt, None) for pt in polytree_corpus(rng, count=10)]
+        cases += [(pt, None) for pt in polytree_corpus(rng, count=4, max_vars=10, p=3,
+                                                      k=(2, 4))]
+        zeroed = [_with_zeros(pt) for pt in polytree_corpus(rng, count=4, max_vars=6)]
+        cases += [(pt, root_var) for pt in zeroed for root_var in pt.variables]
+        for pt, root_var in cases:
+            jt = build_join_tree(extract_cliques(pt), pt, root_var=root_var)
             marginals = prior_marginals(pt)
             ref_tree, ref_coeffs = _compile_through_description(jt, pt, marginals)
             compiled = compile_join_tree(jt, pt, marginals)
@@ -488,6 +519,51 @@ class TestCompile:
                     assert ours.normalizer == theirs.normalizer
 
 
+def _with_zeros(pt):
+    """pt with exact zeros: every variable with a child loses its first
+    value from its prior or from every row of its table (the rest
+    renormalized), so that value has zero marginal."""
+    variables = []
+    for var in pt.variables.values():
+        prior, cpt = var.prior, var.cpt
+        if pt.children[var.id]:
+            table = (cpt if var.parents else prior[None]).copy()
+            table[:, 0] = 0.0
+            table /= table.sum(axis=1, keepdims=True)
+            prior, cpt = (None, table) if var.parents else (table[0], None)
+        variables.append(Variable(var.id, var.domain, list(var.parents), cpt, prior))
+    return Polytree(variables)
+
+
+def _reference_weights(pt, clique, marginals, given=None):
+    """p(variable | parents) times the marginals of every parent except
+    given, one weight per clique state, with the Kronecker product of the
+    parent marginals grown from a one, a parent at a time."""
+    var = pt.variables[clique.variable]
+    joint = np.ones(1)
+    for p in var.parents:
+        joint = np.outer(joint, np.ones(pt.variables[p].domain) if p == given
+                         else marginals[p]).ravel()
+    table = var.cpt.T if var.parents else var.prior[:, None]
+    return (table * joint).ravel()
+
+
+def _separator_conditional(pt, clique, separator, marginals, projection):
+    """R[s_value, clique_state] = p(clique state | separator = s_value) for
+    one clique; projection is clique.projection(separator).  A separator
+    equal to the clique's own variable divides its marginal out, and a
+    value of zero marginal gets a row uniform over its clique states."""
+    R = projection.T * _reference_weights(pt, clique, marginals, separator)
+    if separator == clique.variable:
+        own = marginals[separator]
+        if np.any(own == 0.0):
+            zero = own == 0.0
+            R[zero] = projection.T[zero]
+            own = np.where(zero, projection.sum(axis=0), own)
+        R /= own[:, None]
+    return R
+
+
 def _compile_through_description(jt, pt, marginals):
     """Reference for compile_join_tree: the clique tree as a network
     description, read back and validated by build_tree, then normalized."""
@@ -498,7 +574,7 @@ def _compile_through_description(jt, pt, marginals):
         clique = jt.cliques[cvar]
         entry = {"id": f"C:{cvar}", "domain": clique.K}
         if jt.parent[cvar] is None:
-            entry["prior"] = _family_weights(pt, clique, marginals)
+            entry["prior"] = _reference_weights(pt, clique, marginals)
         else:
             parent_cvar, separator = jt.parent[cvar]
             entry["parent"] = f"C:{parent_cvar}"

@@ -20,9 +20,11 @@ from logbel import (
     Node,
     NotALeaf,
     NotAPolytree,
+    Polytree,
     RowNotStochastic,
     StateSpaceTooLarge,
     UnknownNode,
+    Variable,
     brute_force_marginal,
     build_polytree,
     build_tree,
@@ -566,6 +568,16 @@ def test_each_input_fault_is_reported_alike_by_both_builders(fault):
             builder(copy.deepcopy(description))
         assert type(info.value) is want, builder.__name__
         assert named is None or named in str(info.value), (builder.__name__, str(info.value))
+
+
+@pytest.mark.parametrize("bad_id", ["", 3, None], ids=["empty", "int", "none"])
+def test_both_constructors_take_only_non_empty_string_ids(bad_id):
+    """The id rule belongs to index_by_id, which CausalTree and Polytree
+    both call, so a network built without a description keeps it too."""
+    with pytest.raises(FormatError, match="non-empty string"):
+        CausalTree([Node(id=bad_id, domain=2, prior=[0.5, 0.5])])
+    with pytest.raises(FormatError, match="non-empty string"):
+        Polytree([Variable(id=bad_id, domain=2, parents=[], cpt=None, prior=[0.5, 0.5])])
 
 
 # -- the batched table check against the ordered one ------------------------------

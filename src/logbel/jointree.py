@@ -3,13 +3,14 @@
 A polytree's moral graph is chordal and each of its maximal cliques is a
 family {v} union parents(v), so the join tree has one clique per variable,
 one edge per polytree edge, and singleton separators.  The join tree is
-itself a causal tree over clique-valued variables.  build_engine hands it
-to a tree engine, the contraction index by default, with each edge in a
-coefficient form contraction.py defines: an edge conditional factored as
-(projection J) . (separator-conditional R) on cliques where that saves a
-numpy call, keeping their rake updates O(K L^2) instead of O(K^3), and
-identity edges as Identity, which cost nothing.  Every polytree update and
-query is one call of that engine's update or query on the compiled tree.
+itself a causal tree over clique-valued variables whose tables are the
+polytree's own family tables.  build_engine hands it to a tree engine, the
+contraction index by default, with each edge in a coefficient form
+contraction.py defines: an edge table factored as (projection J) .
+(separator table R) on cliques where that saves a numpy call, keeping
+their rake updates O(K L^2) instead of O(K^3), and identity edges as
+Identity, which cost nothing.  Every polytree update and query is one call
+of that engine's update or query on the compiled tree.
 
 Clique states use mixed-radix indexing with the clique's own variable most
 significant, then its parents in declaration order.  CPT rows likewise run
@@ -91,7 +92,6 @@ class Polytree:
         self._check_structure()
         check_domains(variables)
         validate_tables(self._store_tables)
-        self._order = self._sort()
 
     def _check_structure(self) -> None:
         """No repeated parent and no self-parent, so the skeleton is a
@@ -139,12 +139,9 @@ class Polytree:
         return max(len(v.parents) for v in self.variables.values())
 
     def topological_order(self) -> list[str]:
-        """Parents before children, as sorted when the network was built."""
-        return list(self._order)
-
-    def _sort(self) -> list[str]:
-        """Kahn's sort, complete because _check_structure proved the
-        skeleton a tree, so no cycle is directed."""
+        """Parents before children, by Kahn's sort, complete because
+        _check_structure proved the skeleton a tree, so no cycle is
+        directed."""
         order: list[str] = []
         pending = {vid: len(v.parents) for vid, v in self.variables.items()}
         ready = [vid for vid, deg in pending.items() if deg == 0]
@@ -202,20 +199,13 @@ class Clique:
     members: list[str]
     domains: list[int]
     K: int = field(init=False)
-    strides: list[int] = field(init=False)
 
     def __post_init__(self):
         self.K = math.prod(self.domains)
-        strides = []
-        acc = 1
-        for d in reversed(self.domains):
-            strides.append(acc)
-            acc *= d
-        self.strides = list(reversed(strides))
 
     def digit(self, state: int, member: str) -> int:
         i = self.members.index(member)
-        return (state // self.strides[i]) % self.domains[i]
+        return (state // math.prod(self.domains[i + 1:])) % self.domains[i]
 
     def projection(self, member: str) -> np.ndarray:
         """K x k_member 0/1 matrix picking the member's coordinate; exactly
@@ -318,50 +308,34 @@ def prior_marginals(pt: Polytree) -> dict[str, np.ndarray]:
         if not var.parents:
             marginals[vid] = var.prior.copy()
             continue
-        marginals[vid] = var.cpt.T @ _parent_joint(pt, var, marginals)
+        joint = marginals[var.parents[0]]
+        for p in var.parents[1:]:
+            joint = np.outer(joint, marginals[p]).ravel()
+        marginals[vid] = var.cpt.T @ joint
     return marginals
-
-
-def _parent_joint(pt: Polytree, var: Variable, marginals: dict[str, np.ndarray]) -> np.ndarray:
-    """Kronecker product of the marginals of var's parents, in their order,
-    from the first; built as flattened outer products, which is faster on
-    short vectors."""
-    joint = marginals[var.parents[0]]
-    for p in var.parents[1:]:
-        joint = np.outer(joint, marginals[p]).ravel()
-    return joint
 
 
 # -- compilation to a causal tree --------------------------------------------------
 
 
-def _family_weights(pt: Polytree, clique: Clique, marginals: dict[str, np.ndarray]) -> np.ndarray:
-    """The clique's prior: p(variable | parents) times the marginals of its
-    parents, one weight per clique state (own variable most significant,
-    as Clique.strides)."""
-    var = pt.variables[clique.variable]
-    if not var.parents:
-        return var.prior.copy()
-    return (var.cpt.T * _parent_joint(pt, var, marginals)).ravel()
+def _family_table(var: Variable) -> np.ndarray:
+    """phi_v: P(v | parents), or v's prior, one entry per state of v's
+    clique (own variable most significant, as in Clique)."""
+    return var.cpt.T.ravel() if var.parents else var.prior
 
 
-def _separator_conditionals(jt: JoinTree, pt: Polytree, marginals: dict[str, np.ndarray],
+def _separator_conditionals(jt: JoinTree, pt: Polytree,
                             projection: Callable[[Clique, str], np.ndarray]
                             ) -> dict[str, np.ndarray]:
-    """R[s_value, clique_state] = p(clique state | separator = s_value) for
-    every clique but the root's, by clique variable; projection(clique,
-    member) is the shared clique.projection(member).
+    """R[s_value, clique_state] = [clique state agrees with s_value] .
+    phi_v(clique state) for every clique but the root's, by clique variable
+    v; projection(clique, member) is the shared clique.projection(member).
 
-    The cliques are stacked by shape and separator position, and each
-    stack is computed in a few numpy calls.  A clique's weights are its
-    family table times the Kronecker product of its parents' marginals,
-    all ones in place of the separator's, broadcast over the stack; R
-    spreads them over the separator's values.  For a separator equal to
-    the clique's own variable the parent marginals enter in full and the
-    variable's own marginal divides out (Bayes flip).  A value of zero
-    prior mass is reached only through parent-clique states of zero prior
-    mass, so any stochastic row is exact there: its row is uniform over
-    the clique states with that value.
+    Each family table sits on one edge or on the root prior, so the tables'
+    product over consistent clique states is the joint (Lauritzen &
+    Spiegelhalter 1988); no row need be stochastic and no prior marginal
+    enters.  One broadcast product per stack of cliques of one shape and
+    separator position.
     """
     stacks: dict[tuple, list[Clique]] = {}
     for cvar, up in jt.parent.items():
@@ -371,22 +345,9 @@ def _separator_conditionals(jt: JoinTree, pt: Polytree, marginals: dict[str, np.
             stacks.setdefault(key, []).append(clique)
     out: dict[str, np.ndarray] = {}
     for (domains, pos), cliques in stacks.items():
-        joint = np.ones((len(cliques), 1))  # (stack, parent states so far)
-        for i, d in enumerate(domains[1:], 1):
-            factor = np.ones((len(cliques), d)) if i == pos else \
-                np.stack([marginals[c.members[i]] for c in cliques])
-            joint = (joint[:, :, None] * factor[:, None, :]).reshape(len(cliques), -1)
-        variables = [pt.variables[c.variable] for c in cliques]
-        tables = np.stack([v.cpt.T if v.parents else v.prior[:, None] for v in variables])
-        weights = (tables * joint[:, None, :]).reshape(len(cliques), -1)
+        tables = np.stack([_family_table(pt.variables[c.variable]) for c in cliques])
         spread = projection(cliques[0], cliques[0].members[pos]).T
-        R = spread * weights[:, None, :]
-        if pos == 0:
-            own = np.stack([marginals[c.variable] for c in cliques])
-            zero = own == 0.0
-            R = np.where(zero[:, :, None], spread, R)
-            R /= np.where(zero, spread.sum(axis=1), own)[:, :, None]
-        out.update(zip((c.variable for c in cliques), R))
+        out.update(zip((c.variable for c in cliques), spread * tables[:, None, :]))
     return out
 
 
@@ -401,11 +362,12 @@ class CompiledTree:
 
 
 def compile_join_tree(jt: JoinTree, pt: Polytree,
-                      marginals: dict[str, np.ndarray] | None = None,
                       state_cap: int = DEFAULT_CLIQUE_CAP) -> CompiledTree:
-    """Emit the clique causal tree: domain-K clique nodes, edge
-    conditionals, one indicator evidence leaf per variable, then normalize
-    to complete binary form.
+    """Emit the clique causal tree: domain-K clique nodes, one family table
+    per edge, one indicator evidence leaf per variable, then normalize to
+    complete binary form.  The root clique's prior is phi_root undivided,
+    so the evidence-free mass is 1 under every root and Belief.normalizer
+    is P(evidence).
 
     Each edge's coefficient form (contraction.py) is known from shapes by
     construction and never by comparing arrays.  coeffs lists the edges
@@ -419,17 +381,13 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
     - the other evidence leaves (a projection) and the unit leaves (an
       all-ones column) keep their dense tables.
 
-    The separator conditionals R are computed in stacks, one per clique
-    shape and separator position (_separator_conditionals).  Every table
-    is derived from the validated Polytree, so the emitted tree is not
-    validated again (CausalTree.unchecked); the test suite compares it,
-    bit for bit, with the same tree read back and validated by
-    build_tree.  Constant tables are built once per shape and shared,
+    Every table is derived from the validated Polytree, so the emitted
+    tree is not validated again (CausalTree.unchecked); the test suite
+    compares it, bit for bit, with a reference built clique by clique and
+    normalized.  Constant tables are built once per shape and shared,
     read-only, by every edge and leaf of this tree that needs them: the
     projections and the indicator leaves' initial all-ones likelihood.
     """
-    if marginals is None:
-        marginals = prior_marginals(pt)
     for clique in jt.cliques.values():
         if clique.K > state_cap:
             raise DimensionOverflow(
@@ -441,7 +399,7 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
         return shared_table(shared, _projection, tuple(clique.domains),
                             clique.members.index(member))
 
-    conditionals = _separator_conditionals(jt, pt, marginals, projection)
+    conditionals = _separator_conditionals(jt, pt, projection)
     nodes: list[Node] = []
     coeffs: dict[str, object] = {}
     clique_node: dict[str, str] = {}
@@ -456,7 +414,7 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
         evidence_leaf[cvar] = leaf_id
         node = Node(id=node_id, domain=clique.K)
         if jt.parent[cvar] is None:
-            node.prior = _family_weights(pt, clique, marginals)
+            node.prior = _family_table(pt.variables[cvar])
         else:
             parent_cvar, separator = jt.parent[cvar]
             node.parent = f"C:{parent_cvar}"
@@ -523,8 +481,7 @@ def build_engine(pt: Polytree, root_var: str | None = None,
     coefficient forms, compiled.coeffs."""
     cliques = extract_cliques(pt)
     jt = build_join_tree(cliques, pt, root_var=root_var)
-    marginals = prior_marginals(pt)
-    compiled = compile_join_tree(jt, pt, marginals, state_cap=state_cap)
+    compiled = compile_join_tree(jt, pt, state_cap=state_cap)
     if tree_engine is None:
         index = contract(compiled.tree, coeffs=compiled.coeffs)
     else:

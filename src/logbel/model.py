@@ -283,7 +283,7 @@ class Node:
     domain: int
     parent: str | None = None
     children: list[str] = field(default_factory=list)  # CausalTree derives it
-    cpt: np.ndarray | None = None       # (parent domain, own domain), row-stochastic
+    cpt: np.ndarray | None = None       # (parent domain, own domain)
     prior: np.ndarray | None = None     # root only
     evidence: np.ndarray | None = None  # leaves only
 
@@ -305,9 +305,9 @@ class CausalTree:
         """A tree over nodes, children derived from parent links, checking
         nothing else: for builders whose tables are valid by construction.
         normalize_tree's output holds a validated tree's tables and the
-        dummies' constant ones; compile_join_tree's clique tree holds
-        tables derived from a validated Polytree, which the test suite
-        validates through build_tree and compares bit for bit."""
+        dummies' constant ones; compile_join_tree's clique tree holds a
+        validated Polytree's family tables, not all rows stochastic, which
+        the test suite compares bit for bit with a reference."""
         tree = cls.__new__(cls)
         tree.nodes = {node.id: node for node in nodes}
         tree.root = root
@@ -341,8 +341,6 @@ class CausalTree:
         stack = [self.root]
         while stack:
             cur = stack.pop()
-            if cur in seen:
-                raise Cycle(f"node {cur!r} reached twice")
             seen.add(cur)
             stack.extend(self.nodes[cur].children)
         if len(seen) != len(self.nodes):

@@ -38,7 +38,7 @@ from logbel.contraction import (CALL_MULT_ADDS, _form, _rake_product, contract, 
                                 matvec_cost, rake_cost, saves_a_call)
 from logbel.generate import random_likelihood
 from logbel.jointree import FactoredMatrix, Identity
-from logbel.model import BruteForceOracle, TableBatch
+from logbel.model import BruteForceOracle, Node, TableBatch
 from logbel.propagate import FullState, LazyState
 
 
@@ -374,13 +374,36 @@ class TestCompile:
         np.testing.assert_array_equal(leaf_a, np.eye(32))
         assert compile_join_tree(jt, pt).tree.nodes["E:a"].cpt is not leaf_a
 
-    def test_dense_edges_are_row_stochastic(self):
-        pt = vee_polytree()
-        jt = build_join_tree(extract_cliques(pt), pt)
-        compiled = compile_join_tree(jt, pt)
-        for node_id, node in compiled.tree.nodes.items():
-            if node.cpt is not None:
-                np.testing.assert_allclose(node.cpt.sum(axis=1), 1.0, atol=1e-9)
+    def test_each_family_table_sits_on_one_edge_or_the_root_prior(self):
+        """Every compiled table is finite and nonnegative.  The root
+        clique's prior is its family table phi, undivided; any other
+        clique's edge is [parent-clique state agrees on the separator] .
+        phi; every other table is 0/1.  So each variable's family table
+        sits on exactly one clique edge or on the root prior."""
+        rng = np.random.default_rng(24)
+        corpus = [vee_polytree(), *polytree_corpus(rng, count=6, max_vars=7, p=3)]
+        for pt in corpus + [_with_zeros(pt) for pt in corpus]:
+            for root_var in pt.variables:
+                jt = build_join_tree(extract_cliques(pt), pt, root_var=root_var)
+                nodes = compile_join_tree(jt, pt).tree.nodes
+                for node in nodes.values():
+                    for table in (node.cpt, node.prior):
+                        assert table is None or (np.all(np.isfinite(table)) and
+                                                 np.all(table >= 0.0))
+                for cvar, clique in jt.cliques.items():
+                    node = nodes[f"C:{cvar}"]
+                    phi = _reference_family_table(pt, clique)
+                    if jt.parent[cvar] is None:
+                        np.testing.assert_array_equal(node.prior, phi)
+                        continue
+                    parent_cvar, sep = jt.parent[cvar]
+                    upper = jt.cliques[parent_cvar]
+                    agree = np.array([[upper.digit(r, sep) == clique.digit(c, sep)
+                                       for c in range(clique.K)] for r in range(upper.K)])
+                    np.testing.assert_array_equal(node.cpt, agree * phi)
+                constants = [node.cpt for node_id, node in nodes.items()
+                             if not node_id.startswith("C:")]
+                assert all(np.isin(table, (0.0, 1.0)).all() for table in constants)
 
     def test_factored_forms_match_dense_edges(self):
         pt = vee_polytree()
@@ -400,8 +423,9 @@ class TestCompile:
             build_engine(pt, state_cap=4)
 
     def test_zero_marginal_divisor(self):
-        """Rooted at v1, v0's clique edge divides by v0's marginal, which has
-        a zero entry; that row is never reached, so the answers are exact."""
+        """v0's prior has a zero entry.  Under either root its family table
+        sits on one edge or the root prior as it is, zero included, and
+        nothing divides by a marginal, so the answers are exact."""
         pt = build_polytree({"variables": [
             {"id": "v0", "domain": 2, "prior": [1.0, 0.0]},
             {"id": "v1", "domain": 2, "parents": ["v0"],
@@ -421,8 +445,10 @@ class TestCompile:
     def test_builds_run_no_table_validation(self, monkeypatch):
         """normalize_tree checks nothing, and build_engine does not validate
         the clique tree it derives from a validated Polytree either:
-        test_matches_compiling_through_a_network_description validates
-        those tables through build_tree instead."""
+        test_each_family_table_sits_on_one_edge_or_the_root_prior checks
+        what its tables guarantee, and
+        test_matches_compiling_through_a_network_description compares them
+        with a reference built clique by clique."""
         passes, batches = [], []
         store, decide = CausalTree._store_tables, TableBatch.valid
 
@@ -469,12 +495,10 @@ class TestCompile:
         assert build_engine(pt).compiled.tree.nodes["E:v0"].evidence is not leaves[0]
 
     def test_matches_compiling_through_a_network_description(self):
-        """One-pass compilation, which validates nothing, is bit-identical
-        to emitting the clique tree as a description, reading it back with
-        build_tree, which validates every table, and normalizing.  The
-        corpus covers domains 2-4 under three parents, and exact zeros in
-        priors and tables compiled under every root, so that clique edges
-        divide by marginals with zero entries."""
+        """Stacked compilation is bit-identical to a reference built one
+        clique at a time, each edge a spread of its family table, then
+        normalized.  The corpus covers domains 2-4 under three parents,
+        and exact zeros in priors and tables compiled under every root."""
         rng = np.random.default_rng(22)
         cases = [(pt, None) for pt in polytree_corpus(rng, count=10)]
         cases += [(pt, None) for pt in polytree_corpus(rng, count=4, max_vars=10, p=3,
@@ -483,9 +507,8 @@ class TestCompile:
         cases += [(pt, root_var) for pt in zeroed for root_var in pt.variables]
         for pt, root_var in cases:
             jt = build_join_tree(extract_cliques(pt), pt, root_var=root_var)
-            marginals = prior_marginals(pt)
-            ref_tree, ref_coeffs = _compile_through_description(jt, pt, marginals)
-            compiled = compile_join_tree(jt, pt, marginals)
+            ref_tree, ref_coeffs = _compile_clique_by_clique(jt, pt)
+            compiled = compile_join_tree(jt, pt)
             assert list(compiled.tree.nodes) == list(ref_tree.nodes)
             for node_id, node in compiled.tree.nodes.items():
                 ref = ref_tree.nodes[node_id]
@@ -535,64 +558,46 @@ def _with_zeros(pt):
     return Polytree(variables)
 
 
-def _reference_weights(pt, clique, marginals, given=None):
-    """p(variable | parents) times the marginals of every parent except
-    given, one weight per clique state, with the Kronecker product of the
-    parent marginals grown from a one, a parent at a time."""
+def _reference_family_table(pt, clique):
+    """phi_v(clique state), read digit by digit from the variable's table
+    with one axis per parent (Polytree.families)."""
+    table = next(t for vid, _, _, t, _ in pt.families() if vid == clique.variable)
     var = pt.variables[clique.variable]
-    joint = np.ones(1)
-    for p in var.parents:
-        joint = np.outer(joint, np.ones(pt.variables[p].domain) if p == given
-                         else marginals[p]).ravel()
-    table = var.cpt.T if var.parents else var.prior[:, None]
-    return (table * joint).ravel()
+    return np.array([table[tuple(clique.digit(c, m) for m in var.parents + [var.id])]
+                     for c in range(clique.K)])
 
 
-def _separator_conditional(pt, clique, separator, marginals, projection):
-    """R[s_value, clique_state] = p(clique state | separator = s_value) for
-    one clique; projection is clique.projection(separator).  A separator
-    equal to the clique's own variable divides its marginal out, and a
-    value of zero marginal gets a row uniform over its clique states."""
-    R = projection.T * _reference_weights(pt, clique, marginals, separator)
-    if separator == clique.variable:
-        own = marginals[separator]
-        if np.any(own == 0.0):
-            zero = own == 0.0
-            R[zero] = projection.T[zero]
-            own = np.where(zero, projection.sum(axis=0), own)
-        R /= own[:, None]
-    return R
-
-
-def _compile_through_description(jt, pt, marginals):
-    """Reference for compile_join_tree: the clique tree as a network
-    description, read back and validated by build_tree, then normalized."""
+def _compile_clique_by_clique(jt, pt):
+    """Reference for compile_join_tree: the clique tree built one clique at
+    a time, each edge its separator's spread times its family table, then
+    normalized.  build_tree would reject the rows that are not stochastic,
+    so the nodes go through CausalTree.unchecked."""
     nodes, coeffs = [], {}
     stack = [jt.root]
     while stack:
         cvar = stack.pop()
         clique = jt.cliques[cvar]
-        entry = {"id": f"C:{cvar}", "domain": clique.K}
+        node = Node(id=f"C:{cvar}", domain=clique.K)
+        phi = _reference_family_table(pt, clique)
         if jt.parent[cvar] is None:
-            entry["prior"] = _reference_weights(pt, clique, marginals)
+            node.prior = phi
         else:
             parent_cvar, separator = jt.parent[cvar]
-            entry["parent"] = f"C:{parent_cvar}"
+            node.parent = f"C:{parent_cvar}"
             J = jt.cliques[parent_cvar].projection(separator)
-            R = _separator_conditional(pt, clique, separator, marginals,
-                                       clique.projection(separator))
-            entry["cpt"] = J @ R
+            R = clique.projection(separator).T * phi
+            node.cpt = J @ R
             if saves_a_call((J.shape, R.shape)):
-                coeffs[entry["id"]] = FactoredMatrix(J, R)
-        nodes.append(entry)
+                coeffs[node.id] = FactoredMatrix(J, R)
+        nodes.append(node)
         k = clique.domains[0]
         J_own = clique.projection(cvar)
-        nodes.append({"id": f"E:{cvar}", "domain": k, "parent": entry["id"],
-                      "cpt": J_own, "evidence": [1.0] * k})
+        nodes.append(Node(id=f"E:{cvar}", domain=k, parent=node.id, cpt=J_own,
+                          evidence=np.ones(k)))
         if np.array_equal(J_own, np.eye(k)):
             coeffs[f"E:{cvar}"] = Identity(k)
         stack.extend(cv for cv, _ in reversed(jt.children[cvar]))
-    raw = build_tree({"nodes": nodes})
+    raw = CausalTree.unchecked(nodes, f"C:{jt.root}")
     tree, _ = normalize_tree(raw)
     for node_id, node in tree.nodes.items():
         if node_id not in raw.nodes and np.array_equal(node.cpt, np.eye(*node.cpt.shape)):
@@ -610,10 +615,12 @@ class TestEngine:
 
     def test_matches_brute_force_under_updates(self):
         # every root: a root with parents sends separators through the
-        # clique's own variable (the Bayes flip), a parentless one does not;
-        # every tree engine answers the compiled tree
+        # clique's own variable, a parentless one does not; every tree
+        # engine answers the compiled tree, with and without zero priors,
+        # and its normalizer is P(evidence)
         rng = np.random.default_rng(6)
-        for pt in polytree_corpus(rng, count=10, max_vars=8):
+        corpus = list(polytree_corpus(rng, count=10, max_vars=8))
+        for pt in corpus + [_with_zeros(pt) for pt in corpus]:
             seed = int(rng.integers(1 << 31))
             for root, tree_engine in itertools.product(pt.variables,
                                                        (None, LazyState, FullState)):
@@ -622,7 +629,9 @@ class TestEngine:
                 for vid in pt.variables:
                     got = polytree_query(engine, vid)
                     expected = brute_polytree_marginal(pt, engine.evidence, vid)
-                    np.testing.assert_allclose(got.dist, expected.dist, atol=1e-9)
+                    np.testing.assert_allclose(got.dist, expected.dist, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(got.normalizer, expected.normalizer,
+                                               rtol=1e-12)
 
     def test_uniform_likelihood_is_a_no_op(self):
         rng = np.random.default_rng(7)

@@ -7,12 +7,21 @@ child z under u, and rewrites u's coefficient on that side as
     new_coeff = old_coeff . Diag(e_side_coeff . lambda(e)) . z_side_coeff
 
 so the likelihood equation of u stays correct for the smaller tree.  A
-rake is one record, the version of u's equation it writes (RakeEquation,
-a CoeffRecord).  It stores exactly one new matrix, and every stored
-matrix (and every leaf likelihood) feeds at most one higher equation.  An
-evidence update therefore walks a single chain of equations; a belief
-query walks one root-ward path of equation versions.  Both touch O(log N)
-equations on balanced rake schedules.
+rake is the version of u's equation it writes.  It stores exactly one new
+matrix, and every stored matrix (and every leaf likelihood) feeds at most
+one higher equation.  An evidence update therefore walks a single chain of
+equations; a belief query walks one root-ward path of equation versions.
+Both touch O(log N) equations on balanced rake schedules.
+
+Storage.  The index is columns, one row per stored matrix (a slot) and one
+per equation version (see _Rows).  A round rakes every other interior leaf
+of the frontier; contract() computes it in two array passes (rake), the
+leaves that are left children first, then those that are right children,
+which may read what the first pass wrote.  This is the order in which the
+round's rakes would run one at a time, left to right, so rows keep that
+order.  The update chain and the query walk read the columns; Slot,
+CoeffRecord and RakeEquation are read-only views of rows, made when asked
+for.
 
 Coefficient forms.  This module owns how a stored coefficient is kept,
 what its products cost and which form a product keeps.  A coefficient is a
@@ -41,12 +50,15 @@ cached result is reused.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from operator import attrgetter
 from types import MappingProxyType
+from weakref import ref
 
 import numpy as np
 
@@ -55,6 +67,16 @@ from .errors import ConstructionError, DimensionMismatch, LevelOutOfRange, TreeT
 from .model import Belief, CausalTree, collector_paused, normalize_belief, set_evidence
 
 LEFT, RIGHT = 0, 1
+
+# contract() stacks the products of a round's rakes over plain arrays and
+# identities of one shape from this many rakes on (see _Build.multiply)
+STACK_MIN = 8
+PLAIN, IDENTITY, OTHER = 0, 1, 2  # what a slot holds: an ndarray, an Identity, else
+# so that the stacked copies stay small: base tables are stacked once up to
+# this many entries each, and a stacked product takes up to this many
+# entries per input
+POOLED_ENTRIES = 16
+STACKED_ENTRIES = 1 << 15
 
 
 # -- coefficient forms, their products and their counts -----------------------
@@ -287,35 +309,136 @@ def _rake_costs(K: int, e_form: tuple, parent_form: tuple, z_form: tuple) -> tup
             sum_costs(matvec_cost(z_form), (0, 0, 1, K, 0)))
 
 
-def _record_cost(rec: "CoeffRecord") -> tuple:
-    """equation_cost of an equation version."""
-    return equation_cost(rec.left.coeff.shape[0], rec.left.form, rec.right.form)
-
-
 # -- stored structure ------------------------------------------------------------
 
-class Slot:
-    """Mutable holder for one stored coefficient matrix.
+class _Rows:
+    """The index's columns.  Nodes are numbered in tree order, and slot s,
+    version v and rake k by row: base version b stores slots 2b (left) and
+    2b + 1 (right), and rake k is version base + k and writes slot
+    2 * base + k.  Row order is storage order: the base equations in tree
+    order, then the rakes in build order.  Lists hold what updates and
+    queries read, arrays what only the views read.  ids names the nodes,
+    base counts the base versions, forms holds each form once, views
+    reaches the index's view cache weakly, and longest_chain and
+    deepest_walk are for stats().
 
-    form is the coefficient's form, set with its first coefficient (a rake's
-    output slot gets both from rake()); every product keeps the form its
-    operands' shapes decide, so no update changes it.  consumer is the
-    at-most-one rake equation this matrix feeds; it is the hook the update
-    walk follows.  chain_cost counts the consumer chain an update that
-    changes this matrix recomputes: rake() sets the consumer's step, entered
-    through this slot, and contract() adds the rest when it ends.
+    Per node: start, the version its query walk starts from (its own last,
+    or for a leaf its parent's); rake_of, the rake that consumes a leaf
+    (-1 for none).
+    Per slot: cells, a list whose first item is the slot's coefficient,
+    which an update replaces in place: a base slot's [coefficient], a
+    rake's output's the rake's record; form (an index into forms);
+    consumer, the rake the slot feeds (-1 for none).
+    Per version: owner, level, left_slot/right_slot and their cells
+    left/right, left_child/right_child; above, the next version on the
+    query walk (-1 for the root's last); down, the record of the rake that
+    is its above; below, whether the version is the one its above rewrites
+    (else it is the last of the parent its above removes); cost; walk_cost,
+    kept for the versions queries start from.
+    Per rake: records, [output, diag, scaled, e-side cell, parent cell,
+    z-side cell, the record of the rake the output feeds (None for none),
+    how the output enters it (0 e side, 1 parent side, 2 z side), leaf,
+    parent side, leaf side, the cell the version keeps from the one it
+    rewrites]; cls, its cost class, whose steps are in steps; parent,
+    leaf_side, parent_side, e_in, p_in, z_in and gv (the version it
+    rewrites) for the views; update_cost, the chain_cost of e_in.
     """
 
-    __slots__ = ("coeff", "form", "consumer", "owner", "side", "level", "chain_cost")
+    __slots__ = ("ids", "base", "forms", "views", "start", "rake_of", "steps", "cls",
+                 "longest_chain", "deepest_walk",
+                 "cells", "form", "consumer",
+                 "owner", "level", "left_slot", "right_slot", "left", "right", "left_child",
+                 "right_child", "above", "down", "below", "cost", "walk_cost",
+                 "records", "parent", "leaf_side", "parent_side", "e_in", "p_in", "z_in", "gv",
+                 "update_cost")
 
-    def __init__(self, coeff, owner: str, side: int, level: int):
-        self.coeff = coeff
-        self.form = None if coeff is None else _form(coeff)
-        self.consumer: RakeEquation | None = None
-        self.owner = owner
-        self.side = side
-        self.level = level
-        self.chain_cost = NO_COST
+    def slot(self, s: int) -> "Slot":
+        return self._view(Slot, int(s), int(s))
+
+    def version(self, v: int) -> "CoeffRecord":
+        v = int(v)
+        return self._view(CoeffRecord if v < self.base else RakeEquation, v, ~v)
+
+    def _view(self, kind, row: int, key: int):
+        """The view of a row.  The index keeps each view it has made, and
+        the rows reach that cache only weakly, so no view holds itself."""
+        views = self.views()
+        if views is None:  # the index is gone
+            return kind(self, row)
+        view = views.get(key)
+        if view is None:
+            view = views[key] = kind(self, row)
+        return view
+
+
+class _Views(dict):
+    """The views an index has made: a slot's by its row s, a version's by
+    ~v.  A dict that can be referenced weakly."""
+
+
+class _View:
+    __slots__ = ("_rows", "_row")
+
+    def __init__(self, rows: _Rows, row: int):
+        self._rows = rows
+        self._row = row
+
+
+class Slot(_View):
+    """One stored coefficient matrix, a view of its row.
+
+    form is fixed with the coefficient: every product keeps the form its
+    operands' shapes decide, so no update changes it; coeff alone may be
+    set.  consumer is the at-most-one rake equation this matrix feeds; the
+    update walk follows it.  chain_cost counts the consumer chain an update
+    that changes this matrix recomputes.
+    """
+
+    __slots__ = ()
+
+    @property
+    def coeff(self):
+        return self._rows.cells[self._row][0]
+
+    @coeff.setter
+    def coeff(self, value) -> None:
+        self._rows.cells[self._row][0] = value
+
+    form = property(lambda self: self._rows.forms[self._rows.form[self._row]])
+    @property
+    def owner(self) -> str:
+        return self._rows.version(self._version()).owner
+
+    @property
+    def side(self) -> int:
+        rows, s = self._rows, self._row
+        return s % 2 if s < 2 * rows.base else int(rows.parent_side[s - 2 * rows.base])
+
+    @property
+    def level(self) -> int:
+        return int(self._rows.level[self._version()])
+
+    def _version(self) -> int:
+        """The version that stores this slot first: a base one, or a rake."""
+        s, base = self._row, self._rows.base
+        return s // 2 if s < 2 * base else s - base
+
+    @property
+    def chain_cost(self) -> tuple:
+        rows, s, total = self._rows, self._row, NO_COST
+        k = int(rows.consumer[s])
+        while k >= 0:  # the step entering rake k through slot s, and on
+            entry = 0 if rows.e_in[k] == s else 1 if rows.p_in[k] == s else 2
+            total = sum_costs(total, rows.steps[rows.cls[k]][entry])
+            s = 2 * rows.base + k
+            k = int(rows.consumer[s])
+        return total
+
+    @property
+    def consumer(self) -> "RakeEquation | None":
+        rows = self._rows
+        k = int(rows.consumer[self._row])
+        return None if k < 0 else rows.version(rows.base + k)
 
     def describe(self) -> tuple[str, str, int]:
         return (self.owner, "left" if self.side == LEFT else "right", self.level)
@@ -325,8 +448,9 @@ class Slot:
         return f"<Slot {owner}.{side} level={level}>"
 
 
-class CoeffRecord:
-    """One version of a node's two-sided likelihood equation.
+class CoeffRecord(_View):
+    """One version of a node's two-sided likelihood equation, a view of its
+    row.
 
     lambda(owner) = left.coeff . lambda(left_child) * right.coeff . lambda(right_child)
 
@@ -338,26 +462,25 @@ class CoeffRecord:
     above is the next version on the root-ward query walk: the owner's next
     version, or, for the last version of a raked node, the rake that
     absorbed it; None only for the root's terminal version.  cost counts
-    one evaluation of this equation (_record_cost) and walk_cost the whole
-    walk that builds this version's (pi, lambda, lambda) triple: the rake
-    that sets above sets the step below it, and contract() adds the rest
-    when it ends.
+    one evaluation of this equation (equation_cost) and walk_cost the whole
+    walk that builds this version's (pi, lambda, lambda) triple.
     """
 
-    __slots__ = ("owner", "level", "left", "right", "left_child", "right_child",
-                 "above", "cost", "walk_cost")
+    __slots__ = ()
 
-    def __init__(self, owner: str, level: int, left: Slot, right: Slot,
-                 left_child: str, right_child: str):
-        self.owner = owner
-        self.level = level
-        self.left = left
-        self.right = right
-        self.left_child = left_child
-        self.right_child = right_child
-        self.above: CoeffRecord | None = None
-        self.cost = NO_COST
-        self.walk_cost = NO_COST
+    owner = property(lambda self: self._rows.ids[self._rows.owner[self._row]])
+    level = property(lambda self: int(self._rows.level[self._row]))
+    left = property(lambda self: self._rows.slot(self._rows.left_slot[self._row]))
+    right = property(lambda self: self._rows.slot(self._rows.right_slot[self._row]))
+    left_child = property(lambda self: self._rows.left_child[self._row])
+    right_child = property(lambda self: self._rows.right_child[self._row])
+    cost = property(lambda self: self._rows.cost[self._row])
+    walk_cost = property(lambda self: _walk_cost(self._rows, self._row))
+
+    @property
+    def above(self) -> "CoeffRecord | None":
+        v = self._rows.above[self._row]
+        return None if v < 0 else self._rows.version(v)
 
     def side_slot(self, side: int) -> Slot:
         return self.left if side == LEFT else self.right
@@ -371,38 +494,32 @@ class RakeEquation(CoeffRecord):
     owner is u and whose slot on x's side, output, holds
     output = parent_input . Diag(e_side_input . lambda(leaf)) . z_side_input
 
-    Built from the leaf e, x's last version parent_rec and u's, grand_pre,
-    which it rewrites: it keeps grand_pre's slot on the other side, and the
-    above of both is this rake.  diag caches e_side_input . lambda(leaf)
-    and scaled the left half of the product, parent_input * diag (an
-    ndarray, a FactoredMatrix or, through an identity parent, a
-    _Diagonal): rake() sets both, and _recompute refreshes diag when the
-    leaf or the e-side slot changes and scaled when diag or the parent slot
-    does.  So a step entered through the leaf or the e side refreshes both,
-    through the parent side scaled only, through the z side neither.
+    It rewrites u's previous version: it keeps that version's slot on the
+    other side, and the above of both it and x's last version is this
+    rake.  diag caches e_side_input . lambda(leaf) and scaled the left half
+    of the product, parent_input * diag (an ndarray, a FactoredMatrix or,
+    through an identity parent, a _Diagonal): contract() sets both, and
+    _recompute refreshes diag when the leaf or the e-side slot changes and
+    scaled when diag or the parent slot does.  So a step entered through
+    the leaf or the e side refreshes both, through the parent side scaled
+    only, through the z side neither.
     """
 
-    __slots__ = ("e_side_input", "leaf", "output", "parent_input", "z_side_input", "parent",
-                 "leaf_side", "parent_side", "diag", "scaled")
+    __slots__ = ()
 
-    def __init__(self, level: int, leaf: str, leaf_side: int, parent_rec: CoeffRecord,
-                 parent_side: int, grand_pre: CoeffRecord, output: Slot):
-        shared = grand_pre.side_slot(1 - parent_side)
-        survivor = parent_rec.child(1 - leaf_side)
-        sibling = grand_pre.child(1 - parent_side)
-        if parent_side == LEFT:
-            super().__init__(grand_pre.owner, level, output, shared, survivor, sibling)
-        else:
-            super().__init__(grand_pre.owner, level, shared, output, sibling, survivor)
-        self.e_side_input = parent_rec.side_slot(leaf_side)
-        self.leaf = leaf                  # raked leaf e
-        self.output = output
-        self.parent_input = grand_pre.side_slot(parent_side)
-        self.z_side_input = parent_rec.side_slot(1 - leaf_side)
-        self.parent = parent_rec.owner    # raked parent x
-        self.leaf_side = leaf_side        # side of e within x
-        self.parent_side = parent_side    # side of x within u
-        self.diag = self.scaled = None
+    def _rake(self, column):
+        return column[self._row - self._rows.base]
+
+    leaf = property(lambda self: self._rake(self._rows.records)[8])
+    parent = property(lambda self: self._rows.ids[self._rake(self._rows.parent)])
+    leaf_side = property(lambda self: int(self._rake(self._rows.leaf_side)))
+    parent_side = property(lambda self: int(self._rake(self._rows.parent_side)))
+    e_side_input = property(lambda self: self._rows.slot(self._rake(self._rows.e_in)))
+    parent_input = property(lambda self: self._rows.slot(self._rake(self._rows.p_in)))
+    z_side_input = property(lambda self: self._rows.slot(self._rake(self._rows.z_in)))
+    output = property(lambda self: self._rows.slot(self._rows.base + self._row))
+    diag = property(lambda self: self._rows.cells[self._rows.base + self._row][1])
+    scaled = property(lambda self: self._rows.cells[self._rows.base + self._row][2])
 
 
 @dataclass
@@ -434,9 +551,13 @@ class Level:
 def _present(index: "ContractionIndex", node_id: str, level: int) -> bool:
     """A node is in the tree until the round of the rake that removes it:
     a leaf's rake consumes it, a raked parent's is its last version's above."""
-    recs = index.records.get(node_id)
-    rk = index.leaf_consumer.get(node_id) if recs is None else recs[-1].above
-    return rk is None or rk.level > level
+    rows, i = index._rows, index._pos[node_id]
+    if node_id in index.evidence:
+        k = rows.rake_of[i]
+        v = -1 if k < 0 else rows.base + k
+    else:
+        v = rows.above[rows.start[i]]
+    return v < 0 or rows.level[v] > level
 
 
 def _record_at(index: "ContractionIndex", node_id: str, level: int) -> CoeffRecord | None:
@@ -449,23 +570,52 @@ def _record_at(index: "ContractionIndex", node_id: str, level: int) -> CoeffReco
 
 
 class ContractionIndex:
-    """Preprocessed equation hierarchy for one tree."""
+    """Preprocessed equation hierarchy for one tree, kept as rows (_Rows)
+    that contract() fills."""
 
     def __init__(self, tree: CausalTree):
         self.tree = tree
         self.counters = OpCounters()
-        self.records: dict[str, list[CoeffRecord]] = {}
         self.evidence: dict[str, np.ndarray] = {}
-        self.leaf_consumer: dict[str, RakeEquation] = {}  # every rake, in build order
         self.root = tree.root
-        self.levels: list[Level] = [Level(0, tree.leaf_order(), self)]
+        self.levels: list[Level] = []
         self.base_matrix_count = 0
-        self.last_update_trace: list[Slot] = []
         # equation versions the last query's walk climbed (see _walk)
         self.last_calc_depth = 0
-        # parent of each live node, only set while contract() is running;
-        # a live node's children are those of its last equation version
-        self._live_parent: dict[str, str | None] | None = None
+        self._rows: _Rows | None = None
+        self._views = _Views()
+        self._pos: dict[str, int] = {}  # node id -> its number, in tree order
+        self._updated = -1  # the rake the last update's chain started from, or -1
+        self._records: dict[str, list[CoeffRecord]] | None = None
+        self._leaf_consumer: dict[str, RakeEquation] | None = None
+
+    @property
+    def records(self) -> dict[str, list[CoeffRecord]]:
+        """Each internal node's equation versions in order, as views."""
+        if self._records is None:
+            rows, ids = self._rows, self._rows.ids
+            self._records = records = {}
+            for v, owner in enumerate(rows.owner.tolist()):
+                records.setdefault(ids[owner], []).append(rows.version(v))
+        return self._records
+
+    @property
+    def leaf_consumer(self) -> dict[str, RakeEquation]:
+        """Every rake, in build order, by the leaf it consumes."""
+        if self._leaf_consumer is None:
+            rows = self._rows
+            self._leaf_consumer = {record[8]: rows.version(rows.base + k)
+                                   for k, record in enumerate(rows.records)}
+        return self._leaf_consumer
+
+    @property
+    def last_update_trace(self) -> list[Slot]:
+        """The slots the last update rewrote, in chain order."""
+        rows, k, trace = self._rows, self._updated, []
+        while k >= 0:
+            trace.append(rows.slot(2 * rows.base + k))
+            k = int(rows.consumer[2 * rows.base + k])
+        return trace
 
     @property
     def leaf_counts(self) -> list[int]:
@@ -475,13 +625,26 @@ class ContractionIndex:
     @property
     def stored_matrix_count(self) -> int:
         """Stored matrices: two per base equation, one per rake."""
-        return self.base_matrix_count + len(self.leaf_consumer)
+        return self.base_matrix_count + len(self._rows.records)
 
     def all_slots(self) -> list[Slot]:
         """Every stored matrix in storage order: the base equations' pairs,
         then the rakes' outputs in build order."""
-        slots = [slot for recs in self.records.values() for slot in (recs[0].left, recs[0].right)]
-        return slots + [rk.output for rk in self.leaf_consumer.values()]
+        return [self._rows.slot(s) for s in range(self.stored_matrix_count)]
+
+    def stats(self) -> dict[str, int]:
+        """The index's shape against the paper's bounds: rake levels, stored
+        matrices against 2 x base + 4, the longest consumer chain and the
+        deepest query walk against 2 ceil(log2 N); then the last update's
+        chain length and the last walk's depth."""
+        return {"rake_levels": len(self.levels) - 1,
+                "stored_matrices": self.stored_matrix_count,
+                "storage_bound": 2 * self.base_matrix_count + 4,
+                "longest_update_chain": self._rows.longest_chain,
+                "deepest_query_walk": self._rows.deepest_walk,
+                "log_bound": 2 * math.ceil(math.log2(self.tree.n)),
+                "last_update_chain": len(self.last_update_trace),
+                "last_walk_depth": self.last_calc_depth}
 
     def update(self, leaf_id: str, evidence) -> None:
         update_evidence(self, leaf_id, evidence)
@@ -524,99 +687,440 @@ def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None) -> Co
             raise DimensionMismatch(
                 f"coefficient of {node_id!r} has shape {coeff.shape}, its edge is {shape}")
     index = ContractionIndex(tree)
-    index._live_parent = {nid: n.parent for nid, n in tree.nodes.items()}
-
-    for node_id, node in tree.nodes.items():
-        if node.children:
-            left, right = node.children
-            rec = CoeffRecord(
-                node_id, 0,
-                Slot(coeffs.get(left, tree.nodes[left].cpt), node_id, LEFT, 0),
-                Slot(coeffs.get(right, tree.nodes[right].cpt), node_id, RIGHT, 0),
-                left, right)
-            rec.cost = _record_cost(rec)
-            index.records[node_id] = [rec]
-        else:
-            index.evidence[node_id] = node.evidence
-    index.base_matrix_count = 2 * len(index.records)
-
-    frontier = index.levels[0].leaves
-    level = 0
+    build = _Build(index, coeffs)
+    frontier, names = build.frontier, index.levels[0].leaves
+    level = rakes = 0
     while len(frontier) > 2:
         level += 1
-        interior = frontier[1:-1]
-        for leaf in interior[::2]:
-            rake(index, level, leaf)
+        raked = frontier[1:-1:2]
+        rows = np.arange(rakes, rakes + len(raked))
+        rakes += len(raked)
+        build.leaf[rows] = raked
+        # a leaf's side within its parent holds for the whole round
+        right = build.child[build.last[build.live_parent[raked]], RIGHT] == raked
+        for side, wave in ((LEFT, ~right), (RIGHT, right)):
+            if wave.any():
+                rake(build, level, rows[wave], side)
         # a rake removes exactly its leaf from the frontier, keeping the order
-        frontier = [frontier[0], *interior[1::2], frontier[-1]]
-        index.levels.append(Level(level, frontier, index))
-
-    _total_costs(index)
-    index._live_parent = None
+        frontier = np.concatenate((frontier[:1], frontier[2:-1:2], frontier[-1:]))
+        names = [names[0], *names[2:-1:2], names[-1]]
+        index.levels.append(Level(level, names, index))
+    build.finish(frontier)
     return index
 
 
-def _total_costs(index: ContractionIndex) -> None:
-    """Fix the counts of every update chain and query walk.
+def rake(build: "_Build", level: int, rows: np.ndarray, side: int) -> None:
+    """One pass of contract()'s round: remove the leaves of rows, each on
+    side within its parent, and each parent, splicing the parent's other
+    child under the grandparent and rewriting the grandparent's equation.
 
-    rake() has set each one-step count: a slot's chain_cost its consumer's
-    step, a version's walk_cost the step below its above.  A slot's
-    consumer writes a later slot, and a version's above is a later version,
-    so one reverse pass in storage order adds each chain's rest, and one
-    each walk's.
+    The rakes of one pass read nothing another writes, except where two
+    rewrite the two sides of one grandparent: the later one rewrites the
+    version the earlier one writes, so it is written second.  contract()
+    calls this through the module's global, so a wrapper installed here
+    sees every pass.
     """
-    for slot in reversed(index.all_slots()):
-        if slot.consumer is not None:
-            slot.chain_cost = sum_costs(slot.chain_cost, slot.consumer.output.chain_cost)
-    bases = [recs[0] for recs in index.records.values()]
-    for rec in reversed([*bases, *index.leaf_consumer.values()]):
-        if rec.above is not None:
-            rec.walk_cost = sum_costs(rec.walk_cost, rec.above.walk_cost)
+    u = build.live_parent[build.live_parent[build.leaf[rows]]]
+    order = np.argsort(u, kind="stable")
+    later = order[1:][u[order[1:]] == u[order[:-1]]]
+    if len(later):
+        first = np.ones(len(rows), dtype=bool)
+        first[later] = False
+        build.rewrite(level, rows[first], side)
+        build.rewrite(level, rows[later], side)
+    else:
+        build.rewrite(level, rows, side)
+    build.multiply(rows)
+    build.classify(rows)
 
 
-def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
-    """One step of contract(): remove a live leaf that is not extreme, and
-    its parent, splicing the parent's other child under the grandparent
-    and rewriting the grandparent's equation.
+def _stack(arrays: np.ndarray) -> np.ndarray:
+    """An object array of arrays of one shape, stacked along a new first
+    axis."""
+    return np.concatenate(arrays.tolist()).reshape(len(arrays), *arrays[0].shape)
 
-    Returns the rake, the grandparent's new equation version, which
-    leaf_consumer and the grandparent's records hold.  contract() calls it
-    through this module's global, so a wrapper installed here sees every
-    rake.
-    """
-    parent = index._live_parent[leaf]
-    grand = index._live_parent[parent]
 
-    parent_rec = index.records[parent][-1]
-    grand_pre = index.records[grand][-1]
-    leaf_side = LEFT if parent_rec.left_child == leaf else RIGHT
-    parent_side = LEFT if grand_pre.left_child == parent else RIGHT
+def _split(keys: np.ndarray, items: np.ndarray):
+    """(key, items with that key, in order) for each distinct key."""
+    if not len(keys):
+        return ()
+    order = np.argsort(keys, kind="stable")
+    keys, items = keys[order], items[order]
+    cuts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    return zip(keys[np.r_[0, cuts]].tolist(), np.split(items, cuts))
 
-    output = Slot(None, grand, parent_side, level)
-    rk = RakeEquation(level, leaf, leaf_side, parent_rec, parent_side, grand_pre, output)
-    _recompute(index.evidence, rk)  # no consumer yet: this equation only; sets diag, scaled
-    output.form = _form(output.coeff)
-    rk.cost = _record_cost(rk)
-    e_side = rk.e_side_input
-    e_entry, parent_entry, z_entry, lambda_step = _rake_costs(
-        e_side.coeff.shape[0], e_side.form, rk.parent_input.form, rk.z_side_input.form)
-    index.counters.add(e_entry)
-    for slot, entry in ((e_side, e_entry), (rk.parent_input, parent_entry),
-                        (rk.z_side_input, z_entry)):
-        assert slot.consumer is None, "a stored matrix may feed only one equation"
-        slot.consumer = rk
-        slot.chain_cost = entry
-    # the walk step below rk: u's lambda(x) from the cached diagonal, or x's
-    # pi through u's previous equation
-    grand_pre.walk_cost = lambda_step
-    parent_rec.walk_cost = grand_pre.cost
-    assert leaf not in index.leaf_consumer
-    index.leaf_consumer[leaf] = rk
-    grand_pre.above = parent_rec.above = rk
-    index.records[grand].append(rk)
 
-    index._live_parent[rk.child(parent_side)] = grand
-    return rk
+def _groups(columns: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Rows equal in every one of the integer arrays columns, grouped: the
+    first row of each group, and each row's group."""
+    key, span = np.zeros(len(columns[0]), np.int64), 1
+    for column in columns:
+        size = int(column.max()) + 1
+        span *= size
+        if span >= 1 << 62:  # too wide to pack into one key
+            _, first, group = np.unique(np.stack(columns, axis=1), axis=0,
+                                        return_index=True, return_inverse=True)
+            return first, group.reshape(-1)
+        key = key * size + column
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    return first, group
+
+
+class _Build:
+    """contract()'s working state: the rows as arrays while they are
+    filled, each live node's parent and last equation version, and the
+    cost classes seen.  A cost class is one (domain of x, forms of the
+    three inputs) of a rake: it fixes the rake's counts (_rake_costs) and
+    its output's form.  Nodes are numbered in tree order.  Python objects
+    are kept in object arrays, so that gathering them makes no new ones."""
+
+    def __init__(self, index: ContractionIndex, coeffs: Mapping[str, object]):
+        tree = index.tree
+        self.index = index
+        self.ids = ids = list(tree.nodes)
+        n = len(ids)
+        # the lists the index keeps share one int object per value
+        self.numbers = np.arange(-1, n).astype(object)
+        pos = index._pos = dict(zip(ids, self.numbers[1:].tolist()))
+        kids, domain, cpt, evidence = [], [], [], []
+        for node in tree.nodes.values():
+            kids.append(node.children)
+            domain.append(node.domain)
+            cpt.append(node.cpt)
+            evidence.append(node.evidence)
+        self.names = np.array(ids, dtype=object)
+        self.evidence = np.fromiter(evidence, object, n)
+        has_kids = np.fromiter(map(len, kids), np.int64, n) > 0
+        internal = np.flatnonzero(has_kids)
+        children = [c for pair in kids for c in pair]
+        B = self.base = len(internal)
+        R = n - B - 2  # every rake removes one leaf, until two are left
+        V, S = B + R, 2 * B + R
+
+        # versions, then slots, then rakes, as arrays
+        self.child = np.empty((V, 2), np.int64)
+        self.child[:B] = np.fromiter(map(pos.__getitem__, children), np.int64,
+                                     2 * B).reshape(B, 2)
+        self.slot = np.empty((V, 2), np.int64)
+        self.slot[:B] = np.arange(2 * B).reshape(B, 2)
+        self.owner = np.empty(V, np.int64)
+        self.owner[:B] = internal
+        self.level = np.zeros(V, np.int64)
+        self.above = np.full(V, -1)
+        self.form = np.empty(S, np.int64)
+        self.kind = np.full(S, PLAIN, np.int64)
+        self.consumer = np.full(S, -1)
+        self.coeff = np.empty(S, dtype=object)
+        self.coeff[:2 * B] = np.fromiter(cpt, object, n)[self.child[:B].ravel()]
+        for name in ("leaf", "parent", "parent_side", "e_in", "p_in", "z_in", "pv", "gv", "cls"):
+            setattr(self, name, np.empty(R, np.int64))
+        self.leaf_side = np.empty(R, np.int64)
+        self.diag, self.scaled = np.empty(R, dtype=object), np.empty(R, dtype=object)
+
+        # each live node's parent and last version
+        self.live_parent = np.full(n, -1)
+        self.live_parent[self.child[:B]] = internal[:, None]
+        self.last = np.full(n, -1)
+        self.last[internal] = np.arange(B)
+
+        # forms: a base slot holds its child's table, shaped by two domains,
+        # unless coeffs gives the edge another coefficient
+        self.forms: list[tuple] = []
+        self.form_ids: dict[tuple, int] = {}
+        self.kvals, self.dcode = np.unique(np.array(domain), return_inverse=True)
+        self.kvals = self.kvals.tolist()
+        shapes = (np.repeat(self.dcode[internal], 2), self.dcode[self.child[:B].ravel()])
+        first, group = _groups(shapes)
+        table = [self.form_id(((self.kvals[shapes[0][i]], self.kvals[shapes[1][i]]),))
+                 for i in first.tolist()]
+        self.form[:2 * B] = np.array(table, np.int64)[group]
+        if coeffs:
+            slot_of = np.empty(n, np.int64)
+            slot_of[self.child[:B].ravel()] = np.arange(2 * B)
+            for node_id, coeff in coeffs.items():
+                s = int(slot_of[pos[node_id]])
+                self.coeff[s] = coeff
+                self.kind[s] = (PLAIN if type(coeff) is np.ndarray
+                                else IDENTITY if type(coeff) is Identity else OTHER)
+                self.form[s] = self.form_id(_form(coeff))
+        # plain base tables and leaf likelihoods, stacked once by shape in
+        # storage order: a stacked product gathers them by index (_stacked)
+        self.pools, self.pool_row = {}, np.full(S, -1)
+        plain = np.flatnonzero(self.kind[:2 * B] == PLAIN)
+        for fid, slots in _split(self.form[plain], plain):
+            if math.prod(self.forms[fid][0]) > POOLED_ENTRIES:
+                continue
+            self.pools[fid] = _stack(self.coeff[slots])
+            self.pool_row[slots] = np.arange(len(slots))
+        leaves = np.flatnonzero(~has_kids)
+        self.likelihoods, self.likelihood_row = {}, np.full(n, -1)
+        for k, group in _split(self.dcode[leaves], leaves):
+            self.likelihoods[k] = _stack(self.evidence[group])
+            self.likelihood_row[group] = np.arange(len(group))
+        self.class_of: dict[tuple, int] = {}
+        self.class_costs: list[tuple] = []
+        self.class_form: list[int] = []
+
+        # the first frontier, by a depth-first walk
+        left = np.full(n, -1)
+        left[internal] = self.child[:B, LEFT]
+        right = np.full(n, -1)
+        right[internal] = self.child[:B, RIGHT]
+        self.root = pos[tree.root]
+        order = _leaf_order(self.root, self.ints(left), self.ints(right))
+        self.frontier = np.array(order, np.int64)
+        index.levels.append(Level(0, self.names[self.frontier].tolist(), index))
+        index.evidence = dict(zip(self.names[leaves].tolist(), self.evidence[leaves].tolist()))
+
+    def ints(self, values: np.ndarray) -> list[int]:
+        """values, each at least -1, as a list of the shared int objects."""
+        return self.numbers[values + 1].tolist()
+
+    def form_id(self, form: tuple) -> int:
+        fid = self.form_ids.get(form)
+        if fid is None:
+            fid = self.form_ids[form] = len(self.forms)
+            self.forms.append(_interned(form))
+        return fid
+
+    def rewrite(self, level: int, rows: np.ndarray, side: int) -> None:
+        """Write the versions of rows' rakes, no two of which rewrite one
+        grandparent: each keeps the grandparent's version on the other
+        side, and takes the leaf's sibling z in the parent's place and its
+        output slot in the place of the parent's."""
+        x = self.live_parent[self.leaf[rows]]
+        u = self.live_parent[x]
+        pv, gv = self.last[x], self.last[u]
+        ps = (self.child[gv, RIGHT] == x).astype(np.int64)  # x's side within u
+        keep = 1 - ps
+        version = self.base + rows
+        z = self.child[pv, 1 - side]
+        self.e_in[rows] = e = self.slot[pv, side]
+        self.z_in[rows] = zs = self.slot[pv, 1 - side]
+        self.p_in[rows] = p = self.slot[gv, ps]
+        self.slot[version, ps] = 2 * self.base + rows
+        self.slot[version, keep] = self.slot[gv, keep]
+        self.child[version, ps] = z
+        self.child[version, keep] = self.child[gv, keep]
+        self.owner[version] = u
+        self.level[version] = level
+        self.consumer[e] = self.consumer[p] = self.consumer[zs] = rows
+        self.above[pv] = self.above[gv] = version
+        self.last[u] = version
+        self.live_parent[z] = u
+        self.parent[rows], self.parent_side[rows], self.leaf_side[rows] = x, ps, side
+        self.pv[rows], self.gv[rows] = pv, gv
+
+    def multiply(self, rows: np.ndarray) -> None:
+        """Each rake's diagonal, scaled parent and output, as _recompute
+        evaluates them.  Rakes whose inputs are plain arrays or identities
+        take one stacked product per shape, where at least STACK_MIN share
+        it; the others are multiplied one at a time."""
+        e_in, p_in, z_in = self.e_in[rows], self.p_in[rows], self.z_in[rows]
+        kinds = (self.kind[e_in], self.kind[p_in], self.kind[z_in])
+        _, group = _groups((self.dcode[self.parent[rows]], self.form[e_in], self.form[p_in],
+                            self.form[z_in], *kinds))
+        stack = ((np.bincount(group)[group] >= STACK_MIN) & (np.maximum.reduce(kinds) < OTHER)
+                 & ((kinds[1] == PLAIN) | (kinds[2] == PLAIN)))
+        for g in np.flatnonzero(np.bincount(group[stack])).tolist():
+            members = rows[group == g]
+            widest = max(sum(r * c for r, c in self.forms[self.form[column[members[0]]]])
+                         for column in (self.e_in, self.p_in, self.z_in))
+            step = max(1, STACKED_ENTRIES // widest)
+            for at in range(0, len(members), step):
+                self._stacked(members[at:at + step])
+        rows = rows[~stack]
+        coeff, evidence, diag, scaled = self.coeff, self.evidence, self.diag, self.scaled
+        out = 2 * self.base
+        for k, leaf, e, p, z in zip(rows.tolist(), self.leaf[rows].tolist(), self.e_in[rows].tolist(),
+                                    self.p_in[rows].tolist(), self.z_in[rows].tolist()):
+            diag[k] = d = coeff[e].dot(evidence[leaf])
+            scaled[k] = s = coeff[p] * d
+            z = coeff[z]
+            coeff[out + k] = s = s.dot(z) if type(z) is np.ndarray else s @ z
+            self.kind[out + k] = PLAIN if type(s) is np.ndarray else OTHER
+
+    def _stacked(self, rows: np.ndarray) -> None:
+        """multiply() for rakes whose inputs have one shape each and are
+        plain arrays or identities, not both the parent and z sides: the
+        same products, stacked, which numpy evaluates to the same bits."""
+        coeff, leaves = self.coeff, self.leaf[rows]
+
+        def gather(slots):
+            if type(coeff[slots[0]]) is Identity:
+                return None
+            at = self.pool_row[slots]
+            pooled = at >= 0
+            if pooled.all():
+                return self.pools[self.form[slots[0]]][at]
+            rest = _stack(coeff[slots[~pooled]])
+            if not pooled.any():
+                return rest
+            out = np.empty((len(slots), *rest.shape[1:]))
+            out[pooled] = self.pools[self.form[slots[0]]][at[pooled]]
+            out[~pooled] = rest
+            return out
+
+        lam = self.likelihoods[self.dcode[leaves[0]]][self.likelihood_row[leaves]]
+        e, p, z = (gather(column[rows]) for column in (self.e_in, self.p_in, self.z_in))
+        d = lam if e is None else np.matmul(e, lam[:, :, None])[:, :, 0]
+        if p is None:  # Diag(d) . z
+            scaled, out = [_Diagonal(dk) for dk in d], d[:, :, None] * z
+        else:
+            scaled = p * d[:, None, :]
+            out = scaled if z is None else np.matmul(scaled, z)
+        m, base = len(rows), 2 * self.base
+        self.diag[rows] = np.fromiter(d, object, m)
+        self.scaled[rows] = np.fromiter(scaled, object, m)
+        coeff[base + rows] = np.fromiter(out, object, m)
+        self.kind[base + rows] = PLAIN
+
+    def classify(self, rows: np.ndarray) -> None:
+        """Each rake's cost class, and so its output's form."""
+        columns = (self.dcode[self.parent[rows]], self.form[self.e_in[rows]],
+                   self.form[self.p_in[rows]], self.form[self.z_in[rows]])
+        first, group = _groups(columns)
+        classes = []
+        for i in first.tolist():
+            key = tuple(int(column[i]) for column in columns)
+            cls = self.class_of.get(key)
+            if cls is None:
+                k, e_form, p_form, z_form = key
+                cls = self.class_of[key] = len(self.class_costs)
+                self.class_costs.append(_rake_costs(
+                    self.kvals[k], self.forms[e_form], self.forms[p_form], self.forms[z_form]))
+                self.class_form.append(self.form_id(_form(self.coeff[2 * self.base + int(rows[i])])))
+            classes.append(cls)
+        self.cls[rows] = cls = np.array(classes, np.int64)[group]
+        self.form[2 * self.base + rows] = np.array(self.class_form, np.int64)[cls]
+
+    def finish(self, frontier: np.ndarray) -> None:
+        """Fix every count, and hand the rows to the index as columns.
+
+        A rake fixes one step of each count it takes part in: the chain
+        step entered through each of its inputs (its class's), and the walk
+        step below it, from u's previous version (its class's lambda step)
+        or from x's last one (one evaluation of u's previous equation).  A
+        total is the sum of the steps on its path (_path_sums).  The totals
+        updates and queries start from are kept, each leaf's chain and each
+        node's walk; the views sum the others when read."""
+        # what only the rounds read goes first, to keep the peak low
+        del self.pools, self.likelihoods, self.pool_row, self.likelihood_row, self.kind
+        del self.live_parent, self.evidence
+        index, B, R = self.index, self.base, len(self.leaf)
+        V = B + R
+        ids, names, rakes = self.ids, self.names, np.arange(R)
+        rows = index._rows = _Rows()
+        rows.ids, rows.base, rows.forms = ids, B, self.forms
+        rows.views = ref(index._views)
+
+        # one evaluation of each version: by its owner's domain and its forms
+        columns = (self.dcode[self.owner], self.form[self.slot[:, LEFT]], self.form[self.slot[:, RIGHT]])
+        first, group = _groups(columns)
+        table = [equation_cost(self.kvals[columns[0][i]], self.forms[columns[1][i]],
+                               self.forms[columns[2][i]]) for i in first.tolist()]
+        rows.cost = [table[g] for g in group.tolist()]
+        cost = np.take(np.array(table, np.int64).reshape(-1, 5), group, axis=0)
+
+        # chains: rake k's output enters rake nxt[k] through the input how[k]
+        # says (0 e side, 1 parent side, 2 z side); the last column counts
+        # equations on a chain, and versions on a walk
+        rows.steps, rows.cls = self.class_costs, self.cls
+        steps = np.take(np.array(self.class_costs, np.int64).reshape(-1, 4, 5), self.cls, axis=0)
+        out = 2 * B + rakes
+        nxt = self.consumer[out]
+        how = np.where(self.e_in[nxt] == out, 0, np.where(self.p_in[nxt] == out, 1, 2))
+        after = np.zeros((R, 6), np.int64)
+        fed = nxt >= 0
+        after[fed, :5] = steps[nxt[fed], how[fed]]
+        after[fed, 5] = 1
+        after = _path_sums(after, nxt)
+        rows.update_cost = list(zip(*(steps[:, 0] + after[:, :5]).T.tolist()))
+        rows.longest_chain = int(after[:, 5].max()) + 1 if R else 0
+        index.counters.add(tuple(steps[:, 0].sum(axis=0).tolist()) if R else NO_COST)
+        # walks, kept for the versions queries start from: each internal
+        # node's last
+        walk = np.zeros((V, 6), np.int64)
+        walk[self.gv, :5] = steps[:, 3]  # u's lambda(x) from the cached diagonal
+        walk[self.pv, :5] = np.take(cost, self.gv, axis=0)  # x's pi through u's previous equation
+        walk[self.gv, 5] = walk[self.pv, 5] = 1
+        walk = _path_sums(walk, self.above)
+        finals = self.last[self.owner[:B]]
+        rows.deepest_walk = int(walk[finals, 5].max())
+        walk_cost = np.full(V, None, dtype=object)
+        walk_cost[finals] = np.fromiter(zip(*walk[finals, :5].T.tolist()), dtype=object, count=B)
+        rows.walk_cost = walk_cost.tolist()
+        del walk, after, steps
+
+        # slots: a base slot's cell holds its coefficient, a rake's output's
+        # cell is the rake's record (see _Rows)
+        records = list(map(list, zip(self.coeff[2 * B:].tolist(), self.diag.tolist(),
+                                     self.scaled.tolist())))
+        cells = rows.cells = [[c] for c in self.coeff[:2 * B].tolist()] + records
+        del self.coeff, self.diag, self.scaled
+        cell = np.fromiter(cells, object, len(cells))
+        rows.form, rows.consumer = self.form, self.consumer
+        # rakes
+        rows.parent, rows.leaf_side, rows.parent_side = self.parent, self.leaf_side, self.parent_side
+        rows.e_in, rows.p_in, rows.z_in, rows.gv = self.e_in, self.p_in, self.z_in, self.gv
+        record = np.append(cell[2 * B:], None)  # rake k's record, and None at -1
+        kept = self.slot[B + rakes, 1 - self.parent_side]
+        fields = zip(cell[self.e_in].tolist(), cell[self.p_in].tolist(), cell[self.z_in].tolist(),
+                     record[nxt].tolist(), how.tolist(), names[self.leaf].tolist(),
+                     self.parent_side.tolist(), self.leaf_side.tolist(), cell[kept].tolist())
+        deque(map(list.extend, records, fields), maxlen=0)  # each record takes its fields
+        rows.records = records
+        # versions
+        rows.owner, rows.level, rows.above = self.owner, self.level, self.ints(self.above)
+        rows.left_slot, rows.right_slot = self.slot[:, LEFT], self.slot[:, RIGHT]
+        rows.left, rows.right = cell[rows.left_slot].tolist(), cell[rows.right_slot].tolist()
+        rows.left_child = names[self.child[:, LEFT]].tolist()
+        rows.right_child = names[self.child[:, RIGHT]].tolist()
+        below = np.zeros(V, dtype=bool)
+        below[self.gv] = True
+        rows.below = below.tolist()
+        rows.down = record[np.where(self.above < 0, -1, self.above - B)].tolist()
+
+        # where each node's query walk starts: its own last version, or, for
+        # a leaf, that of the parent its rake removes, or the root's
+        start = np.empty(len(ids), np.int64)
+        start[self.owner] = self.last[self.owner]
+        start[frontier] = self.last[self.root]
+        start[self.leaf] = self.last[self.parent]
+        rows.start = self.ints(start)
+        rake_of = np.full(len(ids), -1)
+        rake_of[self.leaf] = rakes
+        rows.rake_of = self.ints(rake_of)
+        index.base_matrix_count = 2 * B
+
+
+def _path_sums(steps: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """For each row, the sum of steps over its path through nxt (-1 ends a
+    path): log(longest path) rounds of pointer jumping, one past the last
+    row standing for the end."""
+    n = len(nxt)
+    total = np.concatenate((steps, np.zeros((1, steps.shape[1]), steps.dtype)))
+    nxt = np.append(np.where(nxt < 0, n, nxt), n)
+    while (nxt < n).any():
+        total += np.take(total, nxt, axis=0)
+        nxt = nxt[nxt]
+    return total[:n]
+
+
+def _leaf_order(root: int, left: list[int], right: list[int]) -> list[int]:
+    """Leaves left to right, by a depth-first walk over child lists (-1 for
+    a leaf)."""
+    out, stack = [], [root]
+    emit, push, pop = out.append, stack.append, stack.pop
+    while stack:
+        v = pop()
+        child = left[v]
+        if child < 0:
+            emit(v)
+        else:
+            push(right[v])
+            push(child)
+    return out
 
 
 # -- queries ---------------------------------------------------------------------
@@ -633,40 +1137,39 @@ def lambda_query(index: ContractionIndex, node_id: str) -> np.ndarray:
 def _lambda_rec(index: ContractionIndex, node_id: str) -> np.ndarray:
     if node_id in index.evidence:
         return index.evidence[node_id]
-    rec = index.records[node_id][-1]
-    left = _lambda_rec(index, rec.left_child)
-    right = _lambda_rec(index, rec.right_child)
-    index.counters.add(rec.cost)
-    return rec.left.coeff.dot(left) * rec.right.coeff.dot(right)
+    rows = index._rows
+    v = rows.start[index._pos[node_id]]
+    left = _lambda_rec(index, rows.left_child[v])
+    right = _lambda_rec(index, rows.right_child[v])
+    index.counters.add(rows.cost[v])
+    return rows.left[v][0].dot(left) * rows.right[v][0].dot(right)
 
 
-def _recompute(evidence: dict[str, np.ndarray], equation: RakeEquation | None) -> list[Slot]:
-    """Evaluate equation, then the equation its output feeds, and so on up
-    the consumer chain; return the rewritten slots in order.
+def _recompute(evidence: dict[str, np.ndarray], record: list) -> None:
+    """Evaluate a rake's record (see _Rows), then the record of the rake its
+    output feeds, and so on up the consumer chain.
 
-    The first equation's leaf changed, so its diag and scaled are
-    refreshed, and so are a later one's where the chain enters it through
-    its e-side slot.  Entered through its parent slot, it refreshes scaled
-    only; through its z-side slot, nothing, and the step is one product.
+    The first rake's leaf changed, so its diag and scaled are refreshed,
+    and so are a later one's where the chain enters it through its e-side
+    slot.  Entered through its parent slot, it refreshes scaled only;
+    through its z-side slot, nothing, and the step is one product.  Each
+    rake's record tells how its output enters the next.
 
-    Nothing here writes an array in place, and nothing may: out.coeff is
+    Nothing here writes an array in place, and nothing may: an output is
     the rake's own scaled when a dense parent meets an identity z side
     (Identity.__rmatmul__ returns its operand), so rescaling an output
     must build a new array, or it rewrites that cache too.
     """
-    trace: list[Slot] = []
-    entry = None  # the slot the chain entered through; None for the leaf
-    while equation is not None:
-        if entry is not equation.z_side_input:
-            if entry is not equation.parent_input:
-                equation.diag = equation.e_side_input.coeff.dot(evidence[equation.leaf])
-            equation.scaled = equation.parent_input.coeff * equation.diag
-        out = equation.output
-        scaled, z_side = equation.scaled, equation.z_side_input.coeff
-        out.coeff = scaled.dot(z_side) if type(z_side) is np.ndarray else scaled @ z_side
-        trace.append(out)
-        entry, equation = out, out.consumer
-    return trace
+    entry = 0  # how the chain enters the rake: 0 e side (or leaf), 1 parent side, 2 z side
+    while record is not None:
+        _, d, s, e, p, z, following, how, leaf, _, _, _ = record
+        if entry != 2:
+            if entry == 0:
+                d = record[1] = e[0].dot(evidence[leaf])
+            s = record[2] = p[0] * d
+        z = z[0]
+        record[0] = s.dot(z) if type(z) is np.ndarray else s @ z
+        record, entry = following, how
 
 
 def update_evidence(index: ContractionIndex, leaf_id: str, evidence) -> ContractionIndex:
@@ -681,11 +1184,13 @@ def update_evidence(index: ContractionIndex, leaf_id: str, evidence) -> Contract
     """
     set_evidence(index.tree, leaf_id, evidence)
     index.evidence[leaf_id] = index.tree.nodes[leaf_id].evidence
-    equation = index.leaf_consumer.get(leaf_id)
-    if equation is not None:
+    rows = index._rows
+    k = rows.rake_of[index._pos[leaf_id]]
+    index._updated = k
+    if k >= 0:
         # the leaf enters its rake as the e-side slot does
-        index.counters.add(equation.e_side_input.chain_cost)
-    index.last_update_trace = _recompute(index.evidence, equation)
+        index.counters.add(rows.update_cost[k])
+        _recompute(index.evidence, rows.records[k])
     return index
 
 
@@ -702,74 +1207,94 @@ def calc_pi_lambda(index: ContractionIndex, node_id: str, level: int) -> PiLambd
     rec = _record_at(index, node_id, level) if _present(index, node_id, level) else None
     if rec is None:
         raise LevelOutOfRange(f"{node_id!r} has no equations at level {level}")
-    pi, (lam_left, lam_right) = _walk(index, rec)
+    pi, (lam_left, lam_right) = _walk(index, rec._row)
     return PiLambdaTriple(pi=pi.copy(), lambda_left=lam_left.copy(),
                           lambda_right=lam_right.copy())
 
 
-def _walk(index: ContractionIndex, rec: CoeffRecord):
-    """(pi, [lambda_left, lambda_right]) of an equation version: pi of its
+def _walk(index: ContractionIndex, v: int):
+    """(pi, [lambda_left, lambda_right]) of equation version v: pi of its
     owner and the lambdas of its two children under the evidence in force.
 
-    Climbs rec.above to the root's terminal version, whose triple is the
-    prior and the extreme leaves' likelihoods, then comes back down one
-    rake at a time.  Below the version of rake (e, x, u), either the walk
-    enters u's previous version, which keeps u's pi, and x's lambda is
-    rebuilt from x's final equation, whose e side the rake's cached
-    diagonal already holds, or it enters x's final version, whose pi comes
-    through u's equation; the owner tells which.
+    Climbs above to the root's terminal version, whose triple is the prior
+    and the extreme leaves' likelihoods, then comes back down one rake at a
+    time.  Below the version of rake (e, x, u), either the walk enters u's
+    previous version, which keeps u's pi, and x's lambda is rebuilt from
+    x's final equation, whose e side the rake's cached diagonal already
+    holds, or it enters x's final version, whose pi comes through u's
+    equation; the version's down record tells which.
     Sets index.last_calc_depth to the number of versions climbed; pi may be
     the root's prior itself, so callers must not write to it.
     """
-    index.counters.add(rec.walk_cost)
+    rows = index._rows
+    above = rows.above
+    cost = rows.walk_cost[v]
+    index.counters.add(_walk_cost(rows, v) if cost is None else cost)
     path = []
-    while rec.above is not None:
-        path.append(rec)
-        rec = rec.above
+    up = above[v]
+    while up >= 0:
+        path.append(v)
+        v, up = up, above[up]
     index.last_calc_depth = len(path)
     evidence = index.evidence
     pi = index.tree.nodes[index.root].prior
-    lam = [evidence[rec.left_child], evidence[rec.right_child]]
-    for rec in reversed(path):
-        rk = rec.above
-        side = rk.parent_side
-        lam_z = lam[side]
-        if rec.owner == rk.owner:
-            lam[side] = rk.diag * rk.z_side_input.coeff.dot(lam_z)
-        else:
-            sibling = rk.right if side == LEFT else rk.left
-            up = pi * sibling.coeff.dot(lam[1 - side])
-            down = rk.parent_input.coeff
-            pi = up.dot(down) if type(down) is np.ndarray else up @ down
-            lam_e = evidence[rk.leaf]
-            lam = [lam_e, lam_z] if rk.leaf_side == LEFT else [lam_z, lam_e]
+    lam = [evidence[rows.left_child[v]], evidence[rows.right_child[v]]]
+    # the record of the rake above each version, read field by field: only
+    # the fields a step needs are touched
+    below, down = rows.below, rows.down
+    for v in reversed(path):
+        record = down[v]
+        side = record[9]
+        if below[v]:  # u's previous version: diag . (z side . lambda(z))
+            lam[side] = record[1] * record[5][0].dot(lam[side])
+        else:  # x's last version: pi through u's kept side and parent side
+            up = pi * record[11][0].dot(lam[1 - side])
+            parent = record[4][0]
+            pi = up.dot(parent) if type(parent) is np.ndarray else up @ parent
+            lam_z, lam_e = lam[side], evidence[record[8]]
+            lam = [lam_e, lam_z] if record[10] == LEFT else [lam_z, lam_e]
     return pi, lam
 
 
-def _leaf_pi(index: ContractionIndex, leaf_id: str) -> np.ndarray:
-    """pi of a leaf, through the final version of its parent: the raked
+def _walk_cost(rows: _Rows, v: int) -> tuple:
+    """walk_cost of version v, summed and kept on first use where contract()
+    did not keep it."""
+    cost = rows.walk_cost[v]
+    if cost is None:
+        cost, u = NO_COST, v
+        while (up := rows.above[u]) >= 0:  # the step below up
+            k = up - rows.base
+            step = rows.steps[rows.cls[k]][3] if rows.below[u] else rows.cost[rows.gv[k]]
+            cost, u = sum_costs(cost, step), up
+        rows.walk_cost[v] = cost
+    return cost
+
+
+def _leaf_pi(index: ContractionIndex, leaf_id: str, v: int) -> np.ndarray:
+    """pi of a leaf, through v, the final version of its parent: the raked
     parent's, or the root's for the two extreme leaves."""
-    rk = index.leaf_consumer.get(leaf_id)
-    rec = index.records[index.root if rk is None else rk.parent][-1]
-    pi, lam = _walk(index, rec)
-    index.counters.add(rec.cost)
-    if rec.left_child == leaf_id:
-        up, down = pi * rec.right.coeff.dot(lam[RIGHT]), rec.left.coeff
+    pi, lam = _walk(index, v)
+    rows = index._rows
+    index.counters.add(rows.cost[v])
+    if rows.left_child[v] == leaf_id:
+        up, down = pi * rows.right[v][0].dot(lam[RIGHT]), rows.left[v][0]
     else:
-        up, down = pi * rec.left.coeff.dot(lam[LEFT]), rec.right.coeff
+        up, down = pi * rows.left[v][0].dot(lam[LEFT]), rows.right[v][0]
     return up.dot(down) if type(down) is np.ndarray else up @ down
 
 
 def pi_query(index: ContractionIndex, node_id: str) -> np.ndarray:
     """Prior-side message at a node under the evidence in force."""
-    if node_id not in index.tree.nodes:
+    i = index._pos.get(node_id)
+    if i is None:
         raise UnknownNode(f"no node {node_id!r}")
+    v = index._rows.start[i]
     if node_id == index.root:
         index.last_calc_depth = 0
         return index.tree.nodes[index.root].prior.copy()
     if node_id in index.evidence:
-        return _leaf_pi(index, node_id)
-    return _walk(index, index.records[node_id][-1])[0]
+        return _leaf_pi(index, node_id, v)
+    return _walk(index, v)[0]
 
 
 def belief_query(index: ContractionIndex, node_id: str) -> Belief:
@@ -778,15 +1303,18 @@ def belief_query(index: ContractionIndex, node_id: str) -> Belief:
     An internal node's walk ends at its final equation version, which gives
     its pi and its children's lambdas; a leaf's ends at its parent's.
     """
-    if node_id not in index.tree.nodes:
+    i = index._pos.get(node_id)
+    if i is None:
         raise UnknownNode(f"no node {node_id!r}")
-    if node_id in index.evidence:
-        lam = index.evidence[node_id]
-        pi = _leaf_pi(index, node_id)
+    v = index._rows.start[i]
+    evidence = index.evidence
+    if node_id in evidence:
+        lam = evidence[node_id]
+        pi = _leaf_pi(index, node_id, v)
     else:
-        rec = index.records[node_id][-1]
-        pi, (lam_left, lam_right) = _walk(index, rec)
-        index.counters.add(rec.cost)
-        lam = rec.left.coeff.dot(lam_left) * rec.right.coeff.dot(lam_right)
+        pi, (lam_left, lam_right) = _walk(index, v)
+        rows = index._rows
+        index.counters.add(rows.cost[v])
+        lam = rows.left[v][0].dot(lam_left) * rows.right[v][0].dot(lam_right)
     index.counters.count_vector_op(lam.shape[0])
     return normalize_belief(lam * pi, node=node_id)

@@ -116,12 +116,15 @@ def check_likelihood(evidence, domain: int | None = None, *,
     if isinstance(evidence, Evidence):
         evidence = evidence.likelihood
     vec = _float_array(evidence, what)
-    # One min and one max, or one pass over a short vector, decide the valid
-    # case (NaN fails every comparison); the ordered checks name the fault.
+    # One min and one max, or a short vector's sum and min, decide the valid
+    # case: a sum is NaN or infinite if an entry is, and NaN fails every
+    # comparison.  The ordered checks name the fault, and accept a finite
+    # vector whose sum overflows.
     if vec.ndim == 1 and vec.shape[0] and (domain is None or vec.shape[0] == domain):
         if vec.shape[0] <= SHORT_LIKELIHOOD:
             vals = vec.tolist()
-            if all(0.0 <= x < math.inf for x in vals) and max(vals) > 0.0:
+            total = sum(vals)
+            if total == total and total < math.inf and min(vals) >= 0.0 and total > 0.0:
                 return vec
         elif vec.min() >= 0.0 and 0.0 < vec.max() < np.inf:
             return vec

@@ -32,7 +32,7 @@ from logbel import (
 from logbel.contraction import _Diagonal, _form, materialize
 from logbel.generate import balanced_tree, random_likelihood, random_tree
 from logbel.model import BruteForceOracle
-from test_counts import ragged_tree
+from test_counts import ragged_tree, star_tree
 
 
 def small_corpus(rng, count=12, lo=5, hi=64, k=(2, 3)):
@@ -518,6 +518,49 @@ def test_no_stored_coefficient_is_written_in_place():
     assert kinds == {np.ndarray, FactoredMatrix, _Diagonal}
 
 
+class TestStats:
+    """stats() reports the index's shape against the paper's bounds."""
+
+    @staticmethod
+    def _trees(n):
+        rng = np.random.default_rng(n)
+        return {"chain": chain_tree(n, 2, rng), "balanced": balanced_tree(n, 2, rng),
+                "random": random_tree(n, (2, 3), rng),
+                "star": normalize_tree(star_tree(n // 2, rng))[0]}
+
+    @pytest.mark.parametrize("n", [1000, 10000])
+    def test_chains_and_walks_stay_within_twice_log_n(self, n):
+        """The paper's claim as a bound: no update chain and no query walk
+        is longer than 2 ceil(log2 N)."""
+        for name, tree in self._trees(n).items():
+            stats = contract(tree).stats()
+            bound = 2 * math.ceil(math.log2(tree.n))
+            assert stats["log_bound"] == bound
+            assert 0 < stats["longest_update_chain"] <= bound, name
+            assert 0 < stats["deepest_query_walk"] <= bound, name
+            assert stats["stored_matrices"] <= stats["storage_bound"], name
+
+    def test_stats_match_what_updates_and_queries_do(self):
+        rng = np.random.default_rng(45)
+        for tree in small_corpus(rng, count=4, hi=200):
+            index = contract(tree)
+            stats = index.stats()
+            assert stats["rake_levels"] == len(index.levels) - 1
+            assert stats["stored_matrices"] == index.stored_matrix_count
+            assert stats["storage_bound"] == 2 * index.base_matrix_count + 4
+            chains, walks = [], []
+            for leaf in tree.leaf_order():
+                update_evidence(index, leaf, random_likelihood(tree.nodes[leaf].domain, rng))
+                chains.append(len(index.last_update_trace))
+                assert index.stats()["last_update_chain"] == chains[-1]
+            for node_id in tree.nodes:
+                belief_query(index, node_id)
+                walks.append(index.last_calc_depth)
+                assert index.stats()["last_walk_depth"] == walks[-1]
+            assert stats["longest_update_chain"] == max(chains)
+            assert stats["deepest_query_walk"] == max(walks)
+
+
 class TestWalkDepth:
     def test_depth_is_that_of_the_last_walk(self):
         index = contract(chain_tree(301, k=2, rng=np.random.default_rng(4)))
@@ -605,17 +648,28 @@ def test_every_exported_name_resolves():
 
 def test_contract_rakes_through_the_module_attribute(monkeypatch):
     """rake is not exported, but contract calls it through the module's
-    global, so a wrapper installed there sees every rake."""
+    global, once per pass of a round, so a wrapper installed there sees
+    every rake: the passes cover each rake once, round by round, the
+    leaves that are left children first."""
     assert "rake" not in logbel.__all__
     real, seen = logbel.contraction.rake, []
 
-    def spy(index, level, leaf):
-        seen.append((level, leaf))
-        return real(index, level, leaf)
+    def spy(build, level, rows, side):
+        seen.append((level, side, rows.tolist()))
+        return real(build, level, rows, side)
 
     monkeypatch.setattr(logbel.contraction, "rake", spy)
-    index = contract(chain_tree(9, k=2, rng=np.random.default_rng(3)))
-    assert seen == [(rk.level, rk.leaf) for rk in index.leaf_consumer.values()] != []
+    for tree in (chain_tree(9, k=2, rng=np.random.default_rng(3)),
+                 random_tree(61, k=2, rng=np.random.default_rng(3))):
+        seen.clear()
+        index = contract(tree)
+        rakes = list(index.leaf_consumer.values())
+        assert sorted((level, k) for level, _, rows in seen for k in rows) == [
+            (rk.level, k) for k, rk in enumerate(rakes)] != []
+        assert [(level, side) for level, side, _ in seen] == sorted(
+            {(level, side) for level, side, _ in seen})
+        assert all(rakes[k].leaf_side == side for _, side, rows in seen for k in rows)
+    assert {side for _, side, _ in seen} == {0, 1}
 
 
 class TestErrors:

@@ -145,6 +145,33 @@ def test_short_vector_check_decides_as_numpy(values, domain_shift):
     assert outcomes[0] == outcomes[1]
 
 
+LIKELIHOOD_EDGES = {  # the values, and whether check_likelihood accepts them
+    "valid": ([0.25, 1.0], True), "negative zero": ([-0.0, 1.0], True),
+    "subnormal": ([5e-324, 0.0], True), "finite, sum overflows": ([1e308, 1e308], True),
+    "NaN": ([np.nan, 1.0], False), "+inf": ([np.inf, 1.0], False),
+    "-inf": ([-np.inf, 1.0], False), "+inf and -inf": ([np.inf, -np.inf], False),
+    "negative": ([-1.0, 2.0], False), "all zero": ([0.0, 0.0], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIKELIHOOD_EDGES))
+@pytest.mark.parametrize("length", [2, SHORT_LIKELIHOOD, SHORT_LIKELIHOOD + 1])
+def test_likelihood_edges_decide_alike_on_both_paths(case, length):
+    """Each edge case, padded with zeros to a short length (the sum-and-min
+    path) and a long one (numpy's min and max): check_likelihood decides it
+    as the numpy check does, accepting exactly the valid cases."""
+    values, valid = LIKELIHOOD_EDGES[case]
+    values = values + [0.0] * (length - len(values))
+    outcomes = []
+    for check in (check_likelihood, numpy_check_likelihood):
+        try:
+            outcomes.append(check(np.array(values), length).tolist())
+        except (InvalidProbability, DimensionMismatch, AllZeroLikelihood) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] == values) is valid
+
+
 @pytest.mark.parametrize("table", ["cpt", "prior"])
 def test_constructors_name_a_string_table(table):
     tables = {"prior": [0.4, 0.6], "cpt": [[0.9, 0.1], [0.2, 0.8]]}

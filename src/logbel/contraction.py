@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
@@ -69,14 +68,16 @@ from .model import Belief, CausalTree, collector_paused, normalize_belief, set_e
 LEFT, RIGHT = 0, 1
 
 # contract() stacks the products of a round's rakes over plain arrays and
-# identities of one shape from this many rakes on (see _Build.multiply)
+# identities of one shape from this many rakes on (see _Build.multiply).
+# Stacking takes the contraction of star-read's tree from 26 to 17 ms; below
+# 8 rakes, polytree-build's many small stacks cost more than they save (37
+# ms at 8, 42 at 2, 45 at 1; 2 cores, numpy 2.4.6).
 STACK_MIN = 8
-PLAIN, IDENTITY, OTHER = 0, 1, 2  # what a slot holds: an ndarray, an Identity, else
-# so that the stacked copies stay small: base tables are stacked once up to
-# this many entries each, and a stacked product takes up to this many
-# entries per input
-POOLED_ENTRIES = 16
+# and it takes up to this many entries per input, which bounds its copies:
+# balanced-k8-write's peak RSS is 88.6 MB without the bound, 86.4 with it,
+# for the same build time
 STACKED_ENTRIES = 1 << 15
+PLAIN, IDENTITY, OTHER = 0, 1, 2  # what a slot holds: an ndarray, an Identity, else
 
 
 # -- coefficient forms, their products and their counts -----------------------
@@ -325,35 +326,36 @@ class _Rows:
     Per node: start, the version its query walk starts from (its own last,
     or for a leaf its parent's); rake_of, the rake that consumes a leaf
     (-1 for none).
-    Per slot: cells, a list whose first item is the slot's coefficient,
-    which an update replaces in place: a base slot's [coefficient], a
-    rake's output's the rake's record; form (an index into forms);
-    consumer, the rake the slot feeds (-1 for none).
-    Per version: owner, level, left_slot/right_slot and their cells
-    left/right, left_child/right_child; above, the next version on the
-    query walk (-1 for the root's last); down, the record of the rake that
-    is its above; below, whether the version is the one its above rewrites
-    (else it is the last of the parent its above removes); cost; walk_cost,
-    kept for the versions queries start from.
-    Per rake: records, [output, diag, scaled, e-side cell, parent cell,
-    z-side cell, the record of the rake the output feeds (None for none),
-    how the output enters it (0 e side, 1 parent side, 2 z side), leaf,
-    parent side, leaf side, the cell the version keeps from the one it
-    rewrites]; cls, its cost class, whose steps are in steps; parent,
-    leaf_side, parent_side, e_in, p_in, z_in and gv (the version it
-    rewrites) for the views; update_cost, the chain_cost of e_in.
+    Per slot: cells, the _Cell whose coeff an update replaces: a rake's
+    output's is the rake's record; form (an index into forms); consumer,
+    the rake the slot feeds (-1 for none).
+    Per version: owner, level, the cells left/right of its two slots,
+    left_child/right_child; above, the next version on the query walk (-1
+    for the root's last); down, the record of the rake that is its above;
+    below, whether the version is the one its above rewrites (else it is
+    the last of the parent its above removes); cost; walk_cost, kept for
+    the versions queries start from.
+    Per rake: records (see _Rake); cls, its cost class, whose steps are in
+    steps; parent (x) and gv (the version it rewrites), which records do
+    not hold; update_cost, the chain_cost of its e-side input.  A view
+    finds a cell's slot through slot_of, built when first needed.
     """
 
     __slots__ = ("ids", "base", "forms", "views", "start", "rake_of", "steps", "cls",
                  "longest_chain", "deepest_walk",
-                 "cells", "form", "consumer",
-                 "owner", "level", "left_slot", "right_slot", "left", "right", "left_child",
+                 "cells", "form", "consumer", "slot_of",
+                 "owner", "level", "left", "right", "left_child",
                  "right_child", "above", "down", "below", "cost", "walk_cost",
-                 "records", "parent", "leaf_side", "parent_side", "e_in", "p_in", "z_in", "gv",
-                 "update_cost")
+                 "records", "parent", "gv", "update_cost")
 
     def slot(self, s: int) -> "Slot":
         return self._view(Slot, int(s), int(s))
+
+    def cell_slot(self, cell: "_Cell") -> "Slot":
+        """The view of the slot whose cell is cell."""
+        if self.slot_of is None:
+            self.slot_of = {c: s for s, c in enumerate(self.cells)}
+        return self.slot(self.slot_of[cell])
 
     def version(self, v: int) -> "CoeffRecord":
         v = int(v)
@@ -369,6 +371,31 @@ class _Rows:
         if view is None:
             view = views[key] = kind(self, row)
         return view
+
+
+class _Cell:
+    """Where a stored matrix lives: coeff, which an update replaces."""
+
+    __slots__ = ("coeff",)
+
+    def __init__(self, coeff):
+        self.coeff = coeff
+
+
+class _Rake(_Cell):
+    """A rake's record, what updates and query walks read of it; its cell
+    holds its output.  diag and scaled are its caches (see RakeEquation);
+    e, p and z the cells of its e-side, parent and z-side inputs; feeds the
+    record of the rake its output feeds (None for none), and enters how
+    the output enters it (0 e side, 1 parent side, 2 z side); leaf the
+    leaf's id; parent_side x's side within u, and leaf_side the leaf's
+    within x; kept the cell of the side of u's equation it keeps."""
+
+    __slots__ = ("diag", "scaled", "e", "p", "z", "feeds", "enters", "leaf", "parent_side",
+                 "leaf_side", "kept")
+
+    def __init__(self, coeff, diag, scaled):
+        self.coeff, self.diag, self.scaled = coeff, diag, scaled
 
 
 class _Views(dict):
@@ -398,11 +425,11 @@ class Slot(_View):
 
     @property
     def coeff(self):
-        return self._rows.cells[self._row][0]
+        return self._rows.cells[self._row].coeff
 
     @coeff.setter
     def coeff(self, value) -> None:
-        self._rows.cells[self._row][0] = value
+        self._rows.cells[self._row].coeff = value
 
     form = property(lambda self: self._rows.forms[self._rows.form[self._row]])
     @property
@@ -412,7 +439,7 @@ class Slot(_View):
     @property
     def side(self) -> int:
         rows, s = self._rows, self._row
-        return s % 2 if s < 2 * rows.base else int(rows.parent_side[s - 2 * rows.base])
+        return s % 2 if s < 2 * rows.base else rows.cells[s].parent_side
 
     @property
     def level(self) -> int:
@@ -425,13 +452,13 @@ class Slot(_View):
 
     @property
     def chain_cost(self) -> tuple:
-        rows, s, total = self._rows, self._row, NO_COST
-        k = int(rows.consumer[s])
-        while k >= 0:  # the step entering rake k through slot s, and on
-            entry = 0 if rows.e_in[k] == s else 1 if rows.p_in[k] == s else 2
+        rows, total = self._rows, NO_COST
+        cell, k = rows.cells[self._row], int(rows.consumer[self._row])
+        while k >= 0:  # the step entering rake k through cell, and on
+            record = rows.records[k]
+            entry = 0 if record.e is cell else 1 if record.p is cell else 2
             total = sum_costs(total, rows.steps[rows.cls[k]][entry])
-            s = 2 * rows.base + k
-            k = int(rows.consumer[s])
+            cell, k = record, int(rows.consumer[2 * rows.base + k])
         return total
 
     @property
@@ -470,8 +497,8 @@ class CoeffRecord(_View):
 
     owner = property(lambda self: self._rows.ids[self._rows.owner[self._row]])
     level = property(lambda self: int(self._rows.level[self._row]))
-    left = property(lambda self: self._rows.slot(self._rows.left_slot[self._row]))
-    right = property(lambda self: self._rows.slot(self._rows.right_slot[self._row]))
+    left = property(lambda self: self._rows.cell_slot(self._rows.left[self._row]))
+    right = property(lambda self: self._rows.cell_slot(self._rows.right[self._row]))
     left_child = property(lambda self: self._rows.left_child[self._row])
     right_child = property(lambda self: self._rows.right_child[self._row])
     cost = property(lambda self: self._rows.cost[self._row])
@@ -507,19 +534,19 @@ class RakeEquation(CoeffRecord):
 
     __slots__ = ()
 
-    def _rake(self, column):
-        return column[self._row - self._rows.base]
+    def _record(self) -> _Rake:
+        return self._rows.cells[self._rows.base + self._row]
 
-    leaf = property(lambda self: self._rake(self._rows.records)[8])
-    parent = property(lambda self: self._rows.ids[self._rake(self._rows.parent)])
-    leaf_side = property(lambda self: int(self._rake(self._rows.leaf_side)))
-    parent_side = property(lambda self: int(self._rake(self._rows.parent_side)))
-    e_side_input = property(lambda self: self._rows.slot(self._rake(self._rows.e_in)))
-    parent_input = property(lambda self: self._rows.slot(self._rake(self._rows.p_in)))
-    z_side_input = property(lambda self: self._rows.slot(self._rake(self._rows.z_in)))
+    leaf = property(lambda self: self._record().leaf)
+    parent = property(lambda self: self._rows.ids[self._rows.parent[self._row - self._rows.base]])
+    leaf_side = property(lambda self: self._record().leaf_side)
+    parent_side = property(lambda self: self._record().parent_side)
+    e_side_input = property(lambda self: self._rows.cell_slot(self._record().e))
+    parent_input = property(lambda self: self._rows.cell_slot(self._record().p))
+    z_side_input = property(lambda self: self._rows.cell_slot(self._record().z))
     output = property(lambda self: self._rows.slot(self._rows.base + self._row))
-    diag = property(lambda self: self._rows.cells[self._rows.base + self._row][1])
-    scaled = property(lambda self: self._rows.cells[self._rows.base + self._row][2])
+    diag = property(lambda self: self._record().diag)
+    scaled = property(lambda self: self._record().scaled)
 
 
 @dataclass
@@ -604,7 +631,7 @@ class ContractionIndex:
         """Every rake, in build order, by the leaf it consumes."""
         if self._leaf_consumer is None:
             rows = self._rows
-            self._leaf_consumer = {record[8]: rows.version(rows.base + k)
+            self._leaf_consumer = {record.leaf: rows.version(rows.base + k)
                                    for k, record in enumerate(rows.records)}
         return self._leaf_consumer
 
@@ -740,16 +767,6 @@ def _stack(arrays: np.ndarray) -> np.ndarray:
     return np.concatenate(arrays.tolist()).reshape(len(arrays), *arrays[0].shape)
 
 
-def _split(keys: np.ndarray, items: np.ndarray):
-    """(key, items with that key, in order) for each distinct key."""
-    if not len(keys):
-        return ()
-    order = np.argsort(keys, kind="stable")
-    keys, items = keys[order], items[order]
-    cuts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    return zip(keys[np.r_[0, cuts]].tolist(), np.split(items, cuts))
-
-
 def _groups(columns: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Rows equal in every one of the integer arrays columns, grouped: the
     first row of each group, and each row's group."""
@@ -843,20 +860,6 @@ class _Build:
                 self.kind[s] = (PLAIN if type(coeff) is np.ndarray
                                 else IDENTITY if type(coeff) is Identity else OTHER)
                 self.form[s] = self.form_id(_form(coeff))
-        # plain base tables and leaf likelihoods, stacked once by shape in
-        # storage order: a stacked product gathers them by index (_stacked)
-        self.pools, self.pool_row = {}, np.full(S, -1)
-        plain = np.flatnonzero(self.kind[:2 * B] == PLAIN)
-        for fid, slots in _split(self.form[plain], plain):
-            if math.prod(self.forms[fid][0]) > POOLED_ENTRIES:
-                continue
-            self.pools[fid] = _stack(self.coeff[slots])
-            self.pool_row[slots] = np.arange(len(slots))
-        leaves = np.flatnonzero(~has_kids)
-        self.likelihoods, self.likelihood_row = {}, np.full(n, -1)
-        for k, group in _split(self.dcode[leaves], leaves):
-            self.likelihoods[k] = _stack(self.evidence[group])
-            self.likelihood_row[group] = np.arange(len(group))
         self.class_of: dict[tuple, int] = {}
         self.class_costs: list[tuple] = []
         self.class_form: list[int] = []
@@ -870,6 +873,7 @@ class _Build:
         order = _leaf_order(self.root, self.ints(left), self.ints(right))
         self.frontier = np.array(order, np.int64)
         index.levels.append(Level(0, self.names[self.frontier].tolist(), index))
+        leaves = np.flatnonzero(~has_kids)
         index.evidence = dict(zip(self.names[leaves].tolist(), self.evidence[leaves].tolist()))
 
     def ints(self, values: np.ndarray) -> list[int]:
@@ -944,24 +948,12 @@ class _Build:
         """multiply() for rakes whose inputs have one shape each and are
         plain arrays or identities, not both the parent and z sides: the
         same products, stacked, which numpy evaluates to the same bits."""
-        coeff, leaves = self.coeff, self.leaf[rows]
+        coeff = self.coeff
 
         def gather(slots):
-            if type(coeff[slots[0]]) is Identity:
-                return None
-            at = self.pool_row[slots]
-            pooled = at >= 0
-            if pooled.all():
-                return self.pools[self.form[slots[0]]][at]
-            rest = _stack(coeff[slots[~pooled]])
-            if not pooled.any():
-                return rest
-            out = np.empty((len(slots), *rest.shape[1:]))
-            out[pooled] = self.pools[self.form[slots[0]]][at[pooled]]
-            out[~pooled] = rest
-            return out
+            return None if type(coeff[slots[0]]) is Identity else _stack(coeff[slots])
 
-        lam = self.likelihoods[self.dcode[leaves[0]]][self.likelihood_row[leaves]]
+        lam = _stack(self.evidence[self.leaf[rows]])
         e, p, z = (gather(column[rows]) for column in (self.e_in, self.p_in, self.z_in))
         d = lam if e is None else np.matmul(e, lam[:, :, None])[:, :, 0]
         if p is None:  # Diag(d) . z
@@ -995,103 +987,119 @@ class _Build:
         self.form[2 * self.base + rows] = np.array(self.class_form, np.int64)[cls]
 
     def finish(self, frontier: np.ndarray) -> None:
-        """Fix every count, and hand the rows to the index as columns.
-
-        A rake fixes one step of each count it takes part in: the chain
-        step entered through each of its inputs (its class's), and the walk
-        step below it, from u's previous version (its class's lambda step)
-        or from x's last one (one evaluation of u's previous equation).  A
-        total is the sum of the steps on its path (_path_sums).  The totals
-        updates and queries start from are kept, each leaf's chain and each
-        node's walk; the views sum the others when read."""
-        # what only the rounds read goes first, to keep the peak low
-        del self.pools, self.likelihoods, self.pool_row, self.likelihood_row, self.kind
-        del self.live_parent, self.evidence
-        index, B, R = self.index, self.base, len(self.leaf)
-        V = B + R
-        ids, names, rakes = self.ids, self.names, np.arange(R)
+        """Fix every count, and hand the rows to the index as columns.  What
+        only the rounds read goes first, and each stage's temporaries go with
+        it, to keep the peak low."""
+        del self.kind, self.live_parent, self.evidence
+        index = self.index
         rows = index._rows = _Rows()
-        rows.ids, rows.base, rows.forms = ids, B, self.forms
+        rows.ids, rows.base, rows.forms = self.ids, self.base, self.forms
         rows.views = ref(index._views)
+        self.link(rows, frontier, *self.count(rows))
+        index.base_matrix_count = 2 * self.base
 
+    def count(self, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
+        """Every count.  A rake fixes one step of each count it takes part
+        in: the chain step entered through each of its inputs (its
+        class's), and the walk step below it, from u's previous version
+        (its class's lambda step) or from x's last one (one evaluation of
+        u's previous equation).  A total is the sum of the steps on its
+        path (_path_sums).  The totals updates and queries start from are
+        kept, each leaf's chain and each node's walk; the views sum the
+        others when read.  Returns nxt and how: rake k's output enters rake
+        nxt[k] (-1 for none) through the input how[k] says (0 e side, 1
+        parent side, 2 z side)."""
+        B, R = self.base, len(self.leaf)
         # one evaluation of each version: by its owner's domain and its forms
         columns = (self.dcode[self.owner], self.form[self.slot[:, LEFT]], self.form[self.slot[:, RIGHT]])
         first, group = _groups(columns)
         table = [equation_cost(self.kvals[columns[0][i]], self.forms[columns[1][i]],
                                self.forms[columns[2][i]]) for i in first.tolist()]
         rows.cost = [table[g] for g in group.tolist()]
-        cost = np.take(np.array(table, np.int64).reshape(-1, 5), group, axis=0)
 
-        # chains: rake k's output enters rake nxt[k] through the input how[k]
-        # says (0 e side, 1 parent side, 2 z side); the last column counts
-        # equations on a chain, and versions on a walk
+        # chains; the last column counts equations on a chain, and versions
+        # on a walk
         rows.steps, rows.cls = self.class_costs, self.cls
-        steps = np.take(np.array(self.class_costs, np.int64).reshape(-1, 4, 5), self.cls, axis=0)
-        out = 2 * B + rakes
+        steps = np.array(self.class_costs, np.int64).reshape(-1, 4, 5)  # by class
+        out = 2 * B + np.arange(R)
         nxt = self.consumer[out]
         how = np.where(self.e_in[nxt] == out, 0, np.where(self.p_in[nxt] == out, 1, 2))
         after = np.zeros((R, 6), np.int64)
         fed = nxt >= 0
-        after[fed, :5] = steps[nxt[fed], how[fed]]
+        after[fed, :5] = steps[self.cls[nxt[fed]], how[fed]]
         after[fed, 5] = 1
         after = _path_sums(after, nxt)
-        rows.update_cost = list(zip(*(steps[:, 0] + after[:, :5]).T.tolist()))
+        entry = steps[self.cls, 0]
+        rows.update_cost = _tuples(entry + after[:, :5])
         rows.longest_chain = int(after[:, 5].max()) + 1 if R else 0
-        index.counters.add(tuple(steps[:, 0].sum(axis=0).tolist()) if R else NO_COST)
+        self.index.counters.add(tuple(entry.sum(axis=0).tolist()) if R else NO_COST)
+        del after, entry
         # walks, kept for the versions queries start from: each internal
         # node's last
-        walk = np.zeros((V, 6), np.int64)
-        walk[self.gv, :5] = steps[:, 3]  # u's lambda(x) from the cached diagonal
-        walk[self.pv, :5] = np.take(cost, self.gv, axis=0)  # x's pi through u's previous equation
+        walk = np.zeros((B + R, 6), np.int64)
+        walk[self.gv, :5] = steps[self.cls, 3]  # u's lambda(x) from the cached diagonal
+        # x's pi through u's previous equation
+        walk[self.pv, :5] = np.array(table, np.int64).reshape(-1, 5)[group[self.gv]]
         walk[self.gv, 5] = walk[self.pv, 5] = 1
         walk = _path_sums(walk, self.above)
         finals = self.last[self.owner[:B]]
         rows.deepest_walk = int(walk[finals, 5].max())
-        walk_cost = np.full(V, None, dtype=object)
-        walk_cost[finals] = np.fromiter(zip(*walk[finals, :5].T.tolist()), dtype=object, count=B)
+        walk_cost = np.full(B + R, None, dtype=object)
+        walk_cost[finals] = _tuples(walk[finals, :5])
         rows.walk_cost = walk_cost.tolist()
-        del walk, after, steps
+        return nxt, how
 
-        # slots: a base slot's cell holds its coefficient, a rake's output's
-        # cell is the rake's record (see _Rows)
-        records = list(map(list, zip(self.coeff[2 * B:].tolist(), self.diag.tolist(),
-                                     self.scaled.tolist())))
-        cells = rows.cells = [[c] for c in self.coeff[:2 * B].tolist()] + records
+    def link(self, rows: _Rows, frontier: np.ndarray, nxt: np.ndarray, how: np.ndarray) -> None:
+        """The cells, the records and what the walks read."""
+        B, R, names = self.base, len(self.leaf), self.names
+        # slots: a rake's output's cell is the rake's record
+        records = list(map(_Rake, self.coeff[2 * B:].tolist(), self.diag.tolist(),
+                           self.scaled.tolist()))
+        cells = rows.cells = list(map(_Cell, self.coeff[:2 * B].tolist())) + records
         del self.coeff, self.diag, self.scaled
         cell = np.fromiter(cells, object, len(cells))
-        rows.form, rows.consumer = self.form, self.consumer
+        rows.form, rows.consumer, rows.slot_of = self.form, self.consumer, None
         # rakes
-        rows.parent, rows.leaf_side, rows.parent_side = self.parent, self.leaf_side, self.parent_side
-        rows.e_in, rows.p_in, rows.z_in, rows.gv = self.e_in, self.p_in, self.z_in, self.gv
+        rows.parent, rows.gv = self.parent, self.gv
         record = np.append(cell[2 * B:], None)  # rake k's record, and None at -1
-        kept = self.slot[B + rakes, 1 - self.parent_side]
-        fields = zip(cell[self.e_in].tolist(), cell[self.p_in].tolist(), cell[self.z_in].tolist(),
-                     record[nxt].tolist(), how.tolist(), names[self.leaf].tolist(),
-                     self.parent_side.tolist(), self.leaf_side.tolist(), cell[kept].tolist())
-        deque(map(list.extend, records, fields), maxlen=0)  # each record takes its fields
+        kept = self.slot[B + np.arange(R), 1 - self.parent_side]
+        for rake, *fields in zip(records, cell[self.e_in].tolist(), cell[self.p_in].tolist(),
+                                 cell[self.z_in].tolist(), record[nxt].tolist(), how.tolist(),
+                                 names[self.leaf].tolist(), self.parent_side.tolist(),
+                                 self.leaf_side.tolist(), cell[kept].tolist()):
+            (rake.e, rake.p, rake.z, rake.feeds, rake.enters, rake.leaf, rake.parent_side,
+             rake.leaf_side, rake.kept) = fields
         rows.records = records
+        del kept, self.e_in, self.p_in, self.z_in, self.leaf_side, self.parent_side
         # versions
         rows.owner, rows.level, rows.above = self.owner, self.level, self.ints(self.above)
-        rows.left_slot, rows.right_slot = self.slot[:, LEFT], self.slot[:, RIGHT]
-        rows.left, rows.right = cell[rows.left_slot].tolist(), cell[rows.right_slot].tolist()
+        rows.left, rows.right = cell[self.slot[:, LEFT]].tolist(), cell[self.slot[:, RIGHT]].tolist()
+        del cell, self.slot
         rows.left_child = names[self.child[:, LEFT]].tolist()
         rows.right_child = names[self.child[:, RIGHT]].tolist()
-        below = np.zeros(V, dtype=bool)
+        del self.child
+        below = np.zeros(B + R, dtype=bool)
         below[self.gv] = True
         rows.below = below.tolist()
         rows.down = record[np.where(self.above < 0, -1, self.above - B)].tolist()
+        del below, record
 
         # where each node's query walk starts: its own last version, or, for
         # a leaf, that of the parent its rake removes, or the root's
-        start = np.empty(len(ids), np.int64)
+        start = np.empty(len(self.ids), np.int64)
         start[self.owner] = self.last[self.owner]
         start[frontier] = self.last[self.root]
         start[self.leaf] = self.last[self.parent]
         rows.start = self.ints(start)
-        rake_of = np.full(len(ids), -1)
-        rake_of[self.leaf] = rakes
+        rake_of = np.full(len(self.ids), -1)
+        rake_of[self.leaf] = np.arange(R)
         rows.rake_of = self.ints(rake_of)
-        index.base_matrix_count = 2 * B
+
+
+def _tuples(table: np.ndarray) -> list[tuple]:
+    """The rows of an integer array as tuples, equal rows one tuple."""
+    made = {}
+    return [made.setdefault(row, row) for row in zip(*table.T.tolist())]
 
 
 def _path_sums(steps: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -1142,12 +1150,12 @@ def _lambda_rec(index: ContractionIndex, node_id: str) -> np.ndarray:
     left = _lambda_rec(index, rows.left_child[v])
     right = _lambda_rec(index, rows.right_child[v])
     index.counters.add(rows.cost[v])
-    return rows.left[v][0].dot(left) * rows.right[v][0].dot(right)
+    return rows.left[v].coeff.dot(left) * rows.right[v].coeff.dot(right)
 
 
-def _recompute(evidence: dict[str, np.ndarray], record: list) -> None:
-    """Evaluate a rake's record (see _Rows), then the record of the rake its
-    output feeds, and so on up the consumer chain.
+def _recompute(evidence: dict[str, np.ndarray], record: _Rake) -> None:
+    """Evaluate a rake's record, then the record of the rake its output
+    feeds, and so on up the consumer chain.
 
     The first rake's leaf changed, so its diag and scaled are refreshed,
     and so are a later one's where the chain enters it through its e-side
@@ -1162,14 +1170,15 @@ def _recompute(evidence: dict[str, np.ndarray], record: list) -> None:
     """
     entry = 0  # how the chain enters the rake: 0 e side (or leaf), 1 parent side, 2 z side
     while record is not None:
-        _, d, s, e, p, z, following, how, leaf, _, _, _ = record
-        if entry != 2:
+        if entry == 2:
+            s = record.scaled
+        else:
             if entry == 0:
-                d = record[1] = e[0].dot(evidence[leaf])
-            s = record[2] = p[0] * d
-        z = z[0]
-        record[0] = s.dot(z) if type(z) is np.ndarray else s @ z
-        record, entry = following, how
+                record.diag = record.e.coeff.dot(evidence[record.leaf])
+            s = record.scaled = record.p.coeff * record.diag
+        z = record.z.coeff
+        record.coeff = s.dot(z) if type(z) is np.ndarray else s @ z
+        record, entry = record.feeds, record.enters
 
 
 def update_evidence(index: ContractionIndex, leaf_id: str, evidence) -> ContractionIndex:
@@ -1228,8 +1237,7 @@ def _walk(index: ContractionIndex, v: int):
     """
     rows = index._rows
     above = rows.above
-    cost = rows.walk_cost[v]
-    index.counters.add(_walk_cost(rows, v) if cost is None else cost)
+    index.counters.add(_walk_cost(rows, v))
     path = []
     up = above[v]
     while up >= 0:
@@ -1239,20 +1247,18 @@ def _walk(index: ContractionIndex, v: int):
     evidence = index.evidence
     pi = index.tree.nodes[index.root].prior
     lam = [evidence[rows.left_child[v]], evidence[rows.right_child[v]]]
-    # the record of the rake above each version, read field by field: only
-    # the fields a step needs are touched
     below, down = rows.below, rows.down
     for v in reversed(path):
-        record = down[v]
-        side = record[9]
+        rake = down[v]
+        side = rake.parent_side
         if below[v]:  # u's previous version: diag . (z side . lambda(z))
-            lam[side] = record[1] * record[5][0].dot(lam[side])
+            lam[side] = rake.diag * rake.z.coeff.dot(lam[side])
         else:  # x's last version: pi through u's kept side and parent side
-            up = pi * record[11][0].dot(lam[1 - side])
-            parent = record[4][0]
+            up = pi * rake.kept.coeff.dot(lam[1 - side])
+            parent = rake.p.coeff
             pi = up.dot(parent) if type(parent) is np.ndarray else up @ parent
-            lam_z, lam_e = lam[side], evidence[record[8]]
-            lam = [lam_e, lam_z] if record[10] == LEFT else [lam_z, lam_e]
+            lam_z, lam_e = lam[side], evidence[rake.leaf]
+            lam = [lam_e, lam_z] if rake.leaf_side == LEFT else [lam_z, lam_e]
     return pi, lam
 
 
@@ -1277,9 +1283,9 @@ def _leaf_pi(index: ContractionIndex, leaf_id: str, v: int) -> np.ndarray:
     rows = index._rows
     index.counters.add(rows.cost[v])
     if rows.left_child[v] == leaf_id:
-        up, down = pi * rows.right[v][0].dot(lam[RIGHT]), rows.left[v][0]
+        up, down = pi * rows.right[v].coeff.dot(lam[RIGHT]), rows.left[v].coeff
     else:
-        up, down = pi * rows.left[v][0].dot(lam[LEFT]), rows.right[v][0]
+        up, down = pi * rows.left[v].coeff.dot(lam[LEFT]), rows.right[v].coeff
     return up.dot(down) if type(down) is np.ndarray else up @ down
 
 
@@ -1315,6 +1321,6 @@ def belief_query(index: ContractionIndex, node_id: str) -> Belief:
         pi, (lam_left, lam_right) = _walk(index, v)
         rows = index._rows
         index.counters.add(rows.cost[v])
-        lam = rows.left[v][0].dot(lam_left) * rows.right[v][0].dot(lam_right)
+        lam = rows.left[v].coeff.dot(lam_left) * rows.right[v].coeff.dot(lam_right)
     index.counters.count_vector_op(lam.shape[0])
     return normalize_belief(lam * pi, node=node_id)

@@ -65,7 +65,7 @@ DEFAULT_CLIQUE_CAP = 4096
 _VAR_KEYS = frozenset({"id", "domain", "parents", "cpt", "prior"})
 
 
-@dataclass
+@dataclass(slots=True)
 class Variable:
     id: str
     domain: int
@@ -125,10 +125,10 @@ class Polytree:
             raise NotAPolytree(f"underlying graph is disconnected: "
                                f"{sorted(set(self.variables) - seen)} not connected to {start!r}")
 
-    def _store_tables(self, checks) -> None:
+    def _store_tables(self, record) -> None:
         for var in self.variables.values():
             rows = math.prod(self.variables[p].domain for p in var.parents) if var.parents else None
-            store_family_table(var, checks, rows)
+            store_family_table(var, record, rows)
 
     @property
     def n(self) -> int:
@@ -176,8 +176,8 @@ def build_polytree(spec: dict) -> Polytree:
         parents = raw.get("parents", [])
         if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
             raise FormatError(f"parents of {raw['id']!r} must be a list of variable id strings")
-        variables.append(Variable(id=raw["id"], domain=raw["domain"], parents=list(parents),
-                                  cpt=raw.get("cpt"), prior=raw.get("prior")))
+        variables.append(Variable(raw["id"], raw["domain"], list(parents), raw.get("cpt"),
+                                  raw.get("prior")))
     return Polytree(variables)
 
 
@@ -188,7 +188,7 @@ def load_polytree(path) -> Polytree:
 # -- cliques and join tree --------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Clique:
     """Family clique of one variable: members [variable, *parents].
 

@@ -81,6 +81,8 @@ BAD_LIKELIHOODS = {
     "wrong-length": ([0.5, 0.5, 0.5], DimensionMismatch),
     "all-zero": ([0.0, 0.0], AllZeroLikelihood),
     "non-numeric": (["a", "b"], FormatError),
+    "numeric-string": (["0.5", "1"], FormatError),
+    "none": ([None, 1.0], FormatError),
     # an object array, since np.array refuses a ragged list
     "ragged": (np.array([[1.0], [1.0, 2.0]], dtype=object), FormatError),
 }

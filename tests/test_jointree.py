@@ -457,7 +457,7 @@ class TestCompile:
             return store(tree, *checks)
 
         def decide_spy(batch):
-            batches.append((len(batch.tables), len(batch.likelihoods)))
+            batches.append(len(batch.records))
             return decide(batch)
 
         wide = build_tree({"nodes": [{"id": "r", "domain": 2, "prior": [0.5, 0.5]}] + [

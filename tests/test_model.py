@@ -40,7 +40,7 @@ from logbel import (
     update_evidence,
 )
 from logbel.generate import random_tree
-from logbel.model import TABLE_CHUNK, TableBatch
+from logbel.model import TableBatch
 from test_counts import ragged_tree
 
 
@@ -550,6 +550,9 @@ INPUT_FAULTS = {
     "string-domain": ({"nodes": [_with(ROOT, domain="2")]}, FormatError, "'u'"),
     "parentless-with-cpt": ({"nodes": [_with(ROOT, cpt=LEAF["cpt"])]}, FormatError, "'u'"),
     "parentless-without-prior": ({"nodes": [_with(ROOT, prior=None)]}, FormatError, "'u'"),
+    "numeric-string-prior": ({"nodes": [_with(ROOT, prior=["0.5", "0.5"])]}, FormatError, "'u'"),
+    "none-in-cpt": ({"nodes": [ROOT, _with(LEAF, cpt=[[None, 1.0], [0.5, 0.5]])]},
+                    FormatError, "'e'"),
     "two-cycle-beside-an-isolated-variable": ({"nodes": [
         ROOT,
         _with(LEAF, id="a", parent="b", evidence=None),
@@ -589,18 +592,30 @@ def _polytree_spec(pt):
         for v in pt.variables.values()]}
 
 
+def _plain(table):
+    """A table still as read from JSON: a non-empty list of floats or of
+    lists of them."""
+    return isinstance(table, list) and len(table) > 0 and all(
+        isinstance(x, float) or isinstance(x, list) and all(isinstance(y, float) for y in x)
+        for x in table)
+
+
 def _corrupt(spec, rng, kinds):
-    """Damage one table of spec (a network description) in one of kinds."""
+    """Damage one plain table of spec (a network description) in one of kinds."""
     entries = spec.get("nodes") or spec["variables"]
     kind = str(rng.choice(kinds))
     if kind.startswith("evidence"):
         key = "evidence"
     else:
         key = "prior" if rng.random() < 0.15 else "cpt"
-    holders = [e for e in entries if key in e]
+    holders = [e for e in entries if _plain(e.get(key))]
+    if not holders:  # each table of key already has another form or fault
+        key = "cpt"
+        holders = [e for e in entries if _plain(e.get(key))]
     entry = holders[int(rng.integers(len(holders)))]
     table = entry[key]
-    row = table[int(rng.integers(len(table)))] if key == "cpt" else table
+    r = int(rng.integers(len(table)))
+    row = table[r] if key == "cpt" else table
     col = int(rng.integers(len(row)))
     if kind == "nan":
         row[col] = float("nan")
@@ -616,10 +631,57 @@ def _corrupt(spec, rng, kinds):
             table.pop()
         else:
             row.append(0.0)
+    elif kind == "row-moved":  # a row short here, a row over in a table of its shape
+        others = [e[key] for e in holders if e is not entry and np.shape(e[key]) == np.shape(table)]
+        moved = table.pop()
+        if others:
+            others[0].append(moved)
+    elif kind == "ragged-row":
+        if key == "cpt":
+            row.append(0.0)
+        else:
+            row[col] = [row[col], 0.0]
+    elif kind == "string-entry":
+        row[col] = "x"
+    elif kind == "numeric-string":
+        row[col] = repr(row[col])
+    elif kind == "none-entry":
+        row[col] = None
+    elif kind == "row-as-string":
+        text = " ".join(map(repr, row))
+        if key == "cpt":
+            table[r] = text
+        else:
+            entry[key] = text
     elif kind == "evidence-all-zero":
         row[:] = [0.0] * len(row)
     elif kind == "evidence-wrong-length":
         row.append(1.0)
+
+
+FORMS = ["tuple", "ndarray", "fortran", "float32", "int", "bool"]
+
+
+def _reform(spec, rng, form):
+    """Give one plain table of spec another valid form: nested tuples, a
+    float64 array (C or Fortran order), or exact float32, int or bool
+    entries (one-hot or halves, so that rows still sum to 1)."""
+    entries = spec.get("nodes") or spec["variables"]
+    holders = [(e, key) for e in entries for key in ("prior", "cpt", "evidence")
+               if _plain(e.get(key))]
+    entry, key = holders[int(rng.integers(len(holders)))]
+    table = np.array(entry[key])
+    k = table.shape[-1]
+    one_hot = np.eye(k)[rng.integers(k, size=table.shape[:-1])]
+    if form == "tuple":
+        entry[key] = tuple(map(tuple, table.tolist())) if table.ndim == 2 else tuple(table.tolist())
+    elif form in ("ndarray", "fortran"):
+        entry[key] = np.asfortranarray(table) if form == "fortran" else table
+    elif form == "float32":
+        entry[key] = ((one_hot + np.eye(k)[rng.integers(k, size=table.shape[:-1])]) / 2
+                      ).astype(np.float32)
+    else:
+        entry[key] = one_hot.astype(int if form == "int" else bool)
 
 
 def _outcome(builder, spec):
@@ -630,13 +692,15 @@ def _outcome(builder, spec):
     return None
 
 
-TABLE_KINDS = ["nan", "+inf", "-inf", "negative", "sum-1+1e-6", "wrong-shape"]
+TABLE_KINDS = ["nan", "+inf", "-inf", "negative", "sum-1+1e-6", "wrong-shape", "row-moved",
+               "ragged-row", "string-entry", "numeric-string", "none-entry", "row-as-string"]
 
 
 @pytest.mark.parametrize("family", ["tree", "polytree"])
 def test_batched_check_matches_ordered_check(family, monkeypatch):
-    """Every table is decided in shape batches (chunks of TABLE_CHUNK); the
-    ordered single-table pass must report exactly the same first error."""
+    """Every table is decided in one block per shape; the batch alone
+    accepts exactly the valid networks, in any valid input form, and the
+    ordered single-table pass reports exactly the same first error."""
     rng = np.random.default_rng(50)
     if family == "tree":
         builder = build_tree
@@ -647,16 +711,67 @@ def test_batched_check_matches_ordered_check(family, monkeypatch):
         builder, kinds = build_polytree, TABLE_KINDS
         specs = [_polytree_spec(random_polytree(n, 3, k, rng))
                  for n, k in [(900, 2), (60, (2, 3))]]
-    assert max(len(spec.get("nodes") or spec["variables"]) for spec in specs) > 2 * TABLE_CHUNK
     cases = []
     for spec in specs:
-        cases.append(spec)
-        for _ in range(8):
-            bad = copy.deepcopy(spec)
+        reformed = copy.deepcopy(spec)
+        for form in FORMS * 2:
+            _reform(reformed, rng, form)
+        cases += [spec, reformed]
+        for i in range(12):
+            bad = copy.deepcopy(reformed if i % 2 else spec)
             for _ in range(int(rng.integers(1, 3))):
                 _corrupt(bad, rng, kinds)
             cases.append(bad)
+    batch_valid, decided = TableBatch.valid, []
+    monkeypatch.setattr(TableBatch, "valid",
+                        lambda self: decided.append(batch_valid(self)) or decided[-1])
     outcomes = [_outcome(builder, copy.deepcopy(spec)) for spec in cases]
+    assert decided == [outcome is None for outcome in outcomes]
     monkeypatch.setattr(TableBatch, "valid", lambda self: False)  # ordered pass only
     assert outcomes == [_outcome(builder, copy.deepcopy(spec)) for spec in cases]
-    assert outcomes.count(None) == len(specs)
+    assert outcomes.count(None) == 2 * len(specs)
+
+
+@pytest.mark.parametrize("ordered", [False, True], ids=["batch", "ordered"])
+def test_stored_tables_are_new_c_float64_arrays_of_their_shape(ordered, monkeypatch):
+    """CausalTree(nodes) and Polytree(variables), given float64 arrays in C
+    and Fortran order, float32 and int arrays, store every table as a new
+    float64, C-contiguous array of its edge's shape that shares no memory
+    with any array the caller passed, through the batch and through the
+    ordered pass alike."""
+    if ordered:
+        monkeypatch.setattr(TableBatch, "valid", lambda self: False)
+    rng = np.random.default_rng(51)
+    def one_hot(a, dtype):  # exact in any dtype, so rows still sum to 1
+        return np.eye(a.shape[-1], dtype=dtype)[np.zeros(a.shape[:-1], int)]
+
+    forms = [lambda a: a, np.asfortranarray, lambda a: one_hot(a, np.float32),
+             lambda a: one_hot(a, int)]
+
+    def given(table, i):
+        return None if table is None else forms[i % len(forms)](table)
+
+    tree = random_tree(80, (2, 3), rng)
+    nodes = [Node(id=n.id, domain=n.domain, parent=n.parent, cpt=given(n.cpt, i),
+                  prior=given(n.prior, i + 1), evidence=given(n.evidence, i + 2))
+             for i, n in enumerate(tree.nodes.values())]
+    pt = random_polytree(80, 3, (2, 3), rng)
+    variables = [Variable(id=v.id, domain=v.domain, parents=list(v.parents),
+                          cpt=given(v.cpt, i), prior=given(v.prior, i + 1))
+                 for i, v in enumerate(pt.variables.values())]
+    passed = [t for e in nodes + variables for t in (e.cpt, e.prior, getattr(e, "evidence", None))
+              if isinstance(t, np.ndarray)]
+    built, built_pt = CausalTree(nodes), Polytree(variables)
+    stored = []
+    for node in built.nodes.values():
+        parent = None if node.parent is None else built.nodes[node.parent].domain
+        stored += [(node.cpt, (parent, node.domain)), (node.prior, (node.domain,)),
+                   (node.evidence, (node.domain,))]
+    for var in built_pt.variables.values():
+        rows = int(np.prod([built_pt.variables[p].domain for p in var.parents]))
+        stored += [(var.cpt, (rows, var.domain)), (var.prior, (var.domain,))]
+    stored = [(table, shape) for table, shape in stored if table is not None]
+    assert len(stored) == len(passed)
+    for table, shape in stored:
+        assert table.dtype == np.float64 and table.flags.c_contiguous and table.shape == shape
+        assert not any(np.shares_memory(table, arr) for arr in passed)

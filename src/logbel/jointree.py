@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -52,7 +53,8 @@ from .model import (
     check_likelihood,
     collector_paused,
     index_by_id,
-    normalize_tree,
+    make_complete_binary,
+    normalize_tree,  # noqa: F401  (the traced benchmark wraps jointree.normalize_tree by name)
     read_entries,
     read_json,
     shared_table,
@@ -243,8 +245,7 @@ def extract_cliques(pt: Polytree) -> dict[str, Clique]:
     cliques = {}
     for vid, var in pt.variables.items():
         members = [vid] + list(var.parents)
-        cliques[vid] = Clique(variable=vid, members=members,
-                              domains=[pt.variables[m].domain for m in members])
+        cliques[vid] = Clique(vid, members, [pt.variables[m].domain for m in members])
     return cliques
 
 
@@ -318,36 +319,52 @@ def prior_marginals(pt: Polytree) -> dict[str, np.ndarray]:
 # -- compilation to a causal tree --------------------------------------------------
 
 
-def _family_table(var: Variable) -> np.ndarray:
-    """phi_v: P(v | parents), or v's prior, one entry per state of v's
-    clique (own variable most significant, as in Clique)."""
-    return var.cpt.T.ravel() if var.parents else var.prior
+def _clique_tables(jt: JoinTree, pt: Polytree) -> dict[str, tuple]:
+    """Per clique variable v, (edge table, prior, edge form, (projection,
+    likelihood, form)): the tables of its clique node C:v, then of its
+    indicator leaf E:v.
 
+    C:v's edge table is J . R, J the parent clique's projection on the
+    separator s and R[s_value, state] = [state agrees with s_value] .
+    phi_v(state), its form FactoredMatrix(J, R) where saves_a_call; phi_v
+    is P(v | parents), or v's prior, over the clique's states (own variable
+    most significant, as in Clique).  The root clique has phi_v as its
+    prior instead, so each family table sits on one edge or on the root
+    prior and the tables' product over consistent clique states is the
+    joint (Lauritzen & Spiegelhalter 1988).  E:v has the projection on v,
+    the all-ones likelihood and, where that projection is one, Identity.
 
-def _separator_conditionals(jt: JoinTree, pt: Polytree,
-                            projection: Callable[[Clique, str], np.ndarray]
-                            ) -> dict[str, np.ndarray]:
-    """R[s_value, clique_state] = [clique state agrees with s_value] .
-    phi_v(clique state) for every clique but the root's, by clique variable
-    v; projection(clique, member) is the shared clique.projection(member).
-
-    Each family table sits on one edge or on the root prior, so the tables'
-    product over consistent clique states is the joint (Lauritzen &
-    Spiegelhalter 1988); no row need be stochastic and no prior marginal
-    enters.  One broadcast product per stack of cliques of one shape and
-    separator position.
+    Cliques are stacked by shape and separator position, theirs and their
+    parent's: one broadcast product and one np.matmul per stack.  J has one
+    1 per row, so each entry of J . R is an entry of R, exactly.
     """
-    stacks: dict[tuple, list[Clique]] = {}
+    shared: dict[tuple, np.ndarray] = {}
+    stacks: dict[tuple, list[str]] = {}
     for cvar, up in jt.parent.items():
-        if up is not None:
-            clique = jt.cliques[cvar]
-            key = (tuple(clique.domains), clique.members.index(up[1]))
-            stacks.setdefault(key, []).append(clique)
-    out: dict[str, np.ndarray] = {}
-    for (domains, pos), cliques in stacks.items():
-        tables = np.stack([_family_table(pt.variables[c.variable]) for c in cliques])
-        spread = projection(cliques[0], cliques[0].members[pos]).T
-        out.update(zip((c.variable for c in cliques), spread * tables[:, None, :]))
+        clique = jt.cliques[cvar]
+        if up is None:
+            key = (tuple(clique.domains), None, None, None)
+        else:
+            parent = jt.cliques[up[0]]
+            key = (tuple(clique.domains), clique.members.index(up[1]),
+                   tuple(parent.domains), parent.members.index(up[1]))
+        stacks.setdefault(key, []).append(cvar)
+    out: dict[str, tuple] = {}
+    for (domains, pos, parent_domains, parent_pos), cvars in stacks.items():
+        k_own = domains[0]
+        leaf = (shared_table(shared, _projection, domains, 0), shared_table(shared, np.ones, k_own),
+                Identity(k_own) if math.prod(domains) == k_own else None)
+        variables = [pt.variables[cvar] for cvar in cvars]
+        tables = (np.stack([var.cpt for var in variables]).transpose(0, 2, 1).reshape(len(cvars), -1)
+                  if len(domains) > 1 else np.stack([var.prior for var in variables]))
+        if pos is None:  # the root clique
+            out[cvars[0]] = (None, tables[0], None, leaf)
+            continue
+        J = shared_table(shared, _projection, parent_domains, parent_pos)
+        Rs = shared_table(shared, _projection, domains, pos).T * tables[:, None, :]
+        edges = ([FactoredMatrix(J, R) for R in Rs] if saves_a_call((J.shape, Rs.shape[1:]))
+                 else repeat(None))
+        out.update(zip(cvars, zip(np.matmul(J, Rs), repeat(None), edges, repeat(leaf))))
     return out
 
 
@@ -363,11 +380,15 @@ class CompiledTree:
 
 def compile_join_tree(jt: JoinTree, pt: Polytree,
                       state_cap: int = DEFAULT_CLIQUE_CAP) -> CompiledTree:
-    """Emit the clique causal tree: domain-K clique nodes, one family table
-    per edge, one indicator evidence leaf per variable, then normalize to
-    complete binary form.  The root clique's prior is phi_root undivided,
-    so the evidence-free mass is 1 under every root and Belief.normalizer
-    is P(evidence).
+    """Emit the clique causal tree straight into complete binary form:
+    domain-K clique nodes, one family table per edge, one indicator
+    evidence leaf per variable.  The root clique's prior is phi_root
+    undivided, so the evidence-free mass is 1 under every root and
+    Belief.normalizer is P(evidence).
+
+    One node set is made, in preorder, each clique node with its children
+    (its evidence leaf, then its child cliques in join-tree order), and
+    make_complete_binary rewrites it in place: no child list is derived.
 
     Each edge's coefficient form (contraction.py) is known from shapes by
     construction and never by comparing arrays.  coeffs lists the edges
@@ -375,8 +396,8 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
     - a clique edge J . R is a FactoredMatrix where saves_a_call (never
       when J is square, as for a parentless parent clique), its dense cpt
       otherwise;
-    - the identity edges normalize_tree names (its splitters) and the
-      evidence leaf of a clique with as many states as its variable (a
+    - the identity edges make_complete_binary names (its splitters) and
+      the evidence leaf of a clique with as many states as its variable (a
       parentless one's: its projection is the identity) get Identity;
     - the other evidence leaves (a projection) and the unit leaves (an
       all-ones column) keep their dense tables.
@@ -393,51 +414,34 @@ def compile_join_tree(jt: JoinTree, pt: Polytree,
             raise DimensionOverflow(
                 f"clique of {clique.variable!r} has {clique.K} states, cap is {state_cap}")
 
-    shared: dict[tuple, np.ndarray] = {}
-
-    def projection(clique: Clique, member: str) -> np.ndarray:
-        return shared_table(shared, _projection, tuple(clique.domains),
-                            clique.members.index(member))
-
-    conditionals = _separator_conditionals(jt, pt, projection)
-    nodes: list[Node] = []
+    tables = _clique_tables(jt, pt)
+    # one string object per id, so every lookup of a child or parent by id
+    # meets the dict key itself
+    clique_node = {cvar: "C:" + cvar for cvar in jt.cliques}
+    evidence_leaf = {cvar: "E:" + cvar for cvar in jt.cliques}
+    nodes: dict[str, Node] = {}
     coeffs: dict[str, object] = {}
-    clique_node: dict[str, str] = {}
-    evidence_leaf: dict[str, str] = {}
-
     stack = [jt.root]
     while stack:
         cvar = stack.pop()
-        clique = jt.cliques[cvar]
-        node_id, leaf_id = f"C:{cvar}", f"E:{cvar}"
-        clique_node[cvar] = node_id
-        evidence_leaf[cvar] = leaf_id
-        node = Node(id=node_id, domain=clique.K)
-        if jt.parent[cvar] is None:
-            node.prior = _family_table(pt.variables[cvar])
-        else:
-            parent_cvar, separator = jt.parent[cvar]
-            node.parent = f"C:{parent_cvar}"
-            J = projection(jt.cliques[parent_cvar], separator)
-            R = conditionals[cvar]
-            node.cpt = J.dot(R)
-            if saves_a_call((J.shape, R.shape)):
-                coeffs[node_id] = FactoredMatrix(J, R)
-        nodes.append(node)
-        k_own = clique.domains[0]
-        nodes.append(Node(id=leaf_id, domain=k_own, parent=node_id,
-                          cpt=projection(clique, cvar),
-                          evidence=shared_table(shared, np.ones, k_own)))
-        if clique.K == k_own:
-            coeffs[leaf_id] = Identity(k_own)
-        stack.extend(cv for cv, _ in reversed(jt.children[cvar]))
-    # Preorder declares each clique's evidence leaf before its child cliques,
-    # which come in join-tree order, so that is their sibling order.
-    tree, identity_ids = normalize_tree(CausalTree.unchecked(nodes, f"C:{jt.root}"))
-    for node_id in identity_ids:
-        coeffs[node_id] = Identity(tree.nodes[node_id].domain)
-    return CompiledTree(tree=tree, coeffs=coeffs,
-                        clique_node=clique_node, evidence_leaf=evidence_leaf)
+        kids = jt.children[cvar]
+        node_id, leaf_id = clique_node[cvar], evidence_leaf[cvar]
+        cpt, prior, edge, (leaf_cpt, ones, leaf_edge) = tables[cvar]
+        node = nodes[node_id] = Node(node_id, leaf_cpt.shape[0], None,
+                                     [leaf_id, *[clique_node[cv] for cv, _ in kids]], cpt, prior)
+        if prior is None:
+            node.parent = clique_node[jt.parent[cvar][0]]
+            if edge is not None:
+                coeffs[node_id] = edge
+        nodes[leaf_id] = Node(leaf_id, ones.shape[0], node_id, [], leaf_cpt, None, ones)
+        if leaf_edge is not None:
+            coeffs[leaf_id] = leaf_edge
+        stack.extend(cv for cv, _ in reversed(kids))
+    tree = CausalTree.unchecked(nodes, clique_node[jt.root])
+    for node_id in make_complete_binary(tree):
+        coeffs[node_id] = Identity(nodes[node_id].domain)
+    return CompiledTree(tree=tree, coeffs=coeffs, clique_node=clique_node,
+                        evidence_leaf=evidence_leaf)
 
 
 # -- the engine --------------------------------------------------------------------

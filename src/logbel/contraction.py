@@ -19,9 +19,11 @@ of the frontier; contract() computes it in two array passes (rake), the
 leaves that are left children first, then those that are right children,
 which may read what the first pass wrote.  This is the order in which the
 round's rakes would run one at a time, left to right, so rows keep that
-order.  The update chain and the query walk read the columns; Slot,
-CoeffRecord and RakeEquation are read-only views of rows, made when asked
-for.
+order.  Each stored matrix is one object: a Slot for each of a base
+equation's two, and for each rake its RakeEquation, which is both the
+version of the grandparent's equation it writes and the slot that holds
+its output.  The update chain follows the RakeEquations; the query walk
+reads them and the columns.
 
 Coefficient forms.  This module owns how a stored coefficient is kept,
 what its products cost and which form a product keeps.  A coefficient is a
@@ -55,9 +57,9 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from operator import attrgetter
 from types import MappingProxyType
-from weakref import ref
 
 import numpy as np
 
@@ -318,92 +320,37 @@ class _Rows:
     2b + 1 (right), and rake k is version base + k and writes slot
     2 * base + k.  Row order is storage order: the base equations in tree
     order, then the rakes in build order.  Lists hold what updates and
-    queries read, arrays what only the views read.  ids names the nodes,
-    base counts the base versions, forms holds each form once, views
-    reaches the index's view cache weakly, and longest_chain and
-    deepest_walk are for stats().
+    queries read, arrays what only the records' properties read.  ids
+    names the nodes, base counts the base versions, forms holds each form
+    once, and longest_chain and deepest_walk are for stats().
 
     Per node: start, the version its query walk starts from (its own last,
     or for a leaf its parent's); rake_of, the rake that consumes a leaf
     (-1 for none).
-    Per slot: cells, the _Cell whose coeff an update replaces: a rake's
-    output's is the rake's record; form (an index into forms); consumer,
-    the rake the slot feeds (-1 for none).
-    Per version: owner, level, the cells left/right of its two slots,
+    Per slot: slots, its Slot (a rake's output's is the rake's
+    RakeEquation); form (an index into forms); consumer, the rake the slot
+    feeds (-1 for none).
+    Per version: owner, level, the Slots left/right of its two slots,
     left_child/right_child; above, the next version on the query walk (-1
-    for the root's last); down, the record of the rake that is its above;
-    below, whether the version is the one its above rewrites (else it is
-    the last of the parent its above removes); cost; walk_cost, kept for
-    the versions queries start from.
-    Per rake: records (see _Rake); cls, its cost class, whose steps are in
-    steps; parent (x) and gv (the version it rewrites), which records do
-    not hold; update_cost, the chain_cost of its e-side input.  A view
-    finds a cell's slot through slot_of, built when first needed.
+    for the root's last); down, the RakeEquation that is its above; below,
+    whether the version is the one its above rewrites (else it is the last
+    of the parent its above removes); cost; walk_cost, kept for the
+    versions queries start from.
+    Per rake: records, its RakeEquation; cls, its cost class, whose steps
+    are in steps; parent (x) and gv (the version it rewrites), which
+    records do not hold; update_cost, the chain_cost of its e-side input.
     """
 
-    __slots__ = ("ids", "base", "forms", "views", "start", "rake_of", "steps", "cls",
-                 "longest_chain", "deepest_walk",
-                 "cells", "form", "consumer", "slot_of",
+    __slots__ = ("ids", "base", "forms", "start", "rake_of", "steps", "cls",
+                 "longest_chain", "deepest_walk", "slots", "form", "consumer",
                  "owner", "level", "left", "right", "left_child",
                  "right_child", "above", "down", "below", "cost", "walk_cost",
                  "records", "parent", "gv", "update_cost")
 
-    def slot(self, s: int) -> "Slot":
-        return self._view(Slot, int(s), int(s))
 
-    def cell_slot(self, cell: "_Cell") -> "Slot":
-        """The view of the slot whose cell is cell."""
-        if self.slot_of is None:
-            self.slot_of = {c: s for s, c in enumerate(self.cells)}
-        return self.slot(self.slot_of[cell])
+class _Row:
+    """A stored record's place: the index's rows and its own row."""
 
-    def version(self, v: int) -> "CoeffRecord":
-        v = int(v)
-        return self._view(CoeffRecord if v < self.base else RakeEquation, v, ~v)
-
-    def _view(self, kind, row: int, key: int):
-        """The view of a row.  The index keeps each view it has made, and
-        the rows reach that cache only weakly, so no view holds itself."""
-        views = self.views()
-        if views is None:  # the index is gone
-            return kind(self, row)
-        view = views.get(key)
-        if view is None:
-            view = views[key] = kind(self, row)
-        return view
-
-
-class _Cell:
-    """Where a stored matrix lives: coeff, which an update replaces."""
-
-    __slots__ = ("coeff",)
-
-    def __init__(self, coeff):
-        self.coeff = coeff
-
-
-class _Rake(_Cell):
-    """A rake's record, what updates and query walks read of it; its cell
-    holds its output.  diag and scaled are its caches (see RakeEquation);
-    e, p and z the cells of its e-side, parent and z-side inputs; feeds the
-    record of the rake its output feeds (None for none), and enters how
-    the output enters it (0 e side, 1 parent side, 2 z side); leaf the
-    leaf's id; parent_side x's side within u, and leaf_side the leaf's
-    within x; kept the cell of the side of u's equation it keeps."""
-
-    __slots__ = ("diag", "scaled", "e", "p", "z", "feeds", "enters", "leaf", "parent_side",
-                 "leaf_side", "kept")
-
-    def __init__(self, coeff, diag, scaled):
-        self.coeff, self.diag, self.scaled = coeff, diag, scaled
-
-
-class _Views(dict):
-    """The views an index has made: a slot's by its row s, a version's by
-    ~v.  A dict that can be referenced weakly."""
-
-
-class _View:
     __slots__ = ("_rows", "_row")
 
     def __init__(self, rows: _Rows, row: int):
@@ -411,8 +358,9 @@ class _View:
         self._row = row
 
 
-class Slot(_View):
-    """One stored coefficient matrix, a view of its row.
+class Slot(_Row):
+    """One stored coefficient matrix: coeff, which an update replaces, and
+    its slot row.
 
     form is fixed with the coefficient: every product keeps the form its
     operands' shapes decide, so no update changes it; coeff alone may be
@@ -421,51 +369,37 @@ class Slot(_View):
     that changes this matrix recomputes.
     """
 
-    __slots__ = ()
+    __slots__ = ("coeff",)
 
-    @property
-    def coeff(self):
-        return self._rows.cells[self._row].coeff
+    def __init__(self, rows: _Rows, row: int, coeff):
+        self._rows, self._row, self.coeff = rows, row, coeff
 
-    @coeff.setter
-    def coeff(self, value) -> None:
-        self._rows.cells[self._row].coeff = value
-
-    form = property(lambda self: self._rows.forms[self._rows.form[self._row]])
-    @property
-    def owner(self) -> str:
-        return self._rows.version(self._version()).owner
-
-    @property
-    def side(self) -> int:
-        rows, s = self._rows, self._row
-        return s % 2 if s < 2 * rows.base else rows.cells[s].parent_side
-
-    @property
-    def level(self) -> int:
-        return int(self._rows.level[self._version()])
+    def _slot(self) -> int:
+        return self._row
 
     def _version(self) -> int:
-        """The version that stores this slot first: a base one, or a rake."""
-        s, base = self._row, self._rows.base
-        return s // 2 if s < 2 * base else s - base
+        """The version that stores this slot first."""
+        return self._row // 2
 
-    @property
-    def chain_cost(self) -> tuple:
-        rows, total = self._rows, NO_COST
-        cell, k = rows.cells[self._row], int(rows.consumer[self._row])
-        while k >= 0:  # the step entering rake k through cell, and on
-            record = rows.records[k]
-            entry = 0 if record.e is cell else 1 if record.p is cell else 2
-            total = sum_costs(total, rows.steps[rows.cls[k]][entry])
-            cell, k = record, int(rows.consumer[2 * rows.base + k])
-        return total
+    form = property(lambda self: self._rows.forms[self._rows.form[self._slot()]])
+    owner = property(lambda self: self._rows.ids[self._rows.owner[self._version()]])
+    side = property(lambda self: self._row % 2)
+    level = property(lambda self: int(self._rows.level[self._version()]))
 
     @property
     def consumer(self) -> "RakeEquation | None":
-        rows = self._rows
-        k = int(rows.consumer[self._row])
-        return None if k < 0 else rows.version(rows.base + k)
+        k = self._rows.consumer[self._slot()]
+        return None if k < 0 else self._rows.records[k]
+
+    @property
+    def chain_cost(self) -> tuple:
+        rows, total, rake = self._rows, NO_COST, self.consumer
+        if rake is not None:  # the step entering the consumer through this slot, and on
+            entry = 0 if rake.e_side_input is self else 1 if rake.parent_input is self else 2
+            while rake is not None:
+                total = sum_costs(total, rows.steps[rows.cls[rake._row - rows.base]][entry])
+                rake, entry = rake.feeds, rake.enters
+        return total
 
     def describe(self) -> tuple[str, str, int]:
         return (self.owner, "left" if self.side == LEFT else "right", self.level)
@@ -475,9 +409,9 @@ class Slot(_View):
         return f"<Slot {owner}.{side} level={level}>"
 
 
-class CoeffRecord(_View):
-    """One version of a node's two-sided likelihood equation, a view of its
-    row.
+class CoeffRecord(_Row):
+    """One version of a node's two-sided likelihood equation; its row is
+    the version's.
 
     lambda(owner) = left.coeff . lambda(left_child) * right.coeff . lambda(right_child)
 
@@ -497,17 +431,13 @@ class CoeffRecord(_View):
 
     owner = property(lambda self: self._rows.ids[self._rows.owner[self._row]])
     level = property(lambda self: int(self._rows.level[self._row]))
-    left = property(lambda self: self._rows.cell_slot(self._rows.left[self._row]))
-    right = property(lambda self: self._rows.cell_slot(self._rows.right[self._row]))
+    left = property(lambda self: self._rows.left[self._row])
+    right = property(lambda self: self._rows.right[self._row])
     left_child = property(lambda self: self._rows.left_child[self._row])
     right_child = property(lambda self: self._rows.right_child[self._row])
     cost = property(lambda self: self._rows.cost[self._row])
     walk_cost = property(lambda self: _walk_cost(self._rows, self._row))
-
-    @property
-    def above(self) -> "CoeffRecord | None":
-        v = self._rows.above[self._row]
-        return None if v < 0 else self._rows.version(v)
+    above = property(lambda self: self._rows.down[self._row])
 
     def side_slot(self, side: int) -> Slot:
         return self.left if side == LEFT else self.right
@@ -516,37 +446,42 @@ class CoeffRecord(_View):
         return self.left_child if side == LEFT else self.right_child
 
 
-class RakeEquation(CoeffRecord):
+class RakeEquation(Slot, CoeffRecord):
     """One rake (e, x, u): the version of u's equation it writes, whose
-    owner is u and whose slot on x's side, output, holds
-    output = parent_input . Diag(e_side_input . lambda(leaf)) . z_side_input
+    owner is u, and the slot on x's side of it, output, which is the rake
+    itself and holds
+    coeff = parent_input . Diag(e_side_input . lambda(leaf)) . z_side_input
 
-    It rewrites u's previous version: it keeps that version's slot on the
-    other side, and the above of both it and x's last version is this
-    rake.  diag caches e_side_input . lambda(leaf) and scaled the left half
-    of the product, parent_input * diag (an ndarray, a FactoredMatrix or,
-    through an identity parent, a _Diagonal): contract() sets both, and
+    Its row is its version's, base + k; its slot's is 2 * base + k.  It
+    rewrites u's previous version: it keeps that version's slot on the
+    other side (kept), and the above of both it and x's last version is
+    this rake.  diag caches e_side_input . lambda(leaf) and scaled the left
+    half of the product, parent_input * diag (an ndarray, a FactoredMatrix
+    or, through an identity parent, a _Diagonal): contract() sets both, and
     _recompute refreshes diag when the leaf or the e-side slot changes and
     scaled when diag or the parent slot does.  So a step entered through
     the leaf or the e side refreshes both, through the parent side scaled
-    only, through the z side neither.
+    only, through the z side neither.  feeds is the rake its output feeds
+    (None for none) and enters how it enters it (0 e side, 1 parent side,
+    2 z side); leaf is the leaf's id, leaf_side its side within x, and
+    parent_side x's within u.
     """
 
-    __slots__ = ()
+    __slots__ = ("diag", "scaled", "e_side_input", "parent_input", "z_side_input", "feeds",
+                 "enters", "leaf", "parent_side", "leaf_side", "kept")
 
-    def _record(self) -> _Rake:
-        return self._rows.cells[self._rows.base + self._row]
+    def _slot(self) -> int:
+        return self._row + self._rows.base
 
-    leaf = property(lambda self: self._record().leaf)
+    def _version(self) -> int:
+        return self._row
+
+    side = property(attrgetter("parent_side"))
+    output = property(lambda self: self)
     parent = property(lambda self: self._rows.ids[self._rows.parent[self._row - self._rows.base]])
-    leaf_side = property(lambda self: self._record().leaf_side)
-    parent_side = property(lambda self: self._record().parent_side)
-    e_side_input = property(lambda self: self._rows.cell_slot(self._record().e))
-    parent_input = property(lambda self: self._rows.cell_slot(self._record().p))
-    z_side_input = property(lambda self: self._rows.cell_slot(self._record().z))
-    output = property(lambda self: self._rows.slot(self._rows.base + self._row))
-    diag = property(lambda self: self._record().diag)
-    scaled = property(lambda self: self._record().scaled)
+
+    def __repr__(self):
+        return f"<RakeEquation {self.leaf} into {self.owner} level={self.level}>"
 
 
 @dataclass
@@ -610,7 +545,6 @@ class ContractionIndex:
         # equation versions the last query's walk climbed (see _walk)
         self.last_calc_depth = 0
         self._rows: _Rows | None = None
-        self._views = _Views()
         self._pos: dict[str, int] = {}  # node id -> its number, in tree order
         self._updated = -1  # the rake the last update's chain started from, or -1
         self._records: dict[str, list[CoeffRecord]] | None = None
@@ -618,30 +552,32 @@ class ContractionIndex:
 
     @property
     def records(self) -> dict[str, list[CoeffRecord]]:
-        """Each internal node's equation versions in order, as views."""
+        """Each internal node's equation versions in order: its base one,
+        made on first read, then its rakes."""
         if self._records is None:
             rows, ids = self._rows, self._rows.ids
             self._records = records = {}
-            for v, owner in enumerate(rows.owner.tolist()):
-                records.setdefault(ids[owner], []).append(rows.version(v))
+            bases = map(CoeffRecord, repeat(rows, rows.base), range(rows.base))
+            for owner, version in zip(rows.owner.tolist(), [*bases, *rows.records]):
+                records.setdefault(ids[owner], []).append(version)
         return self._records
 
     @property
     def leaf_consumer(self) -> dict[str, RakeEquation]:
         """Every rake, in build order, by the leaf it consumes."""
         if self._leaf_consumer is None:
-            rows = self._rows
-            self._leaf_consumer = {record.leaf: rows.version(rows.base + k)
-                                   for k, record in enumerate(rows.records)}
+            self._leaf_consumer = {rake.leaf: rake for rake in self._rows.records}
         return self._leaf_consumer
 
     @property
     def last_update_trace(self) -> list[Slot]:
-        """The slots the last update rewrote, in chain order."""
-        rows, k, trace = self._rows, self._updated, []
-        while k >= 0:
-            trace.append(rows.slot(2 * rows.base + k))
-            k = int(rows.consumer[2 * rows.base + k])
+        """The slots the last update rewrote, in chain order: the rakes on
+        its chain."""
+        k, trace = self._updated, []
+        rake = None if k < 0 else self._rows.records[k]
+        while rake is not None:
+            trace.append(rake)
+            rake = rake.feeds
         return trace
 
     @property
@@ -657,7 +593,7 @@ class ContractionIndex:
     def all_slots(self) -> list[Slot]:
         """Every stored matrix in storage order: the base equations' pairs,
         then the rakes' outputs in build order."""
-        return [self._rows.slot(s) for s in range(self.stored_matrix_count)]
+        return list(self._rows.slots)
 
     def stats(self) -> dict[str, int]:
         """The index's shape against the paper's bounds: rake levels, stored
@@ -758,7 +694,6 @@ def rake(build: "_Build", level: int, rows: np.ndarray, side: int) -> None:
     else:
         build.rewrite(level, rows, side)
     build.multiply(rows)
-    build.classify(rows)
 
 
 def _stack(arrays: np.ndarray) -> np.ndarray:
@@ -917,13 +852,14 @@ class _Build:
 
     def multiply(self, rows: np.ndarray) -> None:
         """Each rake's diagonal, scaled parent and output, as _recompute
-        evaluates them.  Rakes whose inputs are plain arrays or identities
-        take one stacked product per shape, where at least STACK_MIN share
-        it; the others are multiplied one at a time."""
+        evaluates them, then its cost class, and so its output's form.
+        Rakes whose inputs are plain arrays or identities take one stacked
+        product per shape, where at least STACK_MIN share it; the others
+        are multiplied one at a time."""
         e_in, p_in, z_in = self.e_in[rows], self.p_in[rows], self.z_in[rows]
         kinds = (self.kind[e_in], self.kind[p_in], self.kind[z_in])
-        _, group = _groups((self.dcode[self.parent[rows]], self.form[e_in], self.form[p_in],
-                            self.form[z_in], *kinds))
+        columns = (self.dcode[self.parent[rows]], self.form[e_in], self.form[p_in], self.form[z_in])
+        first, group = _groups((*columns, *kinds))
         stack = ((np.bincount(group)[group] >= STACK_MIN) & (np.maximum.reduce(kinds) < OTHER)
                  & ((kinds[1] == PLAIN) | (kinds[2] == PLAIN)))
         for g in np.flatnonzero(np.bincount(group[stack])).tolist():
@@ -933,16 +869,32 @@ class _Build:
             step = max(1, STACKED_ENTRIES // widest)
             for at in range(0, len(members), step):
                 self._stacked(members[at:at + step])
-        rows = rows[~stack]
+        single = rows[~stack]
         coeff, evidence, diag, scaled = self.coeff, self.evidence, self.diag, self.scaled
         out = 2 * self.base
-        for k, leaf, e, p, z in zip(rows.tolist(), self.leaf[rows].tolist(), self.e_in[rows].tolist(),
-                                    self.p_in[rows].tolist(), self.z_in[rows].tolist()):
+        for k, leaf, e, p, z in zip(single.tolist(), self.leaf[single].tolist(),
+                                    self.e_in[single].tolist(), self.p_in[single].tolist(),
+                                    self.z_in[single].tolist()):
             diag[k] = d = coeff[e].dot(evidence[leaf])
             scaled[k] = s = coeff[p] * d
             z = coeff[z]
             coeff[out + k] = s = s.dot(z) if type(z) is np.ndarray else s @ z
             self.kind[out + k] = PLAIN if type(s) is np.ndarray else OTHER
+
+        # groups that differ only in their kinds share one cost class
+        classes = []
+        for i in first.tolist():
+            key = tuple(int(column[i]) for column in columns)
+            cls = self.class_of.get(key)
+            if cls is None:
+                k, e_form, p_form, z_form = key
+                cls = self.class_of[key] = len(self.class_costs)
+                self.class_costs.append(_rake_costs(
+                    self.kvals[k], self.forms[e_form], self.forms[p_form], self.forms[z_form]))
+                self.class_form.append(self.form_id(_form(coeff[out + int(rows[i])])))
+            classes.append(cls)
+        self.cls[rows] = cls = np.array(classes, np.int64)[group]
+        self.form[out + rows] = np.array(self.class_form, np.int64)[cls]
 
     def _stacked(self, rows: np.ndarray) -> None:
         """multiply() for rakes whose inputs have one shape each and are
@@ -967,25 +919,6 @@ class _Build:
         coeff[base + rows] = np.fromiter(out, object, m)
         self.kind[base + rows] = PLAIN
 
-    def classify(self, rows: np.ndarray) -> None:
-        """Each rake's cost class, and so its output's form."""
-        columns = (self.dcode[self.parent[rows]], self.form[self.e_in[rows]],
-                   self.form[self.p_in[rows]], self.form[self.z_in[rows]])
-        first, group = _groups(columns)
-        classes = []
-        for i in first.tolist():
-            key = tuple(int(column[i]) for column in columns)
-            cls = self.class_of.get(key)
-            if cls is None:
-                k, e_form, p_form, z_form = key
-                cls = self.class_of[key] = len(self.class_costs)
-                self.class_costs.append(_rake_costs(
-                    self.kvals[k], self.forms[e_form], self.forms[p_form], self.forms[z_form]))
-                self.class_form.append(self.form_id(_form(self.coeff[2 * self.base + int(rows[i])])))
-            classes.append(cls)
-        self.cls[rows] = cls = np.array(classes, np.int64)[group]
-        self.form[2 * self.base + rows] = np.array(self.class_form, np.int64)[cls]
-
     def finish(self, frontier: np.ndarray) -> None:
         """Fix every count, and hand the rows to the index as columns.  What
         only the rounds read goes first, and each stage's temporaries go with
@@ -994,7 +927,6 @@ class _Build:
         index = self.index
         rows = index._rows = _Rows()
         rows.ids, rows.base, rows.forms = self.ids, self.base, self.forms
-        rows.views = ref(index._views)
         self.link(rows, frontier, *self.count(rows))
         index.base_matrix_count = 2 * self.base
 
@@ -1005,10 +937,10 @@ class _Build:
         (its class's lambda step) or from x's last one (one evaluation of
         u's previous equation).  A total is the sum of the steps on its
         path (_path_sums).  The totals updates and queries start from are
-        kept, each leaf's chain and each node's walk; the views sum the
-        others when read.  Returns nxt and how: rake k's output enters rake
-        nxt[k] (-1 for none) through the input how[k] says (0 e side, 1
-        parent side, 2 z side)."""
+        kept, each leaf's chain and each node's walk; Slot and CoeffRecord
+        sum the others when read.  Returns nxt and how: rake k's output
+        enters rake nxt[k] (-1 for none) through the input how[k] says (0 e
+        side, 1 parent side, 2 z side)."""
         B, R = self.base, len(self.leaf)
         # one evaluation of each version: by its owner's domain and its forms
         columns = (self.dcode[self.owner], self.form[self.slot[:, LEFT]], self.form[self.slot[:, RIGHT]])
@@ -1050,31 +982,34 @@ class _Build:
         return nxt, how
 
     def link(self, rows: _Rows, frontier: np.ndarray, nxt: np.ndarray, how: np.ndarray) -> None:
-        """The cells, the records and what the walks read."""
+        """The Slots, the RakeEquations and what the walks read."""
         B, R, names = self.base, len(self.leaf), self.names
-        # slots: a rake's output's cell is the rake's record
-        records = list(map(_Rake, self.coeff[2 * B:].tolist(), self.diag.tolist(),
-                           self.scaled.tolist()))
-        cells = rows.cells = list(map(_Cell, self.coeff[:2 * B].tolist())) + records
-        del self.coeff, self.diag, self.scaled
-        cell = np.fromiter(cells, object, len(cells))
-        rows.form, rows.consumer, rows.slot_of = self.form, self.consumer, None
+        # slots: a rake's output slot is its RakeEquation
+        numbers = self.numbers[1:1 + 2 * B].tolist()
+        coeff = self.coeff.tolist()
+        records = list(map(RakeEquation, repeat(rows, R), numbers[B:B + R], coeff[2 * B:]))
+        slots = rows.slots = [*map(Slot, repeat(rows), numbers, coeff[:2 * B]), *records]
+        del numbers, coeff, self.coeff
+        slot = np.fromiter(slots, object, len(slots))
+        rows.form, rows.consumer = self.form, self.consumer
         # rakes
         rows.parent, rows.gv = self.parent, self.gv
-        record = np.append(cell[2 * B:], None)  # rake k's record, and None at -1
+        record = np.append(slot[2 * B:], None)  # rake k, and None at -1
         kept = self.slot[B + np.arange(R), 1 - self.parent_side]
-        for rake, *fields in zip(records, cell[self.e_in].tolist(), cell[self.p_in].tolist(),
-                                 cell[self.z_in].tolist(), record[nxt].tolist(), how.tolist(),
+        for rake, *fields in zip(records, self.diag.tolist(), self.scaled.tolist(),
+                                 slot[self.e_in].tolist(), slot[self.p_in].tolist(),
+                                 slot[self.z_in].tolist(), record[nxt].tolist(), how.tolist(),
                                  names[self.leaf].tolist(), self.parent_side.tolist(),
-                                 self.leaf_side.tolist(), cell[kept].tolist()):
-            (rake.e, rake.p, rake.z, rake.feeds, rake.enters, rake.leaf, rake.parent_side,
-             rake.leaf_side, rake.kept) = fields
+                                 self.leaf_side.tolist(), slot[kept].tolist()):
+            (rake.diag, rake.scaled, rake.e_side_input, rake.parent_input, rake.z_side_input, rake.feeds,
+             rake.enters, rake.leaf, rake.parent_side, rake.leaf_side, rake.kept) = fields
         rows.records = records
-        del kept, self.e_in, self.p_in, self.z_in, self.leaf_side, self.parent_side
+        del kept, self.diag, self.scaled, self.e_in, self.p_in, self.z_in, self.leaf_side
+        del self.parent_side
         # versions
         rows.owner, rows.level, rows.above = self.owner, self.level, self.ints(self.above)
-        rows.left, rows.right = cell[self.slot[:, LEFT]].tolist(), cell[self.slot[:, RIGHT]].tolist()
-        del cell, self.slot
+        rows.left, rows.right = slot[self.slot[:, LEFT]].tolist(), slot[self.slot[:, RIGHT]].tolist()
+        del slot, self.slot
         rows.left_child = names[self.child[:, LEFT]].tolist()
         rows.right_child = names[self.child[:, RIGHT]].tolist()
         del self.child
@@ -1153,15 +1088,15 @@ def _lambda_rec(index: ContractionIndex, node_id: str) -> np.ndarray:
     return rows.left[v].coeff.dot(left) * rows.right[v].coeff.dot(right)
 
 
-def _recompute(evidence: dict[str, np.ndarray], record: _Rake) -> None:
-    """Evaluate a rake's record, then the record of the rake its output
-    feeds, and so on up the consumer chain.
+def _recompute(evidence: dict[str, np.ndarray], record: RakeEquation) -> None:
+    """Evaluate a rake, then the rake its output feeds, and so on up the
+    consumer chain.
 
     The first rake's leaf changed, so its diag and scaled are refreshed,
     and so are a later one's where the chain enters it through its e-side
     slot.  Entered through its parent slot, it refreshes scaled only;
     through its z-side slot, nothing, and the step is one product.  Each
-    rake's record tells how its output enters the next.
+    rake tells how its output enters the next.
 
     Nothing here writes an array in place, and nothing may: an output is
     the rake's own scaled when a dense parent meets an identity z side
@@ -1174,9 +1109,9 @@ def _recompute(evidence: dict[str, np.ndarray], record: _Rake) -> None:
             s = record.scaled
         else:
             if entry == 0:
-                record.diag = record.e.coeff.dot(evidence[record.leaf])
-            s = record.scaled = record.p.coeff * record.diag
-        z = record.z.coeff
+                record.diag = record.e_side_input.coeff.dot(evidence[record.leaf])
+            s = record.scaled = record.parent_input.coeff * record.diag
+        z = record.z_side_input.coeff
         record.coeff = s.dot(z) if type(z) is np.ndarray else s @ z
         record, entry = record.feeds, record.enters
 
@@ -1231,7 +1166,7 @@ def _walk(index: ContractionIndex, v: int):
     previous version, which keeps u's pi, and x's lambda is rebuilt from
     x's final equation, whose e side the rake's cached diagonal already
     holds, or it enters x's final version, whose pi comes through u's
-    equation; the version's down record tells which.
+    equation; the version's down rake tells which.
     Sets index.last_calc_depth to the number of versions climbed; pi may be
     the root's prior itself, so callers must not write to it.
     """
@@ -1252,10 +1187,10 @@ def _walk(index: ContractionIndex, v: int):
         rake = down[v]
         side = rake.parent_side
         if below[v]:  # u's previous version: diag . (z side . lambda(z))
-            lam[side] = rake.diag * rake.z.coeff.dot(lam[side])
+            lam[side] = rake.diag * rake.z_side_input.coeff.dot(lam[side])
         else:  # x's last version: pi through u's kept side and parent side
             up = pi * rake.kept.coeff.dot(lam[1 - side])
-            parent = rake.p.coeff
+            parent = rake.parent_input.coeff
             pi = up.dot(parent) if type(parent) is np.ndarray else up @ parent
             lam_z, lam_e = lam[side], evidence[rake.leaf]
             lam = [lam_e, lam_z] if rake.leaf_side == LEFT else [lam_z, lam_e]

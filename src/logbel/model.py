@@ -124,9 +124,9 @@ def check_likelihood(evidence, domain: int | None = None, *,
     if isinstance(evidence, Evidence):
         evidence = evidence.likelihood
     vec = _float_array(evidence, what)
-    # One min and one max, or a short vector's sum and min, decide the valid
-    # case: a sum is NaN or infinite if an entry is, and NaN fails every
-    # comparison.  The ordered checks name the fault, and accept a finite
+    # A short vector's sum and min, or the batch check's rule (_rows_positive),
+    # decide the valid case: a sum is NaN or infinite if an entry is, and NaN
+    # fails every comparison.  The ordered checks name the fault, and accept a finite
     # vector whose sum overflows.
     if vec.ndim == 1 and vec.shape[0] and (domain is None or vec.shape[0] == domain):
         if vec.shape[0] <= SHORT_LIKELIHOOD:
@@ -134,7 +134,7 @@ def check_likelihood(evidence, domain: int | None = None, *,
             total = sum(vals)
             if total == total and total < math.inf and min(vals) >= 0.0 and total > 0.0:
                 return vec
-        elif vec.min() >= 0.0 and 0.0 < vec.max() < np.inf:
+        elif _rows_positive(vec):
             return vec
     vec = as_prob_vector(vec, what=what)
     if domain is not None and vec.shape[0] != domain:

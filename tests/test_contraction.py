@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -181,6 +183,29 @@ class TestStorage:
                 assert index.records[r.parent][-1].above is r
                 assert index.leaf_consumer[r.leaf] is r
                 assert r.output.level == r.level
+
+    def test_each_stored_matrix_is_one_object(self):
+        """A rake is its own output slot, all_slots() hands out the stored
+        objects themselves, and nothing outside the index keeps it alive."""
+        rng = np.random.default_rng(25)
+        for tree in [*small_corpus(rng, count=4, hi=120), normalize_tree(star_tree(30, rng))[0]]:
+            index = contract(tree)
+            slots = index.all_slots()
+            assert [id(s) for s in slots] == [id(s) for s in index.all_slots()]
+            for k, rk in enumerate(index.leaf_consumer.values()):
+                assert rk.output is rk
+                assert slots[index.base_matrix_count + k] is rk
+            leaf = tree.leaf_order()[1]
+            update_evidence(index, leaf, random_likelihood(tree.nodes[leaf].domain, rng))
+            trace = index.last_update_trace
+            assert trace[0] is index.leaf_consumer[leaf]
+            assert all(a.consumer is b for a, b in zip(trace, trace[1:]))
+            assert trace[-1].consumer is None
+            assert index.records and belief_query(index, leaf)
+            alive = weakref.ref(index)
+            del index, slots, trace, rk
+            gc.collect()
+            assert alive() is None
 
     def test_deterministic_rebuild(self):
         tree = random_tree(61, k=(2, 3), rng=np.random.default_rng(23))

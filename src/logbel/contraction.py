@@ -87,10 +87,16 @@ PLAIN, IDENTITY, OTHER = 0, 1, 2  # what a slot holds: an ndarray, an Identity, 
 # Products use ndarray.dot, which skips the ufunc dispatch of @ (half the wall
 # time of a 2 x 2 product) but does not defer to another operand: a right
 # operand that is not an ndarray keeps @, and numpy defers to its
-# __rmatmul__ (the forms set __array_ufunc__ = None).  contract() fixes each
-# stored equation's counts once, from forms (equation_cost, _rake_costs),
-# and the full and lazy engines count each equation by equation_cost; the
-# caches hold immutable tuples, a few hundred keys per network.
+# __rmatmul__ (the forms set __array_ufunc__ = None).  A small matrix times
+# a diagonal is a same-shape product with the diagonal gathered by a shared
+# read-only index (_spread): M * diag[_spread(M.shape, 1)], not M * diag.
+# Broadcasting a (K,) vector over a matrix goes through numpy's general
+# iterator, 0.9-1.1 us at K = 2-16, where the gather and the product take
+# 0.55-0.95 us; each entry is the same IEEE multiply of the same two
+# numbers, so the bits are the same.  contract() fixes each stored
+# equation's counts once, from forms (equation_cost, _rake_costs), and the
+# full and lazy engines count each equation by equation_cost; the caches
+# hold immutable tuples, a few hundred keys per network.
 
 def matvec_cost(form: tuple) -> tuple:
     """coeff @ vec or vec @ coeff: one matrix-vector product per factor."""
@@ -153,6 +159,28 @@ def _cheapest(left: np.ndarray, right: np.ndarray):
     return left.dot(right)
 
 
+# A gathered diagonal beats a broadcast one on matrices of up to this many
+# entries (K x K: 1.07 against 1.24 us at K = 16, 1.52 against 1.44 at K =
+# 24, 21 against 11 at K = 128; numpy 2.4.6), and its index takes as much
+# memory as the matrix.
+GATHER_ENTRIES = 256
+
+
+@cache
+def _spread(shape: tuple[int, int], axis: int):
+    """How a diagonal is indexed to scale a matrix of shape along axis,
+    made once per (shape, axis): M * diag[_spread(M.shape, 1)] scales M's
+    columns and diag[_spread(M.shape, 0)] * M its rows.  Up to
+    GATHER_ENTRIES entries it is a read-only index array of shape, whose
+    entries count along axis, so the product is a same-shape one; above,
+    it makes diag a view that broadcasts."""
+    if shape[0] * shape[1] > GATHER_ENTRIES:
+        return (None, slice(None)) if axis else (slice(None), None)
+    index = np.indices(shape)[axis].copy()
+    index.flags.writeable = False
+    return index
+
+
 class Identity:
     """The K x K identity: form (), and every product passes through it
     uncounted.  Identity * diag is Diag(diag), which scales the rows of what
@@ -197,14 +225,19 @@ class _Diagonal:
         self.diag = diag
 
     def dot(self, matrix: np.ndarray) -> np.ndarray:
-        return self.diag[:, None] * matrix
+        return self.diag[_spread(matrix.shape, 0)] * matrix
 
     def __matmul__(self, other):
         if isinstance(other, np.ndarray):
             return self.dot(other)
         if isinstance(other, FactoredMatrix):
-            return _cheapest(self.diag[:, None] * other.left, other.right)
-        return np.diag(self.diag)  # Diag . Identity
+            return _cheapest(self.dot(other.left), other.right)
+        # Diag . Identity: np.diag(self.diag), written as one strided slice
+        # of a new array, which takes 0.7 us where np.diag takes 1.2 (K = 2-8)
+        K = len(self.diag)
+        out = np.zeros(K * K)
+        out[::K + 1] = self.diag
+        return out.reshape(K, K)
 
 
 class FactoredMatrix:
@@ -251,7 +284,7 @@ class FactoredMatrix:
         return vec.dot(self.left).dot(self.right)
 
     def __mul__(self, diag: np.ndarray) -> "FactoredMatrix":
-        return FactoredMatrix(self.left, self.right * diag)
+        return FactoredMatrix(self.left, self.right * diag[_spread(self.right.shape, 1)])
 
     def rake_product(self, diag: np.ndarray, other, counters: OpCounters) -> "FactoredMatrix":
         """self . Diag(diag) . other, counted."""
@@ -280,7 +313,8 @@ def _rake_product(parent_coeff, diag: np.ndarray, other_coeff, counters: OpCount
     """parent_coeff . Diag(diag) . other_coeff, counted, as _recompute
     evaluates it"""
     counters.add(rake_cost(_form(parent_coeff), _form(other_coeff)))
-    scaled = parent_coeff * diag
+    dense = type(parent_coeff) is np.ndarray
+    scaled = parent_coeff * (diag[_spread(parent_coeff.shape, 1)] if dense else diag)
     return scaled.dot(other_coeff) if type(other_coeff) is np.ndarray else scaled @ other_coeff
 
 
@@ -461,14 +495,16 @@ class RakeEquation(Slot, CoeffRecord):
     _recompute refreshes diag when the leaf or the e-side slot changes and
     scaled when diag or the parent slot does.  So a step entered through
     the leaf or the e side refreshes both, through the parent side scaled
-    only, through the z side neither.  feeds is the rake its output feeds
-    (None for none) and enters how it enters it (0 e side, 1 parent side,
-    2 z side); leaf is the leaf's id, leaf_side its side within x, and
-    parent_side x's within u.
+    only, through the z side neither.  spread is how a dense parent indexes
+    diag (_spread), fixed with the parent slot's form, and None for any
+    other form, which multiplies by diag itself.  feeds is the rake its
+    output feeds (None for none) and enters how it enters it (0 e side, 1
+    parent side, 2 z side); leaf is the leaf's id, leaf_side its side within
+    x, and parent_side x's within u.
     """
 
-    __slots__ = ("diag", "scaled", "e_side_input", "parent_input", "z_side_input", "feeds",
-                 "enters", "leaf", "parent_side", "leaf_side", "kept")
+    __slots__ = ("diag", "scaled", "spread", "e_side_input", "parent_input", "z_side_input",
+                 "feeds", "enters", "leaf", "parent_side", "leaf_side", "kept")
 
     def _slot(self) -> int:
         return self._row + self._rows.base
@@ -767,7 +803,7 @@ class _Build:
         for name in ("leaf", "parent", "parent_side", "e_in", "p_in", "z_in", "pv", "gv", "cls"):
             setattr(self, name, np.empty(R, np.int64))
         self.leaf_side = np.empty(R, np.int64)
-        self.diag, self.scaled = np.empty(R, dtype=object), np.empty(R, dtype=object)
+        self.diag, self.scaled, self.spread = (np.empty(R, dtype=object) for _ in range(3))
 
         # each live node's parent and last version
         self.live_parent = np.full(n, -1)
@@ -855,43 +891,52 @@ class _Build:
         evaluates them, then its cost class, and so its output's form.
         Rakes whose inputs are plain arrays or identities take one stacked
         product per shape, where at least STACK_MIN share it; the others
-        are multiplied one at a time."""
+        are multiplied one at a time.  A group is the rakes of one form and
+        kind on each input, so each group has one spread."""
         e_in, p_in, z_in = self.e_in[rows], self.p_in[rows], self.z_in[rows]
         kinds = (self.kind[e_in], self.kind[p_in], self.kind[z_in])
         columns = (self.dcode[self.parent[rows]], self.form[e_in], self.form[p_in], self.form[z_in])
         first, group = _groups((*columns, *kinds))
-        stack = ((np.bincount(group)[group] >= STACK_MIN) & (np.maximum.reduce(kinds) < OTHER)
-                 & ((kinds[1] == PLAIN) | (kinds[2] == PLAIN)))
-        for g in np.flatnonzero(np.bincount(group[stack])).tolist():
-            members = rows[group == g]
+        e_kind, p_kind, z_kind = (kind[first] for kind in kinds)
+        counts = np.bincount(group)
+        stack = ((counts >= STACK_MIN) & (np.maximum.reduce((e_kind, p_kind, z_kind)) < OTHER)
+                 & ((p_kind == PLAIN) | (z_kind == PLAIN)))
+        spread = np.fromiter((_spread(self.forms[f][0], 1) if k == PLAIN else None
+                              for f, k in zip(columns[2][first].tolist(), p_kind.tolist())),
+                             object, len(first))
+        self.spread[rows] = spread[group]
+        # each group's rakes in row order, one group after another
+        by_group, ends = rows[np.argsort(group, kind="stable")], np.cumsum(counts).tolist()
+        for g in np.flatnonzero(stack).tolist():
+            members = by_group[ends[g] - counts[g]:ends[g]]
             widest = max(sum(r * c for r, c in self.forms[self.form[column[members[0]]]])
                          for column in (self.e_in, self.p_in, self.z_in))
             step = max(1, STACKED_ENTRIES // widest)
             for at in range(0, len(members), step):
                 self._stacked(members[at:at + step])
-        single = rows[~stack]
+        single = rows[~stack[group]]
         coeff, evidence, diag, scaled = self.coeff, self.evidence, self.diag, self.scaled
         out = 2 * self.base
-        for k, leaf, e, p, z in zip(single.tolist(), self.leaf[single].tolist(),
-                                    self.e_in[single].tolist(), self.p_in[single].tolist(),
-                                    self.z_in[single].tolist()):
+        for k, leaf, e, p, z, sp in zip(single.tolist(), self.leaf[single].tolist(),
+                                        self.e_in[single].tolist(), self.p_in[single].tolist(),
+                                        self.z_in[single].tolist(), self.spread[single].tolist()):
             diag[k] = d = coeff[e].dot(evidence[leaf])
-            scaled[k] = s = coeff[p] * d
+            scaled[k] = s = coeff[p] * (d if sp is None else d[sp])
             z = coeff[z]
             coeff[out + k] = s = s.dot(z) if type(z) is np.ndarray else s @ z
             self.kind[out + k] = PLAIN if type(s) is np.ndarray else OTHER
 
         # groups that differ only in their kinds share one cost class
         classes = []
-        for i in first.tolist():
-            key = tuple(int(column[i]) for column in columns)
+        keys = zip(*(column[first].tolist() for column in columns))
+        for r, key in zip(rows[first].tolist(), keys):
             cls = self.class_of.get(key)
             if cls is None:
                 k, e_form, p_form, z_form = key
                 cls = self.class_of[key] = len(self.class_costs)
                 self.class_costs.append(_rake_costs(
                     self.kvals[k], self.forms[e_form], self.forms[p_form], self.forms[z_form]))
-                self.class_form.append(self.form_id(_form(coeff[out + int(rows[i])])))
+                self.class_form.append(self.form_id(_form(coeff[out + r])))
             classes.append(cls)
         self.cls[rows] = cls = np.array(classes, np.int64)[group]
         self.form[out + rows] = np.array(self.class_form, np.int64)[cls]
@@ -997,15 +1042,17 @@ class _Build:
         record = np.append(slot[2 * B:], None)  # rake k, and None at -1
         kept = self.slot[B + np.arange(R), 1 - self.parent_side]
         for rake, *fields in zip(records, self.diag.tolist(), self.scaled.tolist(),
-                                 slot[self.e_in].tolist(), slot[self.p_in].tolist(),
-                                 slot[self.z_in].tolist(), record[nxt].tolist(), how.tolist(),
-                                 names[self.leaf].tolist(), self.parent_side.tolist(),
-                                 self.leaf_side.tolist(), slot[kept].tolist()):
-            (rake.diag, rake.scaled, rake.e_side_input, rake.parent_input, rake.z_side_input, rake.feeds,
-             rake.enters, rake.leaf, rake.parent_side, rake.leaf_side, rake.kept) = fields
+                                 self.spread.tolist(), slot[self.e_in].tolist(),
+                                 slot[self.p_in].tolist(), slot[self.z_in].tolist(),
+                                 record[nxt].tolist(), how.tolist(), names[self.leaf].tolist(),
+                                 self.parent_side.tolist(), self.leaf_side.tolist(),
+                                 slot[kept].tolist()):
+            (rake.diag, rake.scaled, rake.spread, rake.e_side_input, rake.parent_input,
+             rake.z_side_input, rake.feeds, rake.enters, rake.leaf, rake.parent_side,
+             rake.leaf_side, rake.kept) = fields
         rows.records = records
-        del kept, self.diag, self.scaled, self.e_in, self.p_in, self.z_in, self.leaf_side
-        del self.parent_side
+        del kept, self.diag, self.scaled, self.spread, self.e_in, self.p_in, self.z_in
+        del self.leaf_side, self.parent_side
         # versions
         rows.owner, rows.level, rows.above = self.owner, self.level, self.ints(self.above)
         rows.left, rows.right = slot[self.slot[:, LEFT]].tolist(), slot[self.slot[:, RIGHT]].tolist()
@@ -1096,7 +1143,8 @@ def _recompute(evidence: dict[str, np.ndarray], record: RakeEquation) -> None:
     and so are a later one's where the chain enters it through its e-side
     slot.  Entered through its parent slot, it refreshes scaled only;
     through its z-side slot, nothing, and the step is one product.  Each
-    rake tells how its output enters the next.
+    rake tells how its output enters the next.  A dense parent is scaled
+    by diag indexed by the rake's spread, with the bits of parent * diag.
 
     Nothing here writes an array in place, and nothing may: an output is
     the rake's own scaled when a dense parent meets an identity z side
@@ -1110,7 +1158,8 @@ def _recompute(evidence: dict[str, np.ndarray], record: RakeEquation) -> None:
         else:
             if entry == 0:
                 record.diag = record.e_side_input.coeff.dot(evidence[record.leaf])
-            s = record.scaled = record.parent_input.coeff * record.diag
+            spread, diag = record.spread, record.diag
+            s = record.scaled = record.parent_input.coeff * (diag if spread is None else diag[spread])
         z = record.z_side_input.coeff
         record.coeff = s.dot(z) if type(z) is np.ndarray else s @ z
         record, entry = record.feeds, record.enters

@@ -31,7 +31,7 @@ from logbel import (
     random_polytree,
     update_evidence,
 )
-from logbel.contraction import _Diagonal, _form, materialize
+from logbel.contraction import GATHER_ENTRIES, _cheapest, _Diagonal, _form, materialize
 from logbel.generate import balanced_tree, random_likelihood, random_tree
 from logbel.model import BruteForceOracle
 from test_counts import ragged_tree, star_tree
@@ -541,6 +541,79 @@ def test_no_stored_coefficient_is_written_in_place():
                 update_evidence(index, leaf, vec)
                 oracle.update(leaf, vec)
     assert kinds == {np.ndarray, FactoredMatrix, _Diagonal}
+
+
+def _broadcast_rake(parent, diag, z_side):
+    """A rake's scaled parent and output, with the diagonal broadcast over
+    each matrix it scales rather than gathered."""
+    if isinstance(parent, np.ndarray):
+        scaled = parent * diag
+    elif isinstance(parent, FactoredMatrix):
+        scaled = FactoredMatrix(parent.left, parent.right * diag)
+    else:  # Identity
+        scaled = _Diagonal(diag)
+    if isinstance(z_side, Identity):
+        if isinstance(scaled, _Diagonal):
+            return scaled, np.diag(diag)
+        return scaled, (scaled if isinstance(scaled, np.ndarray)
+                        else _cheapest(scaled.left, scaled.right))
+    if isinstance(scaled, _Diagonal):
+        if isinstance(z_side, np.ndarray):
+            return scaled, diag[:, None] * z_side
+        return scaled, _cheapest(diag[:, None] * z_side.left, z_side.right)
+    if isinstance(scaled, np.ndarray):
+        out = scaled.dot(z_side) if isinstance(z_side, np.ndarray) else (
+            scaled.dot(z_side.left).dot(z_side.right))
+        return scaled, out
+    right = scaled.right.dot(z_side) if isinstance(z_side, np.ndarray) else (
+        scaled.right.dot(z_side.left).dot(z_side.right))
+    return scaled, _cheapest(scaled.left, right)
+
+
+def _bytes(coeff):
+    """A coefficient's type and the bytes of every array it holds."""
+    return type(coeff), [(arr.shape, arr.tobytes()) for arr in _arrays(coeff)]
+
+
+def test_scaling_gathers_the_bits_a_broadcast_gives():
+    """After an update stream over a compiled polytree (dense and identity
+    parents) and over trees with identity and factored edges given through
+    coeffs, every rake's scaled parent and output hold, byte for byte, what
+    broadcasting its diagonal gives.  Every dense parent's spread is one
+    object per shape, a read-only index array on matrices small enough to
+    gather on."""
+    rng = np.random.default_rng(45)
+    indexes = [build_engine(random_polytree(40, 3, (2, 3), rng)).index]
+    for _ in range(3):
+        tree = random_tree(61, k=3, rng=rng)
+        coeffs = {}
+        for nid in tree.nodes:
+            form = int(rng.integers(3))  # 0 keeps the dense table
+            if nid != tree.root and form:
+                width = int(rng.integers(1, 4))
+                coeffs[nid] = Identity(3) if form == 1 else FactoredMatrix(
+                    rng.random((3, width)), rng.random((width, 3)))
+        indexes.append(contract(tree, coeffs=coeffs))
+    parents, spreads = set(), {}
+    for index in indexes:
+        leaves = index.tree.leaf_order()
+        for _ in range(80):
+            leaf = leaves[int(rng.integers(len(leaves)))]
+            update_evidence(index, leaf, random_likelihood(index.tree.nodes[leaf].domain, rng))
+        for rk in index.leaf_consumer.values():
+            parent = rk.parent_input.coeff
+            parents.add(type(parent))
+            scaled, out = _broadcast_rake(parent, rk.diag, rk.z_side_input.coeff)
+            assert _bytes(rk.scaled) == _bytes(scaled)
+            assert _bytes(rk.coeff) == _bytes(out)
+            if isinstance(parent, np.ndarray):
+                assert spreads.setdefault(parent.shape, rk.spread) is rk.spread
+                if parent.size <= GATHER_ENTRIES:
+                    assert rk.spread.shape == parent.shape and not rk.spread.flags.writeable
+            else:
+                assert rk.spread is None
+    assert parents == {np.ndarray, FactoredMatrix, Identity}
+    assert {isinstance(spread, np.ndarray) for spread in spreads.values()} == {True, False}
 
 
 class TestStats:

@@ -13,6 +13,7 @@ from .errors import (
     DimensionMismatch,
     DimensionOverflow,
     DuplicateId,
+    FloatRangeError,
     FormatError,
     ImpossibleEvidence,
     InvalidProbability,
@@ -87,7 +88,8 @@ __all__ = [
     "AllZeroLikelihood", "Belief", "CausalTree", "Clique", "CompiledTree",
     "ConstructionError", "ContractionIndex", "Cycle", "DimensionMismatch",
     "DimensionOverflow", "DuplicateId", "Evidence", "FactoredMatrix",
-    "FormatError", "Identity", "ImpossibleEvidence", "InvalidProbability", "JoinTree",
+    "FloatRangeError", "FormatError", "Identity", "ImpossibleEvidence",
+    "InvalidProbability", "JoinTree",
     "LazyState", "LeafWithoutEvidence", "LevelOutOfRange", "LogbelError",
     "MissingRoot", "MultipleRoots", "Node", "NotALeaf", "NotAPolytree",
     "OpCounters", "PiLambdaTriple", "Polytree",

@@ -1200,13 +1200,14 @@ def calc_pi_lambda(index: ContractionIndex, node_id: str, level: int) -> PiLambd
     rec = _record_at(index, node_id, level) if _present(index, node_id, level) else None
     if rec is None:
         raise LevelOutOfRange(f"{node_id!r} has no equations at level {level}")
-    pi, (lam_left, lam_right) = _walk(index, rec._row)
+    pi, lam_left, lam_right = _walk(index, rec._row)
+    index.counters.add(_walk_cost(index._rows, rec._row))
     return PiLambdaTriple(pi=pi.copy(), lambda_left=lam_left.copy(),
                           lambda_right=lam_right.copy())
 
 
 def _walk(index: ContractionIndex, v: int):
-    """(pi, [lambda_left, lambda_right]) of equation version v: pi of its
+    """(pi, lambda_left, lambda_right) of equation version v: pi of its
     owner and the lambdas of its two children under the evidence in force.
 
     Climbs above to the root's terminal version, whose triple is the prior
@@ -1216,12 +1217,12 @@ def _walk(index: ContractionIndex, v: int):
     x's final equation, whose e side the rake's cached diagonal already
     holds, or it enters x's final version, whose pi comes through u's
     equation; the version's down rake tells which.
-    Sets index.last_calc_depth to the number of versions climbed; pi may be
-    the root's prior itself, so callers must not write to it.
+    Counts nothing: each caller adds _walk_cost(rows, v) once.  Sets
+    index.last_calc_depth to the number of versions climbed; pi may be the
+    root's prior itself, so callers must not write to it.
     """
     rows = index._rows
-    above = rows.above
-    index.counters.add(_walk_cost(rows, v))
+    above, below, down = rows.above, rows.below, rows.down
     path = []
     up = above[v]
     while up >= 0:
@@ -1230,20 +1231,27 @@ def _walk(index: ContractionIndex, v: int):
     index.last_calc_depth = len(path)
     evidence = index.evidence
     pi = index.tree.nodes[index.root].prior
-    lam = [evidence[rows.left_child[v]], evidence[rows.right_child[v]]]
-    below, down = rows.below, rows.down
+    left, right = evidence[rows.left_child[v]], evidence[rows.right_child[v]]
     for v in reversed(path):
         rake = down[v]
-        side = rake.parent_side
         if below[v]:  # u's previous version: diag . (z side . lambda(z))
-            lam[side] = rake.diag * rake.z_side_input.coeff.dot(lam[side])
+            if rake.parent_side == LEFT:
+                left = rake.diag * rake.z_side_input.coeff.dot(left)
+            else:
+                right = rake.diag * rake.z_side_input.coeff.dot(right)
         else:  # x's last version: pi through u's kept side and parent side
-            up = pi * rake.kept.coeff.dot(lam[1 - side])
+            if rake.parent_side == LEFT:
+                lam_z, kept = left, right
+            else:
+                lam_z, kept = right, left
+            up = pi * rake.kept.coeff.dot(kept)
             parent = rake.parent_input.coeff
             pi = up.dot(parent) if type(parent) is np.ndarray else up @ parent
-            lam_z, lam_e = lam[side], evidence[rake.leaf]
-            lam = [lam_e, lam_z] if rake.leaf_side == LEFT else [lam_z, lam_e]
-    return pi, lam
+            if rake.leaf_side == LEFT:
+                left, right = evidence[rake.leaf], lam_z
+            else:
+                left, right = lam_z, evidence[rake.leaf]
+    return pi, left, right
 
 
 def _walk_cost(rows: _Rows, v: int) -> tuple:
@@ -1260,17 +1268,22 @@ def _walk_cost(rows: _Rows, v: int) -> tuple:
     return cost
 
 
-def _leaf_pi(index: ContractionIndex, leaf_id: str, v: int) -> np.ndarray:
-    """pi of a leaf, through v, the final version of its parent: the raked
-    parent's, or the root's for the two extreme leaves."""
-    pi, lam = _walk(index, v)
+def _pi_lambda(index: ContractionIndex, node_id: str, v: int) -> tuple:
+    """(pi, lambda) of a node from the walk to v, its start version, and one
+    equation, both counted: v's own for an internal node's lambda, or, for
+    a leaf, whose lambda is its evidence, its pi down its parent's."""
     rows = index._rows
+    pi, left, right = _walk(index, v)
+    index.counters.add(_walk_cost(rows, v))
     index.counters.add(rows.cost[v])
-    if rows.left_child[v] == leaf_id:
-        up, down = pi * rows.right[v].coeff.dot(lam[RIGHT]), rows.left[v].coeff
+    lam = index.evidence.get(node_id)
+    if lam is None:
+        return pi, rows.left[v].coeff.dot(left) * rows.right[v].coeff.dot(right)
+    if rows.left_child[v] == node_id:
+        up, down = pi * rows.right[v].coeff.dot(right), rows.left[v].coeff
     else:
-        up, down = pi * rows.left[v].coeff.dot(lam[LEFT]), rows.right[v].coeff
-    return up.dot(down) if type(down) is np.ndarray else up @ down
+        up, down = pi * rows.left[v].coeff.dot(left), rows.right[v].coeff
+    return (up.dot(down) if type(down) is np.ndarray else up @ down), lam
 
 
 def pi_query(index: ContractionIndex, node_id: str) -> np.ndarray:
@@ -1283,28 +1296,17 @@ def pi_query(index: ContractionIndex, node_id: str) -> np.ndarray:
         index.last_calc_depth = 0
         return index.tree.nodes[index.root].prior.copy()
     if node_id in index.evidence:
-        return _leaf_pi(index, node_id, v)
+        return _pi_lambda(index, node_id, v)[0]
+    index.counters.add(_walk_cost(index._rows, v))
     return _walk(index, v)[0]
 
 
 def belief_query(index: ContractionIndex, node_id: str) -> Belief:
-    """Normalized belief at any node from one root-ward walk.
-
-    An internal node's walk ends at its final equation version, which gives
-    its pi and its children's lambdas; a leaf's ends at its parent's.
-    """
+    """Normalized belief at any node: one root-ward walk (_pi_lambda), one
+    vector product and one normalization."""
     i = index._pos.get(node_id)
     if i is None:
         raise UnknownNode(f"no node {node_id!r}")
-    v = index._rows.start[i]
-    evidence = index.evidence
-    if node_id in evidence:
-        lam = evidence[node_id]
-        pi = _leaf_pi(index, node_id, v)
-    else:
-        pi, (lam_left, lam_right) = _walk(index, v)
-        rows = index._rows
-        index.counters.add(rows.cost[v])
-        lam = rows.left[v].coeff.dot(lam_left) * rows.right[v].coeff.dot(lam_right)
-    index.counters.count_vector_op(lam.shape[0])
+    pi, lam = _pi_lambda(index, node_id, index._rows.start[i])
+    index.counters.count_vector_op(len(lam))
     return normalize_belief(lam * pi, node=node_id)

@@ -68,6 +68,10 @@ class ImpossibleEvidence(LogbelError):
     """The evidence in force has probability zero under the model."""
 
 
+class FloatRangeError(LogbelError):
+    """A belief's total mass overflowed float64, to inf or to NaN."""
+
+
 # -- contraction --------------------------------------------------------------
 
 class TreeTooSmall(LogbelError):

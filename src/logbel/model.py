@@ -31,6 +31,7 @@ from .errors import (
     Cycle,
     DimensionMismatch,
     DuplicateId,
+    FloatRangeError,
     FormatError,
     ImpossibleEvidence,
     InvalidProbability,
@@ -259,9 +260,13 @@ class Belief:
 
 
 def normalize_belief(raw: np.ndarray, *, node: str = "?") -> Belief:
-    total = float(raw.sum())
-    if not total > 0.0:
-        raise ImpossibleEvidence(f"total probability mass is zero at node {node!r}")
+    """raw over its total (np.add.reduce: ndarray.sum's bits, without its
+    Python wrapper), which must be neither zero nor inf or NaN."""
+    total = float(np.add.reduce(raw))
+    if not 0.0 < total < math.inf:
+        if total == 0.0:
+            raise ImpossibleEvidence(f"total probability mass is zero at node {node!r}")
+        raise FloatRangeError(f"total probability mass overflows float64 at node {node!r}")
     return Belief(dist=raw / total, normalizer=1.0 / total)
 
 

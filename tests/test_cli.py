@@ -189,6 +189,17 @@ class TestRun:
             assert capsys.readouterr() == (
                 "", "error: total probability mass is zero at variable 'a'\n")
 
+    def test_overflowed_polytree_belief_names_the_variable(self, tmp_path, capsys):
+        """A total mass past float64's range exits 1, not 2: it is not
+        impossible evidence."""
+        net = write_json(tmp_path, "net.json", A_COPIES_C)
+        ops = write_stream(tmp_path, "ops.txt", "S a 1e300 1e300\nS c 1e300 1e300\nQ a\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for strategy in ("polytree", "full", "lazy"):
+                assert main(["run", "--strategy", strategy, "--network", net, "--ops", ops]) == 1
+                assert capsys.readouterr() == (
+                    "", "error: total probability mass overflows float64 at variable 'a'\n")
+
     def test_bad_polytree_likelihood_names_the_variable(self, tmp_path, capsys):
         """Not the compiled indicator leaf E:a the tree engine checks."""
         net = write_json(tmp_path, "net.json", VEE_NET)

@@ -34,7 +34,7 @@ from logbel import (
 from logbel.contraction import GATHER_ENTRIES, _cheapest, _Diagonal, _form, materialize
 from logbel.generate import balanced_tree, random_likelihood, random_tree
 from logbel.model import BruteForceOracle
-from test_counts import ragged_tree, star_tree
+from test_counts import counted_index, ragged_tree, star_tree, work_and_delta
 
 
 def small_corpus(rng, count=12, lo=5, hi=64, k=(2, 3)):
@@ -737,6 +737,32 @@ class TestCalcPiLambda:
         with pytest.raises(UnknownNode):
             calc_pi_lambda(index, "nope", 0)
 
+
+def test_each_pi_lambda_and_level_query_counts_the_work_it_does():
+    """The dense tree with every coefficient a Counted array, after some
+    updates: each pi_query and lambda_query at every node, and each
+    calc_pi_lambda at every (node, level) with an equation, measured alone,
+    adds to the counters exactly the products numpy computed (the equation
+    evaluations aside).  pi_query's nodes are the root, the two extreme
+    leaves, the raked leaves and the other internal nodes."""
+    rng = np.random.default_rng(5)
+    tree, index, _ = counted_index(rng)
+    leaves = tree.leaf_order()
+    for leaf in leaves[::3]:
+        update_evidence(index, leaf, random_likelihood(tree.nodes[leaf].domain, rng))
+    extreme, raked = set(index.levels[-1].leaves), set(index.leaf_consumer)
+    assert len(extreme) == 2 and extreme.isdisjoint(raked) and extreme | raked == set(leaves)
+    assert set(tree.nodes) == {tree.root} | set(leaves) | set(index.records)
+    for query in (pi_query, lambda_query):
+        for node in tree.nodes:
+            work, delta = work_and_delta(index, lambda: query(index, node))
+            assert work == delta, (query.__name__, node)
+    equations = [(node, level.index) for level in index.levels
+                 for node, rec in level.nodes.items() if rec is not None]
+    assert {node for node, _ in equations} == set(index.records)
+    for node, level in equations:
+        work, delta = work_and_delta(index, lambda: calc_pi_lambda(index, node, level))
+        assert work == delta, (node, level)
 
 def test_every_exported_name_resolves():
     assert len(set(logbel.__all__)) == len(logbel.__all__)

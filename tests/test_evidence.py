@@ -11,6 +11,7 @@ from logbel import (
     CausalTree,
     DimensionMismatch,
     Evidence,
+    FloatRangeError,
     FormatError,
     InvalidProbability,
     LazyState,
@@ -27,13 +28,17 @@ from logbel import (
     lazy_update,
     load_network,
     load_polytree,
+    normalize_tree,
     polytree_query,
     polytree_update,
+    random_polytree,
+    random_tree,
     set_evidence,
     update_evidence,
 )
 from logbel.cli import load_problem
 from logbel.model import SHORT_LIKELIHOOD, _float_array, as_prob_vector, check_likelihood
+from logbel.propagate import FullState
 
 VEE = {"variables": [
     {"id": "a", "domain": 2, "prior": [0.4, 0.6]},
@@ -259,3 +264,33 @@ def test_each_update_checks_once(monkeypatch):
         calls.clear()
         install(vec)
         assert len(calls) == 1, entry
+
+
+def test_an_overflowed_belief_raises_under_every_engine():
+    """Likelihood 1e300 on every leaf carries the total mass past float64's
+    range, to inf or NaN: every engine raises FloatRangeError rather than
+    return a NaN belief with normalizer 0, and a polytree query names the
+    variable.  numpy's warnings are silenced, as pytest makes them errors."""
+    huge = [1e300, 1e300]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tree, _ = normalize_tree(random_tree(41, 2, np.random.default_rng(3)))
+        leaves = [leaf for leaf in tree.leaf_order() if np.any(tree.nodes[leaf].evidence != 1.0)]
+        engines = (contract(tree), LazyState(tree), FullState(tree))
+        for leaf in leaves:
+            for engine in engines:
+                engine.update(leaf, huge)
+        for node in tree.nodes:
+            for engine in engines:
+                with pytest.raises(FloatRangeError, match="overflows float64 at node"):
+                    engine.query(node)
+        with pytest.raises(FloatRangeError):
+            full_propagate(engines[0].tree)
+        pt = random_polytree(40, 3, 2, np.random.default_rng(3))
+        for tree_engine in (None, LazyState, FullState):
+            engine = build_engine(pt, tree_engine=tree_engine)
+            for var in pt.variables:
+                polytree_update(engine, var, huge)
+            for var in pt.variables:
+                want = f"^total probability mass overflows float64 at variable {var!r}$"
+                with pytest.raises(FloatRangeError, match=want):
+                    polytree_query(engine, var)

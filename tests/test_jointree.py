@@ -723,6 +723,39 @@ class TestEngine:
         with pytest.raises(UnknownVariable):
             polytree_query(engine, "a", via="b")  # clique of b does not hold a
 
+    def test_query_answers_and_errors_with_and_without_via(self):
+        """polytree_query's marginal is, byte for byte, the clique belief
+        summed over the other members' axes, for every member of every
+        clique, the variable's own clique taken with and without via; a
+        LazyState engine answers alike; and each check names its fault."""
+        rng = np.random.default_rng(14)
+        pt = random_polytree(40, 3, (2, 3), rng)
+        engine, lazy = build_engine(pt), build_engine(pt, tree_engine=LazyState)
+        for _ in range(30):
+            var = str(rng.choice(list(pt.variables)))
+            vec = random_likelihood(pt.variables[var].domain, rng)
+            polytree_update(engine, var, vec)
+            polytree_update(lazy, var, vec)
+        for cvar, clique in engine.join_tree.cliques.items():
+            clique_bel = belief_query(engine.index, engine.compiled.clique_node[cvar])
+            for i, member in enumerate(clique.members):
+                others = tuple(j for j in range(len(clique.members)) if j != i)
+                want = clique_bel.dist.reshape(clique.domains).sum(axis=others)
+                calls = [{"via": cvar}] + ([{}] if member == cvar else [])
+                for kwargs in calls:
+                    got = polytree_query(engine, member, **kwargs)
+                    assert got.dist.shape == want.shape and got.dist.tobytes() == want.tobytes()
+                    assert got.normalizer == clique_bel.normalizer
+                    np.testing.assert_allclose(polytree_query(lazy, member, **kwargs).dist,
+                                               got.dist, rtol=0, atol=1e-12)
+        engine = build_engine(vee_polytree())
+        for args, message in ((("zz",), "no variable 'zz'"),
+                              (("zz", "a"), "no variable 'zz'"),
+                              (("a", "zz"), "no clique for 'zz'"),
+                              (("a", "b"), "clique of 'b' does not contain 'a'")):
+            with pytest.raises(UnknownVariable, match=f"^{message}$"):
+                polytree_query(engine, *args)
+
 
 class TestFactoredMatrix:
     def test_requires_chainable_shapes(self):

@@ -13,17 +13,19 @@ one higher equation.  An evidence update therefore walks a single chain of
 equations; a belief query walks one root-ward path of equation versions.
 Both touch O(log N) equations on balanced rake schedules.
 
-Storage.  The index is columns, one row per stored matrix (a slot) and one
-per equation version (see _Rows).  A round rakes every other interior leaf
-of the frontier; contract() computes it in two array passes (rake), the
-leaves that are left children first, then those that are right children,
-which may read what the first pass wrote.  This is the order in which the
-round's rakes would run one at a time, left to right, so rows keep that
-order.  Each stored matrix is one object: a Slot for each of a base
-equation's two, and for each rake its RakeEquation, which is both the
-version of the grandparent's equation it writes and the slot that holds
-its output.  The update chain follows the RakeEquations; the query walk
-reads them and the columns.
+Storage.  Each equation version is one object, linked to the next
+version on its root-ward walk (above), and each stored matrix is one
+object: a Slot for each of a base equation's two, and for each rake its
+RakeEquation, which is both the version of the grandparent's equation it
+writes and the slot that holds its output.  The base versions are
+CoeffRecords.  The update chain follows each slot's consumer; a query walk
+starts from the version the index maps its node to and follows above.  A
+round rakes every other interior leaf of the frontier; contract() computes
+it in two array passes (rake), the leaves that are left children first,
+then those that are right children, which may read what the first pass
+wrote.  This is the order in which the round's rakes would run one at a
+time, left to right, so rakes keep that order; the objects are made once
+the rounds are done (_Build.link).
 
 Coefficient forms.  This module owns how a stored coefficient is kept,
 what its products cost and which form a product keeps.  A coefficient is a
@@ -57,7 +59,7 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
+from itertools import chain, cycle
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -348,91 +350,28 @@ def _rake_costs(K: int, e_form: tuple, parent_form: tuple, z_form: tuple) -> tup
 
 # -- stored structure ------------------------------------------------------------
 
-class _Rows:
-    """The index's columns.  Nodes are numbered in tree order, and slot s,
-    version v and rake k by row: base version b stores slots 2b (left) and
-    2b + 1 (right), and rake k is version base + k and writes slot
-    2 * base + k.  Row order is storage order: the base equations in tree
-    order, then the rakes in build order.  Lists hold what updates and
-    queries read, arrays what only the records' properties read.  ids
-    names the nodes, base counts the base versions, forms holds each form
-    once, and longest_chain and deepest_walk are for stats().
+class Slot:
+    """One of a base equation's two stored coefficient matrices: coeff,
+    which an update replaces, and owner's side of it.
 
-    Per node: start, the version its query walk starts from (its own last,
-    or for a leaf its parent's); rake_of, the rake that consumes a leaf
-    (-1 for none).
-    Per slot: slots, its Slot (a rake's output's is the rake's
-    RakeEquation); form (an index into forms); consumer, the rake the slot
-    feeds (-1 for none).
-    Per version: owner, level, the Slots left/right of its two slots,
-    left_child/right_child; above, the next version on the query walk (-1
-    for the root's last); down, the RakeEquation that is its above; below,
-    whether the version is the one its above rewrites (else it is the last
-    of the parent its above removes); cost; walk_cost, kept for the
-    versions queries start from.
-    Per rake: records, its RakeEquation; cls, its cost class, whose steps
-    are in steps; parent (x) and gv (the version it rewrites), which
-    records do not hold; update_cost, the chain_cost of its e-side input.
+    form is fixed at build with the coefficient: every product keeps the
+    form its operands' shapes decide, so no update changes it; coeff alone
+    may be set.  consumer is the at-most-one rake equation this matrix
+    feeds; the update walk follows it.  chain_cost counts the consumer chain
+    an update that changes this matrix recomputes.
     """
 
-    __slots__ = ("ids", "base", "forms", "start", "rake_of", "steps", "cls",
-                 "longest_chain", "deepest_walk", "slots", "form", "consumer",
-                 "owner", "level", "left", "right", "left_child",
-                 "right_child", "above", "down", "below", "cost", "walk_cost",
-                 "records", "parent", "gv", "update_cost")
-
-
-class _Row:
-    """A stored record's place: the index's rows and its own row."""
-
-    __slots__ = ("_rows", "_row")
-
-    def __init__(self, rows: _Rows, row: int):
-        self._rows = rows
-        self._row = row
-
-
-class Slot(_Row):
-    """One stored coefficient matrix: coeff, which an update replaces, and
-    its slot row.
-
-    form is fixed with the coefficient: every product keeps the form its
-    operands' shapes decide, so no update changes it; coeff alone may be
-    set.  consumer is the at-most-one rake equation this matrix feeds; the
-    update walk follows it.  chain_cost counts the consumer chain an update
-    that changes this matrix recomputes.
-    """
-
-    __slots__ = ("coeff",)
-
-    def __init__(self, rows: _Rows, row: int, coeff):
-        self._rows, self._row, self.coeff = rows, row, coeff
-
-    def _slot(self) -> int:
-        return self._row
-
-    def _version(self) -> int:
-        """The version that stores this slot first."""
-        return self._row // 2
-
-    form = property(lambda self: self._rows.forms[self._rows.form[self._slot()]])
-    owner = property(lambda self: self._rows.ids[self._rows.owner[self._version()]])
-    side = property(lambda self: self._row % 2)
-    level = property(lambda self: int(self._rows.level[self._version()]))
-
-    @property
-    def consumer(self) -> "RakeEquation | None":
-        k = self._rows.consumer[self._slot()]
-        return None if k < 0 else self._rows.records[k]
+    __slots__ = ("coeff", "form", "consumer", "owner", "side")
+    level = 0
 
     @property
     def chain_cost(self) -> tuple:
-        rows, total, rake = self._rows, NO_COST, self.consumer
+        total, rake = NO_COST, self.consumer
         if rake is not None:  # the step entering the consumer through this slot, and on
             entry = 0 if rake.e_side_input is self else 1 if rake.parent_input is self else 2
             while rake is not None:
-                total = sum_costs(total, rows.steps[rows.cls[rake._row - rows.base]][entry])
-                rake, entry = rake.feeds, rake.enters
+                total = sum_costs(total, rake.steps[entry])
+                rake, entry = rake.consumer, rake.enters
         return total
 
     def describe(self) -> tuple[str, str, int]:
@@ -443,78 +382,79 @@ class Slot(_Row):
         return f"<Slot {owner}.{side} level={level}>"
 
 
-class CoeffRecord(_Row):
-    """One version of a node's two-sided likelihood equation; its row is
-    the version's.
+class CoeffRecord:
+    """One version of a node's two-sided likelihood equation.
 
     lambda(owner) = left.coeff . lambda(left_child) * right.coeff . lambda(right_child)
 
-    index.records[owner] lists the versions in order.  The first holds the
-    base-tree conditional matrices; each later one is the RakeEquation of
-    one rake below the owner, and shares the untouched side's slot with its
-    predecessor.
+    index.records[owner] lists the versions in order.  The first, this
+    class, holds the base-tree conditional matrices; each later one is the
+    RakeEquation of one rake below the owner, and shares the untouched
+    side's slot with its predecessor.
 
     above is the next version on the root-ward query walk: the owner's next
     version, or, for the last version of a raked node, the rake that
     absorbed it; None only for the root's terminal version.  cost counts
     one evaluation of this equation (equation_cost) and walk_cost the whole
-    walk that builds this version's (pi, lambda, lambda) triple.
+    walk that builds this version's (pi, lambda, lambda) triple: contract()
+    keeps it, in walk_total, for the versions queries start from, and any
+    other is summed and kept when first read.
     """
 
-    __slots__ = ()
+    __slots__ = ("owner", "left", "right", "left_child", "right_child", "above", "cost",
+                 "walk_total")
+    level = 0
 
-    owner = property(lambda self: self._rows.ids[self._rows.owner[self._row]])
-    level = property(lambda self: int(self._rows.level[self._row]))
-    left = property(lambda self: self._rows.left[self._row])
-    right = property(lambda self: self._rows.right[self._row])
-    left_child = property(lambda self: self._rows.left_child[self._row])
-    right_child = property(lambda self: self._rows.right_child[self._row])
-    cost = property(lambda self: self._rows.cost[self._row])
-    walk_cost = property(lambda self: _walk_cost(self._rows, self._row))
-    above = property(lambda self: self._rows.down[self._row])
+    @property
+    def walk_cost(self) -> tuple:
+        cost = self.walk_total
+        if cost is None:
+            cost, v = NO_COST, self
+            while (up := v.above) is not None:  # the step below up
+                cost, v = sum_costs(cost, up.steps[3] if up.rewrites is v else up.rewrites.cost), up
+            self.walk_total = cost
+        return cost
 
-    def side_slot(self, side: int) -> Slot:
+    def side_slot(self, side: int) -> "Slot | RakeEquation":
         return self.left if side == LEFT else self.right
 
     def child(self, side: int) -> str:
         return self.left_child if side == LEFT else self.right_child
 
 
-class RakeEquation(Slot, CoeffRecord):
+class RakeEquation(CoeffRecord):
     """One rake (e, x, u): the version of u's equation it writes, whose
     owner is u, and the slot on x's side of it, output, which is the rake
     itself and holds
     coeff = parent_input . Diag(e_side_input . lambda(leaf)) . z_side_input
 
-    Its row is its version's, base + k; its slot's is 2 * base + k.  It
-    rewrites u's previous version: it keeps that version's slot on the
-    other side (kept), and the above of both it and x's last version is
-    this rake.  diag caches e_side_input . lambda(leaf) and scaled the left
-    half of the product, parent_input * diag (an ndarray, a FactoredMatrix
-    or, through an identity parent, a _Diagonal): contract() sets both, and
-    _recompute refreshes diag when the leaf or the e-side slot changes and
-    scaled when diag or the parent slot does.  So a step entered through
-    the leaf or the e side refreshes both, through the parent side scaled
-    only, through the z side neither.  spread is how a dense parent indexes
-    diag (_spread), fixed with the parent slot's form, and None for any
-    other form, which multiplies by diag itself.  feeds is the rake its
-    output feeds (None for none) and enters how it enters it (0 e side, 1
-    parent side, 2 z side); leaf is the leaf's id, leaf_side its side within
-    x, and parent_side x's within u.
+    rewrites is u's previous version, which the rake rewrites: it keeps
+    that version's slot on the other side (kept), and the above of both it
+    and x's last version is this rake.  diag caches e_side_input . lambda(leaf) and
+    scaled the left half of the product, parent_input * diag (an ndarray, a
+    FactoredMatrix or, through an identity parent, a _Diagonal): contract()
+    sets both, and _recompute refreshes diag when the leaf or the e-side
+    slot changes and scaled when diag or the parent slot does.  So a step
+    entered through the leaf or the e side refreshes both, through the
+    parent side scaled only, through the z side neither.  spread is how a
+    dense parent indexes diag (_spread), fixed with the parent slot's form,
+    and None for any other form, which multiplies by diag itself.
+    consumer is the rake its output feeds (None for none) and enters how it
+    enters it (0 e side, 1 parent side, 2 z side); steps are the counts of
+    the chain step entered through each input and of the walk step below
+    it (_rake_costs), and update_cost is the chain_cost of its e side.
+    leaf and parent name e and x, leaf_side is e's side within x, and
+    parent_side x's within u.
     """
 
-    __slots__ = ("diag", "scaled", "spread", "e_side_input", "parent_input", "z_side_input",
-                 "feeds", "enters", "leaf", "parent_side", "leaf_side", "kept")
+    __slots__ = ("coeff", "form", "consumer", "level", "rewrites", "steps", "update_cost",
+                 "parent", "diag", "scaled", "spread", "e_side_input", "parent_input",
+                 "z_side_input", "enters", "leaf", "parent_side", "leaf_side")
 
-    def _slot(self) -> int:
-        return self._row + self._rows.base
-
-    def _version(self) -> int:
-        return self._row
-
+    chain_cost, describe = Slot.chain_cost, Slot.describe
     side = property(attrgetter("parent_side"))
     output = property(lambda self: self)
-    parent = property(lambda self: self._rows.ids[self._rows.parent[self._row - self._rows.base]])
+    kept = property(lambda self: self.side_slot(1 - self.parent_side))
 
     def __repr__(self):
         return f"<RakeEquation {self.leaf} into {self.owner} level={self.level}>"
@@ -547,15 +487,11 @@ class Level:
 
 
 def _present(index: "ContractionIndex", node_id: str, level: int) -> bool:
-    """A node is in the tree until the round of the rake that removes it:
-    a leaf's rake consumes it, a raked parent's is its last version's above."""
-    rows, i = index._rows, index._pos[node_id]
-    if node_id in index.evidence:
-        k = rows.rake_of[i]
-        v = -1 if k < 0 else rows.base + k
-    else:
-        v = rows.above[rows.start[i]]
-    return v < 0 or rows.level[v] > level
+    """A node is in the tree until the round of the rake that removes it,
+    which is the above of the version its walk starts from: a raked
+    parent's last, or the last of the parent that a leaf's rake removes."""
+    rake = index._start[node_id].above
+    return rake is None or rake.level > level
 
 
 def _record_at(index: "ContractionIndex", node_id: str, level: int) -> CoeffRecord | None:
@@ -568,8 +504,8 @@ def _record_at(index: "ContractionIndex", node_id: str, level: int) -> CoeffReco
 
 
 class ContractionIndex:
-    """Preprocessed equation hierarchy for one tree, kept as rows (_Rows)
-    that contract() fills."""
+    """Preprocessed equation hierarchy for one tree: linked equation
+    versions, which contract() makes."""
 
     def __init__(self, tree: CausalTree):
         self.tree = tree
@@ -580,40 +516,41 @@ class ContractionIndex:
         self.base_matrix_count = 0
         # equation versions the last query's walk climbed (see _walk)
         self.last_calc_depth = 0
-        self._rows: _Rows | None = None
-        self._pos: dict[str, int] = {}  # node id -> its number, in tree order
-        self._updated = -1  # the rake the last update's chain started from, or -1
+        # node id -> the version its query walk starts from: its own last,
+        # or for a leaf that of the parent its rake removes, or the root's
+        self._start: dict[str, CoeffRecord] = {}
+        self._bases: list[CoeffRecord] = []  # in tree order
+        self._rakes: list[RakeEquation] = []  # in build order
+        self._longest_chain = self._deepest_walk = 0  # for stats()
+        self._updated: RakeEquation | None = None  # where the last update's chain started
         self._records: dict[str, list[CoeffRecord]] | None = None
         self._leaf_consumer: dict[str, RakeEquation] | None = None
 
     @property
     def records(self) -> dict[str, list[CoeffRecord]]:
         """Each internal node's equation versions in order: its base one,
-        made on first read, then its rakes."""
+        then its rakes."""
         if self._records is None:
-            rows, ids = self._rows, self._rows.ids
             self._records = records = {}
-            bases = map(CoeffRecord, repeat(rows, rows.base), range(rows.base))
-            for owner, version in zip(rows.owner.tolist(), [*bases, *rows.records]):
-                records.setdefault(ids[owner], []).append(version)
+            for version in [*self._bases, *self._rakes]:
+                records.setdefault(version.owner, []).append(version)
         return self._records
 
     @property
     def leaf_consumer(self) -> dict[str, RakeEquation]:
         """Every rake, in build order, by the leaf it consumes."""
         if self._leaf_consumer is None:
-            self._leaf_consumer = {rake.leaf: rake for rake in self._rows.records}
+            self._leaf_consumer = {rake.leaf: rake for rake in self._rakes}
         return self._leaf_consumer
 
     @property
-    def last_update_trace(self) -> list[Slot]:
+    def last_update_trace(self) -> list[RakeEquation]:
         """The slots the last update rewrote, in chain order: the rakes on
         its chain."""
-        k, trace = self._updated, []
-        rake = None if k < 0 else self._rows.records[k]
+        rake, trace = self._updated, []
         while rake is not None:
             trace.append(rake)
-            rake = rake.feeds
+            rake = rake.consumer
         return trace
 
     @property
@@ -624,12 +561,12 @@ class ContractionIndex:
     @property
     def stored_matrix_count(self) -> int:
         """Stored matrices: two per base equation, one per rake."""
-        return self.base_matrix_count + len(self._rows.records)
+        return self.base_matrix_count + len(self._rakes)
 
-    def all_slots(self) -> list[Slot]:
+    def all_slots(self) -> list[Slot | RakeEquation]:
         """Every stored matrix in storage order: the base equations' pairs,
-        then the rakes' outputs in build order."""
-        return list(self._rows.slots)
+        then the rakes' outputs, which are the rakes, in build order."""
+        return [slot for base in self._bases for slot in (base.left, base.right)] + self._rakes
 
     def stats(self) -> dict[str, int]:
         """The index's shape against the paper's bounds: rake levels, stored
@@ -639,8 +576,8 @@ class ContractionIndex:
         return {"rake_levels": len(self.levels) - 1,
                 "stored_matrices": self.stored_matrix_count,
                 "storage_bound": 2 * self.base_matrix_count + 4,
-                "longest_update_chain": self._rows.longest_chain,
-                "deepest_query_walk": self._rows.deepest_walk,
+                "longest_update_chain": self._longest_chain,
+                "deepest_query_walk": self._deepest_walk,
                 "log_bound": 2 * math.ceil(math.log2(self.tree.n)),
                 "last_update_chain": len(self.last_update_trace),
                 "last_walk_depth": self.last_calc_depth}
@@ -666,8 +603,9 @@ def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None) -> Co
     coeffs optionally maps non-root node ids to the coefficient object for
     the edge entering each; an edge it does not list uses its node's
     conditional matrix.
-    Raises TreeTooSmall for trees under three nodes, UnknownNode for a
-    coeffs id that is not a non-root node, and DimensionMismatch for a
+    Raises TreeTooSmall for trees under three nodes, ConstructionError for
+    a tree that is not complete binary (normalize_tree makes one), UnknownNode
+    for a coeffs id that is not a non-root node, and DimensionMismatch for a
     coefficient whose shape is not its edge's (parent domain, own domain).
     The build runs with the cyclic garbage collector paused.
     """
@@ -755,21 +693,23 @@ def _groups(columns: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Build:
-    """contract()'s working state: the rows as arrays while they are
+    """contract()'s working state: the index as arrays while it is
     filled, each live node's parent and last equation version, and the
-    cost classes seen.  A cost class is one (domain of x, forms of the
-    three inputs) of a rake: it fixes the rake's counts (_rake_costs) and
-    its output's form.  Nodes are numbered in tree order.  Python objects
-    are kept in object arrays, so that gathering them makes no new ones."""
+    cost classes seen.  Nodes are numbered in tree order (pos), and slot s,
+    version v and rake k by storage order: base version b stores slots 2b
+    (left) and 2b + 1 (right), and rake k is version base + k and writes
+    slot 2 * base + k, so rakes keep build order.  A cost class is one
+    (domain of x, forms of the three inputs) of a rake: it fixes the rake's
+    counts (_rake_costs) and its output's form.  Python objects are kept in
+    object arrays, so that gathering them makes no new ones; link() turns
+    the arrays into the index's objects."""
 
     def __init__(self, index: ContractionIndex, coeffs: Mapping[str, object]):
         tree = index.tree
         self.index = index
         self.ids = ids = list(tree.nodes)
         n = len(ids)
-        # the lists the index keeps share one int object per value
-        self.numbers = np.arange(-1, n).astype(object)
-        pos = index._pos = dict(zip(ids, self.numbers[1:].tolist()))
+        pos = self.pos = dict(zip(ids, range(n)))
         kids, domain, cpt, evidence = [], [], [], []
         for node in tree.nodes.values():
             kids.append(node.children)
@@ -780,7 +720,7 @@ class _Build:
         self.evidence = np.fromiter(evidence, object, n)
         has_kids = np.fromiter(map(len, kids), np.int64, n) > 0
         internal = np.flatnonzero(has_kids)
-        children = [c for pair in kids for c in pair]
+        children = list(chain.from_iterable(kids))
         B = self.base = len(internal)
         R = n - B - 2  # every rake removes one leaf, until two are left
         V, S = B + R, 2 * B + R
@@ -793,14 +733,14 @@ class _Build:
         self.slot[:B] = np.arange(2 * B).reshape(B, 2)
         self.owner = np.empty(V, np.int64)
         self.owner[:B] = internal
-        self.level = np.zeros(V, np.int64)
         self.above = np.full(V, -1)
         self.form = np.empty(S, np.int64)
         self.kind = np.full(S, PLAIN, np.int64)
         self.consumer = np.full(S, -1)
         self.coeff = np.empty(S, dtype=object)
         self.coeff[:2 * B] = np.fromiter(cpt, object, n)[self.child[:B].ravel()]
-        for name in ("leaf", "parent", "parent_side", "e_in", "p_in", "z_in", "pv", "gv", "cls"):
+        for name in ("leaf", "parent", "parent_side", "e_in", "p_in", "z_in", "pv", "gv", "cls",
+                     "level"):
             setattr(self, name, np.empty(R, np.int64))
         self.leaf_side = np.empty(R, np.int64)
         self.diag, self.scaled, self.spread = (np.empty(R, dtype=object) for _ in range(3))
@@ -815,7 +755,7 @@ class _Build:
         # unless coeffs gives the edge another coefficient
         self.forms: list[tuple] = []
         self.form_ids: dict[tuple, int] = {}
-        self.kvals, self.dcode = np.unique(np.array(domain), return_inverse=True)
+        self.kvals, self.dcode = np.unique(np.fromiter(domain, np.int64, n), return_inverse=True)
         self.kvals = self.kvals.tolist()
         shapes = (np.repeat(self.dcode[internal], 2), self.dcode[self.child[:B].ravel()])
         first, group = _groups(shapes)
@@ -841,15 +781,11 @@ class _Build:
         right = np.full(n, -1)
         right[internal] = self.child[:B, RIGHT]
         self.root = pos[tree.root]
-        order = _leaf_order(self.root, self.ints(left), self.ints(right))
+        order = _leaf_order(self.root, left.tolist(), right.tolist())
         self.frontier = np.array(order, np.int64)
         index.levels.append(Level(0, self.names[self.frontier].tolist(), index))
         leaves = np.flatnonzero(~has_kids)
         index.evidence = dict(zip(self.names[leaves].tolist(), self.evidence[leaves].tolist()))
-
-    def ints(self, values: np.ndarray) -> list[int]:
-        """values, each at least -1, as a list of the shared int objects."""
-        return self.numbers[values + 1].tolist()
 
     def form_id(self, form: tuple) -> int:
         fid = self.form_ids.get(form)
@@ -878,7 +814,7 @@ class _Build:
         self.child[version, ps] = z
         self.child[version, keep] = self.child[gv, keep]
         self.owner[version] = u
-        self.level[version] = level
+        self.level[rows] = level
         self.consumer[e] = self.consumer[p] = self.consumer[zs] = rows
         self.above[pv] = self.above[gv] = version
         self.last[u] = version
@@ -965,17 +901,14 @@ class _Build:
         self.kind[base + rows] = PLAIN
 
     def finish(self, frontier: np.ndarray) -> None:
-        """Fix every count, and hand the rows to the index as columns.  What
-        only the rounds read goes first, and each stage's temporaries go with
-        it, to keep the peak low."""
+        """Fix every count, then make the index's objects.  What only the
+        rounds read goes first, and each stage's temporaries go with it, to
+        keep the peak low."""
         del self.kind, self.live_parent, self.evidence
-        index = self.index
-        rows = index._rows = _Rows()
-        rows.ids, rows.base, rows.forms = self.ids, self.base, self.forms
-        self.link(rows, frontier, *self.count(rows))
-        index.base_matrix_count = 2 * self.base
+        self.link(frontier, *self.count())
+        self.index.base_matrix_count = 2 * self.base
 
-    def count(self, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
+    def count(self) -> tuple:
         """Every count.  A rake fixes one step of each count it takes part
         in: the chain step entered through each of its inputs (its
         class's), and the walk step below it, from u's previous version
@@ -983,20 +916,21 @@ class _Build:
         u's previous equation).  A total is the sum of the steps on its
         path (_path_sums).  The totals updates and queries start from are
         kept, each leaf's chain and each node's walk; Slot and CoeffRecord
-        sum the others when read.  Returns nxt and how: rake k's output
-        enters rake nxt[k] (-1 for none) through the input how[k] says (0 e
-        side, 1 parent side, 2 z side)."""
-        B, R = self.base, len(self.leaf)
+        sum the others when read.  Returns each version's cost and kept
+        walk total (None where none is kept), each rake's update_cost, and
+        nxt and how: rake k's output enters rake nxt[k] (-1 for none)
+        through the input how[k] says (0 e side, 1 parent side, 2 z side)."""
+        index, B, R = self.index, self.base, len(self.leaf)
         # one evaluation of each version: by its owner's domain and its forms
         columns = (self.dcode[self.owner], self.form[self.slot[:, LEFT]], self.form[self.slot[:, RIGHT]])
         first, group = _groups(columns)
         table = [equation_cost(self.kvals[columns[0][i]], self.forms[columns[1][i]],
                                self.forms[columns[2][i]]) for i in first.tolist()]
-        rows.cost = [table[g] for g in group.tolist()]
+        cost = np.fromiter(table, object, len(table))[group]
+        del columns, self.dcode, self.kvals
 
         # chains; the last column counts equations on a chain, and versions
         # on a walk
-        rows.steps, rows.cls = self.class_costs, self.cls
         steps = np.array(self.class_costs, np.int64).reshape(-1, 4, 5)  # by class
         out = 2 * B + np.arange(R)
         nxt = self.consumer[out]
@@ -1007,9 +941,9 @@ class _Build:
         after[fed, 5] = 1
         after = _path_sums(after, nxt)
         entry = steps[self.cls, 0]
-        rows.update_cost = _tuples(entry + after[:, :5])
-        rows.longest_chain = int(after[:, 5].max()) + 1 if R else 0
-        self.index.counters.add(tuple(entry.sum(axis=0).tolist()) if R else NO_COST)
+        update_cost = _tuples(entry + after[:, :5])
+        index._longest_chain = int(after[:, 5].max()) + 1 if R else 0
+        index.counters.add(tuple(entry.sum(axis=0).tolist()) if R else NO_COST)
         del after, entry
         # walks, kept for the versions queries start from: each internal
         # node's last
@@ -1018,64 +952,80 @@ class _Build:
         # x's pi through u's previous equation
         walk[self.pv, :5] = np.array(table, np.int64).reshape(-1, 5)[group[self.gv]]
         walk[self.gv, 5] = walk[self.pv, 5] = 1
+        del self.pv, group
         walk = _path_sums(walk, self.above)
         finals = self.last[self.owner[:B]]
-        rows.deepest_walk = int(walk[finals, 5].max())
-        walk_cost = np.full(B + R, None, dtype=object)
-        walk_cost[finals] = _tuples(walk[finals, :5])
-        rows.walk_cost = walk_cost.tolist()
-        return nxt, how
+        index._deepest_walk = int(walk[finals, 5].max())
+        walk_total = np.full(B + R, None, dtype=object)
+        walk_total[finals] = _tuples(walk[finals, :5])
+        return cost, walk_total, update_cost, nxt, how
 
-    def link(self, rows: _Rows, frontier: np.ndarray, nxt: np.ndarray, how: np.ndarray) -> None:
-        """The Slots, the RakeEquations and what the walks read."""
-        B, R, names = self.base, len(self.leaf), self.names
-        # slots: a rake's output slot is its RakeEquation
-        numbers = self.numbers[1:1 + 2 * B].tolist()
-        coeff = self.coeff.tolist()
-        records = list(map(RakeEquation, repeat(rows, R), numbers[B:B + R], coeff[2 * B:]))
-        slots = rows.slots = [*map(Slot, repeat(rows), numbers, coeff[:2 * B]), *records]
-        del numbers, coeff, self.coeff
-        slot = np.fromiter(slots, object, len(slots))
-        rows.form, rows.consumer = self.form, self.consumer
-        # rakes
-        rows.parent, rows.gv = self.parent, self.gv
-        record = np.append(slot[2 * B:], None)  # rake k, and None at -1
-        kept = self.slot[B + np.arange(R), 1 - self.parent_side]
-        for rake, *fields in zip(records, self.diag.tolist(), self.scaled.tolist(),
-                                 self.spread.tolist(), slot[self.e_in].tolist(),
-                                 slot[self.p_in].tolist(), slot[self.z_in].tolist(),
-                                 record[nxt].tolist(), how.tolist(), names[self.leaf].tolist(),
-                                 self.parent_side.tolist(), self.leaf_side.tolist(),
-                                 slot[kept].tolist()):
-            (rake.diag, rake.scaled, rake.spread, rake.e_side_input, rake.parent_input,
-             rake.z_side_input, rake.feeds, rake.enters, rake.leaf, rake.parent_side,
-             rake.leaf_side, rake.kept) = fields
-        rows.records = records
-        del kept, self.diag, self.scaled, self.spread, self.e_in, self.p_in, self.z_in
-        del self.leaf_side, self.parent_side
-        # versions
-        rows.owner, rows.level, rows.above = self.owner, self.level, self.ints(self.above)
-        rows.left, rows.right = slot[self.slot[:, LEFT]].tolist(), slot[self.slot[:, RIGHT]].tolist()
-        del slot, self.slot
-        rows.left_child = names[self.child[:, LEFT]].tolist()
-        rows.right_child = names[self.child[:, RIGHT]].tolist()
-        del self.child
-        below = np.zeros(B + R, dtype=bool)
-        below[self.gv] = True
-        rows.below = below.tolist()
-        rows.down = record[np.where(self.above < 0, -1, self.above - B)].tolist()
-        del below, record
+    def link(self, frontier: np.ndarray, cost: np.ndarray, walk_total: np.ndarray, update_cost: list,
+             nxt: np.ndarray, how: np.ndarray) -> None:
+        """Make the index's objects and link them: a Slot for each of a base
+        equation's two matrices, a RakeEquation for each rake, which is both
+        a version and the slot it writes, and a CoeffRecord for each base
+        version; then map each node to the version its query walk starts
+        from, in the dict that numbered the nodes.  Each pass's loop targets
+        set a few fields from as many columns; then the pass drops those and
+        the arrays it read last, and the base versions are made last, to
+        keep the peak low."""
+        index, B, R, names = self.index, self.base, len(self.leaf), self.names
+        index._rakes = rakes = [RakeEquation() for _ in range(R)]
+        # slot s and rake k by number, each with None at -1
+        slot = np.fromiter(chain([Slot() for _ in range(2 * B)], rakes, [None]), object, 2 * B + R + 1)
+        rake_at, forms = slot[2 * B:], np.fromiter(self.forms, object, len(self.forms))
+        out, base, raked = slice(2 * B, None), slice(2 * B), slice(B, None)
+        for r, r.diag, r.scaled, r.spread, r.coeff, r.form, r.consumer in zip(
+                rakes, self.diag, self.scaled, self.spread, self.coeff[out], forms[self.form[out]],
+                rake_at[nxt]):
+            pass
+        del nxt, self.diag, self.scaled, self.spread
+        for s, s.coeff, s.form, s.consumer, s.owner, s.side in zip(
+                slot[base], self.coeff[base], forms[self.form[base]], rake_at[self.consumer[base]],
+                names[self.owner[:B].repeat(2)], cycle((LEFT, RIGHT))):
+            pass
+        del self.coeff, self.form, self.consumer, forms
+        # every version's above is a rake (version B + k) or none
+        above = np.maximum(self.above - B, -1)
+        del self.above
+        for r, r.e_side_input, r.parent_input, r.z_side_input, r.left, r.right, r.above in zip(
+                rakes, slot[self.e_in], slot[self.p_in], slot[self.z_in], slot[self.slot[raked, LEFT]],
+                slot[self.slot[raked, RIGHT]], rake_at[above[raked]]):
+            pass
+        del self.e_in, self.p_in, self.z_in
+        steps = np.fromiter(self.class_costs, object, len(self.class_costs))
+        for r, r.level, r.steps, r.update_cost, r.parent, r.leaf, r.enters, r.parent_side, \
+                r.leaf_side in zip(rakes, self.level.tolist(), steps[self.cls], update_cost,
+                                   names[self.parent], names[self.leaf], how.tolist(),
+                                   self.parent_side.tolist(), self.leaf_side.tolist()):
+            pass
+        del self.level, self.cls, steps, update_cost, how, self.parent_side, self.leaf_side
+
+        index._bases = [CoeffRecord() for _ in range(B)]
+        version = np.fromiter(chain(index._bases, rakes), object, B + R)
+        for r, r.rewrites, r.owner, r.left_child, r.right_child, r.cost, r.walk_total in zip(
+                rakes, version[self.gv], names[self.owner[raked]], names[self.child[raked, LEFT]],
+                names[self.child[raked, RIGHT]], cost[raked], walk_total[raked]):
+            pass
+        del self.gv
+        for v, v.owner, v.left, v.right, v.left_child, v.right_child, v.above, v.cost, \
+                v.walk_total in zip(index._bases, names[self.owner[:B]], slot[self.slot[:B, LEFT]],
+                                    slot[self.slot[:B, RIGHT]], names[self.child[:B, LEFT]],
+                                    names[self.child[:B, RIGHT]], rake_at[above[:B]], cost[:B],
+                                    walk_total[:B]):
+            pass
+        del self.slot, self.child, slot, rake_at, above, cost, walk_total
 
         # where each node's query walk starts: its own last version, or, for
         # a leaf, that of the parent its rake removes, or the root's
         start = np.empty(len(self.ids), np.int64)
-        start[self.owner] = self.last[self.owner]
+        internal = self.owner[:B]
+        start[internal] = self.last[internal]
         start[frontier] = self.last[self.root]
         start[self.leaf] = self.last[self.parent]
-        rows.start = self.ints(start)
-        rake_of = np.full(len(self.ids), -1)
-        rake_of[self.leaf] = np.arange(R)
-        rows.rake_of = self.ints(rake_of)
+        self.pos.update(zip(self.ids, version[start]))
+        index._start = self.pos
 
 
 def _tuples(table: np.ndarray) -> list[tuple]:
@@ -1099,17 +1049,15 @@ def _path_sums(steps: np.ndarray, nxt: np.ndarray) -> np.ndarray:
 
 def _leaf_order(root: int, left: list[int], right: list[int]) -> list[int]:
     """Leaves left to right, by a depth-first walk over child lists (-1 for
-    a leaf)."""
+    a leaf): down each left spine, stacking the right children it passes."""
     out, stack = [], [root]
     emit, push, pop = out.append, stack.append, stack.pop
     while stack:
         v = pop()
-        child = left[v]
-        if child < 0:
-            emit(v)
-        else:
+        while (child := left[v]) >= 0:
             push(right[v])
-            push(child)
+            v = child
+        emit(v)
     return out
 
 
@@ -1127,12 +1075,11 @@ def lambda_query(index: ContractionIndex, node_id: str) -> np.ndarray:
 def _lambda_rec(index: ContractionIndex, node_id: str) -> np.ndarray:
     if node_id in index.evidence:
         return index.evidence[node_id]
-    rows = index._rows
-    v = rows.start[index._pos[node_id]]
-    left = _lambda_rec(index, rows.left_child[v])
-    right = _lambda_rec(index, rows.right_child[v])
-    index.counters.add(rows.cost[v])
-    return rows.left[v].coeff.dot(left) * rows.right[v].coeff.dot(right)
+    v = index._start[node_id]
+    left = _lambda_rec(index, v.left_child)
+    right = _lambda_rec(index, v.right_child)
+    index.counters.add(v.cost)
+    return v.left.coeff.dot(left) * v.right.coeff.dot(right)
 
 
 def _recompute(evidence: dict[str, np.ndarray], record: RakeEquation) -> None:
@@ -1162,7 +1109,7 @@ def _recompute(evidence: dict[str, np.ndarray], record: RakeEquation) -> None:
             s = record.scaled = record.parent_input.coeff * (diag if spread is None else diag[spread])
         z = record.z_side_input.coeff
         record.coeff = s.dot(z) if type(z) is np.ndarray else s @ z
-        record, entry = record.feeds, record.enters
+        record, entry = record.consumer, record.enters
 
 
 def update_evidence(index: ContractionIndex, leaf_id: str, evidence) -> ContractionIndex:
@@ -1177,13 +1124,12 @@ def update_evidence(index: ContractionIndex, leaf_id: str, evidence) -> Contract
     """
     set_evidence(index.tree, leaf_id, evidence)
     index.evidence[leaf_id] = index.tree.nodes[leaf_id].evidence
-    rows = index._rows
-    k = rows.rake_of[index._pos[leaf_id]]
-    index._updated = k
-    if k >= 0:
+    # the leaf's rake removed the parent its walk starts from
+    rake = index._updated = index._start[leaf_id].above
+    if rake is not None:
         # the leaf enters its rake as the e-side slot does
-        index.counters.add(rows.update_cost[k])
-        _recompute(index.evidence, rows.records[k])
+        index.counters.add(rake.update_cost)
+        _recompute(index.evidence, rake)
     return index
 
 
@@ -1200,51 +1146,47 @@ def calc_pi_lambda(index: ContractionIndex, node_id: str, level: int) -> PiLambd
     rec = _record_at(index, node_id, level) if _present(index, node_id, level) else None
     if rec is None:
         raise LevelOutOfRange(f"{node_id!r} has no equations at level {level}")
-    pi, lam_left, lam_right = _walk(index, rec._row)
-    index.counters.add(_walk_cost(index._rows, rec._row))
+    pi, lam_left, lam_right = _walk(index, rec)
+    index.counters.add(rec.walk_cost)
     return PiLambdaTriple(pi=pi.copy(), lambda_left=lam_left.copy(),
                           lambda_right=lam_right.copy())
 
 
-def _walk(index: ContractionIndex, v: int):
+def _walk(index: ContractionIndex, v: CoeffRecord):
     """(pi, lambda_left, lambda_right) of equation version v: pi of its
     owner and the lambdas of its two children under the evidence in force.
 
     Climbs above to the root's terminal version, whose triple is the prior
     and the extreme leaves' likelihoods, then comes back down one rake at a
     time.  Below the version of rake (e, x, u), either the walk enters u's
-    previous version, which keeps u's pi, and x's lambda is rebuilt from
-    x's final equation, whose e side the rake's cached diagonal already
-    holds, or it enters x's final version, whose pi comes through u's
-    equation; the version's down rake tells which.
-    Counts nothing: each caller adds _walk_cost(rows, v) once.  Sets
+    previous version, the one the rake rewrites, which keeps u's pi, and
+    x's lambda is rebuilt from x's final equation, whose e side the rake's
+    cached diagonal already holds, or it enters x's final version, whose pi
+    comes through u's equation.
+    Counts nothing: each caller adds v.walk_cost once.  Sets
     index.last_calc_depth to the number of versions climbed; pi may be the
     root's prior itself, so callers must not write to it.
     """
-    rows = index._rows
-    above, below, down = rows.above, rows.below, rows.down
     path = []
-    up = above[v]
-    while up >= 0:
+    while (up := v.above) is not None:
         path.append(v)
-        v, up = up, above[up]
+        v = up
     index.last_calc_depth = len(path)
     evidence = index.evidence
     pi = index.tree.nodes[index.root].prior
-    left, right = evidence[rows.left_child[v]], evidence[rows.right_child[v]]
+    left, right = evidence[v.left_child], evidence[v.right_child]
     for v in reversed(path):
-        rake = down[v]
-        if below[v]:  # u's previous version: diag . (z side . lambda(z))
+        rake = v.above
+        if rake.rewrites is v:  # u's previous version: diag . (z side . lambda(z))
             if rake.parent_side == LEFT:
                 left = rake.diag * rake.z_side_input.coeff.dot(left)
             else:
                 right = rake.diag * rake.z_side_input.coeff.dot(right)
         else:  # x's last version: pi through u's kept side and parent side
             if rake.parent_side == LEFT:
-                lam_z, kept = left, right
+                lam_z, up = left, pi * rake.right.coeff.dot(right)
             else:
-                lam_z, kept = right, left
-            up = pi * rake.kept.coeff.dot(kept)
+                lam_z, up = right, pi * rake.left.coeff.dot(left)
             parent = rake.parent_input.coeff
             pi = up.dot(parent) if type(parent) is np.ndarray else up @ parent
             if rake.leaf_side == LEFT:
@@ -1254,59 +1196,43 @@ def _walk(index: ContractionIndex, v: int):
     return pi, left, right
 
 
-def _walk_cost(rows: _Rows, v: int) -> tuple:
-    """walk_cost of version v, summed and kept on first use where contract()
-    did not keep it."""
-    cost = rows.walk_cost[v]
-    if cost is None:
-        cost, u = NO_COST, v
-        while (up := rows.above[u]) >= 0:  # the step below up
-            k = up - rows.base
-            step = rows.steps[rows.cls[k]][3] if rows.below[u] else rows.cost[rows.gv[k]]
-            cost, u = sum_costs(cost, step), up
-        rows.walk_cost[v] = cost
-    return cost
-
-
-def _pi_lambda(index: ContractionIndex, node_id: str, v: int) -> tuple:
+def _pi_lambda(index: ContractionIndex, node_id: str, v: CoeffRecord) -> tuple:
     """(pi, lambda) of a node from the walk to v, its start version, and one
     equation, both counted: v's own for an internal node's lambda, or, for
     a leaf, whose lambda is its evidence, its pi down its parent's."""
-    rows = index._rows
     pi, left, right = _walk(index, v)
-    index.counters.add(_walk_cost(rows, v))
-    index.counters.add(rows.cost[v])
+    index.counters.add(v.walk_cost)
+    index.counters.add(v.cost)
     lam = index.evidence.get(node_id)
     if lam is None:
-        return pi, rows.left[v].coeff.dot(left) * rows.right[v].coeff.dot(right)
-    if rows.left_child[v] == node_id:
-        up, down = pi * rows.right[v].coeff.dot(right), rows.left[v].coeff
+        return pi, v.left.coeff.dot(left) * v.right.coeff.dot(right)
+    if v.left_child == node_id:
+        up, down = pi * v.right.coeff.dot(right), v.left.coeff
     else:
-        up, down = pi * rows.left[v].coeff.dot(left), rows.right[v].coeff
+        up, down = pi * v.left.coeff.dot(left), v.right.coeff
     return (up.dot(down) if type(down) is np.ndarray else up @ down), lam
 
 
 def pi_query(index: ContractionIndex, node_id: str) -> np.ndarray:
     """Prior-side message at a node under the evidence in force."""
-    i = index._pos.get(node_id)
-    if i is None:
+    v = index._start.get(node_id)
+    if v is None:
         raise UnknownNode(f"no node {node_id!r}")
-    v = index._rows.start[i]
     if node_id == index.root:
         index.last_calc_depth = 0
         return index.tree.nodes[index.root].prior.copy()
     if node_id in index.evidence:
         return _pi_lambda(index, node_id, v)[0]
-    index.counters.add(_walk_cost(index._rows, v))
+    index.counters.add(v.walk_cost)
     return _walk(index, v)[0]
 
 
 def belief_query(index: ContractionIndex, node_id: str) -> Belief:
     """Normalized belief at any node: one root-ward walk (_pi_lambda), one
     vector product and one normalization."""
-    i = index._pos.get(node_id)
-    if i is None:
+    v = index._start.get(node_id)
+    if v is None:
         raise UnknownNode(f"no node {node_id!r}")
-    pi, lam = _pi_lambda(index, node_id, index._rows.start[i])
+    pi, lam = _pi_lambda(index, node_id, v)
     index.counters.count_vector_op(len(lam))
     return normalize_belief(lam * pi, node=node_id)

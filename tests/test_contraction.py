@@ -180,9 +180,14 @@ class TestStorage:
                 versions = index.records[r.owner]
                 at = next(i for i, rec in enumerate(versions) if rec is r)
                 assert at > 0 and versions[at - 1].above is r
+                assert r.rewrites is versions[at - 1]
+                assert r.kept is r.side_slot(1 - r.parent_side)
                 assert index.records[r.parent][-1].above is r
                 assert index.leaf_consumer[r.leaf] is r
                 assert r.output.level == r.level
+            again = index.records
+            assert all(a is b for owner, recs in again.items()
+                       for a, b in zip(recs, index.records[owner], strict=True))
 
     def test_each_stored_matrix_is_one_object(self):
         """A rake is its own output slot, all_slots() hands out the stored

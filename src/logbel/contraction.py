@@ -49,7 +49,12 @@ the left half on those it enters through the parent slot, and neither on
 those it enters through the z-side slot, which take one product
 (scaled_cost, where the others take rake_cost); a query walk reads the
 diagonal instead of recomputing it.  No count includes a product whose
-cached result is reused.
+cached result is reused.  A rake whose old_coeff is another rake's output,
+the only kind a chain can enter through its parent slot, also keeps its
+diagonal gathered to old_coeff's shape where that fits a cache line
+(KEPT_GATHER_BYTES), so that step multiplies once.  A gather is no
+multiply-add, and the kept one is refreshed with the diagonal, so counts and
+bits are those of gathering again.
 """
 
 from __future__ import annotations
@@ -166,6 +171,13 @@ def _cheapest(left: np.ndarray, right: np.ndarray):
 # 24, 21 against 11 at K = 128; numpy 2.4.6), and its index takes as much
 # memory as the matrix.
 GATHER_ENTRIES = 256
+# A rake keeps the gathered diagonal its parent-side steps multiply by (see
+# RakeEquation) only where it fits one 64-byte cache line.  Larger ones cost
+# more than they save: kept on polytree-build's parents of 4 to 256 entries,
+# they took peak RSS up 2.2% and updates 0.9-1.9% slower, where keeping
+# star-read's 2 x 2 ones makes updates 3.2-3.8% faster (perfbench, median
+# of 10 pairs each).
+KEPT_GATHER_BYTES = 64
 
 
 @cache
@@ -418,9 +430,6 @@ class CoeffRecord:
     def side_slot(self, side: int) -> "Slot | RakeEquation":
         return self.left if side == LEFT else self.right
 
-    def child(self, side: int) -> str:
-        return self.left_child if side == LEFT else self.right_child
-
 
 class RakeEquation(CoeffRecord):
     """One rake (e, x, u): the version of u's equation it writes, whose
@@ -439,6 +448,11 @@ class RakeEquation(CoeffRecord):
     parent side scaled only, through the z side neither.  spread is how a
     dense parent indexes diag (_spread), fixed with the parent slot's form,
     and None for any other form, which multiplies by diag itself.
+    gathered is that multiplier, diag[spread] (or diag), kept only where the
+    parent slot is another rake's output, the one kind of parent slot an
+    update changes, and it fits KEPT_GATHER_BYTES; it is None elsewhere.  An
+    e-side step refreshes it with diag, and a parent-side step multiplies
+    the new parent by it, where it would gather the same numbers again.
     consumer is the rake its output feeds (None for none) and enters how it
     enters it (0 e side, 1 parent side, 2 z side); steps are the counts of
     the chain step entered through each input and of the walk step below
@@ -448,7 +462,7 @@ class RakeEquation(CoeffRecord):
     """
 
     __slots__ = ("coeff", "form", "consumer", "level", "rewrites", "steps", "update_cost",
-                 "parent", "diag", "scaled", "spread", "e_side_input", "parent_input",
+                 "parent", "diag", "scaled", "spread", "gathered", "e_side_input", "parent_input",
                  "z_side_input", "enters", "leaf", "parent_side", "leaf_side")
 
     chain_cost, describe = Slot.chain_cost, Slot.describe
@@ -743,7 +757,8 @@ class _Build:
                      "level"):
             setattr(self, name, np.empty(R, np.int64))
         self.leaf_side = np.empty(R, np.int64)
-        self.diag, self.scaled, self.spread = (np.empty(R, dtype=object) for _ in range(3))
+        self.diag, self.scaled, self.spread, self.gathered = (np.empty(R, dtype=object)
+                                                              for _ in range(4))
 
         # each live node's parent and last version
         self.live_parent = np.full(n, -1)
@@ -824,7 +839,8 @@ class _Build:
 
     def multiply(self, rows: np.ndarray) -> None:
         """Each rake's diagonal, scaled parent and output, as _recompute
-        evaluates them, then its cost class, and so its output's form.
+        evaluates them, the gathered diagonal of those whose parent is a
+        rake's output, then its cost class, and so its output's form.
         Rakes whose inputs are plain arrays or identities take one stacked
         product per shape, where at least STACK_MIN share it; the others
         are multiplied one at a time.  A group is the rakes of one form and
@@ -857,7 +873,10 @@ class _Build:
                                         self.e_in[single].tolist(), self.p_in[single].tolist(),
                                         self.z_in[single].tolist(), self.spread[single].tolist()):
             diag[k] = d = coeff[e].dot(evidence[leaf])
-            scaled[k] = s = coeff[p] * (d if sp is None else d[sp])
+            g = d if sp is None else d[sp]
+            if p >= out and g.nbytes <= KEPT_GATHER_BYTES:  # a rake's output, small enough
+                self.gathered[k] = g
+            scaled[k] = s = coeff[p] * g
             z = coeff[z]
             coeff[out + k] = s = s.dot(z) if type(z) is np.ndarray else s @ z
             self.kind[out + k] = PLAIN if type(s) is np.ndarray else OTHER
@@ -897,6 +916,14 @@ class _Build:
         m, base = len(rows), 2 * self.base
         self.diag[rows] = np.fromiter(d, object, m)
         self.scaled[rows] = np.fromiter(scaled, object, m)
+        kept = self.p_in[rows] >= base  # parents that are rakes' outputs, all dense here
+        spread = self.spread[rows[0]]
+        small = type(spread) is np.ndarray and spread.size * d.itemsize <= KEPT_GATHER_BYTES
+        if small and kept.any():
+            # take, not d[:, spread], whose result is not C-contiguous: a product with
+            # a strided gather takes 0.85 us on a 2 x 2, where a contiguous one takes 0.38
+            g = np.take(d[kept], spread, axis=1)
+            self.gathered[rows[kept]] = np.fromiter(g, object, len(g))
         coeff[base + rows] = np.fromiter(out, object, m)
         self.kind[base + rows] = PLAIN
 
@@ -976,11 +1003,11 @@ class _Build:
         slot = np.fromiter(chain([Slot() for _ in range(2 * B)], rakes, [None]), object, 2 * B + R + 1)
         rake_at, forms = slot[2 * B:], np.fromiter(self.forms, object, len(self.forms))
         out, base, raked = slice(2 * B, None), slice(2 * B), slice(B, None)
-        for r, r.diag, r.scaled, r.spread, r.coeff, r.form, r.consumer in zip(
-                rakes, self.diag, self.scaled, self.spread, self.coeff[out], forms[self.form[out]],
-                rake_at[nxt]):
+        for r, r.diag, r.scaled, r.spread, r.gathered, r.coeff, r.form, r.consumer in zip(
+                rakes, self.diag, self.scaled, self.spread, self.gathered, self.coeff[out],
+                forms[self.form[out]], rake_at[nxt]):
             pass
-        del nxt, self.diag, self.scaled, self.spread
+        del nxt, self.diag, self.scaled, self.spread, self.gathered
         for s, s.coeff, s.form, s.consumer, s.owner, s.side in zip(
                 slot[base], self.coeff[base], forms[self.form[base]], rake_at[self.consumer[base]],
                 names[self.owner[:B].repeat(2)], cycle((LEFT, RIGHT))):
@@ -1092,6 +1119,10 @@ def _recompute(evidence: dict[str, np.ndarray], record: RakeEquation) -> None:
     through its z-side slot, nothing, and the step is one product.  Each
     rake tells how its output enters the next.  A dense parent is scaled
     by diag indexed by the rake's spread, with the bits of parent * diag.
+    A rake that keeps that gather (gathered) stores it on an e-side step
+    and reuses it on a parent-side one: diag has not changed since, so the
+    product has the same bits, and its count (rake_cost's scale product) is
+    unchanged.
 
     Nothing here writes an array in place, and nothing may: an output is
     the rake's own scaled when a dense parent meets an identity z side
@@ -1102,11 +1133,16 @@ def _recompute(evidence: dict[str, np.ndarray], record: RakeEquation) -> None:
     while record is not None:
         if entry == 2:
             s = record.scaled
+        elif entry == 1 and record.gathered is not None:
+            s = record.scaled = record.parent_input.coeff * record.gathered
         else:
             if entry == 0:
                 record.diag = record.e_side_input.coeff.dot(evidence[record.leaf])
             spread, diag = record.spread, record.diag
-            s = record.scaled = record.parent_input.coeff * (diag if spread is None else diag[spread])
+            gathered = diag if spread is None else diag[spread]
+            if record.gathered is not None:
+                record.gathered = gathered
+            s = record.scaled = record.parent_input.coeff * gathered
         z = record.z_side_input.coeff
         record.coeff = s.dot(z) if type(z) is np.ndarray else s @ z
         record, entry = record.consumer, record.enters

@@ -582,11 +582,17 @@ def save_network(tree: CausalTree, path) -> None:
 
 def set_evidence(tree: CausalTree, leaf_id: str, evidence) -> CausalTree:
     """Replace the likelihood vector of a leaf (in place) with a checked copy
-    of evidence, an Evidence or an array."""
+    of evidence, an Evidence or an array.  Evidence the check rejects is
+    checked again under the leaf's name, so the error names leaf_id; valid
+    evidence is checked once, without formatting that name."""
     node = tree.node(leaf_id)
     if node.children:
         raise NotALeaf(f"{leaf_id!r} is not a leaf")
-    node.evidence = check_likelihood(evidence, node.domain, what=f"evidence of {leaf_id!r}")
+    try:
+        node.evidence = check_likelihood(evidence, node.domain)
+    except LogbelError:
+        check_likelihood(evidence, node.domain, what=f"evidence of {leaf_id!r}")
+        raise
     return tree
 
 

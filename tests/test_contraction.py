@@ -31,7 +31,7 @@ from logbel import (
     random_polytree,
     update_evidence,
 )
-from logbel.contraction import GATHER_ENTRIES, _cheapest, _Diagonal, _form, materialize
+from logbel.contraction import GATHER_ENTRIES, KEPT_GATHER_BYTES, _cheapest, _Diagonal, _form, materialize
 from logbel.generate import balanced_tree, random_likelihood, random_tree
 from logbel.model import BruteForceOracle
 from test_counts import counted_index, ragged_tree, star_tree, work_and_delta
@@ -619,6 +619,59 @@ def test_scaling_gathers_the_bits_a_broadcast_gives():
                 assert rk.spread is None
     assert parents == {np.ndarray, FactoredMatrix, Identity}
     assert {isinstance(spread, np.ndarray) for spread in spreads.values()} == {True, False}
+
+
+def _gather_of(rk):
+    """What a rake's parent is multiplied by: its diagonal, gathered by its
+    spread where it has one."""
+    return rk.diag if rk.spread is None else rk.diag[rk.spread]
+
+
+def test_parent_side_steps_reuse_the_kept_gather():
+    """A rake keeps a gathered diagonal only where its parent slot is
+    another rake's output and the gather fits KEPT_GATHER_BYTES, and the
+    kept one holds the bits of diag[spread], contiguous, after the build
+    and after every update.  A chain step entered through the parent slot
+    multiplies by the kept gather without making a new one; one entered
+    through the e side refreshes it.  Balanced trees have no parent-side
+    steps, so none of their rakes keeps one."""
+    rng = np.random.default_rng(34)
+    indexes = {"star": contract(normalize_tree(star_tree(300, rng))[0]),
+               "balanced": contract(balanced_tree(255, 2, rng)),
+               "polytree": build_engine(random_polytree(60, 3, 2, rng)).index}
+    for name, index in indexes.items():
+        rakes = index.leaf_consumer.values()
+
+        def check_kept():
+            for rk in rakes:
+                if (isinstance(rk.parent_input, logbel.contraction.RakeEquation)
+                        and _gather_of(rk).nbytes <= KEPT_GATHER_BYTES):
+                    assert _bytes(rk.gathered) == _bytes(_gather_of(rk)), name
+                    assert rk.gathered.flags.c_contiguous, name  # a strided one multiplies slower
+                else:
+                    assert rk.gathered is None, name
+
+        check_kept()
+        entered = [0, 0, 0]
+        leaves = index.tree.leaf_order()
+        for _ in range(60):
+            leaf = leaves[int(rng.integers(len(leaves)))]
+            before = {rk: rk.gathered for rk in rakes}
+            update_evidence(index, leaf, random_likelihood(index.tree.nodes[leaf].domain, rng))
+            entry = 0
+            for rk in index.last_update_trace:
+                entered[entry] += 1
+                if entry == 1:
+                    assert rk.gathered is before[rk], name
+                elif entry == 0 and rk.gathered is not None:
+                    assert rk.gathered is not before[rk], name
+                entry = rk.enters
+            check_kept()
+        assert (entered[1] > 0) == (name != "balanced"), (name, entered)
+        assert any(rk.gathered is not None for rk in rakes) == (name != "balanced"), name
+    # the polytree has rake-output parents on both sides of the size cut
+    assert any(rk.gathered is None and isinstance(rk.parent_input, logbel.contraction.RakeEquation)
+               for rk in indexes["polytree"].leaf_consumer.values())
 
 
 class TestStats:

@@ -15,6 +15,7 @@ from logbel import (
     FormatError,
     InvalidProbability,
     LazyState,
+    LogbelError,
     Node,
     Polytree,
     Variable,
@@ -78,6 +79,7 @@ def installer(entry):
 BAD_LIKELIHOODS = {
     "nan": ([np.nan, 1.0], InvalidProbability),
     "inf": ([np.inf, 1.0], InvalidProbability),
+    "minus-inf": ([1.0, -np.inf], InvalidProbability),
     # after a positive entry, where Python's min and max pass them over
     "nan-after-positive": ([1.0, np.nan], InvalidProbability),
     "inf-after-positive": ([1.0, np.inf], InvalidProbability),
@@ -102,6 +104,41 @@ def test_every_entry_point_rejects_alike(entry, bad):
         install(np.array(vec))
     if entry != "Evidence":  # an Evidence is checked before it meets a leaf
         assert repr("c" if entry == "polytree_update" else "e2") in str(info.value)
+
+
+def test_a_rejected_update_names_the_leaf_and_changes_nothing():
+    """update_evidence checks valid evidence once under check_likelihood's
+    default label; evidence it rejects raises the error that checking it
+    under the leaf's name gives, type and message, and leaves the stored
+    vector, every belief and the counters as they were.  polytree_update
+    names the variable, not its indicator leaf."""
+    tree, _ = normalize_tree(random_tree(41, 2, np.random.default_rng(8)))
+    index = contract(tree)
+    leaf = index.tree.leaf_order()[7]
+    update_evidence(index, leaf, np.array([0.3, 0.8]))
+    stored = index.evidence[leaf]
+    ids = list(index.tree.nodes)
+    beliefs = [belief_query(index, nid).dist for nid in ids]
+    for name, (values, _) in sorted(BAD_LIKELIHOODS.items()):
+        vec = np.array(values)
+        with pytest.raises(LogbelError) as want:
+            check_likelihood(vec, 2, what=f"evidence of {leaf!r}")
+        counts = index.counters.snapshot()
+        with pytest.raises(LogbelError) as got:
+            update_evidence(index, leaf, vec)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), name
+        assert index.counters.snapshot() == counts, name
+        assert index.evidence[leaf] is stored and index.tree.nodes[leaf].evidence is stored, name
+        np.testing.assert_array_equal([belief_query(index, nid).dist for nid in ids], beliefs)
+
+    engine = build_engine(build_polytree(VEE))
+    for name, (values, _) in sorted(BAD_LIKELIHOODS.items()):
+        vec = np.array(values)
+        with pytest.raises(LogbelError) as want:
+            check_likelihood(vec, 2, what="evidence of 'c'")
+        with pytest.raises(LogbelError) as got:
+            polytree_update(engine, "c", vec)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), name
 
 
 def numpy_check_likelihood(vec, domain):

@@ -11,7 +11,10 @@ rake is the version of u's equation it writes.  It stores exactly one new
 matrix, and every stored matrix (and every leaf likelihood) feeds at most
 one higher equation.  An evidence update therefore walks a single chain of
 equations; a belief query walks one root-ward path of equation versions.
-Both touch O(log N) equations on balanced rake schedules.
+Both touch O(log N) equations on balanced rake schedules.  A rake leaves
+the message each side sends its owner, side coeff . lambda(child), as it
+was, so a query walk takes an owner's message once, on the side it does not
+descend through, and rebuilds lambda only on the side it does (_walk).
 
 Storage.  Each equation version is one object, linked to the next
 version on its root-ward walk (above), and each stored matrix is one
@@ -64,7 +67,7 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, cycle
+from itertools import chain, cycle, repeat
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -75,6 +78,7 @@ from .errors import ConstructionError, DimensionMismatch, LevelOutOfRange, TreeT
 from .model import Belief, CausalTree, collector_paused, normalize_belief, set_evidence
 
 LEFT, RIGHT = 0, 1
+BOTH, NEITHER = 2, -1  # the sides of an equation a query walk carries lambda on (_walk)
 
 # contract() stacks the products of a round's rakes over plain arrays and
 # identities of one shape from this many rakes on (see _Build.multiply).
@@ -407,10 +411,11 @@ class CoeffRecord:
     above is the next version on the root-ward query walk: the owner's next
     version, or, for the last version of a raked node, the rake that
     absorbed it; None only for the root's terminal version.  cost counts
-    one evaluation of this equation (equation_cost) and walk_cost the whole
-    walk that builds this version's (pi, lambda, lambda) triple: contract()
-    keeps it, in walk_total, for the versions queries start from, and any
-    other is summed and kept when first read.
+    one evaluation of this equation (equation_cost) and walk_cost what the
+    walk that builds this version's (pi, lambda, lambda) triple counts
+    (_walk, lambda carried on both sides), summed the way it climbs when
+    first read and kept in walk_total.  Only pi_query and calc_pi_lambda
+    read it; belief_query adds a total contract() keeps for each node.
     """
 
     __slots__ = ("owner", "left", "right", "left_child", "right_child", "above", "cost",
@@ -421,9 +426,21 @@ class CoeffRecord:
     def walk_cost(self) -> tuple:
         cost = self.walk_total
         if cost is None:
-            cost, v = NO_COST, self
-            while (up := v.above) is not None:  # the step below up
-                cost, v = sum_costs(cost, up.steps[3] if up.rewrites is v else up.rewrites.cost), up
+            cost, v, carry = NO_COST, self, BOTH
+            while (up := v.above) is not None:
+                if up.rewrites is not v:  # into x's last version: x's pi step, and its z
+                    # side's message where lambda is carried on its e side
+                    parent = up.parent_input
+                    cost = sum_costs(sum_costs(cost, matvec_cost(parent.form)),
+                                     (0, 0, 1, parent.coeff.shape[0], 0))
+                    if carry == up.leaf_side:
+                        cost = sum_costs(cost, matvec_cost(up.z_side_input.form))
+                    carry = up.parent_side
+                elif up.parent_side == carry or carry == BOTH:  # lambda rebuilt on up's side
+                    cost = sum_costs(cost, up.steps[3])
+                v = up
+            if carry != BOTH:  # the root's message on its other side
+                cost = sum_costs(cost, matvec_cost(v.side_slot(1 - carry).form))
             self.walk_total = cost
         return cost
 
@@ -537,6 +554,7 @@ class ContractionIndex:
         self._rakes: list[RakeEquation] = []  # in build order
         self._longest_chain = self._deepest_walk = 0  # for stats()
         self._updated: RakeEquation | None = None  # where the last update's chain started
+        self._belief_cost: dict[str, tuple] = {}  # node id -> what belief_query counts
         self._records: dict[str, list[CoeffRecord]] | None = None
         self._leaf_consumer: dict[str, RakeEquation] | None = None
 
@@ -932,21 +950,22 @@ class _Build:
         rounds read goes first, and each stage's temporaries go with it, to
         keep the peak low."""
         del self.kind, self.live_parent, self.evidence
-        self.link(frontier, *self.count())
+        self.link(frontier, *self.count(frontier))
         self.index.base_matrix_count = 2 * self.base
 
-    def count(self) -> tuple:
-        """Every count.  A rake fixes one step of each count it takes part
-        in: the chain step entered through each of its inputs (its
-        class's), and the walk step below it, from u's previous version
-        (its class's lambda step) or from x's last one (one evaluation of
-        u's previous equation).  A total is the sum of the steps on its
-        path (_path_sums).  The totals updates and queries start from are
-        kept, each leaf's chain and each node's walk; Slot and CoeffRecord
-        sum the others when read.  Returns each version's cost and kept
-        walk total (None where none is kept), each rake's update_cost, and
-        nxt and how: rake k's output enters rake nxt[k] (-1 for none)
-        through the input how[k] says (0 e side, 1 parent side, 2 z side)."""
+    def count(self, frontier: np.ndarray) -> tuple:
+        """Every count.  A rake fixes the chain step entered through each
+        of its inputs (its class's), and the walk step into x's last
+        version below it, which counts the rewrites of u it climbed past on
+        x's side, the message on u's other side where u's versions start
+        and x's pi step.  A total is the sum of the steps on its path
+        (_path_sums).  The totals updates and queries start from are kept:
+        each leaf's chain and each node's belief query
+        (index._belief_cost); Slot and CoeffRecord sum the others when
+        read.  Returns each version's cost, each rake's update_cost, and nxt
+        and how: rake k's output enters rake nxt[k] (-1 for none) through
+        the input how[k] says (0 e side, 1 parent side, 2 z side).  frontier
+        is the last level's, the root's two extreme leaves."""
         index, B, R = self.index, self.base, len(self.leaf)
         # one evaluation of each version: by its owner's domain and its forms
         columns = (self.dcode[self.owner], self.form[self.slot[:, LEFT]], self.form[self.slot[:, RIGHT]])
@@ -954,10 +973,13 @@ class _Build:
         table = [equation_cost(self.kvals[columns[0][i]], self.forms[columns[1][i]],
                                self.forms[columns[2][i]]) for i in first.tolist()]
         cost = np.fromiter(table, object, len(table))[group]
-        del columns, self.dcode, self.kvals
+        K = np.array(self.kvals, np.int64)[self.dcode]  # each node's domain
+        root = self.last[self.root]
+        table = np.array(table, np.int64).reshape(-1, 5)
+        eq_root, eq_x = table[group[root]], table[group[self.pv]]  # x's last version's
+        del columns, group, table, self.dcode, self.kvals
 
-        # chains; the last column counts equations on a chain, and versions
-        # on a walk
+        # chains; the last column counts equations on a chain
         steps = np.array(self.class_costs, np.int64).reshape(-1, 4, 5)  # by class
         out = 2 * B + np.arange(R)
         nxt = self.consumer[out]
@@ -972,23 +994,52 @@ class _Build:
         index._longest_chain = int(after[:, 5].max()) + 1 if R else 0
         index.counters.add(tuple(entry.sum(axis=0).tolist()) if R else NO_COST)
         del after, entry
-        # walks, kept for the versions queries start from: each internal
-        # node's last
-        walk = np.zeros((B + R, 6), np.int64)
-        walk[self.gv, :5] = steps[self.cls, 3]  # u's lambda(x) from the cached diagonal
-        # x's pi through u's previous equation
-        walk[self.pv, :5] = np.array(table, np.int64).reshape(-1, 5)[group[self.gv]]
-        walk[self.gv, 5] = walk[self.pv, 5] = 1
-        del self.pv, group
-        walk = _path_sums(walk, self.above)
-        finals = self.last[self.owner[:B]]
-        index._deepest_walk = int(walk[finals, 5].max())
-        walk_total = np.full(B + R, None, dtype=object)
-        walk_total[finals] = _tuples(walk[finals, :5])
-        return cost, walk_total, update_cost, nxt, how
+        # walks (_walk).  The step from rake k (e, x, u) into x's last
+        # version counts the rewrites of u's later rakes on x's side, which
+        # rebuild lambda there (a path through each (u, side)'s rakes in
+        # build order), the message on u's other side, taken at u's last
+        # version, and x's pi through u's parent side
+        lam_step = steps[self.cls, 3]
+        u, side = self.owner[self.gv], self.parent_side
+        run = 2 * u + side
+        order = np.argsort(run, kind="stable")
+        same = run[order[1:]] == run[order[:-1]]
+        later = np.full(R, -1)
+        later[order[:-1][same]] = order[1:][same]
+        removed_by = np.full(len(K), -1)
+        removed_by[self.parent] = np.arange(R)
+        above = removed_by[u]  # the rake that removes u; -1 for the root
+        # that message is the rake's diag on its e side, free, and z side .
+        # lambda(z) on its z side; at the root, side coeff . lambda(extreme leaf)
+        matvec = np.array([matvec_cost(form) for form in self.forms], np.int64).reshape(-1, 5)
+        message = matvec[self.form[self.z_in[above]]] * (side == self.leaf_side[above])[:, None]
+        at_root = above < 0
+        message[at_root] = matvec[self.form[self.slot[root, 1 - side[at_root]]]]
+        step = _path_sums(lam_step, later) - lam_step + message + matvec[self.form[self.p_in]]
+        step[:, 2] += 1
+        step[:, 3] += K[u]
+        into = _path_sums(step, above)  # no message taken in x's last version
+        del run, order, same, later, removed_by, above, message, at_root, step
+        depth = _path_sums((self.above >= 0).astype(np.int64)[:, None], self.above)
+        index._deepest_walk = int(depth[self.last[self.owner[:B]]].max())
+        # each node's belief query: that walk, then an internal node's two
+        # messages and their product (x's e side sends the rake's diag, so
+        # that is lam_step) or a leaf's pi step through its parent's last
+        # equation (its cost), then the product with pi
+        lam_step += into
+        lam_step[:, 3] += K[self.parent]
+        eq_x += into
+        eq_x[:, 3] += K[self.leaf]
+        ends = np.array([self.root, *frontier.tolist()])
+        eq_ends = np.tile(eq_root, (len(ends), 1))
+        eq_ends[:, 3] += K[ends]
+        nodes = self.names[np.concatenate((self.parent, self.leaf, ends))].tolist()
+        index._belief_cost = dict(zip(nodes, _tuples(np.concatenate((lam_step, eq_x, eq_ends)))))
+        del self.pv, depth, into, lam_step, eq_x
+        return cost, update_cost, nxt, how
 
-    def link(self, frontier: np.ndarray, cost: np.ndarray, walk_total: np.ndarray, update_cost: list,
-             nxt: np.ndarray, how: np.ndarray) -> None:
+    def link(self, frontier: np.ndarray, cost: np.ndarray, update_cost: list, nxt: np.ndarray,
+             how: np.ndarray) -> None:
         """Make the index's objects and link them: a Slot for each of a base
         equation's two matrices, a RakeEquation for each rake, which is both
         a version and the slot it writes, and a CoeffRecord for each base
@@ -1033,16 +1084,16 @@ class _Build:
         version = np.fromiter(chain(index._bases, rakes), object, B + R)
         for r, r.rewrites, r.owner, r.left_child, r.right_child, r.cost, r.walk_total in zip(
                 rakes, version[self.gv], names[self.owner[raked]], names[self.child[raked, LEFT]],
-                names[self.child[raked, RIGHT]], cost[raked], walk_total[raked]):
+                names[self.child[raked, RIGHT]], cost[raked], repeat(None)):
             pass
         del self.gv
         for v, v.owner, v.left, v.right, v.left_child, v.right_child, v.above, v.cost, \
                 v.walk_total in zip(index._bases, names[self.owner[:B]], slot[self.slot[:B, LEFT]],
                                     slot[self.slot[:B, RIGHT]], names[self.child[:B, LEFT]],
                                     names[self.child[:B, RIGHT]], rake_at[above[:B]], cost[:B],
-                                    walk_total[:B]):
+                                    repeat(None)):
             pass
-        del self.slot, self.child, slot, rake_at, above, cost, walk_total
+        del self.slot, self.child, slot, rake_at, above, cost
 
         # where each node's query walk starts: its own last version, or, for
         # a leaf, that of the parent its rake removes, or the root's
@@ -1056,9 +1107,11 @@ class _Build:
 
 
 def _tuples(table: np.ndarray) -> list[tuple]:
-    """The rows of an integer array as tuples, equal rows one tuple."""
+    """The rows of an integer array as tuples, equal rows one tuple, made
+    1024 rows at a time, which bounds the lists of ints made on the way."""
     made = {}
-    return [made.setdefault(row, row) for row in zip(*table.T.tolist())]
+    return [made.setdefault(row, row) for at in range(0, len(table), 1024)
+            for row in zip(*table[at:at + 1024].T.tolist())]
 
 
 def _path_sums(steps: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -1172,8 +1225,8 @@ def update_evidence(index: ContractionIndex, leaf_id: str, evidence) -> Contract
 def calc_pi_lambda(index: ContractionIndex, node_id: str, level: int) -> PiLambdaTriple:
     """pi of a node plus the lambdas of its children as of a contraction level.
 
-    The node must have an equation at that level.  One walk step per
-    equation version on the path to the root.
+    The node must have an equation at that level.  One walk (_walk), which
+    carries lambda on both sides of that equation.
     """
     if node_id not in index.tree.nodes:
         raise UnknownNode(f"no node {node_id!r}")
@@ -1182,71 +1235,86 @@ def calc_pi_lambda(index: ContractionIndex, node_id: str, level: int) -> PiLambd
     rec = _record_at(index, node_id, level) if _present(index, node_id, level) else None
     if rec is None:
         raise LevelOutOfRange(f"{node_id!r} has no equations at level {level}")
-    pi, lam_left, lam_right = _walk(index, rec)
+    pi, lam_left, lam_right = _walk(index, rec, BOTH)
     index.counters.add(rec.walk_cost)
     return PiLambdaTriple(pi=pi.copy(), lambda_left=lam_left.copy(),
                           lambda_right=lam_right.copy())
 
 
-def _walk(index: ContractionIndex, v: CoeffRecord):
-    """(pi, lambda_left, lambda_right) of equation version v: pi of its
-    owner and the lambdas of its two children under the evidence in force.
+def _walk(index: ContractionIndex, v: CoeffRecord, carry: int):
+    """(pi, left, right) of equation version v under the evidence in force:
+    pi of its owner and, on each side, the lambda of its child where carry
+    says (LEFT, RIGHT, BOTH or NEITHER), else the message that side sends
+    the owner, side coeff . lambda(child).
 
-    Climbs above to the root's terminal version, whose triple is the prior
-    and the extreme leaves' likelihoods, then comes back down one rake at a
-    time.  Below the version of rake (e, x, u), either the walk enters u's
-    previous version, the one the rake rewrites, which keeps u's pi, and
-    x's lambda is rebuilt from x's final equation, whose e side the rake's
-    cached diagonal already holds, or it enters x's final version, whose pi
-    comes through u's equation.
-    Counts nothing: each caller adds v.walk_cost once.  Sets
-    index.last_calc_depth to the number of versions climbed; pi may be the
-    root's prior itself, so callers must not write to it.
+    A rake rewrites C . lambda(x) as (C . Diag(diag) . Z) . lambda(z), the
+    same vector, so each side's message is the same at every owner version.
+    The walk climbs above to the root's terminal version and comes back
+    down one rake at a time.  For each owner u it carries lambda only on
+    the side it leaves u through (x's side at the next step into a raked
+    x's last version, or carry's at the end), rebuilt below each rake on
+    that side from the cached diagonal, and on the other side the message,
+    taken where u's versions start: side coeff . lambda(extreme leaf) at
+    the root, else, below the rake (e, x, u) that removed u, diag (e side)
+    or Z . lambda(z).  A step into x takes pi(x) = (pi(u) * that message) .
+    parent side.  Counts nothing: callers add the kept total of what they
+    ask for.  Sets index.last_calc_depth to the number of versions climbed.
+    pi may be the root's prior, and a lambda a leaf's evidence: callers
+    must not write to them.
     """
-    path = []
-    while (up := v.above) is not None:
-        path.append(v)
-        v = up
-    index.last_calc_depth = len(path)
+    path, runs = [], []  # the steps that do work, and each step into x's carry
+    w, depth = v, 0
+    while (up := w.above) is not None:
+        depth += 1
+        if up.rewrites is not w:  # into x's last version: u is left through x's side
+            path.append(w)
+            runs.append(carry)
+            carry = up.parent_side
+        elif up.parent_side == carry or carry == BOTH:
+            path.append(w)
+        w = up
+    index.last_calc_depth = depth
     evidence = index.evidence
     pi = index.tree.nodes[index.root].prior
-    left, right = evidence[v.left_child], evidence[v.right_child]
-    for v in reversed(path):
-        rake = v.above
-        if rake.rewrites is v:  # u's previous version: diag . (z side . lambda(z))
+    left, right = evidence[w.left_child], evidence[w.right_child]
+    if carry != LEFT and carry != BOTH:
+        left = w.left.coeff.dot(left)
+    if carry != RIGHT and carry != BOTH:
+        right = w.right.coeff.dot(right)
+    for w in reversed(path):
+        rake = w.above
+        if rake.rewrites is w:  # u's previous version: lambda(x) = diag * (z side . lambda(z))
             if rake.parent_side == LEFT:
                 left = rake.diag * rake.z_side_input.coeff.dot(left)
             else:
                 right = rake.diag * rake.z_side_input.coeff.dot(right)
-        else:  # x's last version: pi through u's kept side and parent side
-            if rake.parent_side == LEFT:
-                lam_z, up = left, pi * rake.right.coeff.dot(right)
-            else:
-                lam_z, up = right, pi * rake.left.coeff.dot(left)
-            parent = rake.parent_input.coeff
-            pi = up.dot(parent) if type(parent) is np.ndarray else up @ parent
-            if rake.leaf_side == LEFT:
-                left, right = evidence[rake.leaf], lam_z
-            else:
-                left, right = lam_z, evidence[rake.leaf]
+            continue
+        # x's last version: pi through u's parent side, then x's sides
+        if rake.parent_side == LEFT:
+            lam_z, up = left, pi * right
+        else:
+            lam_z, up = right, pi * left
+        parent = rake.parent_input.coeff
+        pi = up.dot(parent) if type(parent) is np.ndarray else up @ parent
+        carry, side = runs.pop(), rake.leaf_side
+        e = evidence[rake.leaf] if carry == side or carry == BOTH else rake.diag
+        z = lam_z if carry == 1 - side or carry == BOTH else rake.z_side_input.coeff.dot(lam_z)
+        left, right = (e, z) if side == LEFT else (z, e)
     return pi, left, right
 
 
-def _pi_lambda(index: ContractionIndex, node_id: str, v: CoeffRecord) -> tuple:
-    """(pi, lambda) of a node from the walk to v, its start version, and one
-    equation, both counted: v's own for an internal node's lambda, or, for
-    a leaf, whose lambda is its evidence, its pi down its parent's."""
-    pi, left, right = _walk(index, v)
-    index.counters.add(v.walk_cost)
-    index.counters.add(v.cost)
-    lam = index.evidence.get(node_id)
-    if lam is None:
-        return pi, v.left.coeff.dot(left) * v.right.coeff.dot(right)
+def _leaf_pi(index: ContractionIndex, node_id: str, v: CoeffRecord) -> np.ndarray:
+    """pi of a leaf through v, the start version of its walk, whose owner
+    is the leaf's parent: (pi(parent) * message on the other side) . the
+    leaf's side."""
     if v.left_child == node_id:
-        up, down = pi * v.right.coeff.dot(right), v.left.coeff
+        pi, _, message = _walk(index, v, LEFT)
+        down = v.left.coeff
     else:
-        up, down = pi * v.left.coeff.dot(left), v.right.coeff
-    return (up.dot(down) if type(down) is np.ndarray else up @ down), lam
+        pi, message, _ = _walk(index, v, RIGHT)
+        down = v.right.coeff
+    up = pi * message
+    return up.dot(down) if type(down) is np.ndarray else up @ down
 
 
 def pi_query(index: ContractionIndex, node_id: str) -> np.ndarray:
@@ -1258,17 +1326,25 @@ def pi_query(index: ContractionIndex, node_id: str) -> np.ndarray:
         index.last_calc_depth = 0
         return index.tree.nodes[index.root].prior.copy()
     if node_id in index.evidence:
-        return _pi_lambda(index, node_id, v)[0]
+        index.counters.add(sum_costs(v.walk_cost, v.cost))
+        return _leaf_pi(index, node_id, v)
     index.counters.add(v.walk_cost)
-    return _walk(index, v)[0]
+    return _walk(index, v, BOTH)[0]
 
 
 def belief_query(index: ContractionIndex, node_id: str) -> Belief:
-    """Normalized belief at any node: one root-ward walk (_pi_lambda), one
-    vector product and one normalization."""
+    """Normalized belief at any node: one root-ward walk (_walk), the
+    product of the two messages into an internal node (or a leaf's pi
+    step), one vector product and one normalization.  Adds the node's kept
+    total, which counts all of it but the normalization, once."""
     v = index._start.get(node_id)
     if v is None:
         raise UnknownNode(f"no node {node_id!r}")
-    pi, lam = _pi_lambda(index, node_id, v)
-    index.counters.count_vector_op(len(lam))
+    lam = index.evidence.get(node_id)
+    if lam is None:
+        pi, left, right = _walk(index, v, NEITHER)
+        lam = left * right
+    else:
+        pi = _leaf_pi(index, node_id, v)
+    index.counters.add(index._belief_cost[node_id])
     return normalize_belief(lam * pi, node=node_id)

@@ -6,8 +6,9 @@ products, equation evaluations, and the scalar multiply-adds they amount to
 (of which matmat_mult_adds come from matrix-matrix products).  Those counts
 depend only on shapes, so one rule fixes them, from coefficient forms: the
 form rule of contraction.py (matvec_cost, rake_cost, equation_cost).  Every
-engine adds a cost from it in one step; only a belief's final vector
-product, K multiply-adds, is counted apart.  A cost is a tuple
+engine adds a cost from it in one step; only the full and lazy engines'
+beliefs count their final vector product, K multiply-adds, apart (a
+contraction belief query's kept total holds it).  A cost is a tuple
 (matrix_vector_mults, matrix_matrix_mults, equation_evals,
 scalar_mult_adds, matmat_mult_adds).
 """

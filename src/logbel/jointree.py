@@ -220,7 +220,7 @@ class Clique:
         sum over the other members' axes (clique states are in numpy's C order)."""
         shape, others = _member_axes(tuple(self.domains), self.members.index(member))
         dist = np.add.reduce(clique_bel.dist.reshape(shape), axis=others)
-        return Belief(dist=dist, normalizer=clique_bel.normalizer)
+        return Belief(dist, clique_bel.normalizer)
 
 
 # A dict, not functools.cache, whose wrapper made balanced-k8-write updates,

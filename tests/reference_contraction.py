@@ -5,7 +5,8 @@ contract() here rakes the leaves of each round one at a time, in frontier
 order, and every rake is an object, a RakeEquation (the version of the
 grandparent's equation it writes), with an output Slot.  The update chain
 and the query walk follow object references.  Coefficient forms, products
-and counts come from logbel.contraction, so both engines count by one rule.
+and counts come from logbel.contraction, so both engines count by one rule,
+but a walk here counts each product as it computes it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from logbel.contraction import LEFT, RIGHT, _form, _rake_costs, equation_cost
+from logbel.contraction import LEFT, RIGHT, _form, _rake_costs, equation_cost, matvec_cost
 from logbel.counters import NO_COST, OpCounters, sum_costs
 from logbel.errors import ConstructionError, DimensionMismatch, TreeTooSmall, UnknownNode
 from logbel.model import Belief, CausalTree, normalize_belief, set_evidence
@@ -72,9 +73,8 @@ class CoeffRecord:
     version, or, for the last version of a raked node, the rake that
     absorbed it; None only for the root's terminal version.  cost counts
     one evaluation of this equation (_record_cost) and walk_cost the whole
-    walk that builds this version's (pi, lambda, lambda) triple: the rake
-    that sets above sets the step below it, and contract() adds the rest
-    when it ends.
+    walk that builds this version's (pi, lambda, lambda) triple, lambda
+    carried on both sides: contract() sums it when it ends.
     """
 
     __slots__ = ("owner", "level", "left", "right", "left_child", "right_child",
@@ -113,10 +113,11 @@ class RakeEquation(CoeffRecord):
     leaf or the e-side slot changes and scaled when diag or the parent slot
     does.  So a step entered through the leaf or the e side refreshes both,
     through the parent side scaled only, through the z side neither.
+    lambda_step counts the walk step below it that rebuilds lambda(x).
     """
 
     __slots__ = ("e_side_input", "leaf", "output", "parent_input", "z_side_input", "parent",
-                 "leaf_side", "parent_side", "diag", "scaled")
+                 "leaf_side", "parent_side", "diag", "scaled", "lambda_step")
 
     def __init__(self, level: int, leaf: str, leaf_side: int, parent_rec: CoeffRecord,
                  parent_side: int, grand_pre: CoeffRecord, output: Slot):
@@ -230,19 +231,39 @@ def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None) -> Co
 def _total_costs(index: ContractionIndex) -> None:
     """Fix the counts of every update chain and query walk.
 
-    rake() has set each one-step count: a slot's chain_cost its consumer's
-    step, a version's walk_cost the step below its above.  A slot's
-    consumer writes a later slot, and a version's above is a later version,
-    so one reverse pass in storage order adds each chain's rest, and one
-    each walk's.
+    rake() has set each slot's chain_cost to its consumer's step.  A slot's
+    consumer writes a later slot, so one reverse pass in storage order adds
+    each chain's rest.  A version's above is a later version too, so one
+    more reverse pass sums each walk top down: the walk into a version with
+    lambda on both sides (walk_cost), and with lambda on one side only, the
+    other carrying its message (lean, by the side that carries lambda).
+    Below a rake (e, x, u), u's previous version rebuilds lambda(x) on x's
+    side alone, where it is carried, and x's last version is reached with
+    lambda on x's side of u, then pi through u's parent side; x's z side
+    takes its message there unless it carries lambda, and its e side's is
+    the rake's diagonal.
     """
     for slot in reversed(index.all_slots()):
         if slot.consumer is not None:
             slot.chain_cost = sum_costs(slot.chain_cost, slot.consumer.output.chain_cost)
     bases = [recs[0] for recs in index.records.values()]
+    lean: dict[int, list[tuple]] = {}
     for rec in reversed([*bases, *index.leaf_consumer.values()]):
-        if rec.above is not None:
-            rec.walk_cost = sum_costs(rec.walk_cost, rec.above.walk_cost)
+        rk = rec.above
+        if rk is None:  # the root's terminal version: the other side's message
+            rec.walk_cost = NO_COST
+            lean[id(rec)] = [matvec_cost(rec.right.form), matvec_cost(rec.left.form)]
+        elif rec.owner == rk.owner:
+            rec.walk_cost = sum_costs(rk.walk_cost, rk.lambda_step)
+            lean[id(rec)] = [sum_costs(cost, rk.lambda_step) if side == rk.parent_side else cost
+                             for side, cost in enumerate(lean[id(rk)])]
+        else:
+            pi_step = sum_costs(matvec_cost(rk.parent_input.form),
+                                (0, 0, 1, rk.parent_input.coeff.shape[0], 0))
+            rec.walk_cost = sum_costs(lean[id(rk)][rk.parent_side], pi_step)
+            lean[id(rec)] = [rec.walk_cost, rec.walk_cost]
+            lean[id(rec)][rk.leaf_side] = sum_costs(rec.walk_cost,
+                                                    matvec_cost(rk.z_side_input.form))
 
 
 def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
@@ -277,10 +298,7 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
         assert slot.consumer is None, "a stored matrix may feed only one equation"
         slot.consumer = rk
         slot.chain_cost = entry
-    # the walk step below rk: u's lambda(x) from the cached diagonal, or x's
-    # pi through u's previous equation
-    grand_pre.walk_cost = lambda_step
-    parent_rec.walk_cost = grand_pre.cost
+    rk.lambda_step = lambda_step
     assert leaf not in index.leaf_consumer
     index.leaf_consumer[leaf] = rk
     grand_pre.above = parent_rec.above = rk
@@ -360,41 +378,72 @@ def update_evidence(index: ContractionIndex, leaf_id: str, evidence) -> Contract
     return index
 
 
-def _walk(index: ContractionIndex, rec: CoeffRecord):
-    """(pi, [lambda_left, lambda_right]) of an equation version: pi of its
-    owner and the lambdas of its two children under the evidence in force.
+def _count_product(index: ContractionIndex, out: np.ndarray) -> np.ndarray:
+    """Count an equation's vector product, out, and return it."""
+    index.counters.add((0, 0, 1, len(out), 0))
+    return out
 
-    Climbs rec.above to the root's terminal version, whose triple is the
-    prior and the extreme leaves' likelihoods, then comes back down one
-    rake at a time.  Below the version of rake (e, x, u), either the walk
+
+def _message(index: ContractionIndex, slot: Slot, lam: np.ndarray) -> np.ndarray:
+    """slot's coefficient times lam, counted."""
+    index.counters.add(matvec_cost(slot.form))
+    return slot.coeff.dot(lam)
+
+
+def _down(index: ContractionIndex, up: np.ndarray, slot: Slot) -> np.ndarray:
+    """up times slot's coefficient, the pi step through it, counted."""
+    index.counters.add(matvec_cost(slot.form))
+    return up.dot(slot.coeff) if type(slot.coeff) is np.ndarray else up @ slot.coeff
+
+
+def _walk(index: ContractionIndex, rec: CoeffRecord, carry: list[bool]):
+    """(pi, [left, right]) of an equation version: pi of its owner and, on
+    each side, the lambda of its child where carry says, else the message
+    that side sends the owner (side coeff . lambda(child)), under the
+    evidence in force.  Counts each product as it computes it.
+
+    Climbs rec.above to the root's terminal version, then comes back down
+    one rake at a time.  Each owner's versions carry lambda on the side the
+    walk leaves them through, x's side below a step into a raked node x
+    (the owner tells which step that is), and at the end on carry's sides.
+    A message is the same at every version of its owner, so it is taken
+    once, where the walk reaches the owner: at the root's terminal version,
+    or below the rake (e, x, u) that removed it, where x's e side sends the
+    rake's diagonal.  Below the version of rake (e, x, u), either the walk
     enters u's previous version, which keeps u's pi, and x's lambda is
-    rebuilt from x's final equation, whose e side the rake's cached
-    diagonal already holds, or it enters x's final version, whose pi comes
-    through u's equation; the owner tells which.
+    rebuilt from the cached diagonal if it is carried, or it enters x's
+    final version, whose pi comes through u's parent side.
     Sets index.last_calc_depth to the number of versions climbed; pi may be
     the root's prior itself, so callers must not write to it.
     """
-    index.counters.add(rec.walk_cost)
     path = []
     while rec.above is not None:
         path.append(rec)
         rec = rec.above
     index.last_calc_depth = len(path)
+    carries = []  # the sides each path entry's owner carries lambda on
+    for low in path:
+        carries.append(carry)
+        if low.owner != low.above.owner:
+            carry = [side == low.above.parent_side for side in (LEFT, RIGHT)]
     evidence = index.evidence
     pi = index.tree.nodes[index.root].prior
-    lam = [evidence[rec.left_child], evidence[rec.right_child]]
-    for rec in reversed(path):
+    lam = [evidence[rec.child(side)] if carry[side]
+           else _message(index, rec.side_slot(side), evidence[rec.child(side)])
+           for side in (LEFT, RIGHT)]
+    for rec, carry in zip(reversed(path), reversed(carries)):
         rk = rec.above
         side = rk.parent_side
-        lam_z = lam[side]
         if rec.owner == rk.owner:
-            lam[side] = rk.diag * rk.z_side_input.coeff.dot(lam_z)
+            if carry[side]:
+                lam[side] = _count_product(index, rk.diag * _message(index, rk.z_side_input,
+                                                                     lam[side]))
         else:
-            sibling = rk.right if side == LEFT else rk.left
-            up = pi * sibling.coeff.dot(lam[1 - side])
-            down = rk.parent_input.coeff
-            pi = up.dot(down) if type(down) is np.ndarray else up @ down
-            lam_e = evidence[rk.leaf]
+            pi = _down(index, _count_product(index, pi * lam[1 - side]), rk.parent_input)
+            lam_z = lam[side]
+            if not carry[1 - rk.leaf_side]:
+                lam_z = _message(index, rk.z_side_input, lam_z)
+            lam_e = evidence[rk.leaf] if carry[rk.leaf_side] else rk.diag
             lam = [lam_e, lam_z] if rk.leaf_side == LEFT else [lam_z, lam_e]
     return pi, lam
 
@@ -404,13 +453,9 @@ def _leaf_pi(index: ContractionIndex, leaf_id: str) -> np.ndarray:
     parent's, or the root's for the two extreme leaves."""
     rk = index.leaf_consumer.get(leaf_id)
     rec = index.records[index.root if rk is None else rk.parent][-1]
-    pi, lam = _walk(index, rec)
-    index.counters.add(rec.cost)
-    if rec.left_child == leaf_id:
-        up, down = pi * rec.right.coeff.dot(lam[RIGHT]), rec.left.coeff
-    else:
-        up, down = pi * rec.left.coeff.dot(lam[LEFT]), rec.right.coeff
-    return up.dot(down) if type(down) is np.ndarray else up @ down
+    side = LEFT if rec.left_child == leaf_id else RIGHT
+    pi, lam = _walk(index, rec, [side == LEFT, side == RIGHT])
+    return _down(index, _count_product(index, pi * lam[1 - side]), rec.side_slot(side))
 
 
 def pi_query(index: ContractionIndex, node_id: str) -> np.ndarray:
@@ -422,14 +467,15 @@ def pi_query(index: ContractionIndex, node_id: str) -> np.ndarray:
         return index.tree.nodes[index.root].prior.copy()
     if node_id in index.evidence:
         return _leaf_pi(index, node_id)
-    return _walk(index, index.records[node_id][-1])[0]
+    return _walk(index, index.records[node_id][-1], [True, True])[0]
 
 
 def belief_query(index: ContractionIndex, node_id: str) -> Belief:
     """Normalized belief at any node from one root-ward walk.
 
-    An internal node's walk ends at its final equation version, which gives
-    its pi and its children's lambdas; a leaf's ends at its parent's.
+    An internal node's walk ends at its final equation version, with the
+    messages from both sides, whose product is its lambda; a leaf's ends
+    at its parent's.
     """
     if node_id not in index.tree.nodes:
         raise UnknownNode(f"no node {node_id!r}")
@@ -437,9 +483,7 @@ def belief_query(index: ContractionIndex, node_id: str) -> Belief:
         lam = index.evidence[node_id]
         pi = _leaf_pi(index, node_id)
     else:
-        rec = index.records[node_id][-1]
-        pi, (lam_left, lam_right) = _walk(index, rec)
-        index.counters.add(rec.cost)
-        lam = rec.left.coeff.dot(lam_left) * rec.right.coeff.dot(lam_right)
+        pi, (left, right) = _walk(index, index.records[node_id][-1], [False, False])
+        lam = _count_product(index, left * right)
     index.counters.count_vector_op(lam.shape[0])
     return normalize_belief(lam * pi, node=node_id)

@@ -371,6 +371,35 @@ class TestQueries:
             np.testing.assert_allclose(belief_query(index, nid).dist, base[nid],
                                        atol=1e-12)
 
+    def test_walks_match_full_propagate_on_every_shape(self):
+        """A walk carries lambda only on the side of each owner it
+        descends through, and the message on the other.  After 60 updates,
+        every node's belief and pi on a chain, a normalized star, a
+        balanced and a random tree, and a compiled polytree whose edges
+        include identities and factored matrices, are those of
+        full_propagate to 1e-12."""
+        rng = np.random.default_rng(35)
+        compiled = build_engine(random_polytree(40, 3, 3, np.random.default_rng(2))).compiled
+        assert {type(coeff) for coeff in compiled.coeffs.values()} == {Identity, FactoredMatrix}
+        networks = [(chain_tree(40, k=2, rng=rng), None),
+                    (normalize_tree(star_tree(40, rng))[0], None),
+                    (balanced_tree(63, 3, rng), None),
+                    (random_tree(80, k=(2, 3), rng=rng), None),
+                    (compiled.tree, compiled.coeffs)]
+        for tree, coeffs in networks:
+            index = contract(tree.copy(), coeffs=coeffs)
+            leaves = index.tree.leaf_order()
+            for _ in range(60):
+                leaf = leaves[int(rng.integers(len(leaves)))]
+                update_evidence(index, leaf,
+                                random_likelihood(index.tree.nodes[leaf].domain, rng))
+            table = full_propagate(index.tree)
+            for node_id in index.tree.nodes:
+                np.testing.assert_allclose(belief_query(index, node_id).dist,
+                                           table.beliefs[node_id].dist, rtol=0, atol=1e-12)
+                want = table.pis[node_id]
+                assert np.max(np.abs(pi_query(index, node_id) - want)) <= 1e-12 * np.max(want)
+
     def test_query_cost_bounds(self):
         rng = np.random.default_rng(29)
         for tree in small_corpus(rng, count=5, hi=260, k=2):

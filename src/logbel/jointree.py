@@ -217,24 +217,13 @@ class Clique:
 
     def member_belief(self, member: str, clique_bel: Belief) -> Belief:
         """A member's marginal from a belief over the clique's states: the
-        sum over the other members' axes (clique states are in numpy's C order)."""
-        shape, others = _member_axes(tuple(self.domains), self.members.index(member))
-        dist = np.add.reduce(clique_bel.dist.reshape(shape), axis=others)
-        return Belief(dist, clique_bel.normalizer)
-
-
-# A dict, not functools.cache, whose wrapper made balanced-k8-write updates,
-# which never call this, 3% slower in perfbench (cause not found).
-_AXES: dict = {}
-
-
-def _member_axes(domains: tuple, i: int) -> tuple[tuple, tuple]:
-    """A clique's shape and the axes of every member but member i."""
-    key = (domains, i)
-    axes = _AXES.get(key)
-    if axes is None:
-        axes = _AXES[key] = (domains, tuple(j for j in range(len(domains)) if j != i))
-    return axes
+        sum over the other members' axes (clique states are in numpy's C
+        order).  Only polytree_query's via route takes it; a variable's own
+        marginal is its indicator leaf's belief."""
+        i = self.members.index(member)
+        others = tuple(j for j in range(len(self.domains)) if j != i)
+        return Belief(np.add.reduce(clique_bel.dist.reshape(self.domains), axis=others),
+                      clique_bel.normalizer)
 
 
 def _projection(domains: tuple, i: int) -> np.ndarray:
@@ -385,7 +374,12 @@ def _clique_tables(jt: JoinTree, pt: Polytree) -> dict[str, tuple]:
 
 @dataclass
 class CompiledTree:
-    """Normalized causal tree over cliques plus the edges not stored dense."""
+    """Normalized causal tree over cliques plus the edges not stored dense.
+
+    evidence_leaf maps each variable to its indicator leaf E:<var>, the
+    first child of its clique node by the projection on the variable: the
+    leaf a likelihood on the variable is installed at, and whose belief is
+    the variable's posterior marginal."""
 
     tree: CausalTree
     coeffs: dict[str, object]           # tree node id -> factored or identity edge into it
@@ -513,10 +507,11 @@ def polytree_update(engine: PolytreeEngine, var_id: str, likelihood) -> Polytree
     its indicator leaf E:<var>.  A likelihood the tree engine rejects is
     checked again against the variable, so the error names var_id, not the
     leaf."""
-    if var_id not in engine.polytree.variables:
+    leaf = engine.compiled.evidence_leaf.get(var_id)
+    if leaf is None:
         raise UnknownVariable(f"no variable {var_id!r}")
     try:
-        engine.index.update(engine.compiled.evidence_leaf[var_id], likelihood)
+        engine.index.update(leaf, likelihood)
     except LogbelError:
         check_likelihood(likelihood, engine.polytree.variables[var_id].domain,
                          what=f"evidence of {var_id!r}")
@@ -525,32 +520,37 @@ def polytree_update(engine: PolytreeEngine, var_id: str, likelihood) -> Polytree
 
 
 def polytree_query(engine: PolytreeEngine, var_id: str, via: str | None = None) -> Belief:
-    """Posterior marginal of a variable: clique belief summed over the
-    clique's other members (clique states are in numpy's C order).  via
-    selects any clique containing the variable (defaults to the variable's
-    own).  The usual call, the variable's own clique, takes one lookup;
-    any other is checked in full.  Impossible evidence and float64 overflow
-    are reported at var_id, not at the compiled clique node the tree engine
-    names."""
-    clique_var = var_id if via is None else via
-    clique = engine.join_tree.cliques.get(var_id) if via is None else None
-    if clique is None:
+    """Posterior marginal of a variable.  Without via it is the tree
+    engine's belief at the variable's indicator leaf E:<var>, one lookup
+    away: evidence is a dummy child of the variable (Pearl 1988), so that
+    leaf's belief is the variable's marginal, and its pi step through the
+    projection edge sums the clique's states.  via selects a clique
+    containing the variable, checked in full, whose belief is summed over
+    its other members (Clique.member_belief).  Impossible evidence and
+    float64 overflow are reported at var_id, not at the compiled node the
+    tree engine names."""
+    if via is None:
+        node, clique = engine.compiled.evidence_leaf.get(var_id), None
+        if node is None:
+            raise UnknownVariable(f"no variable {var_id!r}")
+    else:
         if var_id not in engine.polytree.variables:
             raise UnknownVariable(f"no variable {var_id!r}")
-        if clique_var not in engine.join_tree.cliques:
-            raise UnknownVariable(f"no clique for {clique_var!r}")
-        clique = engine.join_tree.cliques[clique_var]
+        clique = engine.join_tree.cliques.get(via)
+        if clique is None:
+            raise UnknownVariable(f"no clique for {via!r}")
         if var_id not in clique.members:
-            raise UnknownVariable(f"clique of {clique_var!r} does not contain {var_id!r}")
+            raise UnknownVariable(f"clique of {via!r} does not contain {var_id!r}")
+        node = engine.compiled.clique_node[via]
     try:
-        clique_bel = engine.index.query(engine.compiled.clique_node[clique_var])
+        bel = engine.index.query(node)
     except ImpossibleEvidence:
         raise ImpossibleEvidence(
             f"total probability mass is zero at variable {var_id!r}") from None
     except FloatRangeError:
         raise FloatRangeError(
             f"total probability mass overflows float64 at variable {var_id!r}") from None
-    return clique.member_belief(var_id, clique_bel)
+    return bel if clique is None else clique.member_belief(var_id, bel)
 
 
 def brute_polytree_marginal(pt: Polytree, evidence: dict[str, np.ndarray],

@@ -289,7 +289,11 @@ def test_a_chain_step_entered_through_the_z_side_is_one_product():
 # taken once per owner, and no longer rebuilt that side's lambda at each of
 # the owner's versions (builds and chains are unchanged): DENSE_TOTALS
 # (2749, 242, 1787, 20285, 2530) and POLYTREE_TOTALS (840, 169, 766,
-# 326546, 236503) before.
+# 326546, 236503) before.  POLYTREE_TOTALS was re-recorded when a query
+# without via answered at the variable's indicator leaf, whose pi step
+# sums the clique's states, and no longer at its clique node (builds,
+# chains and via queries are unchanged): (615, 169, 658, 315695, 236503)
+# before.
 DENSE_BUILD = (41, 41, 41, 819, 422)
 DENSE_CHAINS = [3, 7, 6, 7, 6, 5, 5, 5, 7, 5, 8, 7, 5, 3, 5, 0, 6, 7, 6, 6, 6, 0, 7, 7, 7, 5, 6, 0, 4,
                 6, 8, 5, 6, 5, 2, 0, 5, 7, 3, 3]
@@ -306,4 +310,4 @@ DENSE_TOTALS = (2212, 242, 1603, 17998, 2530)
 POLYTREE_BUILD = (39, 29, 44, 87798, 74203)
 POLYTREE_CHAINS = [5, 5, 3, 3, 3, 6, 3, 0, 6, 5, 5, 4, 7, 4, 6, 6, 5, 5, 6, 5, 8, 6, 5, 3, 1, 5, 5, 3,
                    5, 2, 7, 5, 0, 5, 6, 3, 5, 1, 4, 4]
-POLYTREE_TOTALS = (615, 169, 658, 315695, 236503)
+POLYTREE_TOTALS = (626, 169, 644, 314922, 236503)

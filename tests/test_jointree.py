@@ -10,7 +10,9 @@ from logbel import (
     DimensionMismatch,
     DimensionOverflow,
     DuplicateId,
+    FloatRangeError,
     FormatError,
+    ImpossibleEvidence,
     InvalidProbability,
     NotAPolytree,
     OpCounters,
@@ -724,10 +726,12 @@ class TestEngine:
             polytree_query(engine, "a", via="b")  # clique of b does not hold a
 
     def test_query_answers_and_errors_with_and_without_via(self):
-        """polytree_query's marginal is, byte for byte, the clique belief
-        summed over the other members' axes, for every member of every
-        clique, the variable's own clique taken with and without via; a
-        LazyState engine answers alike; and each check names its fault."""
+        """polytree_query's marginal with via is, byte for byte, the clique
+        belief summed over the other members' axes, for every member of
+        every clique; without via it is, byte for byte, the tree engine's
+        belief at the variable's indicator leaf, for the contraction index
+        and a LazyState engine alike, and within 1e-14 of its own clique's
+        sum; the two engines answer alike; and each check names its fault."""
         rng = np.random.default_rng(14)
         pt = random_polytree(40, 3, (2, 3), rng)
         engine, lazy = build_engine(pt), build_engine(pt, tree_engine=LazyState)
@@ -741,13 +745,20 @@ class TestEngine:
             for i, member in enumerate(clique.members):
                 others = tuple(j for j in range(len(clique.members)) if j != i)
                 want = clique_bel.dist.reshape(clique.domains).sum(axis=others)
-                calls = [{"via": cvar}] + ([{}] if member == cvar else [])
-                for kwargs in calls:
-                    got = polytree_query(engine, member, **kwargs)
-                    assert got.dist.shape == want.shape and got.dist.tobytes() == want.tobytes()
-                    assert got.normalizer == clique_bel.normalizer
-                    np.testing.assert_allclose(polytree_query(lazy, member, **kwargs).dist,
-                                               got.dist, rtol=0, atol=1e-12)
+                got = polytree_query(engine, member, via=cvar)
+                assert got.dist.shape == want.shape and got.dist.tobytes() == want.tobytes()
+                assert got.normalizer == clique_bel.normalizer
+                np.testing.assert_allclose(polytree_query(lazy, member, via=cvar).dist,
+                                           got.dist, rtol=0, atol=1e-12)
+            for each in (engine, lazy):
+                leaf_bel = each.index.query(each.compiled.evidence_leaf[cvar])
+                got = polytree_query(each, cvar)
+                assert got.dist.tobytes() == leaf_bel.dist.tobytes()
+                assert got.normalizer == leaf_bel.normalizer
+                np.testing.assert_allclose(got.dist, polytree_query(each, cvar, via=cvar).dist,
+                                           rtol=0, atol=1e-14)
+            np.testing.assert_allclose(polytree_query(lazy, cvar).dist,
+                                       polytree_query(engine, cvar).dist, rtol=0, atol=1e-12)
         engine = build_engine(vee_polytree())
         for args, message in ((("zz",), "no variable 'zz'"),
                               (("zz", "a"), "no variable 'zz'"),
@@ -755,6 +766,53 @@ class TestEngine:
                               (("a", "b"), "clique of 'b' does not contain 'a'")):
             with pytest.raises(UnknownVariable, match=f"^{message}$"):
                 polytree_query(engine, *args)
+
+    def test_indicator_leaf_answers_as_the_clique_under_every_tree_engine(self):
+        """Without via, polytree_query answers at the variable's indicator
+        leaf under the contraction index (cheapest coefficient forms, and
+        every edge its dense table), LazyState and FullState.  On random
+        polytrees, a v-structure with a zero prior entry and a tree with
+        identity and factored edges, its marginal is the clique route's to
+        1e-14, its normalizer the same to rounding, and its counted work
+        that of a belief query at the leaf; zero and overflowing mass
+        raise errors naming the variable, with and without via."""
+        rng = np.random.default_rng(36)
+        factored = random_polytree(40, 3, 3, np.random.default_rng(2))
+        assert {type(coeff) for coeff in build_engine(factored).compiled.coeffs.values()} \
+            == {Identity, FactoredMatrix}
+        zero_prior = vee_polytree((1.0, 0.0))
+        tree_engines = (None, contract, LazyState, FullState)  # contract: all edges dense
+        for pt in [factored, zero_prior, *polytree_corpus(rng, count=6, max_vars=10, p=3)]:
+            seed = int(rng.integers(1 << 31))
+            for tree_engine in tree_engines:
+                engine = build_engine(pt, tree_engine=tree_engine)
+                self._storm(engine, pt, np.random.default_rng(seed), ops=10)
+                for var in pt.variables:
+                    got, clique = polytree_query(engine, var), polytree_query(engine, var, via=var)
+                    np.testing.assert_allclose(got.dist, clique.dist, rtol=0, atol=1e-14)
+                    assert got.normalizer == pytest.approx(clique.normalizer, rel=1e-13, abs=0)
+                    leaf = engine.compiled.evidence_leaf[var]
+                    deltas = []
+                    for query in (lambda: polytree_query(engine, var),
+                                  lambda: engine.index.query(leaf)):
+                        # the same evidence again, so FullState propagates at each query
+                        polytree_update(engine, var, engine.evidence[var])
+                        before = engine.counters.snapshot()
+                        query()
+                        deltas.append(engine.counters.delta(before))
+                    assert deltas[0] == deltas[1] and deltas[0]["scalar_mult_adds"] > 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for tree_engine in tree_engines:
+                for likelihood, error, fault in (([0.0, 1.0], ImpossibleEvidence, "is zero"),
+                                                 ([1e300, 1e300], FloatRangeError,
+                                                  "overflows float64")):
+                    engine = build_engine(zero_prior, tree_engine=tree_engine)
+                    for var in ("a",) if error is ImpossibleEvidence else zero_prior.variables:
+                        polytree_update(engine, var, likelihood)
+                    for var, via in (("a", None), ("b", None), ("c", None), ("b", "c")):
+                        want = f"^total probability mass {fault} at variable {var!r}$"
+                        with pytest.raises(error, match=want):
+                            polytree_query(engine, var, via=via)
 
 
 class TestFactoredMatrix:

@@ -14,7 +14,10 @@ equations; a belief query walks one root-ward path of equation versions.
 Both touch O(log N) equations on balanced rake schedules.  A rake leaves
 the message each side sends its owner, side coeff . lambda(child), as it
 was, so a query walk takes an owner's message once, on the side it does not
-descend through, and rebuilds lambda only on the side it does (_walk).
+descend through, and rebuilds lambda only on the side it does (_walk), as
+diag * (z side . lambda(z)) from a rake's cached diagonal.  lambda_query
+takes that step up a chain of rakes, and calc_pi_lambda is pi_query and
+two lambda_query calls.
 
 Storage.  Each equation version is one object, linked to the next
 version on its root-ward walk (above), and each stored matrix is one
@@ -67,18 +70,18 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle
 from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
 
-from .counters import NO_COST, OpCounters, sum_costs
+from .counters import NO_COST, OpCounters, less_costs, sum_costs
 from .errors import ConstructionError, DimensionMismatch, LevelOutOfRange, TreeTooSmall, UnknownNode
 from .model import Belief, CausalTree, collector_paused, normalize_belief, set_evidence
 
 LEFT, RIGHT = 0, 1
-BOTH, NEITHER = 2, -1  # the sides of an equation a query walk carries lambda on (_walk)
+NEITHER = -1  # a query walk carries lambda on LEFT, RIGHT or NEITHER side (_walk)
 
 # contract() stacks the products of a round's rakes over plain arrays and
 # identities of one shape from this many rakes on (see _Build.multiply).
@@ -354,9 +357,9 @@ def equation_cost(K: int, left_form: tuple, right_form: tuple) -> tuple:
 def _rake_costs(K: int, e_form: tuple, parent_form: tuple, z_form: tuple) -> tuple:
     """A rake (e, x, u) with a K-state x: one evaluation of its product by
     each slot it is entered through, e side (or the leaf), parent side and
-    z side (see RakeEquation), then the walk step that rebuilds lambda(x)
+    z side (see RakeEquation), then the lambda step that rebuilds lambda(x)
     from the cached diagonal (the z side's product and the vector
-    product)."""
+    product), which _walk and lambda_query take."""
     equation = (0, 0, 1, 0, 0)
     parent_entry = sum_costs(rake_cost(parent_form, z_form), equation)
     return (sum_costs(matvec_cost(e_form), parent_entry), parent_entry,
@@ -374,7 +377,8 @@ class Slot:
     form its operands' shapes decide, so no update changes it; coeff alone
     may be set.  consumer is the at-most-one rake equation this matrix
     feeds; the update walk follows it.  chain_cost counts the consumer chain
-    an update that changes this matrix recomputes.
+    an update that changes this matrix recomputes: the consumer's step
+    entered through this slot, then the rest of the consumer's update_cost.
     """
 
     __slots__ = ("coeff", "form", "consumer", "owner", "side")
@@ -382,13 +386,11 @@ class Slot:
 
     @property
     def chain_cost(self) -> tuple:
-        total, rake = NO_COST, self.consumer
-        if rake is not None:  # the step entering the consumer through this slot, and on
-            entry = 0 if rake.e_side_input is self else 1 if rake.parent_input is self else 2
-            while rake is not None:
-                total = sum_costs(total, rake.steps[entry])
-                rake, entry = rake.consumer, rake.enters
-        return total
+        rake = self.consumer
+        if rake is None:
+            return NO_COST
+        entry = 0 if rake.e_side_input is self else 1 if rake.parent_input is self else 2
+        return sum_costs(rake.steps[entry], less_costs(rake.update_cost, rake.steps[0]))
 
     def describe(self) -> tuple[str, str, int]:
         return (self.owner, "left" if self.side == LEFT else "right", self.level)
@@ -410,39 +412,12 @@ class CoeffRecord:
 
     above is the next version on the root-ward query walk: the owner's next
     version, or, for the last version of a raked node, the rake that
-    absorbed it; None only for the root's terminal version.  cost counts
-    one evaluation of this equation (equation_cost) and walk_cost what the
-    walk that builds this version's (pi, lambda, lambda) triple counts
-    (_walk, lambda carried on both sides), summed the way it climbs when
-    first read and kept in walk_total.  Only pi_query and calc_pi_lambda
-    read it; belief_query adds a total contract() keeps for each node.
+    absorbed it; None only for the root's terminal version.  A version
+    keeps no count (see _Build.count).
     """
 
-    __slots__ = ("owner", "left", "right", "left_child", "right_child", "above", "cost",
-                 "walk_total")
+    __slots__ = ("owner", "left", "right", "left_child", "right_child", "above")
     level = 0
-
-    @property
-    def walk_cost(self) -> tuple:
-        cost = self.walk_total
-        if cost is None:
-            cost, v, carry = NO_COST, self, BOTH
-            while (up := v.above) is not None:
-                if up.rewrites is not v:  # into x's last version: x's pi step, and its z
-                    # side's message where lambda is carried on its e side
-                    parent = up.parent_input
-                    cost = sum_costs(sum_costs(cost, matvec_cost(parent.form)),
-                                     (0, 0, 1, parent.coeff.shape[0], 0))
-                    if carry == up.leaf_side:
-                        cost = sum_costs(cost, matvec_cost(up.z_side_input.form))
-                    carry = up.parent_side
-                elif up.parent_side == carry or carry == BOTH:  # lambda rebuilt on up's side
-                    cost = sum_costs(cost, up.steps[3])
-                v = up
-            if carry != BOTH:  # the root's message on its other side
-                cost = sum_costs(cost, matvec_cost(v.side_slot(1 - carry).form))
-            self.walk_total = cost
-        return cost
 
     def side_slot(self, side: int) -> "Slot | RakeEquation":
         return self.left if side == LEFT else self.right
@@ -472,7 +447,7 @@ class RakeEquation(CoeffRecord):
     the new parent by it, where it would gather the same numbers again.
     consumer is the rake its output feeds (None for none) and enters how it
     enters it (0 e side, 1 parent side, 2 z side); steps are the counts of
-    the chain step entered through each input and of the walk step below
+    the chain step entered through each input and of the lambda step below
     it (_rake_costs), and update_cost is the chain_cost of its e side.
     leaf and parent name e and x, leaf_side is e's side within x, and
     parent_side x's within u.
@@ -771,8 +746,7 @@ class _Build:
         self.consumer = np.full(S, -1)
         self.coeff = np.empty(S, dtype=object)
         self.coeff[:2 * B] = np.fromiter(cpt, object, n)[self.child[:B].ravel()]
-        for name in ("leaf", "parent", "parent_side", "e_in", "p_in", "z_in", "pv", "gv", "cls",
-                     "level"):
+        for name in ("leaf", "parent", "parent_side", "e_in", "p_in", "z_in", "gv", "cls", "level"):
             setattr(self, name, np.empty(R, np.int64))
         self.leaf_side = np.empty(R, np.int64)
         self.diag, self.scaled, self.spread, self.gathered = (np.empty(R, dtype=object)
@@ -853,7 +827,7 @@ class _Build:
         self.last[u] = version
         self.live_parent[z] = u
         self.parent[rows], self.parent_side[rows], self.leaf_side[rows] = x, ps, side
-        self.pv[rows], self.gv[rows] = pv, gv
+        self.gv[rows] = gv
 
     def multiply(self, rows: np.ndarray) -> None:
         """Each rake's diagonal, scaled parent and output, as _recompute
@@ -961,23 +935,25 @@ class _Build:
         and x's pi step.  A total is the sum of the steps on its path
         (_path_sums).  The totals updates and queries start from are kept:
         each leaf's chain and each node's belief query
-        (index._belief_cost); Slot and CoeffRecord sum the others when
-        read.  Returns each version's cost, each rake's update_cost, and nxt
-        and how: rake k's output enters rake nxt[k] (-1 for none) through
-        the input how[k] says (0 e side, 1 parent side, 2 z side).  frontier
-        is the last level's, the root's two extreme leaves."""
+        (index._belief_cost); this is the only code that sums steps along a
+        path.  Returns each rake's update_cost, and nxt and how: rake k's
+        output enters rake nxt[k] (-1 for none) through the input how[k]
+        says (0 e side, 1 parent side, 2 z side).  frontier is the last
+        level's, the root's two extreme leaves."""
         index, B, R = self.index, self.base, len(self.leaf)
-        # one evaluation of each version: by its owner's domain and its forms
-        columns = (self.dcode[self.owner], self.form[self.slot[:, LEFT]], self.form[self.slot[:, RIGHT]])
+        # one evaluation of the root's last version and of each raked parent
+        # x's, by its owner's domain and its forms
+        root = self.last[self.root]
+        once = np.append(root, self.last[self.parent])
+        columns = (self.dcode[self.owner[once]], self.form[self.slot[once, LEFT]],
+                   self.form[self.slot[once, RIGHT]])
         first, group = _groups(columns)
         table = [equation_cost(self.kvals[columns[0][i]], self.forms[columns[1][i]],
                                self.forms[columns[2][i]]) for i in first.tolist()]
-        cost = np.fromiter(table, object, len(table))[group]
+        table = np.array(table, np.int64).reshape(-1, 5)[group]
+        eq_root, eq_x = table[0], table[1:]
         K = np.array(self.kvals, np.int64)[self.dcode]  # each node's domain
-        root = self.last[self.root]
-        table = np.array(table, np.int64).reshape(-1, 5)
-        eq_root, eq_x = table[group[root]], table[group[self.pv]]  # x's last version's
-        del columns, group, table, self.dcode, self.kvals
+        del columns, first, group, table, self.dcode, self.kvals
 
         # chains; the last column counts equations on a chain
         steps = np.array(self.class_costs, np.int64).reshape(-1, 4, 5)  # by class
@@ -1035,10 +1011,10 @@ class _Build:
         eq_ends[:, 3] += K[ends]
         nodes = self.names[np.concatenate((self.parent, self.leaf, ends))].tolist()
         index._belief_cost = dict(zip(nodes, _tuples(np.concatenate((lam_step, eq_x, eq_ends)))))
-        del self.pv, depth, into, lam_step, eq_x
-        return cost, update_cost, nxt, how
+        del depth, into, lam_step, eq_x
+        return update_cost, nxt, how
 
-    def link(self, frontier: np.ndarray, cost: np.ndarray, update_cost: list, nxt: np.ndarray,
+    def link(self, frontier: np.ndarray, update_cost: list, nxt: np.ndarray,
              how: np.ndarray) -> None:
         """Make the index's objects and link them: a Slot for each of a base
         equation's two matrices, a RakeEquation for each rake, which is both
@@ -1082,18 +1058,17 @@ class _Build:
 
         index._bases = [CoeffRecord() for _ in range(B)]
         version = np.fromiter(chain(index._bases, rakes), object, B + R)
-        for r, r.rewrites, r.owner, r.left_child, r.right_child, r.cost, r.walk_total in zip(
+        for r, r.rewrites, r.owner, r.left_child, r.right_child in zip(
                 rakes, version[self.gv], names[self.owner[raked]], names[self.child[raked, LEFT]],
-                names[self.child[raked, RIGHT]], cost[raked], repeat(None)):
+                names[self.child[raked, RIGHT]]):
             pass
         del self.gv
-        for v, v.owner, v.left, v.right, v.left_child, v.right_child, v.above, v.cost, \
-                v.walk_total in zip(index._bases, names[self.owner[:B]], slot[self.slot[:B, LEFT]],
-                                    slot[self.slot[:B, RIGHT]], names[self.child[:B, LEFT]],
-                                    names[self.child[:B, RIGHT]], rake_at[above[:B]], cost[:B],
-                                    repeat(None)):
+        for v, v.owner, v.left, v.right, v.left_child, v.right_child, v.above in zip(
+                index._bases, names[self.owner[:B]], slot[self.slot[:B, LEFT]],
+                slot[self.slot[:B, RIGHT]], names[self.child[:B, LEFT]],
+                names[self.child[:B, RIGHT]], rake_at[above[:B]]):
             pass
-        del self.slot, self.child, slot, rake_at, above, cost
+        del self.slot, self.child, slot, rake_at, above
 
         # where each node's query walk starts: its own last version, or, for
         # a leaf, that of the parent its rake removes, or the root's
@@ -1144,22 +1119,34 @@ def _leaf_order(root: int, left: list[int], right: list[int]) -> list[int]:
 # -- queries ---------------------------------------------------------------------
 
 def lambda_query(index: ContractionIndex, node_id: str) -> np.ndarray:
-    """Likelihood vector of the evidence below a node, via highest-level
-    equations.  Touches one equation per level on the recursion path."""
-    if node_id not in index.tree.nodes:
+    """Likelihood vector of the evidence below a node: a leaf's evidence,
+    the product of the root's two messages, or a raked node x's walk step
+    lambda(x) = diag * (z side . lambda(z)) through the rake that removes
+    it, z being x's other child, which is a leaf or raked in turn.  Takes
+    each step up from that leaf, adding its kept count (steps[3]); the root
+    adds its kept belief total less the product with pi.  Leaves
+    index.last_calc_depth as it was."""
+    v = index._start.get(node_id)
+    if v is None:
         raise UnknownNode(f"no node {node_id!r}")
-    out = _lambda_rec(index, node_id)
-    return out.copy() if node_id in index.evidence else out
-
-
-def _lambda_rec(index: ContractionIndex, node_id: str) -> np.ndarray:
-    if node_id in index.evidence:
-        return index.evidence[node_id]
-    v = index._start[node_id]
-    left = _lambda_rec(index, v.left_child)
-    right = _lambda_rec(index, v.right_child)
-    index.counters.add(v.cost)
-    return v.left.coeff.dot(left) * v.right.coeff.dot(right)
+    evidence = index.evidence
+    lam = evidence.get(node_id)
+    if lam is not None:
+        return lam.copy()
+    if node_id == index.root:
+        lam = v.left.coeff.dot(evidence[v.left_child]) * v.right.coeff.dot(evidence[v.right_child])
+        index.counters.add(less_costs(index._belief_cost[node_id], (0, 0, 0, len(lam), 0)))
+        return lam
+    rakes = []
+    while lam is None:
+        rake = v.above  # removes x, v's owner; z, x's other child, is its child on x's side
+        rakes.append(rake)
+        z = rake.left_child if rake.parent_side == LEFT else rake.right_child
+        lam, v = evidence.get(z), index._start[z]
+    for rake in reversed(rakes):
+        lam = rake.diag * rake.z_side_input.coeff.dot(lam)
+        index.counters.add(rake.steps[3])
+    return lam
 
 
 def _recompute(evidence: dict[str, np.ndarray], record: RakeEquation) -> None:
@@ -1225,8 +1212,10 @@ def update_evidence(index: ContractionIndex, leaf_id: str, evidence) -> Contract
 def calc_pi_lambda(index: ContractionIndex, node_id: str, level: int) -> PiLambdaTriple:
     """pi of a node plus the lambdas of its children as of a contraction level.
 
-    The node must have an equation at that level.  One walk (_walk), which
-    carries lambda on both sides of that equation.
+    The node must have an equation at that level.  pi is the same at every
+    version of a node, and a child's lambda at every level, so the triple
+    is pi_query and lambda_query of the version's two children, counted as
+    those are; index.last_calc_depth is pi_query's walk.
     """
     if node_id not in index.tree.nodes:
         raise UnknownNode(f"no node {node_id!r}")
@@ -1235,17 +1224,15 @@ def calc_pi_lambda(index: ContractionIndex, node_id: str, level: int) -> PiLambd
     rec = _record_at(index, node_id, level) if _present(index, node_id, level) else None
     if rec is None:
         raise LevelOutOfRange(f"{node_id!r} has no equations at level {level}")
-    pi, lam_left, lam_right = _walk(index, rec, BOTH)
-    index.counters.add(rec.walk_cost)
-    return PiLambdaTriple(pi=pi.copy(), lambda_left=lam_left.copy(),
-                          lambda_right=lam_right.copy())
+    return PiLambdaTriple(pi=pi_query(index, node_id), lambda_left=lambda_query(index, rec.left_child),
+                          lambda_right=lambda_query(index, rec.right_child))
 
 
 def _walk(index: ContractionIndex, v: CoeffRecord, carry: int):
     """(pi, left, right) of equation version v under the evidence in force:
     pi of its owner and, on each side, the lambda of its child where carry
-    says (LEFT, RIGHT, BOTH or NEITHER), else the message that side sends
-    the owner, side coeff . lambda(child).
+    says (LEFT, RIGHT or NEITHER), else the message that side sends the
+    owner, side coeff . lambda(child).
 
     A rake rewrites C . lambda(x) as (C . Diag(diag) . Z) . lambda(z), the
     same vector, so each side's message is the same at every owner version.
@@ -1270,16 +1257,16 @@ def _walk(index: ContractionIndex, v: CoeffRecord, carry: int):
             path.append(w)
             runs.append(carry)
             carry = up.parent_side
-        elif up.parent_side == carry or carry == BOTH:
+        elif up.parent_side == carry:
             path.append(w)
         w = up
     index.last_calc_depth = depth
     evidence = index.evidence
     pi = index.tree.nodes[index.root].prior
     left, right = evidence[w.left_child], evidence[w.right_child]
-    if carry != LEFT and carry != BOTH:
+    if carry != LEFT:
         left = w.left.coeff.dot(left)
-    if carry != RIGHT and carry != BOTH:
+    if carry != RIGHT:
         right = w.right.coeff.dot(right)
     for w in reversed(path):
         rake = w.above
@@ -1297,8 +1284,8 @@ def _walk(index: ContractionIndex, v: CoeffRecord, carry: int):
         parent = rake.parent_input.coeff
         pi = up.dot(parent) if type(parent) is np.ndarray else up @ parent
         carry, side = runs.pop(), rake.leaf_side
-        e = evidence[rake.leaf] if carry == side or carry == BOTH else rake.diag
-        z = lam_z if carry == 1 - side or carry == BOTH else rake.z_side_input.coeff.dot(lam_z)
+        e = evidence[rake.leaf] if carry == side else rake.diag
+        z = lam_z if carry == 1 - side else rake.z_side_input.coeff.dot(lam_z)
         left, right = (e, z) if side == LEFT else (z, e)
     return pi, left, right
 
@@ -1318,7 +1305,10 @@ def _leaf_pi(index: ContractionIndex, node_id: str, v: CoeffRecord) -> np.ndarra
 
 
 def pi_query(index: ContractionIndex, node_id: str) -> np.ndarray:
-    """Prior-side message at a node under the evidence in force."""
+    """Prior-side message at a node: the root's prior, a leaf's pi step,
+    or an internal node's walk with lambda carried on the z side of the
+    rake that removes it, which takes no message there.  Adds the node's
+    kept belief total less what the belief does after pi."""
     v = index._start.get(node_id)
     if v is None:
         raise UnknownNode(f"no node {node_id!r}")
@@ -1326,10 +1316,12 @@ def pi_query(index: ContractionIndex, node_id: str) -> np.ndarray:
         index.last_calc_depth = 0
         return index.tree.nodes[index.root].prior.copy()
     if node_id in index.evidence:
-        index.counters.add(sum_costs(v.walk_cost, v.cost))
-        return _leaf_pi(index, node_id, v)
-    index.counters.add(v.walk_cost)
-    return _walk(index, v, BOTH)[0]
+        pi, skipped = _leaf_pi(index, node_id, v), NO_COST
+    else:  # v.above removes the node
+        pi, skipped = _walk(index, v, 1 - v.above.leaf_side)[0], v.above.steps[3]
+    index.counters.add(less_costs(index._belief_cost[node_id],
+                                  sum_costs(skipped, (0, 0, 0, len(pi), 0))))
+    return pi
 
 
 def belief_query(index: ContractionIndex, node_id: str) -> Belief:

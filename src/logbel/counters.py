@@ -6,10 +6,11 @@ products, equation evaluations, and the scalar multiply-adds they amount to
 (of which matmat_mult_adds come from matrix-matrix products).  Those counts
 depend only on shapes, so one rule fixes them, from coefficient forms: the
 form rule of contraction.py (matvec_cost, rake_cost, equation_cost).  Every
-engine adds a cost from it in one step; only the full and lazy engines'
-beliefs count their final vector product, K multiply-adds, apart (a
-contraction belief query's kept total holds it).  A cost is a tuple
-(matrix_vector_mults, matrix_matrix_mults, equation_evals,
+engine adds a cost from it in one step, except contraction's lambda_query,
+one kept step per lambda step, and the full and lazy engines' beliefs,
+whose final vector product, K multiply-adds, counts apart (a contraction
+belief's kept total holds it; less_costs takes parts off such totals).  A
+cost is a tuple (matrix_vector_mults, matrix_matrix_mults, equation_evals,
 scalar_mult_adds, matmat_mult_adds).
 """
 
@@ -23,6 +24,11 @@ NO_COST = (0, 0, 0, 0, 0)
 def sum_costs(a: tuple, b: tuple) -> tuple:
     """The cost of doing a's work and then b's."""
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4])
+
+
+def less_costs(a: tuple, b: tuple) -> tuple:
+    """The cost of a's work without b's, which is part of it."""
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3], a[4] - b[4])
 
 
 @dataclass

@@ -15,15 +15,10 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from logbel.contraction import LEFT, RIGHT, _form, _rake_costs, equation_cost, matvec_cost
+from logbel.contraction import LEFT, RIGHT, _form, _rake_costs, matvec_cost
 from logbel.counters import NO_COST, OpCounters, sum_costs
 from logbel.errors import ConstructionError, DimensionMismatch, TreeTooSmall, UnknownNode
 from logbel.model import Belief, CausalTree, normalize_belief, set_evidence
-
-
-def _record_cost(rec: "CoeffRecord") -> tuple:
-    """equation_cost of an equation version."""
-    return equation_cost(rec.left.coeff.shape[0], rec.left.form, rec.right.form)
 
 
 # -- stored structure ------------------------------------------------------------
@@ -71,14 +66,10 @@ class CoeffRecord:
 
     above is the next version on the root-ward query walk: the owner's next
     version, or, for the last version of a raked node, the rake that
-    absorbed it; None only for the root's terminal version.  cost counts
-    one evaluation of this equation (_record_cost) and walk_cost the whole
-    walk that builds this version's (pi, lambda, lambda) triple, lambda
-    carried on both sides: contract() sums it when it ends.
+    absorbed it; None only for the root's terminal version.
     """
 
-    __slots__ = ("owner", "level", "left", "right", "left_child", "right_child",
-                 "above", "cost", "walk_cost")
+    __slots__ = ("owner", "level", "left", "right", "left_child", "right_child", "above")
 
     def __init__(self, owner: str, level: int, left: Slot, right: Slot,
                  left_child: str, right_child: str):
@@ -89,8 +80,6 @@ class CoeffRecord:
         self.left_child = left_child
         self.right_child = right_child
         self.above: CoeffRecord | None = None
-        self.cost = NO_COST
-        self.walk_cost = NO_COST
 
     def side_slot(self, side: int) -> Slot:
         return self.left if side == LEFT else self.right
@@ -113,11 +102,10 @@ class RakeEquation(CoeffRecord):
     leaf or the e-side slot changes and scaled when diag or the parent slot
     does.  So a step entered through the leaf or the e side refreshes both,
     through the parent side scaled only, through the z side neither.
-    lambda_step counts the walk step below it that rebuilds lambda(x).
     """
 
     __slots__ = ("e_side_input", "leaf", "output", "parent_input", "z_side_input", "parent",
-                 "leaf_side", "parent_side", "diag", "scaled", "lambda_step")
+                 "leaf_side", "parent_side", "diag", "scaled")
 
     def __init__(self, level: int, leaf: str, leaf_side: int, parent_rec: CoeffRecord,
                  parent_side: int, grand_pre: CoeffRecord, output: Slot):
@@ -206,7 +194,6 @@ def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None) -> Co
                 Slot(coeffs.get(left, tree.nodes[left].cpt), node_id, LEFT, 0),
                 Slot(coeffs.get(right, tree.nodes[right].cpt), node_id, RIGHT, 0),
                 left, right)
-            rec.cost = _record_cost(rec)
             index.records[node_id] = [rec]
         else:
             index.evidence[node_id] = node.evidence
@@ -229,41 +216,15 @@ def contract(tree: CausalTree, coeffs: Mapping[str, object] | None = None) -> Co
 
 
 def _total_costs(index: ContractionIndex) -> None:
-    """Fix the counts of every update chain and query walk.
+    """Fix the counts of every update chain.
 
     rake() has set each slot's chain_cost to its consumer's step.  A slot's
     consumer writes a later slot, so one reverse pass in storage order adds
-    each chain's rest.  A version's above is a later version too, so one
-    more reverse pass sums each walk top down: the walk into a version with
-    lambda on both sides (walk_cost), and with lambda on one side only, the
-    other carrying its message (lean, by the side that carries lambda).
-    Below a rake (e, x, u), u's previous version rebuilds lambda(x) on x's
-    side alone, where it is carried, and x's last version is reached with
-    lambda on x's side of u, then pi through u's parent side; x's z side
-    takes its message there unless it carries lambda, and its e side's is
-    the rake's diagonal.
+    each chain's rest.  Queries count each product as they compute it.
     """
     for slot in reversed(index.all_slots()):
         if slot.consumer is not None:
             slot.chain_cost = sum_costs(slot.chain_cost, slot.consumer.output.chain_cost)
-    bases = [recs[0] for recs in index.records.values()]
-    lean: dict[int, list[tuple]] = {}
-    for rec in reversed([*bases, *index.leaf_consumer.values()]):
-        rk = rec.above
-        if rk is None:  # the root's terminal version: the other side's message
-            rec.walk_cost = NO_COST
-            lean[id(rec)] = [matvec_cost(rec.right.form), matvec_cost(rec.left.form)]
-        elif rec.owner == rk.owner:
-            rec.walk_cost = sum_costs(rk.walk_cost, rk.lambda_step)
-            lean[id(rec)] = [sum_costs(cost, rk.lambda_step) if side == rk.parent_side else cost
-                             for side, cost in enumerate(lean[id(rk)])]
-        else:
-            pi_step = sum_costs(matvec_cost(rk.parent_input.form),
-                                (0, 0, 1, rk.parent_input.coeff.shape[0], 0))
-            rec.walk_cost = sum_costs(lean[id(rk)][rk.parent_side], pi_step)
-            lean[id(rec)] = [rec.walk_cost, rec.walk_cost]
-            lean[id(rec)][rk.leaf_side] = sum_costs(rec.walk_cost,
-                                                    matvec_cost(rk.z_side_input.form))
 
 
 def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
@@ -288,9 +249,8 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
     rk = RakeEquation(level, leaf, leaf_side, parent_rec, parent_side, grand_pre, output)
     _recompute(index.evidence, rk)  # no consumer yet: this equation only; sets diag, scaled
     output.form = _form(output.coeff)
-    rk.cost = _record_cost(rk)
     e_side = rk.e_side_input
-    e_entry, parent_entry, z_entry, lambda_step = _rake_costs(
+    e_entry, parent_entry, z_entry, _ = _rake_costs(
         e_side.coeff.shape[0], e_side.form, rk.parent_input.form, rk.z_side_input.form)
     index.counters.add(e_entry)
     for slot, entry in ((e_side, e_entry), (rk.parent_input, parent_entry),
@@ -298,7 +258,6 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
         assert slot.consumer is None, "a stored matrix may feed only one equation"
         slot.consumer = rk
         slot.chain_cost = entry
-    rk.lambda_step = lambda_step
     assert leaf not in index.leaf_consumer
     index.leaf_consumer[leaf] = rk
     grand_pre.above = parent_rec.above = rk
@@ -311,8 +270,10 @@ def rake(index: ContractionIndex, level: int, leaf: str) -> RakeEquation:
 # -- queries ---------------------------------------------------------------------
 
 def lambda_query(index: ContractionIndex, node_id: str) -> np.ndarray:
-    """Likelihood vector of the evidence below a node, via highest-level
-    equations.  Touches one equation per level on the recursion path."""
+    """Likelihood vector of the evidence below a node, counted as it is
+    computed: a leaf's evidence, the product of the root's two messages,
+    or, for a raked node x, the rake (e, x, u) that removes it times x's
+    other child z: lambda(x) = diag * (z side . lambda(z))."""
     if node_id not in index.tree.nodes:
         raise UnknownNode(f"no node {node_id!r}")
     out = _lambda_rec(index, node_id)
@@ -323,10 +284,13 @@ def _lambda_rec(index: ContractionIndex, node_id: str) -> np.ndarray:
     if node_id in index.evidence:
         return index.evidence[node_id]
     rec = index.records[node_id][-1]
-    left = _lambda_rec(index, rec.left_child)
-    right = _lambda_rec(index, rec.right_child)
-    index.counters.add(rec.cost)
-    return rec.left.coeff.dot(left) * rec.right.coeff.dot(right)
+    rk = rec.above
+    if rk is None:  # the root's terminal version
+        left = _message(index, rec.left, _lambda_rec(index, rec.left_child))
+        return _count_product(index, left * _message(index, rec.right,
+                                                     _lambda_rec(index, rec.right_child)))
+    lam_z = _lambda_rec(index, rec.child(1 - rk.leaf_side))
+    return _count_product(index, rk.diag * _message(index, rk.z_side_input, lam_z))
 
 
 def _recompute(evidence: dict[str, np.ndarray], equation: RakeEquation | None) -> list[Slot]:

@@ -31,10 +31,19 @@ from logbel import (
     random_polytree,
     update_evidence,
 )
-from logbel.contraction import GATHER_ENTRIES, KEPT_GATHER_BYTES, _cheapest, _Diagonal, _form, materialize
+from logbel.contraction import (
+    GATHER_ENTRIES,
+    KEPT_GATHER_BYTES,
+    _cheapest,
+    _Diagonal,
+    _form,
+    materialize,
+    matvec_cost,
+)
+from logbel.counters import sum_costs
 from logbel.generate import balanced_tree, random_likelihood, random_tree
 from logbel.model import BruteForceOracle
-from test_counts import counted_index, ragged_tree, star_tree, work_and_delta
+from test_counts import counted_index, ragged_tree, star_tree, totals, work_and_delta
 
 
 def small_corpus(rng, count=12, lo=5, hi=64, k=(2, 3)):
@@ -812,6 +821,69 @@ class TestCalcPiLambda:
             for vec in (triple.pi, triple.lambda_left, triple.lambda_right):
                 vec[:] = [1.0, 0.0]
         np.testing.assert_array_equal(belief_query(index, "x1").dist, before)
+
+    @staticmethod
+    def _counted(index, thunk):
+        """What thunk returns, and the five counts it added."""
+        before = totals(index.counters)
+        out = thunk()
+        return out, tuple(a - b for a, b in zip(totals(index.counters), before))
+
+    @pytest.mark.parametrize("kind", ["chain", "star", "balanced", "random", "polytree"])
+    def test_a_triple_is_its_parts(self, kind):
+        """After an update stream, calc_pi_lambda at every level where a node
+        is present is, bit for bit, pi_query of the node and lambda_query of
+        the two children of its version there, and counts what those three
+        count.  At every node, pi_query counts what belief_query counts
+        less the work the belief does after pi: an internal node's z side
+        message (both messages at the root) and their product, then the
+        product with lambda."""
+        rng = np.random.default_rng(37)
+        coeffs = None
+        if kind == "chain":
+            tree = chain_tree(61, 2, rng)
+        elif kind == "star":
+            tree = normalize_tree(star_tree(40, rng))[0]
+        elif kind == "balanced":
+            tree = balanced_tree(63, (2, 3), rng)
+        elif kind == "random":
+            tree = random_tree(90, (2, 3), rng)
+        else:
+            compiled = build_engine(random_polytree(40, 3, 3, np.random.default_rng(2))).compiled
+            tree, coeffs = compiled.tree, compiled.coeffs
+            assert {type(coeff) for coeff in coeffs.values()} == {Identity, FactoredMatrix}
+        index = contract(tree, coeffs=coeffs)
+        leaves = tree.leaf_order()
+        for _ in range(30):
+            leaf = leaves[int(rng.integers(len(leaves)))]
+            update_evidence(index, leaf, random_likelihood(tree.nodes[leaf].domain, rng, floor=0.5))
+        triples = 0
+        for level in index.levels:
+            for node, rec in level.nodes.items():
+                if rec is None:
+                    continue
+                triple, cost = self._counted(index, lambda: calc_pi_lambda(index, node, level.index))
+                parts = [self._counted(index, query) for query in (
+                    lambda: pi_query(index, node), lambda: lambda_query(index, rec.left_child),
+                    lambda: lambda_query(index, rec.right_child))]
+                for got, (want, _) in zip((triple.pi, triple.lambda_left, triple.lambda_right), parts):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (node, level.index)
+                assert cost == tuple(map(sum, zip(*(part for _, part in parts)))), (node, level.index)
+                triples += 1
+        assert triples > len(index.records)
+        for node in tree.nodes:
+            _, pi_cost = self._counted(index, lambda: pi_query(index, node))
+            _, belief_cost = self._counted(index, lambda: belief_query(index, node))
+            K = tree.nodes[node].domain
+            after = (0, 0, 0, K, 0)
+            if node == index.root:
+                rec = index.records[node][-1]
+                after = sum_costs(after, sum_costs(matvec_cost(rec.left.form), matvec_cost(rec.right.form)))
+                after = sum_costs(after, (0, 0, 1, K, 0))
+            elif node not in index.evidence:
+                rake = index.records[node][-1].above
+                after = sum_costs(after, sum_costs(matvec_cost(rake.z_side_input.form), (0, 0, 1, K, 0)))
+            assert sum_costs(pi_cost, after) == belief_cost, node
 
     def test_level_out_of_range(self):
         index = contract(chain_tree(9, k=2, rng=np.random.default_rng(3)))

@@ -293,11 +293,15 @@ def test_a_chain_step_entered_through_the_z_side_is_one_product():
 # without via answered at the variable's indicator leaf, whose pi step
 # sums the clique's states, and no longer at its clique node (builds,
 # chains and via queries are unchanged): (615, 169, 658, 315695, 236503)
-# before.
+# before.  DENSE_TOTALS was re-recorded when lambda_query took the walk's
+# lambda step, diag * (z side . lambda(z)), with each rake's cached
+# diagonal instead of evaluating whole equations, and calc_pi_lambda became
+# pi_query plus two lambda_query calls (builds, chains, beliefs and pi
+# queries are unchanged): (2212, 242, 1603, 17998, 2530) before.
 DENSE_BUILD = (41, 41, 41, 819, 422)
 DENSE_CHAINS = [3, 7, 6, 7, 6, 5, 5, 5, 7, 5, 8, 7, 5, 3, 5, 0, 6, 7, 6, 6, 6, 0, 7, 7, 7, 5, 6, 0, 4,
                 6, 8, 5, 6, 5, 2, 0, 5, 7, 3, 3]
-DENSE_TOTALS = (2212, 242, 1603, 17998, 2530)
+DENSE_TOTALS = (2245, 242, 1664, 18210, 2530)
 # The polytree numbers were re-recorded when every coefficient took its
 # cheapest form (identity edges free, unprofitable factored products
 # multiplied out): (88, 88, 44, 1171861, 1155067) and

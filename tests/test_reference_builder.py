@@ -86,7 +86,6 @@ def assert_same_index(flat, ref):
             want.owner, want.level, want.left_child, want.right_child)
         assert rec.left.describe() == want.left.describe()
         assert rec.right.describe() == want.right.describe()
-        assert (rec.cost, rec.walk_cost) == (want.cost, want.walk_cost)
         assert (None if rec.above is None else at[id(rec.above)]) == (
             None if want.above is None else ref_at[id(want.above)])
     for rk, want in zip(rakes, ref.leaf_consumer.values()):
